@@ -9,6 +9,7 @@ near the boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -225,21 +226,32 @@ class MollifierSpec:
         """Discrete kernel: cell offsets within the radius and unit-sum weights."""
         if self.radius <= 0:
             raise FieldError("mollifier radius must be positive")
-        reach = int(math.floor(self.radius / h))
-        offs = []
-        wts = []
-        for dy in range(-reach, reach + 1):
-            for dx in range(-reach, reach + 1):
-                r = math.hypot(dx * h, dy * h) / self.radius
-                w = float(bump_profile(r))
-                if w > 0.0:
-                    offs.append((dy, dx))
-                    wts.append(w)
-        if not offs:
-            offs = [(0, 0)]
-            wts = [1.0]
-        w = np.array(wts)
-        return offs, w / w.sum()
+        return _bump_kernel(self.radius, h)
+
+
+@functools.lru_cache(maxsize=64)
+def _bump_kernel(radius: float, h: float):
+    """Kernel of `MollifierSpec.kernel_offsets`, built once per (radius, h).
+
+    The weights are read-only because every caller shares them.
+    """
+    reach = int(math.floor(radius / h))
+    offs = []
+    wts = []
+    for dy in range(-reach, reach + 1):
+        for dx in range(-reach, reach + 1):
+            r = math.hypot(dx * h, dy * h) / radius
+            w = float(bump_profile(r))
+            if w > 0.0:
+                offs.append((dy, dx))
+                wts.append(w)
+    if not offs:
+        offs = [(0, 0)]
+        wts = [1.0]
+    w = np.array(wts)
+    w /= w.sum()
+    w.setflags(write=False)
+    return tuple(offs), w
 
 
 def mollify_interior(values2d: np.ndarray, spec: MollifierSpec, grid: Grid,

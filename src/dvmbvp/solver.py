@@ -11,9 +11,14 @@ from zero.  The outer loop updates the frozen convolved state until the map
 reaches its fixed point.  Continuation then sends alpha -> 0 at fixed k, and
 an outer sweep raises k.
 
-Every per-cell update integrates from the inflow boundary along the full
-characteristic with composite trapezoid steps bounded by `h_s`, so one
-iteration is a dense transport sweep, deterministic for fixed inputs.
+Cells that share a backward characteristic share one line (the method of
+long characteristics): one transport sweep advances a single exponential
+trapezoid recursion per line, from the inflow at the line's entry point
+through a node ladder with steps bounded by `h_s` that has a node at every
+cell centre on the line, and reads each cell at its own node.  On the
+integer velocities of the shifted Broadwell lattice a line holds many cells,
+so a sweep costs O(n^2); a velocity off the lattice gets one cell per line
+through the same code.  A sweep is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -90,31 +95,84 @@ def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
 # ---------------------------------------------------------------------------
 
 class _CharTable:
-    """Backward-characteristic sampling for one velocity on one grid.
+    """Characteristic lines of one velocity on one grid.
 
-    For every non-grazing interior cell: entry time s_plus, a uniform node
-    ladder of M+1 samples from the entry point to the cell (spatial step at
-    most h_s), precomputed bilinear gather stencils, and the boundary
-    arclength parameter of the entry point.
+    Non-grazing interior cells are grouped by their offset normal to v:
+    cells with the same offset (to rounding) lie on one backward
+    characteristic, a line.  On the shifted Broadwell lattice a line holds
+    many cells; a velocity off the lattice gives one cell per line.  Each
+    line has one node ladder: node 0 is its entry point on the boundary, and
+    the gaps from the entry to the first cell centre and between consecutive
+    cell centres are each split into equal steps of spatial length at most
+    h_s, so every cell centre on the line is a node.
+
+    Node arrays are padded to L nodes and stored transposed, shape
+    (L, lines): row m holds node m of every line.  Padding repeats a line's
+    last node, so padding steps have zero length.  Per-cell arrays
+    (`cells_flat`, `s_plus`, `line`, `node`) run in line order, cells in a
+    line by increasing entry time; `node` is the flat index of each cell's
+    own node in an (L, lines) array.
     """
 
     def __init__(self, domain: ConvexDomain, grid: Grid, v, h_s: float, eps_geo_rel: float):
         v = np.asarray(v, dtype=float)
         speed = float(np.hypot(v[0], v[1]))
+        interior = np.flatnonzero(grid.mask.ravel())
         zs = grid.centers[grid.mask]
         s_plus = domain.exit_times(zs, -v)
         s_minus = domain.exit_times(zs, v)
-        chord = (s_plus + s_minus) * speed
-        grazing = chord < eps_geo_rel * domain.diameter
-        keep = ~grazing
+        grazing = (s_plus + s_minus) * speed < eps_geo_rel * domain.diameter
+        keep = np.flatnonzero(~grazing)
+
+        # Lines: a jump in the sorted normal offsets beyond rounding starts a
+        # new line.  Cells are ordered by integer line id, never by the raw
+        # offset, whose rounding noise would scramble the order along a line.
+        offset = (zs[keep, 0] * v[1] - zs[keep, 1] * v[0]) / speed
+        by_offset = np.argsort(offset, kind="stable")
+        sorted_offset = offset[by_offset]
+        line = np.empty(len(keep), dtype=np.int64)
+        line[by_offset] = np.cumsum(
+            np.diff(sorted_offset, prepend=sorted_offset[:1]) > 1e-9 * grid.h)
+        order = np.lexsort((s_plus[keep], line))
+        keep, line = keep[order], line[order]
+        s = s_plus[keep]
+        first = np.diff(line, prepend=-1) != 0           # first cell of its line
+        head = np.flatnonzero(first)
+        n_lines = len(head)
+
+        # Steps from the previous stop on the line (the entry for a first cell).
+        t_prev = np.where(first, 0.0, np.roll(s, 1))
+        gap = s - t_prev
+        steps = np.maximum(1, np.ceil(gap * speed / h_s)).astype(np.int64)
+        ends = np.cumsum(steps)
+        col = ends - (ends - steps)[head][line]          # node column of each cell
+        L = int(col.max(initial=0)) + 1
+
+        # Node times, one node per step, padded per line by its last time.
+        owner = np.repeat(np.arange(len(s)), steps)
+        j = np.arange(len(owner)) - np.repeat(ends - steps, steps) + 1
+        t_nodes = t_prev[owner] + j * (gap / steps)[owner]
+        t_nodes[ends - 1] = s                            # a cell's node is exact
+        t = np.zeros((L, n_lines))
+        t[(col - steps)[owner] + j, line[owner]] = t_nodes
+        np.maximum.accumulate(t, axis=0, out=t)
+
+        entry = zs[keep[head]] - s[head][:, None] * v
+        pts = entry[None, :, :] + t[..., None] * v
+        pts[col, line] = zs[keep]
+        flat, w = grid.interp_weights(pts)
 
         self.v = v
         self.speed = speed
-        self.cells_flat = np.flatnonzero(grid.mask.ravel())[keep]
-        self.grazing_flat = np.flatnonzero(grid.mask.ravel())[grazing]
-        self.s_plus = s_plus[keep]
-        self.s_minus = s_minus[keep]
-        entry = zs[keep] - self.s_plus[:, None] * v
+        self.cells_flat = interior[keep]
+        self.grazing_flat = interior[grazing]
+        self.s_plus = s
+        self.line = line
+        self.node = col * n_lines + line
+        self.t = t
+        self.dt = np.diff(t, axis=0)
+        self.flat = flat
+        self.w = w
         bp = boundary_param(domain)
         self.t_entry = bp.t_of_point(entry)
         if np.any(grazing):
@@ -123,32 +181,9 @@ class _CharTable:
         else:
             self.t_entry_grazing = np.zeros(0)
 
-        n = len(self.s_plus)
-        M = max(1, int(math.ceil(float(np.max(self.s_plus, initial=0.0)) * speed / h_s)))
-        self.M = M
-        self.dt = self.s_plus / M
-        nodes = self.dt[:, None] * np.arange(M + 1)
-        pts = entry[:, None, :] + nodes[..., None] * v
-        flat, w = grid.interp_weights(pts.reshape(-1, 2))
-        self.flat = flat.reshape(n, M + 1)
-        self.w = tuple(wk.reshape(n, M + 1) for wk in w)
-        # composite trapezoid weights on the node ladder
-        tw = np.ones(M + 1)
-        tw[0] = tw[-1] = 0.5
-        self.trapz_w = self.dt[:, None] * tw[None, :]
-
-    def gather(self, grid: Grid, padded_flat: np.ndarray) -> np.ndarray:
-        w00, w10, w01, w11 = self.w
-        f = self.flat
-        v = padded_flat
-        return (w00 * v[f] + w10 * v[f + 1]
-                + w01 * v[f + grid.nx] + w11 * v[f + grid.nx + 1])
-
-    def suffix_trapz(self, samples: np.ndarray) -> np.ndarray:
-        """T[:, m] = trapezoid integral of the samples from node m to the cell."""
-        pair = 0.5 * (samples[:, :-1] + samples[:, 1:]) * self.dt[:, None]
-        tails = np.flip(np.cumsum(np.flip(pair, axis=1), axis=1), axis=1)
-        return np.concatenate([tails, np.zeros((len(samples), 1))], axis=1)
+    @property
+    def n_lines(self) -> int:
+        return self.t.shape[1]
 
 
 class SolverWorkspace:
@@ -185,13 +220,36 @@ class SolverWorkspace:
         return [self.arc(i, +1) for i in range(self.model.p)]
 
     def entry_values(self, boundary: BoundaryData) -> list[np.ndarray]:
-        """Inflow trace at the entry point of every tabulated characteristic."""
+        """Inflow trace at the entry point of every characteristic line, and
+        at the entry point of every grazing cell."""
         out = []
         for i in range(self.model.p):
             tab = self.table(i)
             out.append((np.asarray(boundary.eval(i, tab.t_entry), dtype=float),
                         np.asarray(boundary.eval(i, tab.t_entry_grazing), dtype=float)))
         return out
+
+    def _samples(self, tab: _CharTable, values2d: np.ndarray) -> np.ndarray:
+        """Bilinear samples of a cell array at every node, shape (L, lines)."""
+        return self.grid.gather(self.grid.pad(values2d).ravel(), tab.flat, tab.w)
+
+    @staticmethod
+    def _transport(tab: _CharTable, inflow: np.ndarray, nu_s: np.ndarray,
+                   gain_s: np.ndarray, alpha: float) -> np.ndarray:
+        """Exponential-form trapezoid recursion along every line, read at the cells.
+
+        F_0 = inflow and F_{m+1} = F_m E_m + (dt_m / 2)(g_m E_m + g_{m+1}) with
+        E_m = exp(-(alpha + (nu_m + nu_{m+1}) / 2) dt_m).  Every operation is
+        monotone under rounding, so the result never decreases when the gain
+        or the inflow grows or the frequency shrinks.
+        """
+        E = np.exp(-(alpha + 0.5 * (nu_s[:-1] + nu_s[1:])) * tab.dt)
+        F = np.empty_like(gain_s)
+        F[0] = inflow
+        F[1:] = 0.5 * tab.dt * (gain_s[:-1] * E + gain_s[1:])
+        for m in range(len(E)):
+            F[m + 1] += F[m] * E[m]
+        return F.ravel()[tab.node]
 
     def apply_exponential(self, entry_vals, nu: np.ndarray, gain: np.ndarray,
                           alpha: float) -> np.ndarray:
@@ -201,34 +259,26 @@ class SolverWorkspace:
         for i in range(self.model.p):
             tab = self.table(i)
             b, b_graz = entry_vals[i]
-            nu_pad = grid.pad(nu[i]).ravel()
-            gain_pad = grid.pad(gain[i]).ravel()
-            nu_s = tab.gather(grid, nu_pad)
-            tails = tab.suffix_trapz(nu_s)
-            boundary_term = b * np.exp(-alpha * tab.s_plus - tails[:, 0])
-            gain_s = tab.gather(grid, gain_pad)
-            damp = alpha * (np.arange(tab.M + 1) - tab.M)[None, :] * tab.dt[:, None]
-            gain_term = np.sum(tab.trapz_w * gain_s * np.exp(damp - tails), axis=1)
             comp = out[i].ravel()
-            comp[tab.cells_flat] = boundary_term + gain_term
+            comp[tab.cells_flat] = self._transport(
+                tab, b, self._samples(tab, nu[i]), self._samples(tab, gain[i]), alpha)
             comp[tab.grazing_flat] = b_graz
         return out
 
     def path_integral(self, i: int, values2d: np.ndarray) -> np.ndarray:
         """Plain trapezoid integral entry->cell per tabulated cell."""
         tab = self.table(i)
-        vals = tab.gather(self.grid, self.grid.pad(values2d).ravel())
-        return np.sum(tab.trapz_w * vals, axis=1)
+        vals = self._samples(tab, values2d)
+        cum = np.zeros_like(vals)
+        np.cumsum(0.5 * tab.dt * (vals[:-1] + vals[1:]), axis=0, out=cum[1:])
+        return cum.ravel()[tab.node]
 
     def path_integral_attenuated(self, i: int, values2d: np.ndarray,
                                  nu2d: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         """Entry->cell integral with the exponential attenuation factor."""
         tab = self.table(i)
-        vals = tab.gather(self.grid, self.grid.pad(values2d).ravel())
-        nu_s = tab.gather(self.grid, self.grid.pad(nu2d).ravel())
-        tails = tab.suffix_trapz(nu_s)
-        damp = alpha * (np.arange(tab.M + 1) - tab.M)[None, :] * tab.dt[:, None]
-        return np.sum(tab.trapz_w * vals * np.exp(damp - tails), axis=1)
+        return self._transport(tab, np.zeros(tab.n_lines), self._samples(tab, nu2d),
+                               self._samples(tab, values2d), alpha)
 
     def scatter(self, i: int, per_cell: np.ndarray, grazing_value=0.0) -> np.ndarray:
         """Place per-tabulated-cell values back onto the full lattice."""
@@ -367,7 +417,10 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     """Picard iteration of the stage map (frozen state -> transported state).
 
     Convergence of this loop is monitored, not guaranteed; a stall after
-    max_outer steps is reported through the trace, never asserted away.
+    max_outer steps is reported through the trace, never asserted away.  The
+    stage counts as converged only when the relative change falls below
+    tol_outer after an inner ladder that converged, and the final residual
+    is finite.
     """
     if config.alpha <= 0 or config.k <= 1:
         raise SolverError("stage requires alpha > 0 and k > 1")
@@ -399,8 +452,9 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
         f = F
         prev_inner = F
         if rel <= config.tol_outer:
-            trace.termination = "converged"
-            trace.converged = True
+            # an inner ladder cut off by max_inner can leave the iterate unchanged
+            # without reaching the stage map's fixed point
+            trace.termination = "converged" if itrace.converged else "inner_not_converged"
             break
     else:
         trace.termination = "max_outer"
@@ -409,6 +463,9 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
                                                warn_small=False),
                         workspace=ws)
     trace.residual = res.total_relative
+    if trace.termination == "converged" and not math.isfinite(trace.residual):
+        trace.termination = "residual_not_finite"
+    trace.converged = trace.termination == "converged"
     return f, trace
 
 
@@ -581,7 +638,7 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
     zero_nu = np.zeros((ws.grid.ny, ws.grid.nx))
     for i in range(model.p):
         tab = ws.table(i)
-        b = np.asarray(boundary.eval(i, tab.t_entry), dtype=float)
+        b = np.asarray(boundary.eval(i, tab.t_entry), dtype=float)[tab.line]
         if alpha == 0.0:
             coll = ws.path_integral(i, net[i])
         else:

@@ -4,6 +4,8 @@ Closed-form transport solutions and the mass-cap/monotonicity structure of
 the ladder are the primary oracles.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,92 @@ def test_step_damped_transport(disk, broadwell, ws24):
         sp = np.array([disk_entry_time(z, broadwell.v[i]) for z in cells])
         got = out.values[i][ws24.grid.mask]
         assert np.max(np.abs(got - np.exp(-alpha * sp))) < 1e-12
+
+
+# -- characteristic lines ----------------------------------------------------------
+# At 40^2 and 48^2 the normal offsets of cells on one line differ by rounding.
+
+def line_workspace(disk, model, n):
+    grid = dv.Grid(disk, n)
+    return SolverWorkspace(disk, model, grid, SolverConfig(grid_n=n))
+
+
+@pytest.mark.parametrize("n", [40, 48])
+def test_lines_partition_cells_and_hold_many(disk, broadwell, n):
+    ws = line_workspace(disk, broadwell, n)
+    interior = np.flatnonzero(ws.grid.mask.ravel())
+    for i in range(broadwell.p):
+        tab = ws.table(i)
+        cells = np.concatenate([tab.cells_flat, tab.grazing_flat])
+        assert np.array_equal(np.sort(cells), interior)
+        assert np.all(np.diff(tab.line) >= 0)
+        assert np.all(np.diff(tab.s_plus)[np.diff(tab.line) == 0] > 0)
+        assert len(tab.cells_flat) >= 5 * tab.n_lines
+
+
+@pytest.mark.parametrize("n", [40, 48])
+def test_line_nodes_increase_with_bounded_steps(disk, broadwell, n):
+    ws = line_workspace(disk, broadwell, n)
+    for i in range(broadwell.p):
+        tab = ws.table(i)
+        last = np.zeros(tab.n_lines, dtype=np.int64)
+        np.maximum.at(last, tab.line, tab.node // tab.n_lines)
+        ladder = np.arange(len(tab.dt))[:, None] < last[None, :]
+        assert np.all(tab.t[0] == 0.0)
+        assert np.all(tab.dt[ladder] > 0.0)           # strictly increasing node times
+        assert np.all(tab.dt[~ladder] == 0.0)         # padding
+        assert np.max(tab.dt) * tab.speed <= ws.h_s * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [40, 48])
+def test_line_node_of_each_cell_is_its_centre(disk, broadwell, n):
+    ws = line_workspace(disk, broadwell, n)
+    grid = ws.grid
+    vals = np.random.default_rng(n).uniform(0.0, 1.0, (grid.ny, grid.nx))
+    for i in range(broadwell.p):
+        tab = ws.table(i)
+        assert np.array_equal(tab.t.ravel()[tab.node], tab.s_plus)
+        at_nodes = grid.gather(grid.pad(vals).ravel(), tab.flat, tab.w).ravel()[tab.node]
+        assert np.max(np.abs(at_nodes - vals.ravel()[tab.cells_flat])) < 1e-12
+        sp = np.array([disk_entry_time(z, broadwell.v[i])
+                       for z in grid.centers.reshape(-1, 2)[tab.cells_flat]])
+        assert np.max(np.abs(tab.s_plus - sp)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [40, 48])
+def test_line_sweep_monotone_bitwise(disk, broadwell, n):
+    ws = line_workspace(disk, broadwell, n)
+    grid = ws.grid
+    rng = np.random.default_rng(n)
+    shape = (broadwell.p, grid.ny, grid.nx)
+    nu = rng.uniform(0.0, 3.0, shape) * grid.mask
+    gain = rng.uniform(0.0, 2.0, shape) * grid.mask
+    nu_low = nu * rng.uniform(0.0, 1.0, shape)
+    gain_high = gain + rng.uniform(0.0, 1.0, shape) * grid.mask
+    entry = ws.entry_values(BoundaryData.constant([0.5, 1.0, 1.5, 2.0]))
+    for alpha in (0.0, 0.25):
+        base = ws.apply_exponential(entry, nu, gain, alpha)
+        assert np.all(ws.apply_exponential(entry, nu_low, gain, alpha) >= base)
+        assert np.all(ws.apply_exponential(entry, nu, gain_high, alpha) >= base)
+        assert np.all(ws.apply_exponential(entry, nu_low, gain_high, alpha) >= base)
+
+
+@pytest.mark.parametrize("n", [40, 48])
+def test_off_lattice_velocity_one_cell_per_line(disk, n):
+    """A velocity off the lattice: every cell is its own line, same engine."""
+    model = dv.VelocityModel.create([(1.0, math.sqrt(2.0))], [])
+    ws = line_workspace(disk, model, n)
+    tab = ws.table(0)
+    assert tab.n_lines == len(tab.cells_flat)
+    c, g = 1.0, 0.7
+    bd = BoundaryData.constant([2.0])
+    out = exponential_step(disk, model, bd, Field.constant(ws.grid, [c]),
+                           Field.constant(ws.grid, [g]), 0.0, workspace=ws)
+    cells = ws.grid.centers[ws.grid.mask]
+    sp = np.array([disk_entry_time(z, model.v[0]) for z in cells])
+    want = 2.0 * np.exp(-c * sp) + (g / c) * (1.0 - np.exp(-c * sp))
+    got = out.values[0][ws.grid.mask]
+    assert np.max(np.abs(got - want) / want) < 1e-5
 
 
 def test_step_rejects_negative_inputs(disk, broadwell, ws24):
@@ -171,6 +259,16 @@ def test_outer_constant_inflow(disk, broadwell, ws32):
     assert F.min_value() >= 0.0
     # damped mild-form residual of the converged stage
     assert tr.residual < 1e-3
+
+
+def test_outer_no_false_convergence_without_inner_steps(disk, broadwell):
+    """An inner ladder that never runs leaves the iterate at zero: no change,
+    but no fixed point either."""
+    cfg = SolverConfig(grid_n=8, max_inner=0)
+    F, tr = outer_fixed_point(disk, broadwell, BoundaryData.constant([1.0] * 4), cfg)
+    assert F.mass() == 0.0
+    assert not tr.converged
+    assert tr.termination == "inner_not_converged"
 
 
 def test_outer_uniqueness_cross_check(disk, broadwell, ws24):
