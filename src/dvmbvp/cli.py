@@ -339,9 +339,10 @@ def cmd_diagnose(args) -> int:
     rep = diag.mass_energy_flux(domain, model, field, boundary, alpha=0.0, k=k)
     diss = diag.entropy_dissipation(model, field, k)
     ent = diag.entropy_bound_check(domain, model, field, k)
-    exc_sets = diag.exceptional_sets(domain, model, field, k, epsilon=0.1)
+    ws = SolverWorkspace(domain, model, grid, config)
+    exc_sets = diag.exceptional_sets(domain, model, field, k, epsilon=0.1, workspace=ws)
     shifts = [domain.diameter / d for d in (64, 32, 16, 8)]
-    intnu = diag.integrated_collision_frequency(domain, model, field, k)
+    intnu = diag.integrated_collision_frequency(domain, model, field, k, workspace=ws)
     moduli = {
         f"v{i + 1}": diag.translation_modulus(intnu, grid, model.v[i], shifts).moduli.tolist()
         for i in range(model.p)

@@ -383,22 +383,23 @@ def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
                      k: float, epsilon: float,
                      exit_threshold: float | None = None,
                      nu_threshold: float | None = None,
-                     h_s: float | None = None) -> ExceptionalSets:
+                     workspace: SolverWorkspace | None = None) -> ExceptionalSets:
     """Mark characteristics with large exit value or large integrated
     frequency, plus the two tangency strips, and measure the union.
 
-    On the complement the pointwise bound F <= (1/eps) exp(1/eps) is
-    verified directly.  Both strip-distance notions (transverse Euclidean
-    and along-boundary arclength) are measured; the mask uses the
-    transverse one.
+    Each characteristic line of the workspace carries one full chord: the
+    trapezoid integral of the truncated frequency from entry to exit and the
+    field's value at the exit point, shared by every cell on the line.  On
+    the complement the pointwise bound F <= (1/eps) exp(1/eps) is verified
+    directly.  Both strip-distance notions (transverse Euclidean and
+    along-boundary arclength) are measured; the mask uses the transverse one.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     exit_thr = (1.0 / epsilon) if exit_threshold is None else exit_threshold
     nu_thr = (1.0 / epsilon) if nu_threshold is None else nu_threshold
     grid = field_.grid
-    if h_s is None:
-        h_s = 0.5 * grid.h
+    ws = workspace or SolverWorkspace(domain, model, grid, SolverConfig())
     nu = eval_truncated(model, field_.values, k).frequency
     bp = boundary_param(domain)
     area = grid.cell_area
@@ -415,17 +416,8 @@ def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
     for i in range(p):
         v = model.v[i]
         speed = float(np.hypot(v[0], v[1]))
-        s_plus = domain.exit_times(cells, -v)
-        s_minus = domain.exit_times(cells, v)
-        exits = cells + s_minus[:, None] * v
-        F_exit = grid.interpolate(field_.values[i], exits)
-        taus = s_plus + s_minus
-        M = max(1, int(math.ceil(float(np.max(taus)) * speed / h_s)))
-        dt = taus / M
-        entry = cells - s_plus[:, None] * v
-        pts = (entry[:, None, :] + (dt[:, None] * np.arange(M + 1))[..., None] * v)
-        nu_s = grid.interpolate(nu[i], pts.reshape(-1, 2)).reshape(len(cells), M + 1)
-        I_nu = np.sum(0.5 * (nu_s[:, :-1] + nu_s[:, 1:]) * dt[:, None], axis=1)
+        I_nu, F_exit = ws.chord(i, nu[i], field_.values[i])
+        I_nu, F_exit = I_nu[grid.mask], F_exit[grid.mask]
 
         mark_exit = F_exit > exit_thr
         mark_nu = I_nu > nu_thr

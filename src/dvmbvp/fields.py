@@ -58,20 +58,30 @@ class Grid:
         Ties are broken lexicographically in (iy, ix), so the continuation
         of fields past the boundary is a deterministic contract rather than
         an artifact of the distance transform's scan order.
+
+        Only interior cells with an exterior 8-neighbour are candidates.  A
+        nearest interior cell, and every cell tied with it, has one: its
+        neighbour one step toward the target is strictly closer, so it cannot
+        be interior.
         """
         ny, nx = self.ny, self.nx
         flat = np.arange(ny * nx, dtype=np.int64)
-        interior = np.argwhere(self.mask)                 # row-major = lexicographic
-        interior_flat = interior[:, 0] * nx + interior[:, 1]
+        ext = np.pad(~self.mask, 1)
+        near_ext = np.zeros_like(self.mask)
+        for dy in (0, 1, 2):
+            for dx in (0, 1, 2):
+                near_ext |= ext[dy:dy + ny, dx:dx + nx]
+        cand = np.argwhere(self.mask & near_ext)           # row-major = lexicographic
+        cand_flat = cand[:, 0] * nx + cand[:, 1]
         exterior = np.argwhere(~self.mask)
         out = flat.copy()
-        chunk = max(1, 10_000_000 // max(1, len(interior)))
+        chunk = max(1, 10_000_000 // max(1, len(cand)))
         for lo in range(0, len(exterior), chunk):
-            ext = exterior[lo:lo + chunk]
-            d2 = ((ext[:, None, 0] - interior[None, :, 0]) ** 2
-                  + (ext[:, None, 1] - interior[None, :, 1]) ** 2)
+            e = exterior[lo:lo + chunk]
+            d2 = ((e[:, None, 0] - cand[None, :, 0]) ** 2
+                  + (e[:, None, 1] - cand[None, :, 1]) ** 2)
             nearest = np.argmin(d2, axis=1)               # first minimum = lexicographic
-            out[ext[:, 0] * nx + ext[:, 1]] = interior_flat[nearest]
+            out[e[:, 0] * nx + e[:, 1]] = cand_flat[nearest]
         return out
 
     @property

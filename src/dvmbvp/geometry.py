@@ -165,34 +165,17 @@ class ConvexDomain:
 
     # -- ray tracing ---------------------------------------------------------
 
-    def _exit_time(self, z, v):
-        """Scalar bisection: smallest s > 0 with z + s v on the boundary.
+    def exit_times(self, zs, v):
+        """Bisection per point of an (n, 2) array: smallest s > 0 with z + s v
+        on the boundary.
 
         Assumes phi(z) <= 0 (inside or on the boundary with the ray entering).
         """
-        z = _as_point(z)
+        zs = np.asarray(zs, dtype=float)
         v = _as_point(v)
         speed = float(np.hypot(v[0], v[1]))
         if speed == 0.0:
             raise GeometryError("zero velocity has no characteristic")
-        c = np.asarray(self.center)
-        hi = (float(np.hypot(*(z - c))) + self.bounding_radius + self.scale) / speed
-        while self.phi(z + hi * v) <= 0.0:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.phi(z + mid * v) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    def exit_times(self, zs, v):
-        """Vectorised version of `_exit_time` over an (n, 2) array of points."""
-        zs = np.asarray(zs, dtype=float)
-        v = _as_point(v)
-        speed = float(np.hypot(v[0], v[1]))
         c = np.asarray(self.center)
         hi = (np.linalg.norm(zs - c, axis=1) + self.bounding_radius + self.scale) / speed
         grow = self.phi(zs + hi[:, None] * v) <= 0.0
@@ -218,8 +201,8 @@ class ConvexDomain:
         p = self.phi(z)
         if p > 1e-12 * self.scale:
             raise OutsideDomainError(f"point {z} lies outside the domain (phi={p:.3e})")
-        s_minus = self._exit_time(z, v)
-        s_plus = self._exit_time(z, -v)
+        s_minus = float(self.exit_times(z[None, :], v)[0])
+        s_plus = float(self.exit_times(z[None, :], -v)[0])
         if grazing_tol is None:
             grazing_tol = 1e-6 * self.diameter / float(np.hypot(v[0], v[1]))
         return CharacteristicSegment(
@@ -440,20 +423,17 @@ def change_of_variables_jacobian_check(domain: ConvexDomain, vi, vj, z=None,
     entry_i = seg_i.z_plus
 
     def forward(s, sigma):
-        w = entry_i + s * vi
-        si_j = domain._exit_time(w, -vj)
-        return (w - si_j * vj) + sigma * vj
+        w = entry_i + s[..., None] * vi
+        si_j = domain.exit_times(w.reshape(-1, 2), -vj).reshape(s.shape)
+        return (w - si_j[..., None] * vj) + sigma[..., None] * vj
 
     tau_i = seg_i.length_time
-    worst = 0.0
     s_vals = np.linspace(margin * tau_i, (1 - margin) * tau_i, n_s)
-    for s in s_vals:
-        w = seg_i.z_plus + s * vi
-        tau_j = domain._exit_time(w, -vj) + domain._exit_time(w, vj)
-        sig_vals = np.linspace(margin * tau_j, (1 - margin) * tau_j, n_sigma)
-        for sig in sig_vals:
-            dzs = (forward(s + delta, sig) - forward(s - delta, sig)) / (2 * delta)
-            dzg = (forward(s, sig + delta) - forward(s, sig - delta)) / (2 * delta)
-            det = (dzs[0] * dzg[1] - dzs[1] * dzg[0]) / cross
-            worst = max(worst, abs(det - 1.0))
-    return worst
+    w = entry_i + s_vals[:, None] * vi
+    tau_j = domain.exit_times(w, -vj) + domain.exit_times(w, vj)
+    sig = np.linspace(margin * tau_j, (1 - margin) * tau_j, n_sigma, axis=1)
+    s = np.repeat(s_vals[:, None], n_sigma, axis=1)
+    dzs = (forward(s + delta, sig) - forward(s - delta, sig)) / (2 * delta)
+    dzg = (forward(s, sig + delta) - forward(s, sig - delta)) / (2 * delta)
+    det = (dzs[..., 0] * dzg[..., 1] - dzs[..., 1] * dzg[..., 0]) / cross
+    return float(np.max(np.abs(det - 1.0)))

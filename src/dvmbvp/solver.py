@@ -97,21 +97,29 @@ def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
 class _CharTable:
     """Characteristic lines of one velocity on one grid.
 
-    Non-grazing interior cells are grouped by their offset normal to v:
-    cells with the same offset (to rounding) lie on one backward
-    characteristic, a line.  On the shifted Broadwell lattice a line holds
-    many cells; a velocity off the lattice gives one cell per line.  Each
-    line has one node ladder: node 0 is its entry point on the boundary, and
-    the gaps from the entry to the first cell centre and between consecutive
-    cell centres are each split into equal steps of spatial length at most
-    h_s, so every cell centre on the line is a node.
+    Interior cells are grouped by their offset normal to v: cells with the
+    same offset (to rounding) lie on one backward characteristic, a line.  On
+    the shifted Broadwell lattice a line holds many cells; a velocity off the
+    lattice gives one cell per line.  Each line is traced once, through its
+    most upstream cell; every other cell on it sits at its projection onto v
+    along the same chord.  Lines whose chord is below the geometric tolerance
+    are grazing and their cells stay out of the ladders.
 
-    Node arrays are padded to L nodes and stored transposed, shape
-    (L, lines): row m holds node m of every line.  Padding repeats a line's
-    last node, so padding steps have zero length.  Per-cell arrays
-    (`cells_flat`, `s_plus`, `line`, `node`) run in line order, cells in a
-    line by increasing entry time; `node` is the flat index of each cell's
-    own node in an (L, lines) array.
+    Each line has one node ladder: node 0 is its entry point on the boundary,
+    and the gaps from the entry to the first cell centre and between
+    consecutive cell centres are each split into equal steps of spatial
+    length at most h_s, so every cell centre on the line is a node.  Node
+    arrays are padded to L nodes and stored transposed, shape (L, lines):
+    row m holds node m of every line.  Padding repeats a line's last node, so
+    padding steps have zero length.  Per-cell arrays (`cells_flat`, `s_plus`,
+    `line`, `node`) run in line order, cells in a line by increasing entry
+    time; `node` is the flat index of each cell's own node in an (L, lines)
+    array.
+
+    The tail of a line's chord, from its last cell to the exit point, is a
+    separate ladder of the same kind (`tail_*`, shape (E, lines)): row 0 is
+    the last cell centre and the last row is the exit point.  Transport and
+    entry->cell integrals never read it; full-chord integrals do.
     """
 
     def __init__(self, domain: ConvexDomain, grid: Grid, v, h_s: float, eps_geo_rel: float):
@@ -119,24 +127,41 @@ class _CharTable:
         speed = float(np.hypot(v[0], v[1]))
         interior = np.flatnonzero(grid.mask.ravel())
         zs = grid.centers[grid.mask]
-        s_plus = domain.exit_times(zs, -v)
-        s_minus = domain.exit_times(zs, v)
-        grazing = (s_plus + s_minus) * speed < eps_geo_rel * domain.diameter
-        keep = np.flatnonzero(~grazing)
 
         # Lines: a jump in the sorted normal offsets beyond rounding starts a
         # new line.  Cells are ordered by integer line id, never by the raw
-        # offset, whose rounding noise would scramble the order along a line.
-        offset = (zs[keep, 0] * v[1] - zs[keep, 1] * v[0]) / speed
+        # offset, whose rounding noise would scramble the order along a line,
+        # and within a line by their projection onto v.
+        offset = (zs[:, 0] * v[1] - zs[:, 1] * v[0]) / speed
         by_offset = np.argsort(offset, kind="stable")
         sorted_offset = offset[by_offset]
-        line = np.empty(len(keep), dtype=np.int64)
+        line = np.empty(len(zs), dtype=np.int64)
         line[by_offset] = np.cumsum(
             np.diff(sorted_offset, prepend=sorted_offset[:1]) > 1e-9 * grid.h)
-        order = np.lexsort((s_plus[keep], line))
-        keep, line = keep[order], line[order]
-        s = s_plus[keep]
-        first = np.diff(line, prepend=-1) != 0           # first cell of its line
+        proj = (zs @ v) / (speed * speed)
+        order = np.lexsort((proj, line))
+        line, proj = line[order], proj[order]
+        head = np.flatnonzero(np.diff(line, prepend=-1) != 0)
+
+        # One trace per line, through its most upstream cell.
+        z_head = zs[order[head]]
+        s_head = domain.exit_times(z_head, -v)
+        tau = s_head + domain.exit_times(z_head, v)       # chord time per line
+        s_plus = s_head[line] + (proj - proj[head][line])
+        grazing = tau * speed < eps_geo_rel * domain.diameter
+        on_grazing = grazing[line]
+
+        g = order[on_grazing]
+        self.grazing_flat = interior[g]
+        self.grazing_entry = zs[g] - s_plus[on_grazing][:, None] * v
+        self.grazing_tau = tau[line[on_grazing]]
+
+        keep = order[~on_grazing]
+        line = (np.cumsum(~grazing) - 1)[line[~on_grazing]]
+        s = s_plus[~on_grazing]
+        entry = z_head[~grazing] - s_head[~grazing][:, None] * v
+        tau = tau[~grazing]
+        first = np.diff(line, prepend=-1) != 0            # first cell of its line
         head = np.flatnonzero(first)
         n_lines = len(head)
 
@@ -157,15 +182,23 @@ class _CharTable:
         t[(col - steps)[owner] + j, line[owner]] = t_nodes
         np.maximum.accumulate(t, axis=0, out=t)
 
-        entry = zs[keep[head]] - s[head][:, None] * v
         pts = entry[None, :, :] + t[..., None] * v
         pts[col, line] = zs[keep]
         flat, w = grid.interp_weights(pts)
 
+        # Tail ladder: last cell -> exit point, the same step rule.
+        last = np.flatnonzero(np.diff(line, append=n_lines))
+        t_last = s[last]
+        gap = np.maximum(tau - t_last, 0.0)
+        steps = np.maximum(1, np.ceil(gap * speed / h_s)).astype(np.int64)
+        j = np.arange(int(steps.max(initial=0)) + 1)[:, None]
+        t_tail = np.where(j < steps, t_last + j * (gap / steps), t_last + gap)
+        tail_pts = entry[None, :, :] + t_tail[..., None] * v
+        tail_pts[0] = zs[keep[last]]
+
         self.v = v
         self.speed = speed
         self.cells_flat = interior[keep]
-        self.grazing_flat = interior[grazing]
         self.s_plus = s
         self.line = line
         self.node = col * n_lines + line
@@ -173,13 +206,11 @@ class _CharTable:
         self.dt = np.diff(t, axis=0)
         self.flat = flat
         self.w = w
+        self.tail_dt = np.diff(t_tail, axis=0)
+        self.tail_flat, self.tail_w = grid.interp_weights(tail_pts)
         bp = boundary_param(domain)
         self.t_entry = bp.t_of_point(entry)
-        if np.any(grazing):
-            g_entry = zs[grazing] - s_plus[grazing][:, None] * v
-            self.t_entry_grazing = bp.t_of_point(g_entry)
-        else:
-            self.t_entry_grazing = np.zeros(0)
+        self.t_entry_grazing = bp.t_of_point(self.grazing_entry)
 
     @property
     def n_lines(self) -> int:
@@ -279,6 +310,29 @@ class SolverWorkspace:
         tab = self.table(i)
         return self._transport(tab, np.zeros(tab.n_lines), self._samples(tab, nu2d),
                                self._samples(tab, values2d), alpha)
+
+    def chord(self, i: int, integrand2d: np.ndarray, exit2d: np.ndarray):
+        """Full chords, entry to exit, through every interior cell.
+
+        Per line: the trapezoid integral of `integrand2d` over the line's node
+        ladder and its tail, and the bilinear value of `exit2d` at the exit
+        point; every cell on the line gets the line's values.  A grazing cell
+        uses a two-node chord of its own.  Returns two (ny, nx) arrays.
+        """
+        tab = self.table(i)
+        grid = self.grid
+        padded = grid.pad(integrand2d).ravel()
+        vals = grid.gather(padded, tab.flat, tab.w)
+        tail = grid.gather(padded, tab.tail_flat, tab.tail_w)
+        integral = (np.sum(0.5 * tab.dt * (vals[:-1] + vals[1:]), axis=0)
+                    + np.sum(0.5 * tab.tail_dt * (tail[:-1] + tail[1:]), axis=0))
+        at_exit = grid.gather(grid.pad(exit2d).ravel(), tab.tail_flat[-1],
+                              tuple(w[-1] for w in tab.tail_w))
+        g_exit = tab.grazing_entry + tab.grazing_tau[:, None] * tab.v
+        g_integral = 0.5 * tab.grazing_tau * (grid.interpolate(integrand2d, tab.grazing_entry)
+                                              + grid.interpolate(integrand2d, g_exit))
+        return (self.scatter(i, integral[tab.line], g_integral),
+                self.scatter(i, at_exit[tab.line], grid.interpolate(exit2d, g_exit)))
 
     def scatter(self, i: int, per_cell: np.ndarray, grazing_value=0.0) -> np.ndarray:
         """Place per-tabulated-cell values back onto the full lattice."""

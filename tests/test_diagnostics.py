@@ -1,16 +1,20 @@
 """Diagnostics tests: balances, dissipation, entropy caps, exceptional sets,
 translation moduli."""
 
+import math
+
 import numpy as np
 import pytest
 
 import dvmbvp as dv
+from dvmbvp.collision import eval_truncated
 from dvmbvp.diagnostics import (characteristic_balance, collision_grids,
                                 entropy_bound_check, entropy_dissipation,
                                 exceptional_sets, integrated_collision_frequency,
                                 integrated_gain_masked, mass_energy_flux,
                                 slab_energy_rows, translation_modulus)
 from dvmbvp.fields import BoundaryData, Field
+from dvmbvp.solver import SolverConfig, SolverWorkspace
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +201,94 @@ def test_exceptional_chi_mask_shape(disk, broadwell, grid24, smooth_field):
     assert rep.chi.dtype == bool
     masked = integrated_gain_masked(disk, broadwell, smooth_field, 8.0, rep.chi)
     assert np.all(masked[~rep.chi] == 0.0)
+
+
+def per_cell_chords(domain, grid, nu2d, F2d, v, h_s):
+    """Reference: each interior cell traced on its own, with a uniform
+    (M+1)-node ladder over its full chord, M set by the longest chord."""
+    cells = grid.centers[grid.mask]
+    speed = float(np.hypot(v[0], v[1]))
+    s_plus = domain.exit_times(cells, -v)
+    s_minus = domain.exit_times(cells, v)
+    F_exit = grid.interpolate(F2d, cells + s_minus[:, None] * v)
+    taus = s_plus + s_minus
+    M = max(1, int(math.ceil(float(np.max(taus)) * speed / h_s)))
+    dt = taus / M
+    entry = cells - s_plus[:, None] * v
+    pts = entry[:, None, :] + (dt[:, None] * np.arange(M + 1))[..., None] * v
+    nu_s = grid.interpolate(nu2d, pts.reshape(-1, 2)).reshape(len(cells), M + 1)
+    return np.sum(0.5 * (nu_s[:, :-1] + nu_s[:, 1:]) * dt[:, None], axis=1), F_exit, taus
+
+
+def smooth_field_on(grid):
+    return Field.from_function(grid, [
+        lambda x, y: 1.0 + 0.3 * x,
+        lambda x, y: 1.2 + 0.2 * y,
+        lambda x, y: np.exp(-(x * x + y * y)),
+        lambda x, y: 0.8 + 0.1 * x * y,
+    ])
+
+
+def test_chord_values_shared_along_each_line(disk, broadwell):
+    grid = dv.Grid(disk, 48)
+    ws = SolverWorkspace(disk, broadwell, grid, SolverConfig(grid_n=48))
+    F = smooth_field_on(grid)
+    nu = eval_truncated(broadwell, F.values, 8.0).frequency
+    for i in range(broadwell.p):
+        tab = ws.table(i)
+        I_nu, F_exit = (a.ravel()[tab.cells_flat] for a in ws.chord(i, nu[i], F.values[i]))
+        head = np.flatnonzero(np.diff(tab.line, prepend=-1) != 0)
+        assert np.array_equal(I_nu, I_nu[head][tab.line])
+        assert np.array_equal(F_exit, F_exit[head][tab.line])
+        assert len(head) < len(tab.cells_flat)
+
+
+@pytest.mark.parametrize("eps_geo_rel", [1e-6, 0.2])
+def test_chord_constant_frequency_is_nu_times_tau(disk, broadwell, eps_geo_rel):
+    """Lines and, with a coarse geometric tolerance, grazing cells too."""
+    c = 1.7
+    grid = dv.Grid(disk, 40)
+    ws = SolverWorkspace(disk, broadwell, grid,
+                         SolverConfig(grid_n=40, eps_geo_rel=eps_geo_rel))
+    nu = Field.constant(grid, [c]).values[0]
+    assert (sum(len(ws.table(i).grazing_flat) for i in range(broadwell.p)) > 0) == (
+        eps_geo_rel > 1e-6)
+    for i in range(broadwell.p):
+        I_nu, F_exit = ws.chord(i, nu, nu)
+        _, _, taus = per_cell_chords(disk, grid, nu, nu, broadwell.v[i], ws.h_s)
+        assert np.max(np.abs(I_nu[grid.mask] - c * taus)) <= 1e-13 * c * np.max(taus)
+        assert np.max(np.abs(F_exit[grid.mask] - c)) <= 1e-14 * c
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_chords_agree_with_per_cell_ladders_to_second_order(disk, broadwell, n):
+    """Line ladders and per-cell uniform ladders are two trapezoid rules with
+    steps <= h_s = h/2 on the same interpolant: they differ at O(h^2)."""
+    grid = dv.Grid(disk, n)
+    ws = SolverWorkspace(disk, broadwell, grid, SolverConfig(grid_n=n))
+    F = smooth_field_on(grid)
+    nu = eval_truncated(broadwell, F.values, 8.0).frequency
+    for i in range(broadwell.p):
+        I_nu, F_exit = (a[grid.mask] for a in ws.chord(i, nu[i], F.values[i]))
+        I_ref, F_ref, _ = per_cell_chords(disk, grid, nu[i], F.values[i],
+                                          broadwell.v[i], ws.h_s)
+        assert np.sum(np.abs(I_nu - I_ref)) <= 0.025 * grid.h ** 2 * np.sum(I_ref)
+        assert np.max(np.abs(F_exit - F_ref)) < 1e-12
+
+
+def test_exceptional_workspace_matches_default_bitwise(disk, broadwell, grid24,
+                                                       smooth_field):
+    ws = SolverWorkspace(disk, broadwell, grid24, SolverConfig(grid_n=24))
+    for eps in (0.1, 0.6):
+        a = exceptional_sets(disk, broadwell, smooth_field, 8.0, epsilon=eps,
+                             exit_threshold=1.1, nu_threshold=0.45)
+        b = exceptional_sets(disk, broadwell, smooth_field, 8.0, epsilon=eps,
+                             exit_threshold=1.1, nu_threshold=0.45, workspace=ws)
+        for name in ("measure", "measure_exit", "measure_nu", "measure_strips",
+                     "measure_strips_boundary", "chi"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.bound_violations == b.bound_violations
+        assert np.any(a.measure_exit > 0) and np.any(a.measure_nu > 0)
 
 
 # -- translation moduli ------------------------------------------------------------------------

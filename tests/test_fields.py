@@ -8,7 +8,7 @@ import pytest
 from dvmbvp.fields import (BoundaryData, Field, FieldError, Grid,
                            MollifierSpec, SampledTrace, bump_profile, line_integral,
                            mollify_interior, truncate_and_mollify_boundary)
-from dvmbvp.geometry import boundary_param
+from dvmbvp.geometry import ConvexDomain, boundary_param
 
 
 # -- grid ------------------------------------------------------------------------
@@ -25,6 +25,25 @@ def test_pad_is_identity_inside(grid24):
     vals[grid24.mask] = np.arange(grid24.n_interior, dtype=float)
     padded = grid24.pad(vals)
     assert np.array_equal(padded[grid24.mask], vals[grid24.mask])
+
+
+@pytest.mark.parametrize("domain", [
+    ConvexDomain.disk(),
+    ConvexDomain.ellipse(2.0, 1.0, center=(0.3, -0.2)),
+    ConvexDomain.superellipse(1.0, 0.7, 4.0),
+])
+@pytest.mark.parametrize("n", [5, 9, 17, 33])
+def test_nearest_interior_map_matches_bruteforce(domain, n):
+    """Every exterior cell against every interior cell, first minimum in
+    row-major order (the lexicographic tie-break)."""
+    grid = Grid(domain, n)
+    interior = np.argwhere(grid.mask)
+    want = np.arange(grid.ny * grid.nx)
+    for iy, ix in np.argwhere(~grid.mask):
+        d2 = (interior[:, 0] - iy) ** 2 + (interior[:, 1] - ix) ** 2
+        jy, jx = interior[np.argmin(d2)]
+        want[iy * grid.nx + ix] = jy * grid.nx + jx
+    assert np.array_equal(grid.pad_flat, want)
 
 
 def test_interpolation_exact_on_linears(grid24):

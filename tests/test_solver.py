@@ -175,6 +175,35 @@ def test_off_lattice_velocity_one_cell_per_line(disk, n):
     assert np.max(np.abs(got - want) / want) < 1e-5
 
 
+@pytest.mark.parametrize("domain, velocities", [
+    (dv.ConvexDomain.disk(), None),
+    (dv.ConvexDomain.ellipse(2.0, 1.0, center=(0.3, -0.2)), None),
+    (dv.ConvexDomain.superellipse(1.0, 0.8, 4.0), None),
+    (dv.ConvexDomain.disk(), [(1.0, math.sqrt(2.0))]),
+])
+def test_line_tracing_matches_per_cell_exit_times(broadwell, domain, velocities):
+    """Each line is traced once; its cells are placed by projection onto v."""
+    model = broadwell if velocities is None else dv.VelocityModel.create(velocities, [])
+    ws = line_workspace(domain, model, 40)
+    grid = ws.grid
+    tol = 1e-12 * domain.diameter
+    for i in range(model.p):
+        tab = ws.table(i)
+        v = model.v[i]
+        zs = grid.centers.reshape(-1, 2)[tab.cells_flat]
+        assert np.max(np.abs(tab.s_plus - domain.exit_times(zs, -v))) * tab.speed <= tol
+        # the tail ladder runs from the line's last cell to the exit point in
+        # steps of at most h_s
+        last = np.flatnonzero(np.diff(tab.line, append=tab.n_lines))
+        s_minus = domain.exit_times(zs[last], v)
+        t_tail = tab.s_plus[last] + np.concatenate(
+            [np.zeros((1, tab.n_lines)), np.cumsum(tab.tail_dt, axis=0)])
+        assert np.max(np.abs(t_tail[-1] - tab.s_plus[last] - s_minus)) * tab.speed <= tol
+        assert np.all(tab.tail_dt >= 0.0)
+        assert np.max(tab.tail_dt) * tab.speed <= ws.h_s * (1 + 1e-12)
+        assert np.array_equal(tab.tail_flat[0], tab.flat.ravel()[tab.node[last]])
+
+
 def test_step_rejects_negative_inputs(disk, broadwell, ws24):
     bd = BoundaryData.constant([1.0] * 4)
     bad = Field.zeros(ws24.grid, 4)
