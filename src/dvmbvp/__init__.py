@@ -17,8 +17,7 @@ from .geometry import (BoundaryArc, CharacteristicSegment, ConvexDomain,
                        GeometryError, OutsideDomainError, boundary_quadrature,
                        change_of_variables_jacobian_check, tangency_thetas)
 from .fields import (BoundaryData, Field, FieldError, Grid, MollifierSpec,
-                     line_integral, mollify_field, mollify_interior,
-                     truncate_and_mollify_boundary)
+                     mollify_field, mollify_interior, truncate_and_mollify_boundary)
 from .collision import (CollisionEval, eval_convolved_truncated, eval_truncated,
                         eval_untruncated, truncated_factor)
 from .solver import (ContinuationResult, SolveTrace, SolverConfig, SolverError,

@@ -96,6 +96,28 @@ def truncated_factor(x, k):
         return k / (k / x + 1.0)
 
 
+def _partner_sum(model: VelocityModel, x) -> np.ndarray:
+    """Per-component sum gamma * x_partner."""
+    ex = expansion(model)
+    g = ex.gamma.reshape((-1,) + (1,) * (x.ndim - 1))
+    out = np.zeros_like(x)
+    np.add.at(out, ex.a, g * x[ex.partner])
+    return out
+
+
+def gain_truncated(model: VelocityModel, tr_local, tr_smoothed) -> np.ndarray:
+    """Per-component sum gamma * tr_local_out1 * tr_smoothed_out2.
+
+    With pre-truncated factor arrays this is the truncated gain (solver fast
+    path); with the plain state in both slots it is the untruncated gain.
+    """
+    ex = expansion(model)
+    g = ex.gamma.reshape((-1,) + (1,) * (tr_local.ndim - 1))
+    gain = np.zeros_like(tr_local)
+    np.add.at(gain, ex.a, g * tr_local[ex.out1] * tr_smoothed[ex.out2])
+    return gain
+
+
 def eval_untruncated(model: VelocityModel, values) -> CollisionEval:
     """Plain quadratic collision operator at one state or a stack of states.
 
@@ -103,13 +125,8 @@ def eval_untruncated(model: VelocityModel, values) -> CollisionEval:
     frequency_a = sum gamma f_partner, loss_a = f_a * frequency_a.
     """
     f = _check_state(values, model.p)
-    ex = expansion(model)
-    gain = np.zeros_like(f)
-    freq = np.zeros_like(f)
-    g = ex.gamma.reshape((-1,) + (1,) * (f.ndim - 1))
-    np.add.at(gain, ex.a, g * f[ex.out1] * f[ex.out2])
-    np.add.at(freq, ex.a, g * f[ex.partner])
-    return CollisionEval(gain=gain, frequency=freq, loss=f * freq)
+    freq = _partner_sum(model, f)
+    return CollisionEval(gain=gain_truncated(model, f, f), frequency=freq, loss=f * freq)
 
 
 def eval_truncated(model: VelocityModel, values, k: float) -> CollisionEval:
@@ -135,16 +152,9 @@ def eval_convolved_truncated(model: VelocityModel, local, smoothed, k: float) ->
     sm = _check_state(smoothed, model.p)
     if f.shape != sm.shape:
         raise CollisionDomainError("local and smoothed states must share a shape")
-    ex = expansion(model)
-    tr_f = truncated_factor(f, k)
     tr_sm = truncated_factor(sm, k)
-    gshape = (-1,) + (1,) * (f.ndim - 1)
-    g = ex.gamma.reshape(gshape)
-    gain = np.zeros_like(f)
-    source = np.zeros_like(f)       # sum gamma * tr(smoothed_partner)
-    np.add.at(gain, ex.a, g * tr_f[ex.out1] * tr_sm[ex.out2])
-    np.add.at(source, ex.a, g * tr_sm[ex.partner])
-    freq = source / (1.0 + f / k)
+    gain = gain_truncated(model, truncated_factor(f, k), tr_sm)
+    freq = _partner_sum(model, tr_sm) / (1.0 + f / k)
     return CollisionEval(gain=gain, frequency=freq, loss=f * freq)
 
 
@@ -154,19 +164,4 @@ def frequency_source(model: VelocityModel, smoothed, k: float) -> np.ndarray:
     Dividing by (1 + f_a / k) turns this into the truncated collision
     frequency; the solver precomputes it once per frozen smoothed state.
     """
-    sm = _check_state(smoothed, model.p)
-    ex = expansion(model)
-    tr_sm = truncated_factor(sm, k)
-    g = ex.gamma.reshape((-1,) + (1,) * (sm.ndim - 1))
-    source = np.zeros_like(sm)
-    np.add.at(source, ex.a, g * tr_sm[ex.partner])
-    return source
-
-
-def gain_truncated(model: VelocityModel, tr_local, tr_smoothed) -> np.ndarray:
-    """Gain from pre-truncated factor arrays (solver fast path)."""
-    ex = expansion(model)
-    g = ex.gamma.reshape((-1,) + (1,) * (tr_local.ndim - 1))
-    gain = np.zeros_like(tr_local)
-    np.add.at(gain, ex.a, g * tr_local[ex.out1] * tr_smoothed[ex.out2])
-    return gain
+    return _partner_sum(model, truncated_factor(_check_state(smoothed, model.p), k))

@@ -18,7 +18,7 @@ from .collision import eval_convolved_truncated, eval_truncated, eval_untruncate
 from .fields import BoundaryData, Field, Grid
 from .geometry import ConvexDomain, boundary_param, boundary_quadrature, tangency_thetas
 from .model import VelocityModel, find_positive_direction
-from .solver import SolverConfig, SolverWorkspace
+from .solver import SolverConfig, SolverWorkspace, _ladder
 
 
 # ---------------------------------------------------------------------------
@@ -86,19 +86,18 @@ class BalanceReport:
 
 def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: Field,
                            boundary: BoundaryData, alpha: float,
-                           nu: np.ndarray, gain: np.ndarray,
-                           n_nodes: int = 256, h_s: float | None = None) -> BalanceReport:
+                           nu: np.ndarray, gain: np.ndarray) -> BalanceReport:
     """Integrate the stage dynamics along full inflow->outflow chords.
 
-    Every chord is advanced with piecewise-constant frequency and gain per
-    subinterval and the exact single-interval solution, and the interval mass
-    is recovered from the same update; the per-component damped balance then
-    telescopes identically, making the report a quadrature-consistency check
-    as well as a physical measurement.
+    One chord starts at each of 256 inflow-arc nodes and runs to its exit
+    point on a node ladder (`_ladder`) with steps of at most h/2.  Every
+    chord is advanced with piecewise-constant frequency and gain per step
+    and the exact single-interval solution, and the interval mass is
+    recovered from the same update; zero-length padding steps add exactly 0.
+    The per-component damped balance then telescopes identically, making the
+    report a quadrature-consistency check as well as a physical measurement.
     """
     grid = field_.grid
-    if h_s is None:
-        h_s = 0.5 * grid.h
     inflow = np.zeros(model.p)
     outflow = np.zeros(model.p)
     mass_path = np.zeros(model.p)
@@ -106,25 +105,21 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
     resid = np.zeros(model.p)
     for i in range(model.p):
         v = model.v[i]
-        speed = float(np.hypot(v[0], v[1]))
-        arc = boundary_quadrature(domain, v, +1, n_nodes)
+        arc = boundary_quadrature(domain, v, +1, 256)
         w = np.abs(arc.vdotn) * arc.dsigma
         b = np.asarray(boundary.eval(i, arc.t_params), dtype=float)
-        taus = domain.exit_times(arc.points, v)
-        M = max(1, int(math.ceil(float(np.max(taus)) * speed / h_s)))
-        dt = taus / M
-        nodes = dt[:, None] * np.arange(M + 1)
-        pts = (arc.points[:, None, :] + nodes[..., None] * v).reshape(-1, 2)
-        nu_s = grid.interpolate(nu[i], pts).reshape(len(taus), M + 1)
-        g_s = grid.interpolate(gain[i], pts).reshape(len(taus), M + 1)
-        nu_bar = 0.5 * (nu_s[:, :-1] + nu_s[:, 1:])
-        g_bar = 0.5 * (g_s[:, :-1] + g_s[:, 1:])
+        _, steps, flat, wts, _ = _ladder(grid, arc.points, np.arange(len(b)),
+                                         domain.exit_times(arc.points, v), v, 0.5 * grid.h)
+        nu_s = grid.gather(grid.pad(nu[i]).ravel(), flat, wts)
+        g_s = grid.gather(grid.pad(gain[i]).ravel(), flat, wts)
+        nu_bar = 0.5 * (nu_s[:-1] + nu_s[1:])
+        g_bar = 0.5 * (g_s[:-1] + g_s[1:])
         F = b.copy()
         I_mass = np.zeros_like(b)
         I_net = np.zeros_like(b)
-        for m in range(M):
-            lam = alpha + nu_bar[:, m]
-            gm = g_bar[:, m]
+        for m, dt in enumerate(steps):
+            lam = alpha + nu_bar[m]
+            gm = g_bar[m]
             x = lam * dt
             em1 = -np.expm1(-x)                     # 1 - exp(-x), accurate
             # division-free forms of (1 - e^-x)/x and (x - 1 + e^-x)/x^2
@@ -135,7 +130,7 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
                               0.5 - x / 6.0)
             F_new = F + (gm - lam * F) * dt * em1_over_x
             seg_mass = dt * (gm * dt * g2 + F * em1_over_x)
-            seg_net = gm * dt - nu_bar[:, m] * seg_mass
+            seg_net = gm * dt - nu_bar[m] * seg_mass
             I_mass += seg_mass
             I_net += seg_net
             F = F_new
@@ -258,12 +253,10 @@ class MassEnergyReport:
 
 def mass_energy_flux(domain: ConvexDomain, model: VelocityModel, field_: Field,
                      boundary: BoundaryData, alpha: float,
-                     k: float | None = None, smoothed: Field | None = None,
-                     n_nodes: int = 256) -> MassEnergyReport:
+                     k: float | None = None, smoothed: Field | None = None) -> MassEnergyReport:
     """Mass, energy, per-component fluxes, damped balance, slab identity."""
     nu, gain = collision_grids(model, field_, k=k, smoothed=smoothed)
-    bal = characteristic_balance(domain, model, field_, boundary, alpha, nu, gain,
-                                 n_nodes=n_nodes)
+    bal = characteristic_balance(domain, model, field_, boundary, alpha, nu, gain)
     energy = float(np.sum(model.speeds_sq * bal.mass_cells))
     ang = _frame_angle(model)
     rows = slab_energy_rows(domain, model, field_, alpha, frame_angle=ang)
@@ -507,19 +500,6 @@ def integrated_collision_frequency(domain: ConvexDomain, model: VelocityModel,
     out = np.zeros_like(field_.values)
     for i in range(model.p):
         out[i] = ws.scatter(i, ws.path_integral(i, nu[i]))
-    return out
-
-
-def integrated_gain_masked(domain: ConvexDomain, model: VelocityModel, field_: Field,
-                           k: float, chi: np.ndarray,
-                           workspace: SolverWorkspace | None = None) -> np.ndarray:
-    """chi-masked attenuated gain integrals of the exponential form."""
-    ws = workspace or SolverWorkspace(domain, model, field_.grid, SolverConfig())
-    ev = eval_truncated(model, field_.values, k)
-    out = np.zeros_like(field_.values)
-    for i in range(model.p):
-        vals = ws.scatter(i, ws.path_integral_attenuated(i, ev.gain[i], ev.frequency[i]))
-        out[i] = vals * chi[i]
     return out
 
 

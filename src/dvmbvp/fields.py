@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexDomain, CharacteristicSegment, boundary_param
+from .geometry import ConvexDomain, boundary_param
 
 
 class FieldError(ValueError):
@@ -369,11 +369,6 @@ class BoundaryData:
         vals = np.exp(a + model.v @ b + c * model.speeds_sq)
         return BoundaryData.constant(vals)
 
-    def max_values(self, domain: ConvexDomain, n_probe=512) -> np.ndarray:
-        L = boundary_param(domain).total_length
-        ts = np.linspace(0.0, L, n_probe, endpoint=False)
-        return np.array([np.max(self.eval(i, ts)) for i in range(self.p)])
-
 
 def truncate_and_mollify_boundary(bd: BoundaryData, k: float, domain: ConvexDomain,
                                   n_samples=None, support_fraction=None) -> BoundaryData:
@@ -410,37 +405,3 @@ def truncate_and_mollify_boundary(bd: BoundaryData, k: float, domain: ConvexDoma
         sm = np.minimum(sm, cap)   # guard against 1-ulp drift of the kernel sum
         traces.append(SampledTrace(ts, sm, L))
     return BoundaryData(tuple(traces))
-
-
-# ---------------------------------------------------------------------------
-# line integrals along characteristics
-# ---------------------------------------------------------------------------
-
-def line_integral(values2d: np.ndarray, grid: Grid, segment: CharacteristicSegment,
-                  s_a: float, s_b: float, h_s: float) -> float:
-    """Integral of the interpolated field over [s_a, s_b] along the segment.
-
-    The parameter runs from the entry point (s = 0) to the exit point
-    (s = s_plus + s_minus).  Internally a cumulative trapezoid table I(s) is
-    built on a fixed partition of the whole segment with spatial step <= h_s,
-    and the result is I(s_b) - I(s_a); differences of a single cumulative
-    table make the integral exactly additive over adjacent subintervals.
-    """
-    tau = segment.length_time
-    if not (0.0 <= s_a <= s_b <= tau * (1 + 1e-12)):
-        raise FieldError(f"integration bounds [{s_a}, {s_b}] outside [0, {tau}]")
-    speed = float(np.hypot(segment.v[0], segment.v[1]))
-    M = max(1, int(math.ceil(tau * speed / h_s)))
-    dt = tau / M
-    nodes = np.arange(M + 1) * dt
-    pts = segment.point(nodes)
-    vals = grid.interpolate(values2d, pts)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * dt)])
-
-    def I(s):
-        jf = min(int(math.floor(s / dt)), M - 1)
-        sj = jf * dt
-        fs = grid.interpolate(values2d, segment.point(np.array([s]))).item()
-        return cum[jf] + 0.5 * (vals[jf] + fs) * (s - sj)
-
-    return I(s_b) - I(s_a)

@@ -232,10 +232,6 @@ class CharacteristicSegment:
     def length_time(self) -> float:
         return self.s_plus + self.s_minus
 
-    def point(self, s):
-        """Point at time s measured from the entry point z_plus."""
-        return self.z_plus + np.multiply.outer(np.asarray(s, dtype=float), self.v)
-
 
 # ---------------------------------------------------------------------------
 # boundary parameterisation
@@ -257,6 +253,7 @@ class BoundaryParam:
         t = np.concatenate([[0.0], np.cumsum(seg)])
         self.theta_grid = theta
         self.t_grid = t
+        self.normal_grid = domain.inward_normals(pts)
         self.total_length = float(t[-1])
 
     def point_of_theta(self, theta):
@@ -318,28 +315,25 @@ def tangency_thetas(domain: ConvexDomain, v) -> tuple[float, float]:
     bp = boundary_param(domain)
     v = _as_point(v)
     theta = bp.theta_grid
-    g = bp.normals_of_theta(theta) @ v
-    roots = []
-    for j in range(len(theta) - 1):
-        if g[j] == 0.0:
-            roots.append(theta[j])
-        elif g[j] * g[j + 1] < 0.0:
-            lo, hi = theta[j], theta[j + 1]
-            glo = g[j]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                gm = float(bp.normals_of_theta(mid) @ v)
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if (gm > 0) == (glo > 0):
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    if len(roots) != 2:
-        raise GeometryError(f"expected 2 tangency points, found {len(roots)}")
-    return tuple(roots)
+    g = bp.normal_grid @ v
+    on_grid = np.flatnonzero(g[:-1] == 0.0)
+    bracket = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+    if len(on_grid) + len(bracket) != 2:
+        raise GeometryError(f"expected 2 tangency points, found "
+                            f"{len(on_grid) + len(bracket)}")
+    # bisect every bracket at once; a bracket whose midpoint hits a zero
+    # collapses onto it and stays there
+    lo, hi = theta[bracket], theta[bracket + 1]
+    lo_positive = g[bracket] > 0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        gm = bp.normals_of_theta(mid) @ v
+        same = (gm > 0) == lo_positive
+        lo = np.where(same | (gm == 0.0), mid, lo)
+        hi = np.where(~same | (gm == 0.0), mid, hi)
+    roots = np.concatenate([theta[on_grid], 0.5 * (lo + hi)])
+    order = np.argsort(np.concatenate([on_grid, bracket]))
+    return tuple(roots[order])
 
 
 @dataclass(frozen=True)
@@ -352,8 +346,6 @@ class BoundaryArc:
 
     v: np.ndarray
     sign: int
-    theta_lo: float
-    theta_hi: float
     points: np.ndarray       # (n, 2)
     t_params: np.ndarray     # (n,) global arclength parameter
     dsigma: np.ndarray       # (n,) arclength weights
@@ -362,9 +354,6 @@ class BoundaryArc:
     def integrate_flux(self, values) -> float:
         """Integral of values * |v.n| dsigma over the arc."""
         return float(np.sum(np.asarray(values) * np.abs(self.vdotn) * self.dsigma))
-
-    def integrate(self, values) -> float:
-        return float(np.sum(np.asarray(values) * self.dsigma))
 
 
 def boundary_quadrature(domain: ConvexDomain, v, sign, n_nodes=1024) -> BoundaryArc:
@@ -394,9 +383,7 @@ def boundary_quadrature(domain: ConvexDomain, v, sign, n_nodes=1024) -> Boundary
     edge_pts = bp.point_of_theta(edges)
     dsig = np.linalg.norm(np.diff(edge_pts, axis=0), axis=1)
     return BoundaryArc(
-        v=v, sign=sign, theta_lo=float(np.mod(lo, 2 * np.pi)),
-        theta_hi=float(np.mod(hi, 2 * np.pi)),
-        points=pts, t_params=bp.t_of_theta(mids), dsigma=dsig, vdotn=vdotn,
+        v=v, sign=sign, points=pts, t_params=bp.t_of_theta(mids), dsigma=dsig, vdotn=vdotn,
     )
 
 

@@ -37,10 +37,6 @@ class Velocity:
     def xy(self) -> np.ndarray:
         return np.array([self.vx, self.vy])
 
-    @property
-    def speed_sq(self) -> float:
-        return self.vx * self.vx + self.vy * self.vy
-
 
 def _canonical_key(i, j, l, m):
     """Canonical representative of the symmetry class of (i,j;l,m)."""
@@ -131,10 +127,6 @@ class VelocityModel:
     @cached_property
     def is_integer_valued(self) -> bool:
         return bool(np.all(self.v == np.round(self.v)))
-
-    @cached_property
-    def max_gamma(self) -> float:
-        return max((r.gamma for r in self.rules), default=0.0)
 
     def content_hash(self) -> str:
         payload = {

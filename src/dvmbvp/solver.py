@@ -52,14 +52,12 @@ class SolverConfig:
     h_s: float | None = None            # path quadrature step; None -> h/2
     tol_inner: float = 1e-9
     tol_outer: float = 1e-8
-    tol_continuation: float = 1e-6
     max_inner: int = 400
     max_outer: int = 120
     alpha_schedule: tuple = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
     k_schedule: tuple = (4.0, 16.0, 64.0, 256.0)
     mollifier_radius: float | None = None   # None -> equal to alpha
     boundary_support_fraction: float | None = None   # None -> 1/k
-    inner_start: str = "zero"               # "zero" (monotone) | "warm"
     alpha_extrapolate: bool = True
     eps_geo_rel: float = 1e-6
     n_boundary_quad: int = 1024
@@ -94,6 +92,48 @@ def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
 # characteristic tables
 # ---------------------------------------------------------------------------
 
+def _ladder(grid: Grid, start: np.ndarray, ray: np.ndarray, t_stop: np.ndarray, v,
+            h_s: float, stop_pts: np.ndarray | None = None):
+    """Node ladders along the rays start + t v, with a node at every stop.
+
+    Stops are listed ray by ray: `ray` gives the ray of each stop (every ray
+    0..n-1 has one) and `t_stop` its time from the ray's start, increasing
+    within a ray.  The gap before each stop is split into equal steps of
+    spatial length at most h_s.  Nodes are padded to L per ray and stored
+    transposed, shape (L, rays): row m holds node m of every ray.  Padding
+    repeats a ray's last node, so padding steps have zero length and the
+    last row holds every ray's last stop.  `stop_pts` replaces the computed
+    points of the stops by exact ones.
+
+    Returns the node times t, the steps dt, the bilinear stencil (flat, w) of
+    every node and the flat index of each stop's node in an (L, rays) array.
+    """
+    n_rays = len(start)
+    speed = float(np.hypot(v[0], v[1]))
+    first = np.diff(ray, prepend=-1) != 0                # first stop of its ray
+    t_prev = np.where(first, 0.0, np.roll(t_stop, 1))
+    gap = t_stop - t_prev
+    steps = np.maximum(1, np.ceil(gap * speed / h_s)).astype(np.int64)
+    ends = np.cumsum(steps)
+    col = ends - (ends - steps)[first][ray]              # node column of each stop
+    L = int(col.max(initial=0)) + 1
+
+    # Node times, one node per step, padded per ray by its last time.
+    owner = np.repeat(np.arange(len(t_stop)), steps)
+    j = np.arange(len(owner)) - np.repeat(ends - steps, steps) + 1
+    t_nodes = t_prev[owner] + j * (gap / steps)[owner]
+    t_nodes[ends - 1] = t_stop                           # a stop's node is exact
+    t = np.zeros((L, n_rays))
+    t[(col - steps)[owner] + j, ray[owner]] = t_nodes
+    np.maximum.accumulate(t, axis=0, out=t)
+
+    pts = start[None, :, :] + t[..., None] * v
+    if stop_pts is not None:
+        pts[col, ray] = stop_pts
+    flat, w = grid.interp_weights(pts)
+    return t, np.diff(t, axis=0), flat, w, col * n_rays + ray
+
+
 class _CharTable:
     """Characteristic lines of one velocity on one grid.
 
@@ -105,20 +145,15 @@ class _CharTable:
     along the same chord.  Lines whose chord is below the geometric tolerance
     are grazing and their cells stay out of the ladders.
 
-    Each line has one node ladder: node 0 is its entry point on the boundary,
-    and the gaps from the entry to the first cell centre and between
-    consecutive cell centres are each split into equal steps of spatial
-    length at most h_s, so every cell centre on the line is a node.  Node
-    arrays are padded to L nodes and stored transposed, shape (L, lines):
-    row m holds node m of every line.  Padding repeats a line's last node, so
-    padding steps have zero length.  Per-cell arrays (`cells_flat`, `s_plus`,
-    `line`, `node`) run in line order, cells in a line by increasing entry
-    time; `node` is the flat index of each cell's own node in an (L, lines)
-    array.
+    Each line has one node ladder (`_ladder`) from its entry point on the
+    boundary whose stops are its cell centres, so every cell centre on the
+    line is a node.  Per-cell arrays (`cells_flat`, `s_plus`, `line`, `node`)
+    run in line order, cells in a line by increasing entry time; `node` is
+    the flat index of each cell's own node in the (L, lines) ladder arrays.
 
-    The tail of a line's chord, from its last cell to the exit point, is a
-    separate ladder of the same kind (`tail_*`, shape (E, lines)): row 0 is
-    the last cell centre and the last row is the exit point.  Transport and
+    The exit ladder (`exit_*`) runs, per line, from its last cell centre to
+    its exit point, and then, per grazing cell, from its entry point to its
+    exit point; its last row holds the exit points.  Transport and
     entry->cell integrals never read it; full-chord integrals do.
     """
 
@@ -153,64 +188,32 @@ class _CharTable:
 
         g = order[on_grazing]
         self.grazing_flat = interior[g]
-        self.grazing_entry = zs[g] - s_plus[on_grazing][:, None] * v
-        self.grazing_tau = tau[line[on_grazing]]
+        grazing_entry = zs[g] - s_plus[on_grazing][:, None] * v
+        grazing_tau = tau[line[on_grazing]]
 
         keep = order[~on_grazing]
         line = (np.cumsum(~grazing) - 1)[line[~on_grazing]]
         s = s_plus[~on_grazing]
         entry = z_head[~grazing] - s_head[~grazing][:, None] * v
         tau = tau[~grazing]
-        first = np.diff(line, prepend=-1) != 0            # first cell of its line
-        head = np.flatnonzero(first)
-        n_lines = len(head)
+        self.t, self.dt, self.flat, self.w, self.node = _ladder(
+            grid, entry, line, s, v, h_s, zs[keep])
 
-        # Steps from the previous stop on the line (the entry for a first cell).
-        t_prev = np.where(first, 0.0, np.roll(s, 1))
-        gap = s - t_prev
-        steps = np.maximum(1, np.ceil(gap * speed / h_s)).astype(np.int64)
-        ends = np.cumsum(steps)
-        col = ends - (ends - steps)[head][line]          # node column of each cell
-        L = int(col.max(initial=0)) + 1
-
-        # Node times, one node per step, padded per line by its last time.
-        owner = np.repeat(np.arange(len(s)), steps)
-        j = np.arange(len(owner)) - np.repeat(ends - steps, steps) + 1
-        t_nodes = t_prev[owner] + j * (gap / steps)[owner]
-        t_nodes[ends - 1] = s                            # a cell's node is exact
-        t = np.zeros((L, n_lines))
-        t[(col - steps)[owner] + j, line[owner]] = t_nodes
-        np.maximum.accumulate(t, axis=0, out=t)
-
-        pts = entry[None, :, :] + t[..., None] * v
-        pts[col, line] = zs[keep]
-        flat, w = grid.interp_weights(pts)
-
-        # Tail ladder: last cell -> exit point, the same step rule.
-        last = np.flatnonzero(np.diff(line, append=n_lines))
-        t_last = s[last]
-        gap = np.maximum(tau - t_last, 0.0)
-        steps = np.maximum(1, np.ceil(gap * speed / h_s)).astype(np.int64)
-        j = np.arange(int(steps.max(initial=0)) + 1)[:, None]
-        t_tail = np.where(j < steps, t_last + j * (gap / steps), t_last + gap)
-        tail_pts = entry[None, :, :] + t_tail[..., None] * v
-        tail_pts[0] = zs[keep[last]]
+        last = np.flatnonzero(np.diff(line, append=len(entry)))
+        starts = np.concatenate([zs[keep[last]], grazing_entry])
+        _, self.exit_dt, self.exit_flat, self.exit_w, _ = _ladder(
+            grid, starts, np.arange(len(starts)),
+            np.concatenate([np.maximum(tau - s[last], 0.0), grazing_tau]), v, h_s)
 
         self.v = v
         self.speed = speed
         self.cells_flat = interior[keep]
         self.s_plus = s
         self.line = line
-        self.node = col * n_lines + line
-        self.t = t
-        self.dt = np.diff(t, axis=0)
-        self.flat = flat
-        self.w = w
-        self.tail_dt = np.diff(t_tail, axis=0)
-        self.tail_flat, self.tail_w = grid.interp_weights(tail_pts)
+        self.last = last
         bp = boundary_param(domain)
         self.t_entry = bp.t_of_point(entry)
-        self.t_entry_grazing = bp.t_of_point(self.grazing_entry)
+        self.t_entry_grazing = bp.t_of_point(grazing_entry)
 
     @property
     def n_lines(self) -> int:
@@ -265,22 +268,24 @@ class SolverWorkspace:
         return self.grid.gather(self.grid.pad(values2d).ravel(), tab.flat, tab.w)
 
     @staticmethod
-    def _transport(tab: _CharTable, inflow: np.ndarray, nu_s: np.ndarray,
+    def _transport(dt: np.ndarray, inflow: np.ndarray, nu_s: np.ndarray,
                    gain_s: np.ndarray, alpha: float) -> np.ndarray:
-        """Exponential-form trapezoid recursion along every line, read at the cells.
+        """Exponential-form trapezoid recursion along every ray of a ladder.
 
         F_0 = inflow and F_{m+1} = F_m E_m + (dt_m / 2)(g_m E_m + g_{m+1}) with
-        E_m = exp(-(alpha + (nu_m + nu_{m+1}) / 2) dt_m).  Every operation is
-        monotone under rounding, so the result never decreases when the gain
-        or the inflow grows or the frequency shrinks.
+        E_m = exp(-(alpha + (nu_m + nu_{m+1}) / 2) dt_m); returns F at every
+        node, shape (L, rays).  Every operation is monotone under rounding, so
+        the result never decreases when the gain or the inflow grows or the
+        frequency shrinks.  With alpha = 0 and nu = 0 every E_m is exactly 1
+        and F is the cumulative trapezoid integral of g plus the inflow.
         """
-        E = np.exp(-(alpha + 0.5 * (nu_s[:-1] + nu_s[1:])) * tab.dt)
+        E = np.exp(-(alpha + 0.5 * (nu_s[:-1] + nu_s[1:])) * dt)
         F = np.empty_like(gain_s)
         F[0] = inflow
-        F[1:] = 0.5 * tab.dt * (gain_s[:-1] * E + gain_s[1:])
+        F[1:] = 0.5 * dt * (gain_s[:-1] * E + gain_s[1:])
         for m in range(len(E)):
             F[m + 1] += F[m] * E[m]
-        return F.ravel()[tab.node]
+        return F
 
     def apply_exponential(self, entry_vals, nu: np.ndarray, gain: np.ndarray,
                           alpha: float) -> np.ndarray:
@@ -292,7 +297,8 @@ class SolverWorkspace:
             b, b_graz = entry_vals[i]
             comp = out[i].ravel()
             comp[tab.cells_flat] = self._transport(
-                tab, b, self._samples(tab, nu[i]), self._samples(tab, gain[i]), alpha)
+                tab.dt, b, self._samples(tab, nu[i]), self._samples(tab, gain[i]),
+                alpha).ravel()[tab.node]
             comp[tab.grazing_flat] = b_graz
         return out
 
@@ -300,39 +306,36 @@ class SolverWorkspace:
         """Plain trapezoid integral entry->cell per tabulated cell."""
         tab = self.table(i)
         vals = self._samples(tab, values2d)
-        cum = np.zeros_like(vals)
-        np.cumsum(0.5 * tab.dt * (vals[:-1] + vals[1:]), axis=0, out=cum[1:])
-        return cum.ravel()[tab.node]
+        return self._transport(tab.dt, np.zeros(tab.n_lines), np.zeros_like(vals),
+                               vals, 0.0).ravel()[tab.node]
 
     def path_integral_attenuated(self, i: int, values2d: np.ndarray,
                                  nu2d: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         """Entry->cell integral with the exponential attenuation factor."""
         tab = self.table(i)
-        return self._transport(tab, np.zeros(tab.n_lines), self._samples(tab, nu2d),
-                               self._samples(tab, values2d), alpha)
+        return self._transport(tab.dt, np.zeros(tab.n_lines), self._samples(tab, nu2d),
+                               self._samples(tab, values2d), alpha).ravel()[tab.node]
 
     def chord(self, i: int, integrand2d: np.ndarray, exit2d: np.ndarray):
         """Full chords, entry to exit, through every interior cell.
 
-        Per line: the trapezoid integral of `integrand2d` over the line's node
-        ladder and its tail, and the bilinear value of `exit2d` at the exit
-        point; every cell on the line gets the line's values.  A grazing cell
-        uses a two-node chord of its own.  Returns two (ny, nx) arrays.
+        Per line: the trapezoid integral of `integrand2d` from the entry to
+        the last cell, continued along the exit ladder to the exit point, and
+        the bilinear value of `exit2d` at the exit point; every cell on the
+        line gets the line's values.  A grazing cell's chord is its own ray
+        of the exit ladder.  Returns two (ny, nx) arrays.
         """
         tab = self.table(i)
         grid = self.grid
-        padded = grid.pad(integrand2d).ravel()
-        vals = grid.gather(padded, tab.flat, tab.w)
-        tail = grid.gather(padded, tab.tail_flat, tab.tail_w)
-        integral = (np.sum(0.5 * tab.dt * (vals[:-1] + vals[1:]), axis=0)
-                    + np.sum(0.5 * tab.tail_dt * (tail[:-1] + tail[1:]), axis=0))
-        at_exit = grid.gather(grid.pad(exit2d).ravel(), tab.tail_flat[-1],
-                              tuple(w[-1] for w in tab.tail_w))
-        g_exit = tab.grazing_entry + tab.grazing_tau[:, None] * tab.v
-        g_integral = 0.5 * tab.grazing_tau * (grid.interpolate(integrand2d, tab.grazing_entry)
-                                              + grid.interpolate(integrand2d, g_exit))
-        return (self.scatter(i, integral[tab.line], g_integral),
-                self.scatter(i, at_exit[tab.line], grid.interpolate(exit2d, g_exit)))
+        tail = grid.gather(grid.pad(integrand2d).ravel(), tab.exit_flat, tab.exit_w)
+        inflow = np.zeros(tail.shape[1])
+        inflow[:tab.n_lines] = self.path_integral(i, integrand2d)[tab.last]
+        integral = self._transport(tab.exit_dt, inflow, np.zeros_like(tail), tail, 0.0)[-1]
+        at_exit = grid.gather(grid.pad(exit2d).ravel(), tab.exit_flat[-1],
+                              tuple(w[-1] for w in tab.exit_w))
+        n = tab.n_lines
+        return (self.scatter(i, integral[tab.line], integral[n:]),
+                self.scatter(i, at_exit[tab.line], at_exit[n:]))
 
     def scatter(self, i: int, per_cell: np.ndarray, grazing_value=0.0) -> np.ndarray:
         """Place per-tabulated-cell values back onto the full lattice."""
@@ -397,15 +400,13 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
                          boundary: BoundaryData, frozen: Field, config: SolverConfig,
                          workspace: SolverWorkspace | None = None,
                          smoothed: Field | None = None,
-                         entry_vals=None, start: Field | None = None,
-                         mass_cap: float | None = None):
+                         entry_vals=None, mass_cap: float | None = None):
     """Monotone ladder for the stage map at one frozen convolved state.
 
     Starting from zero, each step transports the previous iterate's truncated
     gain and frequency.  The iterates increase cellwise and their mass stays
     below the damping cap; both properties are monitored and a violation
-    beyond the rounding tolerance is a hard failure.  A warm `start` skips
-    the monotonicity contract (the ladder then converges but not monotonely).
+    beyond the rounding tolerance is a hard failure.
     """
     if np.any(frozen.values < 0):
         raise SolverError("frozen state must be nonnegative")
@@ -422,11 +423,10 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     source = frequency_source(model, smoothed.values, k)
     tr_sm = truncated_factor(smoothed.values, k)
 
-    trace = SolveTrace(kind="inner", mass_cap=mass_cap,
-                       monotone_checked=start is None,
+    trace = SolveTrace(kind="inner", mass_cap=mass_cap, monotone_checked=True,
                        grazing_cells=sum(len(ws.table(i).grazing_flat)
                                          for i in range(model.p)))
-    F = np.zeros_like(frozen.values) if start is None else start.values.copy()
+    F = np.zeros_like(frozen.values)
     area = ws.grid.cell_area
     hard_tol = config.mono_hard_tol
     for q in range(config.max_inner):
@@ -434,15 +434,14 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
         nu = source / (1.0 + F / k)
         gain = gain_truncated(model, truncated_factor(F, k), tr_sm)
         F_new = ws.apply_exponential(entry_vals, nu, gain, alpha)
-        if trace.monotone_checked:
-            viol = int(np.sum(F_new < F))
-            trace.monotone_violations += viol
-            if viol:
-                worst = float(np.max(F - F_new))
-                if worst > hard_tol * (1.0 + float(np.max(F))):
-                    raise SolverError(
-                        f"monotone ladder decreased by {worst:.3e} at iteration {q}; "
-                        "this indicates a quadrature defect")
+        viol = int(np.sum(F_new < F))
+        trace.monotone_violations += viol
+        if viol:
+            worst = float(np.max(F - F_new))
+            if worst > hard_tol * (1.0 + float(np.max(F))):
+                raise SolverError(
+                    f"monotone ladder decreased by {worst:.3e} at iteration {q}; "
+                    "this indicates a quadrature defect")
         inc = float(np.abs(F_new - F).sum() * area)
         mass = float(F_new.sum() * area)
         trace.increments.append(inc)
@@ -486,13 +485,11 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
                                 arcs=ws.inflow_arcs())
     f = start.copy() if start is not None else Field.zeros(grid, model.p)
     trace = SolveTrace(kind="outer", mass_cap=mass_cap)
-    prev_inner = None
     for it in range(config.max_outer):
         t0 = time.perf_counter()
-        inner_start = prev_inner if config.inner_start == "warm" else None
         F, itrace = inner_monotone_solve(
             domain, model, boundary, f, config, workspace=ws,
-            entry_vals=entry_vals, start=inner_start, mass_cap=mass_cap)
+            entry_vals=entry_vals, mass_cap=mass_cap)
         change = F.l1_distance(f)
         rel = change / max(F.mass(), 1e-300)
         trace.increments.append(rel)
@@ -504,7 +501,6 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
         trace.monotone_checked = trace.monotone_checked or itrace.monotone_checked
         trace.mass_cap_max_ratio = max(trace.mass_cap_max_ratio, itrace.mass_cap_max_ratio)
         f = F
-        prev_inner = F
         if rel <= config.tol_outer:
             # an inner ladder cut off by max_inner can leave the iterate unchanged
             # without reaching the stage map's fixed point
@@ -693,10 +689,7 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
     for i in range(model.p):
         tab = ws.table(i)
         b = np.asarray(boundary.eval(i, tab.t_entry), dtype=float)[tab.line]
-        if alpha == 0.0:
-            coll = ws.path_integral(i, net[i])
-        else:
-            coll = ws.path_integral_attenuated(i, net[i], zero_nu, alpha)
+        coll = ws.path_integral_attenuated(i, net[i], zero_nu, alpha)
         predicted = b * np.exp(-alpha * tab.s_plus) + coll
         actual = field_.values[i].ravel()[tab.cells_flat]
         r = np.abs(actual - predicted)

@@ -1,4 +1,4 @@
-"""Grid, mollifier, boundary-trace and line-integral tests."""
+"""Grid, mollifier and boundary-trace tests."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dvmbvp.fields import (BoundaryData, Field, FieldError, Grid,
-                           MollifierSpec, SampledTrace, bump_profile, line_integral,
+                           MollifierSpec, SampledTrace, bump_profile,
                            mollify_interior, truncate_and_mollify_boundary)
 from dvmbvp.geometry import ConvexDomain, boundary_param
 
@@ -225,59 +225,6 @@ def test_maxwellian_boundary_values(broadwell, maxwellian_values):
     bd = BoundaryData.maxwellian(broadwell, 0.0, (0.1, -0.2), 0.05)
     got = np.array([bd.eval(i, np.array([0.3]))[0] for i in range(4)])
     assert np.allclose(got, maxwellian_values, rtol=1e-15)
-
-
-# -- line integrals ----------------------------------------------------------------------
-
-def test_line_integral_constant_exact(disk, grid32):
-    f = Field.constant(grid32, [2.5])
-    seg = disk.trace((0.0, 0.0), (1.0, 0.0))
-    val = line_integral(f.values[0], grid32, seg, 0.0, 2.0, 0.03)
-    assert val == pytest.approx(5.0, rel=1e-13)
-
-
-def test_line_integral_linear_exact(disk, grid32):
-    f = Field.from_function(grid32, [lambda x, y: 1.0 + 0.5 * x - 0.25 * y])
-    seg = disk.trace((0.0, 0.0), (2.0, 1.0))
-    # keep the sub-segment away from the boundary so every stencil is interior
-    tau = seg.length_time
-    val = line_integral(f.values[0], grid32, seg, 0.3 * tau, 0.7 * tau, 0.02)
-    # exact antiderivative along s -> z_plus + s v
-    def F(s):
-        p = seg.point(s)
-        return 1.0 + 0.5 * p[0] - 0.25 * p[1]
-    a, b = 0.3 * tau, 0.7 * tau
-    want = 0.5 * (F(a) + F(b)) * (b - a)   # linear integrand: trapezoid exact
-    assert val == pytest.approx(want, rel=1e-12)
-
-
-def test_line_integral_additivity_exact(disk, grid32):
-    f = Field.from_function(grid32, [lambda x, y: np.exp(-3 * (x * x + y * y))])
-    seg = disk.trace((0.1, -0.2), (1.0, 0.5))
-    a, b, c = 0.1, 0.55, 1.1
-    i_ab = line_integral(f.values[0], grid32, seg, a, b, 0.04)
-    i_bc = line_integral(f.values[0], grid32, seg, b, c, 0.04)
-    i_ac = line_integral(f.values[0], grid32, seg, a, c, 0.04)
-    assert (i_ab + i_bc) - i_ac == 0.0
-
-
-def test_line_integral_second_order(disk):
-    grid = Grid(disk, 48)
-    f = Field.from_function(grid, [lambda x, y: np.exp(-8 * ((x - 0.2) ** 2 + y * y))])
-    seg = disk.trace((0.0, 0.0), (1.0, 0.0))
-    ref = line_integral(f.values[0], grid, seg, 0.2, 1.7, 0.00125)
-    hs = [0.08, 0.04, 0.02, 0.01]
-    errs = [abs(line_integral(f.values[0], grid, seg, 0.2, 1.7, h) - ref) for h in hs]
-    order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    assert 1.5 <= order <= 3.0
-    assert errs[0] / errs[-1] > 4.0 ** 2   # at least second order over 8x refinement
-
-
-def test_line_integral_bounds_validated(disk, grid24):
-    f = Field.constant(grid24, [1.0])
-    seg = disk.trace((0.0, 0.0), (1.0, 0.0))
-    with pytest.raises(FieldError):
-        line_integral(f.values[0], grid24, seg, 1.0, 0.5, 0.05)
 
 
 # -- field csv -----------------------------------------------------------------------------

@@ -192,16 +192,17 @@ def test_line_tracing_matches_per_cell_exit_times(broadwell, domain, velocities)
         v = model.v[i]
         zs = grid.centers.reshape(-1, 2)[tab.cells_flat]
         assert np.max(np.abs(tab.s_plus - domain.exit_times(zs, -v))) * tab.speed <= tol
-        # the tail ladder runs from the line's last cell to the exit point in
+        # the exit ladder runs from each line's last cell to the exit point in
         # steps of at most h_s
         last = np.flatnonzero(np.diff(tab.line, append=tab.n_lines))
+        assert np.array_equal(tab.last, last)
         s_minus = domain.exit_times(zs[last], v)
-        t_tail = tab.s_plus[last] + np.concatenate(
-            [np.zeros((1, tab.n_lines)), np.cumsum(tab.tail_dt, axis=0)])
-        assert np.max(np.abs(t_tail[-1] - tab.s_plus[last] - s_minus)) * tab.speed <= tol
-        assert np.all(tab.tail_dt >= 0.0)
-        assert np.max(tab.tail_dt) * tab.speed <= ws.h_s * (1 + 1e-12)
-        assert np.array_equal(tab.tail_flat[0], tab.flat.ravel()[tab.node[last]])
+        tail_dt = tab.exit_dt[:, :tab.n_lines]
+        assert np.max(np.abs(np.sum(tail_dt, axis=0) - s_minus)) * tab.speed <= tol
+        assert np.all(tab.exit_dt >= 0.0)
+        assert np.max(tab.exit_dt) * tab.speed <= ws.h_s * (1 + 1e-12)
+        assert np.array_equal(tab.exit_flat[0][:tab.n_lines],
+                              tab.flat.ravel()[tab.node[last]])
 
 
 def test_step_rejects_negative_inputs(disk, broadwell, ws24):
@@ -301,15 +302,15 @@ def test_outer_no_false_convergence_without_inner_steps(disk, broadwell):
 
 
 def test_outer_uniqueness_cross_check(disk, broadwell, ws24):
-    """Cold and warm inner ladders land on the same fixed point."""
+    """A zero start and a perturbed nonzero start reach the same fixed point."""
     bd = BoundaryData.constant([0.8] * 4)
-    cfg_cold = SolverConfig(alpha=0.5, k=8.0, grid_n=24, inner_start="zero",
-                            tol_outer=1e-9)
-    cfg_warm = SolverConfig(alpha=0.5, k=8.0, grid_n=24, inner_start="warm",
-                            tol_outer=1e-9)
-    F1, _ = outer_fixed_point(disk, broadwell, bd, cfg_cold, workspace=ws24)
-    F2, _ = outer_fixed_point(disk, broadwell, bd, cfg_warm, workspace=ws24)
-    assert F1.l1_distance(F2) / F1.mass() <= 10 * cfg_cold.tol_outer
+    cfg = SolverConfig(alpha=0.5, k=8.0, grid_n=24, tol_outer=1e-9)
+    F1, tr1 = outer_fixed_point(disk, broadwell, bd, cfg, workspace=ws24)
+    rng = np.random.default_rng(7)
+    start = Field(ws24.grid, F1.values * rng.uniform(0.0, 3.0, F1.values.shape))
+    F2, tr2 = outer_fixed_point(disk, broadwell, bd, cfg, workspace=ws24, start=start)
+    assert tr1.converged and tr2.converged
+    assert F1.l1_distance(F2) / F1.mass() <= 10 * cfg.tol_outer
 
 
 def test_outer_deterministic(disk, broadwell, ws24):
