@@ -75,8 +75,7 @@ print("=" * 70)
 bd = dv.BoundaryData.maxwellian(model, 0.0, (0.1, -0.2), 0.05)
 cfg = dv.SolverConfig(alpha=0.125, k=k, grid_n=32)
 sol, trace = dv.outer_fixed_point(domain, model, bd, cfg)
-rep = mass_energy_flux(domain, model, sol, bd, alpha=0.125, k=k,
-                       smoothed=None)
+rep = mass_energy_flux(domain, model, sol, bd, alpha=0.125, k=k)
 print(f"total mass {rep.total_mass:.6f}, energy {rep.energy:.6f}")
 print(f"inflow - outflow = {rep.balance.gap:.6f}")
 print(f"slab identity defects: "

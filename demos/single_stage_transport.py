@@ -11,7 +11,7 @@ import numpy as np
 
 import dvmbvp as dv
 from dvmbvp.diagnostics import characteristic_balance, collision_grids
-from dvmbvp.fields import MollifierSpec, mollify_field
+from dvmbvp.fields import mollify_field
 
 model = dv.shifted_broadwell()
 domain = dv.ConvexDomain.disk()
@@ -43,7 +43,7 @@ print(f"  -> {otrace.termination}, damped mild-form residual "
       f"{otrace.residual:.3e}\n")
 
 print("mass bookkeeping of the converged stage:")
-smoothed = mollify_field(F, MollifierSpec(config.radius()), warn_small=False)
+smoothed = mollify_field(F, config.alpha)
 nu, gain = collision_grids(model, F, k=config.k, smoothed=smoothed)
 bal = characteristic_balance(domain, model, F, boundary, config.alpha, nu, gain)
 print(f"  inflow        : {np.round(bal.inflow, 6).tolist()}")

@@ -16,8 +16,8 @@ from .model import (CollisionRule, ModelCertificate, ModelError, StructuralError
 from .geometry import (BoundaryArc, CharacteristicSegment, ConvexDomain,
                        GeometryError, OutsideDomainError, boundary_quadrature,
                        change_of_variables_jacobian_check, tangency_thetas)
-from .fields import (BoundaryData, Field, FieldError, Grid, MollifierSpec,
-                     mollify_field, mollify_interior, truncate_and_mollify_boundary)
+from .fields import (BoundaryData, Field, FieldError, Grid, mollify_field,
+                     mollify_interior, truncate_and_mollify_boundary)
 from .collision import (CollisionEval, eval_convolved_truncated, eval_truncated,
                         eval_untruncated, truncated_factor)
 from .solver import (ContinuationResult, SolveTrace, SolverConfig, SolverError,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -67,8 +68,8 @@ def load_run_config(path):
         raise StructuralError("config.domain must be an object")
     try:
         domain = ConvexDomain.from_spec(dspec)
-    except GeometryError as exc:
-        raise StructuralError(str(exc)) from exc
+    except (GeometryError, KeyError, TypeError, ValueError) as exc:
+        raise StructuralError(f"bad domain: {exc}") from exc
 
     boundary = parse_boundary(raw.get("boundary"), model)
 
@@ -79,44 +80,101 @@ def load_run_config(path):
     unknown = set(sspec) - allowed
     if unknown:
         raise StructuralError(f"unknown solver options: {sorted(unknown)}")
-    for key in ("alpha_schedule", "k_schedule"):
-        if key in sspec:
-            sspec[key] = tuple(float(x) for x in sspec[key])
     try:
+        for key in ("alpha_schedule", "k_schedule"):
+            if key in sspec:
+                sspec[key] = tuple(float(x) for x in sspec[key])
         config = SolverConfig(**sspec)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise StructuralError(f"bad solver options: {exc}") from exc
+    _check_solver_config(config)
 
     outdir = raw.get("output_dir", "out")
     return model, domain, boundary, config, Path(outdir), raw
 
 
+def _check_solver_config(config: SolverConfig) -> None:
+    """Raise StructuralError, naming the option, on a value the solver cannot run."""
+    def real(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+    def count(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    c = config
+    alphas, ks = c.alpha_schedule, c.k_schedule
+    rules = [
+        ("alpha", real(c.alpha) and c.alpha > 0, "a positive number"),
+        ("k", real(c.k) and c.k > 1, "a number above 1"),
+        ("grid_n", count(c.grid_n) and c.grid_n >= 4, "an integer of at least 4"),
+        ("h_s", c.h_s is None or (real(c.h_s) and c.h_s > 0), "a positive number or null"),
+        ("tol_inner", real(c.tol_inner) and c.tol_inner > 0, "a positive number"),
+        ("tol_outer", real(c.tol_outer) and c.tol_outer > 0, "a positive number"),
+        ("max_inner", count(c.max_inner) and c.max_inner >= 1, "a positive integer"),
+        ("max_outer", count(c.max_outer) and c.max_outer >= 1, "a positive integer"),
+        ("alpha_schedule", len(alphas) > 0 and all(map(math.isfinite, alphas))
+         and all(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])) and alphas[-1] > 0,
+         "a nonempty, strictly decreasing list of positive numbers"),
+        ("k_schedule", len(ks) > 0 and all(map(math.isfinite, ks))
+         and all(k2 > k1 for k1, k2 in zip(ks, ks[1:])) and ks[0] > 1,
+         "a nonempty, strictly increasing list of numbers above 1"),
+        ("eps_geo_rel", real(c.eps_geo_rel) and c.eps_geo_rel > 0, "a positive number"),
+    ]
+    for name, ok, want in rules:
+        if not ok:
+            raise StructuralError(f"bad solver option {name}: expected {want}, "
+                                  f"got {getattr(c, name)!r}")
+
+
+def _check_inflow(values, what: str) -> None:
+    if not np.all((values >= 0) & (values < np.inf)):
+        raise StructuralError(f"{what} must be finite and nonnegative")
+
+
+def _levels(values, what: str, p: int) -> np.ndarray:
+    """One finite, nonnegative inflow level per velocity."""
+    try:
+        levels = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"{what} must be numbers") from exc
+    if levels.shape != (p,):
+        raise StructuralError(f"{what} needs one value per velocity")
+    _check_inflow(levels, what)
+    return levels
+
+
 def parse_boundary(bspec, model: VelocityModel) -> BoundaryData:
+    """Inflow traces of a config; every profile's values are checked to be
+    finite and nonnegative before any solver runs."""
     if not isinstance(bspec, dict):
         raise StructuralError("config.boundary must be an object")
     profile = bspec.get("profile")
     if profile == "zero":
         return BoundaryData.zero(model.p)
     if profile == "constant":
-        vals = bspec.get("values")
-        if vals is None or len(vals) != model.p:
-            raise StructuralError("constant boundary needs one value per velocity")
-        if any(v < 0 for v in vals):
-            raise StructuralError("boundary values must be nonnegative")
-        return BoundaryData.constant(vals)
+        return BoundaryData.constant(_levels(bspec.get("values"), "constant boundary", model.p))
     if profile == "maxwellian":
         try:
-            return BoundaryData.maxwellian(model, float(bspec["a"]),
-                                           bspec["b"], float(bspec["c"]))
+            a, b, c = float(bspec["a"]), np.asarray(bspec["b"], dtype=float), float(bspec["c"])
         except KeyError as exc:
             raise StructuralError(f"maxwellian boundary needs a, b, c: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise StructuralError("maxwellian boundary parameters must be numbers") from exc
+        if b.shape != (2,):
+            raise StructuralError("maxwellian boundary needs b = [bx, by]")
+        with np.errstate(over="ignore"):
+            bd = BoundaryData.maxwellian(model, a, b, c)
+        _check_inflow(np.array([tr.value for tr in bd.traces]), "maxwellian boundary values")
+        return bd
     if profile == "step":
         from .fields import CallableTrace
-        t0, t1 = float(bspec.get("t0", 0.0)), float(bspec.get("t1", 1.0))
-        inside = np.asarray(bspec.get("inside", [1.0] * model.p), dtype=float)
-        outside = np.asarray(bspec.get("outside", [0.0] * model.p), dtype=float)
-        if len(inside) != model.p or len(outside) != model.p:
-            raise StructuralError("step boundary needs per-velocity levels")
+        try:
+            t0, t1 = float(bspec.get("t0", 0.0)), float(bspec.get("t1", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise StructuralError("step boundary t0, t1 must be numbers") from exc
+        inside = _levels(bspec.get("inside", [1.0] * model.p), "step boundary inside", model.p)
+        outside = _levels(bspec.get("outside", [0.0] * model.p), "step boundary outside",
+                          model.p)
         traces = tuple(
             CallableTrace(lambda t, hi=inside[i], lo=outside[i]:
                           np.where((t >= t0) & (t < t1), hi, lo))
@@ -127,8 +185,19 @@ def parse_boundary(bspec, model: VelocityModel) -> BoundaryData:
         path = bspec.get("path")
         if path is None:
             raise StructuralError("csv boundary needs a path")
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        period = float(bspec.get("period")) if "period" in bspec else float(np.max(rows[:, 1]))
+        try:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise StructuralError(f"cannot read csv boundary {path}: {exc}") from exc
+        if rows.shape[1] != 3:
+            raise StructuralError("csv boundary rows must be component,t,value")
+        _check_inflow(rows[:, 2], "csv boundary values")
+        try:
+            period = float(bspec["period"]) if "period" in bspec else float(np.max(rows[:, 1]))
+        except (TypeError, ValueError) as exc:
+            raise StructuralError("csv boundary period must be a number") from exc
+        if not 0 < period < np.inf:
+            raise StructuralError("csv boundary period must be positive and finite")
         traces = []
         for i in range(model.p):
             sel = rows[rows[:, 0].astype(int) == i + 1]
@@ -143,8 +212,7 @@ def parse_boundary(bspec, model: VelocityModel) -> BoundaryData:
 def run_hash(model: VelocityModel, raw_config: dict) -> str:
     blob = json.dumps({"model": model_to_dict(model),
                        "domain": raw_config.get("domain"),
-                       "solver": raw_config.get("solver", {}),
-                       "grid_n": raw_config.get("solver", {}).get("grid_n")},
+                       "solver": raw_config.get("solver", {})},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

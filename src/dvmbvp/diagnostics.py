@@ -178,15 +178,14 @@ class SlabRow:
 
 
 def slab_energy_rows(domain: ConvexDomain, model: VelocityModel, field_: Field,
-                     alpha: float, frame_angle: float | None = None,
-                     n_slabs: int = 9, n_chord: int = 256,
-                     n_boundary: int = 2048) -> list[SlabRow]:
+                     alpha: float, frame_angle: float | None = None) -> list[SlabRow]:
     """Directional second-moment identity on half-domain slabs.
 
     In a rotated frame (chosen so no axis is parallel to a velocity), the
     weighted chord integral of the field must match the boundary flux moment
     minus the damping volume term; collision transfer cancels through
-    momentum conservation.
+    momentum conservation.  The identity is checked at 9 evenly spaced cuts,
+    with 256 trapezoid nodes per chord and 2048 boundary midpoints.
     """
     ang = _frame_angle(model) if frame_angle is None else frame_angle
     ex = np.array([math.cos(ang), math.sin(ang)])
@@ -198,17 +197,17 @@ def slab_energy_rows(domain: ConvexDomain, model: VelocityModel, field_: Field,
     reach_plus = float(domain.exit_times(center[None, :], ex)[0])
     reach_minus = float(domain.exit_times(center[None, :], -ex)[0])
     x_lo, x_hi = c_proj - reach_minus, c_proj + reach_plus
-    positions = c_proj + np.linspace(-reach_minus, reach_plus, n_slabs + 2)[1:-1]
+    positions = c_proj + np.linspace(-reach_minus, reach_plus, 9 + 2)[1:-1]
 
     bp = boundary_param(domain)
-    theta_edges = np.linspace(0.0, 2.0 * np.pi, n_boundary + 1)
+    theta_edges = np.linspace(0.0, 2.0 * np.pi, 2048 + 1)
     theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
     bpts = bp.point_of_theta(theta_mid)
     bnrm = domain.inward_normals(bpts)
     dsig = np.linalg.norm(np.diff(bp.point_of_theta(theta_edges), axis=0), axis=1)
     bproj = bpts @ ex
     F_bnd = np.stack([grid.interpolate(field_.values[i], bpts) for i in range(model.p)])
-    vdotn = model.v @ bnrm.T        # (p, n_boundary)
+    vdotn = model.v @ bnrm.T        # (p, 2048)
 
     cells_proj = np.einsum("yxc,c->yx", grid.centers, ex)
     area = grid.cell_area
@@ -218,7 +217,7 @@ def slab_energy_rows(domain: ConvexDomain, model: VelocityModel, field_: Field,
         base = center + (a - c_proj) * ex
         t_plus = float(domain.exit_times(base[None, :], ey)[0])
         t_minus = float(domain.exit_times(base[None, :], -ey)[0])
-        ts = np.linspace(-t_minus, t_plus, n_chord)
+        ts = np.linspace(-t_minus, t_plus, 256)
         chord_pts = base[None, :] + ts[:, None] * ey
         lhs = 0.0
         for i in range(model.p):
@@ -253,9 +252,9 @@ class MassEnergyReport:
 
 def mass_energy_flux(domain: ConvexDomain, model: VelocityModel, field_: Field,
                      boundary: BoundaryData, alpha: float,
-                     k: float | None = None, smoothed: Field | None = None) -> MassEnergyReport:
+                     k: float | None = None) -> MassEnergyReport:
     """Mass, energy, per-component fluxes, damped balance, slab identity."""
-    nu, gain = collision_grids(model, field_, k=k, smoothed=smoothed)
+    nu, gain = collision_grids(model, field_, k=k)
     bal = characteristic_balance(domain, model, field_, boundary, alpha, nu, gain)
     energy = float(np.sum(model.speeds_sq * bal.mass_cells))
     ang = _frame_angle(model)
@@ -324,17 +323,17 @@ class EntropyBoundReport:
 
 
 def entropy_bound_check(domain: ConvexDomain, model: VelocityModel, field_: Field,
-                        k: float, n0=None) -> EntropyBoundReport:
+                        k: float) -> EntropyBoundReport:
     """Capped entropy functional per component plus its n0-weighted sum.
 
     Below the truncation level the plain F log F integral is used; above it
-    the mass is weighted by log(k/2).  Requires a direction n0 with positive
-    projections; without one the check is skipped with a notice.
+    the mass is weighted by log(k/2).  n0 is the model's positive direction
+    (v . n0 > 0 for every velocity); without one the check is skipped with
+    a notice.
     """
-    if n0 is None:
-        n0 = (np.asarray(model.positive_direction)
-              if model.positive_direction is not None
-              else find_positive_direction(model))
+    n0 = (np.asarray(model.positive_direction)
+          if model.positive_direction is not None
+          else find_positive_direction(model))
     if n0 is None:
         return EntropyBoundReport(None, None, None, skipped=True,
                                   note="model has no positive direction; "
@@ -509,22 +508,20 @@ def integrated_collision_frequency(domain: ConvexDomain, model: VelocityModel,
 
 def stage_diagnostics(domain: ConvexDomain, model: VelocityModel, field_: Field,
                       boundary: BoundaryData, alpha: float, k: float,
-                      workspace: SolverWorkspace | None = None,
-                      config: SolverConfig | None = None,
-                      moduli_shift: float | None = None) -> dict:
+                      workspace: SolverWorkspace | None = None) -> dict:
     """Standard measurement bundle for one truncation level.
 
     `field_` is the level estimate (damping already continued to ~0), so the
     balance uses the unconvolved truncated operator at alpha = 0; the
-    per-stage damped balance is checked separately on stage solutions.
+    per-stage damped balance is checked separately on stage solutions.  The
+    translation moduli use one shift of diameter / 32.
     """
-    cfg = config or SolverConfig()
-    ws = workspace or SolverWorkspace(domain, model, field_.grid, cfg)
+    ws = workspace or SolverWorkspace(domain, model, field_.grid, SolverConfig())
     nu, gain = collision_grids(model, field_, k=k)
     bal = characteristic_balance(domain, model, field_, boundary, 0.0, nu, gain)
     diss = entropy_dissipation(model, field_, k)
     ent = entropy_bound_check(domain, model, field_, k)
-    shift = (domain.diameter / 32.0) if moduli_shift is None else moduli_shift
+    shift = domain.diameter / 32.0
     intnu = integrated_collision_frequency(domain, model, field_, k, workspace=ws)
     moduli = []
     for i in range(model.p):

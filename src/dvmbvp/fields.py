@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,6 +193,9 @@ class Field:
 
     @staticmethod
     def load_csv(path, grid: Grid, p: int) -> "Field":
+        """Read rows written by `save_csv`; every row must name a component
+        in 1..p and an interior cell of `grid`, with a finite, nonnegative
+        density."""
         data = np.zeros((p, grid.ny, grid.nx))
         with open(path) as fh:
             header = fh.readline()
@@ -204,6 +206,12 @@ class Field:
                 x, y, c, v = float(sx), float(sy), int(sc), float(sv)
                 ix = int(round((x - grid.x0) / grid.h - 0.5))
                 iy = int(round((y - grid.y0) / grid.h - 0.5))
+                if not 1 <= c <= p:
+                    raise FieldError(f"component {c} outside 1..{p}")
+                if not (0 <= ix < grid.nx and 0 <= iy < grid.ny and grid.mask[iy, ix]):
+                    raise FieldError(f"cell ({x!r}, {y!r}) is not an interior cell of the grid")
+                if not 0 <= v < math.inf:
+                    raise FieldError(f"density {v!r} is not finite and nonnegative")
                 data[c - 1, iy, ix] = v
         return Field(grid, data)
 
@@ -221,27 +229,10 @@ def bump_profile(r):
     return out
 
 
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Interior smoothing radius plus the boundary smoothing fraction.
-
-    `boundary_fraction` is the support of the boundary kernel as a fraction
-    of the total boundary arclength (1/k unless overridden).
-    """
-
-    radius: float
-    boundary_fraction: float = 0.0
-
-    def kernel_offsets(self, h: float):
-        """Discrete kernel: cell offsets within the radius and unit-sum weights."""
-        if self.radius <= 0:
-            raise FieldError("mollifier radius must be positive")
-        return _bump_kernel(self.radius, h)
-
-
 @functools.lru_cache(maxsize=64)
 def _bump_kernel(radius: float, h: float):
-    """Kernel of `MollifierSpec.kernel_offsets`, built once per (radius, h).
+    """Discrete bump kernel: cell offsets within the radius and unit-sum
+    weights, built once per (radius, h).
 
     The weights are read-only because every caller shares them.
     """
@@ -264,20 +255,18 @@ def _bump_kernel(radius: float, h: float):
     return tuple(offs), w
 
 
-def mollify_interior(values2d: np.ndarray, spec: MollifierSpec, grid: Grid,
-                     warn_small=True) -> np.ndarray:
+def mollify_interior(values2d: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
     """Convolve one component with the interior bump kernel.
 
     Stencil points outside the interior take the nearest-interior-cell value,
     the discrete version of continuing the field past the boundary with its
     boundary value.  The discrete kernel is normalised to unit sum, so
-    constants are reproduced exactly.
+    constants are reproduced exactly.  A radius below h leaves the one-cell
+    kernel, the identity.
     """
-    if warn_small and spec.radius < 2.0 * grid.h:
-        warnings.warn(
-            f"mollifier radius {spec.radius:.3g} below 2h = {2 * grid.h:.3g}; "
-            "the kernel degenerates toward the identity", stacklevel=2)
-    offs, w = spec.kernel_offsets(grid.h)
+    if radius <= 0:
+        raise FieldError("mollifier radius must be positive")
+    offs, w = _bump_kernel(radius, grid.h)
     reach = max(max(abs(dy), abs(dx)) for dy, dx in offs)
     padded = np.pad(grid.pad(values2d), reach, mode="edge")
     ny, nx = grid.ny, grid.nx
@@ -289,11 +278,9 @@ def mollify_interior(values2d: np.ndarray, spec: MollifierSpec, grid: Grid,
     return result
 
 
-def mollify_field(field: Field, spec: MollifierSpec, warn_small=True) -> Field:
-    data = np.stack([
-        mollify_interior(field.values[i], spec, field.grid, warn_small=(warn_small and i == 0))
-        for i in range(field.p)
-    ])
+def mollify_field(field: Field, radius: float) -> Field:
+    data = np.stack([mollify_interior(field.values[i], radius, field.grid)
+                     for i in range(field.p)])
     return Field(field.grid, data)
 
 
@@ -350,8 +337,8 @@ class BoundaryData:
 
     def eval(self, i: int, t):
         vals = self.traces[i].eval(t)
-        if np.any(np.isnan(vals)):
-            raise FieldError(f"boundary trace {i} produced NaN")
+        if not np.all((vals >= 0) & (vals < np.inf)):
+            raise FieldError(f"boundary trace {i} produced a NaN, infinite or negative value")
         return vals
 
     @staticmethod
@@ -371,19 +358,17 @@ class BoundaryData:
 
 
 def truncate_and_mollify_boundary(bd: BoundaryData, k: float, domain: ConvexDomain,
-                                  n_samples=None, support_fraction=None) -> BoundaryData:
+                                  n_samples=None) -> BoundaryData:
     """Cap each trace at k/2, then smooth along the boundary.
 
-    The smoothing kernel is a bump supported on a fraction of the total
-    arclength (1/k by default).  Constant traces are closed under both steps
-    and pass through exactly.
+    The smoothing kernel is a bump supported on 1/k of the total arclength.
+    Constant traces are closed under both steps and pass through exactly.
     """
     if k <= 1:
         raise FieldError("truncation level k must exceed 1")
     bp = boundary_param(domain)
     L = bp.total_length
-    frac = (1.0 / k) if support_fraction is None else support_fraction
-    support = frac * L
+    support = (1.0 / k) * L
     cap = 0.5 * k
     traces = []
     for tr in bd.traces:

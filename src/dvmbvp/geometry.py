@@ -40,8 +40,6 @@ class ConvexDomain:
     center: tuple[float, float]
     semi_axes: tuple[float, float]
     exponent: float = 2.0
-    # number of parameter samples backing the arclength table
-    param_samples: int = 8192
 
     def __post_init__(self):
         if self.kind not in ("disk", "ellipse", "superellipse"):
@@ -190,11 +188,12 @@ class ConvexDomain:
             lo = np.where(outside, lo, mid)
         return 0.5 * (lo + hi)
 
-    def trace(self, z, v, grazing_tol=None):
+    def trace(self, z, v):
         """Characteristic segment through z in direction v.
 
         Entry/exit are measured in the time parameter s of z + s*v; the entry
-        point lies at z - s_plus*v and the exit point at z + s_minus*v.
+        point lies at z - s_plus*v and the exit point at z + s_minus*v.  The
+        segment is grazing when its chord is shorter than 1e-6 diameters.
         """
         z = _as_point(z)
         v = _as_point(v)
@@ -203,12 +202,11 @@ class ConvexDomain:
             raise OutsideDomainError(f"point {z} lies outside the domain (phi={p:.3e})")
         s_minus = float(self.exit_times(z[None, :], v)[0])
         s_plus = float(self.exit_times(z[None, :], -v)[0])
-        if grazing_tol is None:
-            grazing_tol = 1e-6 * self.diameter / float(np.hypot(v[0], v[1]))
+        tol = 1e-6 * self.diameter / float(np.hypot(v[0], v[1]))
         return CharacteristicSegment(
             z=z, v=v, s_plus=s_plus, s_minus=s_minus,
             z_plus=z - s_plus * v, z_minus=z + s_minus * v,
-            grazing=(s_plus + s_minus) < grazing_tol,
+            grazing=(s_plus + s_minus) < tol,
         )
 
 
@@ -240,13 +238,14 @@ class CharacteristicSegment:
 class BoundaryParam:
     """Arclength parameterisation of the boundary of a ConvexDomain.
 
-    The curve is sampled on a dense theta grid; arclength lookups go through
-    a monotone cumulative table, which keeps every evaluation deterministic.
+    The curve is sampled on a theta grid of 8192 intervals; arclength
+    lookups go through a monotone cumulative table, which keeps every
+    evaluation deterministic.
     """
 
     def __init__(self, domain: ConvexDomain):
         self.domain = domain
-        n = domain.param_samples
+        n = 8192
         theta = np.linspace(0.0, 2.0 * np.pi, n + 1)
         pts = self.point_of_theta(theta)
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)

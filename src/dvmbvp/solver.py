@@ -32,8 +32,7 @@ import numpy as np
 
 from .collision import (eval_convolved_truncated, eval_truncated, eval_untruncated,
                         frequency_source, gain_truncated, truncated_factor)
-from .fields import (BoundaryData, Field, Grid, MollifierSpec, mollify_field,
-                     truncate_and_mollify_boundary)
+from .fields import BoundaryData, Field, Grid, mollify_field, truncate_and_mollify_boundary
 from .geometry import BoundaryArc, ConvexDomain, boundary_param, boundary_quadrature
 from .model import VelocityModel
 
@@ -44,7 +43,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical parameters for one stage and for the continuation loops."""
+    """Numerical parameters for one stage and for the continuation loops.
+
+    The partner factor is mollified with radius alpha and the inflow trace
+    is smoothed over 1/k of the boundary arclength.
+    """
 
     alpha: float = 0.5
     k: float = 16.0
@@ -56,23 +59,14 @@ class SolverConfig:
     max_outer: int = 120
     alpha_schedule: tuple = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
     k_schedule: tuple = (4.0, 16.0, 64.0, 256.0)
-    mollifier_radius: float | None = None   # None -> equal to alpha
-    boundary_support_fraction: float | None = None   # None -> 1/k
-    alpha_extrapolate: bool = True
     eps_geo_rel: float = 1e-6
-    n_boundary_quad: int = 1024
-    mono_hard_tol: float = 1e-12
 
     def step(self, grid_h: float) -> float:
         return self.h_s if self.h_s is not None else 0.5 * grid_h
 
-    def radius(self) -> float:
-        return self.mollifier_radius if self.mollifier_radius is not None else self.alpha
-
 
 def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
-                     boundary: BoundaryData, alpha: float,
-                     n_quad: int = 1024, arcs=None) -> float:
+                     boundary: BoundaryData, alpha: float, arcs=None) -> float:
     """Total inflow flux divided by alpha: the invariant-region mass bound.
 
     Recomputed from the boundary data of the problem actually being solved
@@ -82,8 +76,7 @@ def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
         raise SolverError("mass cap requires positive damping")
     total = 0.0
     for i in range(model.p):
-        arc = arcs[i] if arcs is not None else boundary_quadrature(
-            domain, model.v[i], +1, n_quad)
+        arc = arcs[i] if arcs is not None else boundary_quadrature(domain, model.v[i], +1)
         total += arc.integrate_flux(boundary.eval(i, arc.t_params))
     return total / alpha
 
@@ -245,8 +238,7 @@ class SolverWorkspace:
         key = (i, sign)
         arc = self._arcs.get(key)
         if arc is None:
-            arc = boundary_quadrature(self.domain, self.model.v[i], sign,
-                                      self.config.n_boundary_quad)
+            arc = boundary_quadrature(self.domain, self.model.v[i], sign)
             self._arcs[key] = arc
         return arc
 
@@ -378,8 +370,7 @@ class SolveTrace:
 
 def exponential_step(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
                      nu_field: Field, gain_field: Field, alpha: float,
-                     workspace: SolverWorkspace | None = None,
-                     config: SolverConfig | None = None) -> Field:
+                     workspace: SolverWorkspace | None = None) -> Field:
     """Integrate boundary data and a given gain against a given frequency.
 
     Returns, for every cell and component, the exponential-form transport
@@ -389,8 +380,7 @@ def exponential_step(domain: ConvexDomain, model: VelocityModel, boundary: Bound
     """
     if np.any(nu_field.values < 0) or np.any(gain_field.values < 0):
         raise SolverError("nu and gain fields must be nonnegative")
-    ws = workspace or SolverWorkspace(domain, model, nu_field.grid,
-                                      config or SolverConfig())
+    ws = workspace or SolverWorkspace(domain, model, nu_field.grid, SolverConfig())
     entry_vals = ws.entry_values(boundary)
     out = ws.apply_exponential(entry_vals, nu_field.values, gain_field.values, alpha)
     return Field(ws.grid, out)
@@ -399,21 +389,20 @@ def exponential_step(domain: ConvexDomain, model: VelocityModel, boundary: Bound
 def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
                          boundary: BoundaryData, frozen: Field, config: SolverConfig,
                          workspace: SolverWorkspace | None = None,
-                         smoothed: Field | None = None,
                          entry_vals=None, mass_cap: float | None = None):
     """Monotone ladder for the stage map at one frozen convolved state.
 
-    Starting from zero, each step transports the previous iterate's truncated
-    gain and frequency.  The iterates increase cellwise and their mass stays
-    below the damping cap; both properties are monitored and a violation
-    beyond the rounding tolerance is a hard failure.
+    The frozen state is mollified with radius alpha.  Starting from zero,
+    each step transports the previous iterate's truncated gain and
+    frequency.  The iterates increase cellwise and their mass stays below
+    the damping cap; both properties are monitored, and a cellwise decrease
+    beyond 1e-12 (1 + max F) is a hard failure.
     """
     if np.any(frozen.values < 0):
         raise SolverError("frozen state must be nonnegative")
     ws = workspace or SolverWorkspace(domain, model, frozen.grid, config)
     alpha, k = config.alpha, config.k
-    if smoothed is None:
-        smoothed = mollify_field(frozen, MollifierSpec(config.radius()), warn_small=False)
+    smoothed = mollify_field(frozen, alpha)
     if entry_vals is None:
         entry_vals = ws.entry_values(boundary)
     if mass_cap is None:
@@ -428,7 +417,6 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
                                          for i in range(model.p)))
     F = np.zeros_like(frozen.values)
     area = ws.grid.cell_area
-    hard_tol = config.mono_hard_tol
     for q in range(config.max_inner):
         t0 = time.perf_counter()
         nu = source / (1.0 + F / k)
@@ -438,7 +426,7 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
         trace.monotone_violations += viol
         if viol:
             worst = float(np.max(F - F_new))
-            if worst > hard_tol * (1.0 + float(np.max(F))):
+            if worst > 1e-12 * (1.0 + float(np.max(F))):
                 raise SolverError(
                     f"monotone ladder decreased by {worst:.3e} at iteration {q}; "
                     "this indicates a quadrature defect")
@@ -509,9 +497,7 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     else:
         trace.termination = "max_outer"
     res = residual_mild(domain, model, boundary, f, k=config.k, alpha=config.alpha,
-                        smoothed=mollify_field(f, MollifierSpec(config.radius()),
-                                               warn_small=False),
-                        workspace=ws)
+                        smoothed=mollify_field(f, config.alpha), workspace=ws)
     trace.residual = res.total_relative
     if trace.termination == "converged" and not math.isfinite(trace.residual):
         trace.termination = "residual_not_finite"
@@ -550,10 +536,10 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
     """Drive the damping to zero along config.alpha_schedule at fixed k.
 
     Stages warm-start from the previous solution; consecutive L1 distances
-    are reported as an empirical convergence (Cauchy) monitor.  When
-    `alpha_extrapolate` is set, the returned estimate removes the leading
-    linear damping bias by Richardson extrapolation of the last two stages
-    (clipped at zero to preserve positivity).
+    are reported as an empirical convergence (Cauchy) monitor.  With two or
+    more stages the returned estimate removes the leading linear damping
+    bias by Richardson extrapolation of the last two stages (clipped at zero
+    to preserve positivity).
     """
     schedule = list(config.alpha_schedule)
     if any(a2 >= a1 for a1, a2 in zip(schedule, schedule[1:])) or schedule[-1] <= 0:
@@ -581,7 +567,7 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
             break
     extrapolated = False
     estimate = fields_[-1]
-    if config.alpha_extrapolate and len(fields_) >= 2:
+    if len(fields_) >= 2:
         r = alphas[-2] / alphas[-1]
         vals = (r * fields_[-1].values - fields_[-2].values) / (r - 1.0)
         estimate = Field(estimate.grid, np.maximum(vals, 0.0))
@@ -630,16 +616,14 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     stages = []
     prev_field = None
     for k in ks:
-        bd_k = truncate_and_mollify_boundary(
-            boundary, k, domain, support_fraction=config.boundary_support_fraction)
+        bd_k = truncate_and_mollify_boundary(boundary, k, domain)
         cfg = replace(config, k=k)
         cont = alpha_continuation(domain, model, bd_k, cfg, workspace=ws,
                                   start=prev_field)
         info = {}
         if collect_diagnostics:
             info = diag.stage_diagnostics(domain, model, cont.estimate, bd_k,
-                                          alpha=cont.alphas[-1], k=k, workspace=ws,
-                                          config=cfg)
+                                          alpha=cont.alphas[-1], k=k, workspace=ws)
         stages.append(KStage(k, bd_k, cont, info))
         prev_field = cont.last
     dists = [stages[j].continuation.estimate.l1_distance(stages[j - 1].continuation.estimate)
@@ -662,8 +646,7 @@ class MildResidual:
 def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
                   field_: Field, k: float | None = None, alpha: float = 0.0,
                   smoothed: Field | None = None,
-                  workspace: SolverWorkspace | None = None,
-                  config: SolverConfig | None = None) -> MildResidual:
+                  workspace: SolverWorkspace | None = None) -> MildResidual:
     """Defect of the integral (mild) form along backward characteristics.
 
     Per cell: F_a(z) - inflow(entry) * e^(-alpha s+) - integral of the net
@@ -672,8 +655,7 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
     algebraic cancellations survive interpolation.  `k=None` selects the
     untruncated operator; passing `smoothed` selects the convolved one.
     """
-    cfg = config or SolverConfig()
-    ws = workspace or SolverWorkspace(domain, model, field_.grid, cfg)
+    ws = workspace or SolverWorkspace(domain, model, field_.grid, SolverConfig())
     if k is None:
         ev = eval_untruncated(model, field_.values)
     elif smoothed is not None:
@@ -731,21 +713,17 @@ class RenormalizedDefect:
 
 
 def residual_renormalized(domain: ConvexDomain, model: VelocityModel,
-                          boundary: BoundaryData, field_: Field,
-                          test_functions=None, k: float | None = None,
-                          workspace: SolverWorkspace | None = None,
-                          config: SolverConfig | None = None):
+                          boundary: BoundaryData, field_: Field, k: float | None = None,
+                          workspace: SolverWorkspace | None = None):
     """Weak-form defect of the logarithmic (renormalized) formulation.
 
-    For each test function phi: outflow of phi ln(1+F) minus inflow of
-    phi ln(1+inflow trace), minus the volume advection of ln(1+F) against
-    v . grad phi, minus the volume collision term phi Q(F)/(1+F).  All four
-    pieces vanish together exactly for an exact solution.
+    For each test function phi of `default_test_functions`: outflow of
+    phi ln(1+F) minus inflow of phi ln(1+inflow trace), minus the volume
+    advection of ln(1+F) against v . grad phi, minus the volume collision
+    term phi Q(F)/(1+F).  All four pieces vanish together exactly for an
+    exact solution.
     """
-    cfg = config or SolverConfig()
-    ws = workspace or SolverWorkspace(domain, model, field_.grid, cfg)
-    if test_functions is None:
-        test_functions = default_test_functions()
+    ws = workspace or SolverWorkspace(domain, model, field_.grid, SolverConfig())
     if k is None:
         ev = eval_untruncated(model, field_.values)
     else:
@@ -757,7 +735,7 @@ def residual_renormalized(domain: ConvexDomain, model: VelocityModel,
     area = grid.cell_area
     lnF = np.log1p(field_.values)
     out = []
-    for tf in test_functions:
+    for tf in default_test_functions():
         phi = np.asarray(tf.fn(X, Y), dtype=float)
         gx, gy = tf.grad(X, Y)
         per_comp = np.zeros(model.p)

@@ -13,7 +13,7 @@ import pytest
 import dvmbvp as dv
 from dvmbvp.diagnostics import (characteristic_balance, collision_grids,
                                 entropy_dissipation, sweep_soft_checks)
-from dvmbvp.fields import BoundaryData, Field, MollifierSpec, mollify_field
+from dvmbvp.fields import BoundaryData, Field, mollify_field
 from dvmbvp.solver import SolverConfig, SolverWorkspace
 
 
@@ -92,7 +92,7 @@ def test_criterion_2_equal_constant_oracle(disk, broadwell, constant_sweep):
         # per component, with the stage's convolved operator
         alpha = st.continuation.alphas[-1]
         f_stage = st.continuation.fields[-1]
-        sm = mollify_field(f_stage, MollifierSpec(alpha), warn_small=False)
+        sm = mollify_field(f_stage, alpha)
         nu, gain = collision_grids(broadwell, f_stage, k=st.k, smoothed=sm)
         bal = characteristic_balance(disk, broadwell, f_stage, st.boundary,
                                      alpha, nu, gain)
@@ -153,7 +153,7 @@ def test_criterion_5_conservation_identities(disk, broadwell, maxwellian_sweep):
     for st in sweep.stages[-2:]:
         alpha = st.continuation.alphas[-1]
         f_stage = st.continuation.fields[-1]
-        sm = mollify_field(f_stage, MollifierSpec(alpha), warn_small=False)
+        sm = mollify_field(f_stage, alpha)
         nu, gain = collision_grids(broadwell, f_stage, k=st.k, smoothed=sm)
         bal = characteristic_balance(disk, broadwell, f_stage, st.boundary,
                                      alpha, nu, gain)

@@ -166,6 +166,70 @@ def test_solve_rejects_bad_config(tmp_path, shifted_model_file):
     assert main(["solve", str(cfg2)]) == 2
 
 
+@pytest.mark.parametrize("option", [
+    {"grid_n": 2},                        # the grid needs at least 4 cells a side
+    {"tol_inner": "x"},
+    {"alpha_schedule": [0.25, 0.5]},      # must decrease toward 0
+    {"mono_hard_tol": 1e-12},             # a removed option is an unknown one
+])
+def test_sweep_rejects_invalid_solver_option(tmp_path, shifted_model_file, capsys, option):
+    cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"},
+                       {**SMALL_SOLVER, **option})
+    assert main(["sweep", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(option)) in err
+    assert not (tmp_path / "out").exists()
+
+
+def write_csv_boundary(tmp_path, values):
+    path = tmp_path / "inflow.csv"
+    rows = [f"{i + 1},{t},{values[i]}" for i in range(4) for t in (0.0, 3.0, 6.0)]
+    path.write_text("component,t,value\n" + "\n".join(rows) + "\n")
+    return {"profile": "csv", "path": str(path)}
+
+
+@pytest.mark.parametrize("boundary", [
+    {"profile": "constant", "values": [1.0, -1.0, 1.0, 1.0]},
+    {"profile": "constant", "values": [1.0, float("inf"), 1.0, 1.0]},
+    {"profile": "maxwellian", "a": 0.0, "b": [0.0, 0.0], "c": 500.0},   # overflows to inf
+    {"profile": "step", "inside": [1.0, 1.0, -2.0, 1.0]},
+    "csv",
+])
+def test_solve_rejects_negative_or_infinite_inflow(tmp_path, shifted_model_file, capsys,
+                                                   boundary):
+    if boundary == "csv":
+        boundary = write_csv_boundary(tmp_path, [1.0, 1.0, 1.0, -0.5])
+    cfg = write_config(tmp_path, shifted_model_file, boundary, SMALL_SOLVER)
+    assert main(["solve", str(cfg)]) == 2
+    assert "finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("boundary, domain", [
+    ({"profile": "zero"}, {"kind": "disk", "radius": "x"}),
+    ({"profile": "zero"}, {"kind": "ellipse"}),             # no semi_axes
+    ({"profile": "step", "t0": "x"}, None),
+    ({"period": "x"}, None),                                 # csv profile
+    ({"period": 0.0}, None),
+], ids=["disk radius", "ellipse axes", "step t0", "csv period", "csv zero period"])
+def test_solve_rejects_malformed_domain_or_boundary(tmp_path, shifted_model_file,
+                                                     boundary, domain):
+    if "profile" not in boundary:
+        boundary = {**write_csv_boundary(tmp_path, [1.0] * 4), **boundary}
+    cfg = write_config(tmp_path, shifted_model_file, boundary, SMALL_SOLVER)
+    if domain is not None:
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "domain": domain}))
+    assert main(["solve", str(cfg)]) == 2
+
+
+def test_solve_accepts_csv_inflow(tmp_path, shifted_model_file):
+    cfg = write_config(tmp_path, shifted_model_file,
+                       write_csv_boundary(tmp_path, [1.0, 0.5, 2.0, 0.0]),
+                       {"grid_n": 16, "alpha": 0.5, "k": 8.0})
+    assert main(["solve", "--single-stage", str(cfg)]) == 0
+
+
 def test_solve_rejects_uncertified_model(tmp_path, classical_model_file):
     cfg = write_config(tmp_path, classical_model_file, {"profile": "zero"},
                        SMALL_SOLVER)
@@ -224,3 +288,20 @@ def test_diagnose_constant_field_hand_made(tmp_path, shifted_model_file, capsys)
     assert code == 0
     assert report["dissipation"] == 0.0
     assert np.allclose(report["inflow"], report["outflow"], rtol=1e-6)
+
+
+@pytest.mark.parametrize("row", ["0.125,0.125,0,1.0", "-1.5,0.125,1,1.0", "0.125,0.125,1,-1.0"])
+def test_diagnose_rejects_bad_field_rows(tmp_path, shifted_model_file, capsys, row):
+    """Unchecked, component 0 and x = -1.5 would wrap to component 4 and
+    column 6 at 8^2, and a negative density would reach the collision
+    operator."""
+    cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"}, {"grid_n": 8})
+    from dvmbvp.cli import load_run_config, run_hash
+    model, domain, boundary, config, outdir, raw = load_run_config(cfg)
+    outdir.mkdir(parents=True)
+    (outdir / "bad.csv").write_text("x,y,component,value\n" + row + "\n")
+    (outdir / "bad.meta.json").write_text(json.dumps({"hash": run_hash(model, raw)}))
+    code = main(["diagnose", "--fields", str(outdir / "bad.csv"), "--config", str(cfg)])
+    assert code == 2
+    assert "cannot read field CSV" in capsys.readouterr().err
+    assert not (outdir / "diagnostics.json").exists()

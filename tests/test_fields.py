@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dvmbvp.fields import (BoundaryData, Field, FieldError, Grid,
-                           MollifierSpec, SampledTrace, bump_profile,
-                           mollify_interior, truncate_and_mollify_boundary)
+from dvmbvp.fields import (BoundaryData, Field, FieldError, Grid, SampledTrace,
+                           _bump_kernel, bump_profile, mollify_interior,
+                           truncate_and_mollify_boundary)
 from dvmbvp.geometry import ConvexDomain, boundary_param
 
 
@@ -63,8 +63,7 @@ def test_bump_profile_support():
 
 def test_mollify_constant_exact(disk, grid24):
     f = Field.constant(grid24, [3.5])
-    out = mollify_interior(f.values[0], MollifierSpec(4 * grid24.h), grid24,
-                           warn_small=False)
+    out = mollify_interior(f.values[0], 4 * grid24.h, grid24)
     assert np.allclose(out[grid24.mask], 3.5, atol=1e-13)
 
 
@@ -72,7 +71,7 @@ def test_mollify_linear_interior_unchanged(disk):
     grid = Grid(disk, 32)
     radius = 3 * grid.h
     f = Field.from_function(grid, [lambda x, y: 2.0 + x])
-    out = mollify_interior(f.values[0], MollifierSpec(radius), grid, warn_small=False)
+    out = mollify_interior(f.values[0], radius, grid)
     # deep interior: stencil fully inside, symmetric kernel kills odd moments
     rr = np.linalg.norm(grid.centers, axis=-1)
     deep = grid.mask & (rr < 1.0 - radius - 2 * grid.h)
@@ -83,7 +82,7 @@ def test_mollify_halfplane_indicator_transition(disk):
     grid = Grid(disk, 48)
     radius = 4 * grid.h
     f = Field.from_function(grid, [lambda x, y: (x > 0).astype(float)])
-    out = mollify_interior(f.values[0], MollifierSpec(radius), grid, warn_small=False)
+    out = mollify_interior(f.values[0], radius, grid)
     row = grid.ny // 2
     xs = grid.xs
     vals = out[row]
@@ -98,12 +97,11 @@ def test_mollify_mass_against_bruteforce_oracle(disk):
     grid = Grid(disk, 20)
     radius = 3 * grid.h
     f = Field.from_function(grid, [lambda x, y: 1.0 + 0.5 * x + 0.25 * y * y])
-    out = mollify_interior(f.values[0], MollifierSpec(radius), grid, warn_small=False)
+    out = mollify_interior(f.values[0], radius, grid)
 
     # independent dense oracle: explicit nearest-interior search (min distance,
     # lexicographic tie-break) and direct python sums
-    spec = MollifierSpec(radius)
-    offs, w = spec.kernel_offsets(grid.h)
+    offs, w = _bump_kernel(radius, grid.h)
     interior = [tuple(rc) for rc in np.argwhere(grid.mask)]
     vals = f.values[0]
 
@@ -137,7 +135,7 @@ def test_mollify_positivity_and_interior_mass(disk):
     # never leaves the interior, so mass is preserved up to rounding
     f = Field.from_function(grid, [
         lambda x, y: np.maximum(0.0, 0.55 - np.hypot(x, y)) * (2 + np.sin(3 * x))])
-    out = mollify_interior(f.values[0], MollifierSpec(radius), grid, warn_small=False)
+    out = mollify_interior(f.values[0], radius, grid)
     assert out[grid.mask].min() >= 0.0
     mass_in = f.values[0].sum() * grid.cell_area
     mass_out = out.sum() * grid.cell_area
@@ -150,16 +148,17 @@ def test_mollify_boundary_mass_growth_is_curvature_bounded(disk):
     grid = Grid(disk, 32)
     radius = 4 * grid.h
     f = Field.from_function(grid, [lambda x, y: 1.0 + x * x + y * y])
-    out = mollify_interior(f.values[0], MollifierSpec(radius), grid, warn_small=False)
+    out = mollify_interior(f.values[0], radius, grid)
     growth = out.sum() / f.values[0].sum() - 1.0
     assert growth <= (radius / 1.0) ** 2
     assert out[grid.mask].min() >= 0.0
 
 
-def test_mollify_small_radius_warns(disk, grid24):
+@pytest.mark.parametrize("radius", [0.0, -0.1])
+def test_mollify_rejects_nonpositive_radius(grid24, radius):
     f = Field.constant(grid24, [1.0])
-    with pytest.warns(UserWarning, match="radius"):
-        mollify_interior(f.values[0], MollifierSpec(0.5 * grid24.h), grid24)
+    with pytest.raises(FieldError, match="radius"):
+        mollify_interior(f.values[0], radius, grid24)
 
 
 # -- boundary traces -------------------------------------------------------------------
@@ -238,3 +237,20 @@ def test_field_csv_roundtrip(tmp_path, grid24):
     g = Field.load_csv(path, grid24, 3)
     assert np.array_equal(f.values, g.values)
     assert abs(f.mass() - g.mass()) == 0.0
+
+
+@pytest.mark.parametrize("row, match", [
+    ("0,0,0,1.0", "component"),          # component 0 would wrap to index -1
+    ("0,0,4,1.0", "component"),          # one past p = 3
+    ("-1.5,0,1,1.0", "interior cell"),   # column -2 would wrap to nx - 2
+    ("0,1.5,1,1.0", "interior cell"),    # row past the lattice
+    ("0.875,0.875,1,1.0", "interior cell"),     # corner cell centre, outside the disk
+    ("0,0,1,-1.0", "density"),
+    ("0,0,1,nan", "density"),
+])
+def test_field_csv_rejects_cells_off_the_grid(tmp_path, disk, row, match):
+    grid = Grid(disk, 8)
+    path = tmp_path / "field.csv"
+    path.write_text("x,y,component,value\n0.125,0.125,1,2.0\n" + row + "\n")
+    with pytest.raises(FieldError, match=match):
+        Field.load_csv(path, grid, 3)

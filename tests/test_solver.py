@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dvmbvp as dv
-from dvmbvp.fields import BoundaryData, Field, MollifierSpec, mollify_field
+from dvmbvp.fields import BoundaryData, Field, mollify_field
 from dvmbvp.solver import (SolverConfig, SolverError, SolverWorkspace,
                            compute_mass_cap, exponential_step,
                            inner_monotone_solve, outer_fixed_point,
@@ -357,7 +357,7 @@ def test_continuation_gap_shrinks_with_alpha(disk, broadwell, ws24):
     cont = dv.alpha_continuation(disk, broadwell, bd, cfg, workspace=ws24)
     gaps = []
     for a, f in zip(cont.alphas, cont.fields):
-        sm = mollify_field(f, MollifierSpec(a), warn_small=False)
+        sm = mollify_field(f, a)
         nu, gain = collision_grids(broadwell, f, k=8.0, smoothed=sm)
         bal = characteristic_balance(disk, broadwell, f, bd, a, nu, gain)
         gaps.append(bal.gap)
@@ -459,7 +459,7 @@ def test_solve_on_ellipse(broadwell):
     F, tr = outer_fixed_point(dom, broadwell, bd, cfg)
     assert tr.converged and tr.monotone_violations == 0
     assert F.min_value() >= 0.0
-    sm = mollify_field(F, MollifierSpec(cfg.radius()), warn_small=False)
+    sm = mollify_field(F, cfg.alpha)
     nu, gain = collision_grids(broadwell, F, k=8.0, smoothed=sm)
     bal = characteristic_balance(dom, broadwell, F, bd, 0.25, nu, gain)
     assert np.max(bal.scheme_residual_relative) < 1e-12
