@@ -90,6 +90,8 @@ def load_run_config(path):
     _check_solver_config(config)
 
     outdir = raw.get("output_dir", "out")
+    if not isinstance(outdir, str) or not outdir:
+        raise StructuralError("output_dir must be a nonempty path")
     return model, domain, boundary, config, Path(outdir), raw
 
 
@@ -311,6 +313,15 @@ def _write_field(field: Field, path: Path, meta: dict) -> None:
         fh.write("\n")
 
 
+def _make_output_dir(outdir: Path) -> str | None:
+    """Create `outdir`; None on success, else the reason in one line."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return f"cannot create output_dir {str(outdir)!r}: {exc.strerror or exc}"
+    return None
+
+
 def cmd_solve(args) -> int:
     try:
         model, domain, boundary, config, outdir, raw = load_run_config(args.config)
@@ -320,7 +331,9 @@ def cmd_solve(args) -> int:
     if not cert.certified:
         print("model failed certification; run `dvmbvp model check`", file=sys.stderr)
         return EXIT_PHYSICS
-    outdir.mkdir(parents=True, exist_ok=True)
+    err = _make_output_dir(outdir)
+    if err:
+        return _fail_input(err)
     rhash = run_hash(model, raw)
     grid = Grid(domain, config.grid_n)
     ws = SolverWorkspace(domain, model, grid, config)
@@ -355,6 +368,8 @@ def cmd_solve(args) -> int:
             json.dump({"hash": rhash, **stage.diagnostics,
                        "cauchy_distances": stage.continuation.cauchy_distances,
                        "alpha_converged": stage.continuation.converged,
+                       "stage_terminations": [t.termination
+                                              for t in stage.continuation.traces],
                        "final_residual": stage.continuation.final_residual,
                        "warnings": stage.continuation.warnings}, fh, indent=2)
     final = sweep.field
@@ -402,6 +417,9 @@ def cmd_diagnose(args) -> int:
         field = Field.load_csv(field_path, grid, model.p)
     except Exception as exc:
         return _fail_input(f"cannot read field CSV: {exc}")
+    err = _make_output_dir(outdir)
+    if err:
+        return _fail_input(err)
 
     k = float(meta.get("k", config.k))
     rep = diag.mass_energy_flux(domain, model, field, boundary, alpha=0.0, k=k)
@@ -435,7 +453,6 @@ def cmd_diagnose(args) -> int:
         "moduli_shifts": shifts,
         "moduli": moduli,
     }
-    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "diagnostics.json", "w") as fh:
         json.dump(report, fh, indent=2)
     lines = [f"{key}: {val}" for key, val in report.items() if key != "moduli"]

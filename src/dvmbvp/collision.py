@@ -105,17 +105,21 @@ def _partner_sum(model: VelocityModel, x) -> np.ndarray:
     return out
 
 
-def gain_truncated(model: VelocityModel, tr_local, tr_smoothed) -> np.ndarray:
+def gain_truncated(model: VelocityModel, tr_local, tr_smoothed,
+                   component: int | None = None) -> np.ndarray:
     """Per-component sum gamma * tr_local_out1 * tr_smoothed_out2.
 
     With pre-truncated factor arrays this is the truncated gain (solver fast
     path); with the plain state in both slots it is the untruncated gain.
+    With `component` = i only row i is computed, from the same products
+    added in the same order, so it equals row i of the full sum bitwise.
     """
     ex = expansion(model)
-    g = ex.gamma.reshape((-1,) + (1,) * (tr_local.ndim - 1))
     gain = np.zeros_like(tr_local)
-    np.add.at(gain, ex.a, g * tr_local[ex.out1] * tr_smoothed[ex.out2])
-    return gain
+    for e, a in enumerate(ex.a):
+        if component is None or a == component:
+            gain[a] += ex.gamma[e] * tr_local[ex.out1[e]] * tr_smoothed[ex.out2[e]]
+    return gain if component is None else gain[component]
 
 
 def eval_untruncated(model: VelocityModel, values) -> CollisionEval:

@@ -112,27 +112,29 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
                                          domain.exit_times(arc.points, v), v, 0.5 * grid.h)
         nu_s = grid.gather(grid.pad(nu[i]).ravel(), flat, wts)
         g_s = grid.gather(grid.pad(gain[i]).ravel(), flat, wts)
+        del flat, wts           # the largest arrays here; freed before the coefficients
         nu_bar = 0.5 * (nu_s[:-1] + nu_s[1:])
         g_bar = 0.5 * (g_s[:-1] + g_s[1:])
+        # step coefficients of every ray at once, shape (L - 1, rays)
+        lam = alpha + nu_bar
+        x = lam * steps
+        em1 = -np.expm1(-x)                         # 1 - exp(-x), accurate
+        # division-free forms of (1 - e^-x)/x and (x - 1 + e^-x)/x^2
+        with np.errstate(invalid="ignore"):
+            em1_over_x = np.where(x > 1e-12, em1 / np.where(x > 0, x, 1.0),
+                                  1.0 - 0.5 * x)
+            g2 = np.where(x > 1e-6, (x - em1) / np.where(x > 0, x * x, 1.0),
+                          0.5 - x / 6.0)
+        g_dt = g_bar * steps
+        g_dt_g2 = g_dt * g2
         F = b.copy()
         I_mass = np.zeros_like(b)
         I_net = np.zeros_like(b)
         for m, dt in enumerate(steps):
-            lam = alpha + nu_bar[m]
-            gm = g_bar[m]
-            x = lam * dt
-            em1 = -np.expm1(-x)                     # 1 - exp(-x), accurate
-            # division-free forms of (1 - e^-x)/x and (x - 1 + e^-x)/x^2
-            with np.errstate(invalid="ignore"):
-                em1_over_x = np.where(x > 1e-12, em1 / np.where(x > 0, x, 1.0),
-                                      1.0 - 0.5 * x)
-                g2 = np.where(x > 1e-6, (x - em1) / np.where(x > 0, x * x, 1.0),
-                              0.5 - x / 6.0)
-            F_new = F + (gm - lam * F) * dt * em1_over_x
-            seg_mass = dt * (gm * dt * g2 + F * em1_over_x)
-            seg_net = gm * dt - nu_bar[m] * seg_mass
+            F_new = F + (g_bar[m] - lam[m] * F) * dt * em1_over_x[m]
+            seg_mass = dt * (g_dt_g2[m] + F * em1_over_x[m])
             I_mass += seg_mass
-            I_net += seg_net
+            I_net += g_dt[m] - nu_bar[m] * seg_mass
             F = F_new
         inflow[i] = float(np.sum(w * b))
         outflow[i] = float(np.sum(w * F))

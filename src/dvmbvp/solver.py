@@ -4,12 +4,25 @@ One stage solves, for fixed damping alpha > 0 and truncation level k > 1,
 
     alpha F_a + v_a . grad F_a = gain_a(F, frozen * mu) - F_a freq_a(F, frozen * mu)
 
-with prescribed inflow, by the monotone inner iteration: the new iterate is
-obtained by integrating gain and frequency of the previous one along each
-backward characteristic in exponential (integrating-factor) form, starting
-from zero.  The outer loop updates the frozen convolved state until the map
-reaches its fixed point.  Continuation then sends alpha -> 0 at fixed k, and
-an outer sweep raises k.
+with prescribed inflow, by the monotone inner iteration: starting from zero,
+each transport sweep integrates gain and frequency along every backward
+characteristic in exponential (integrating-factor) form.  The sweep is a
+Gauss-Seidel pass over the components: component i is transported with its
+frequency from its own current value and its gain from the components
+already updated in the same pass.  The stage map is isotone (the frequency
+falls and the gain grows as F grows), so from zero every operand of a pass
+is at least its value in the previous pass, and the iterates still increase
+bitwise, each at least the Jacobi iterate of the same step (Ortega &
+Rheinboldt 1970, 13.2).
+
+The outer loop updates the frozen convolved state until the map reaches its
+fixed point.  Its inner ladders are inexact: each stops at
+max(tol_inner, INNER_FORCING x the previous outer relative change), the
+forcing term of inexact Newton methods (Dembo, Eisenstat & Steihaug 1982),
+and a stage converges only after a ladder that ran at tol_inner itself.
+Continuation then sends alpha -> 0 at fixed k; every stage except the last
+two, which feed the Richardson extrapolation, is a warm start that stops at
+max(tol_outer, WARM_START_TOL).  An outer sweep raises k.
 
 Cells that share a backward characteristic share one line (the method of
 long characteristics): one transport sweep advances a single exponential
@@ -35,6 +48,12 @@ from .collision import (eval_convolved_truncated, eval_truncated, eval_untruncat
 from .fields import BoundaryData, Field, Grid, mollify_field, truncate_and_mollify_boundary
 from .geometry import BoundaryArc, ConvexDomain, boundary_param, boundary_quadrature
 from .model import VelocityModel
+
+# An inner ladder stops at max(tol_inner, INNER_FORCING x the previous outer
+# relative change).
+INNER_FORCING = 0.1
+# Alpha stages before the last two stop at max(tol_outer, WARM_START_TOL).
+WARM_START_TOL = 1e-5
 
 
 class SolverError(RuntimeError):
@@ -279,17 +298,31 @@ class SolverWorkspace:
             F[m + 1] += F[m] * E[m]
         return F
 
-    def apply_exponential(self, entry_vals, nu: np.ndarray, gain: np.ndarray,
-                          alpha: float) -> np.ndarray:
-        """One transport sweep of the exponential form for all components."""
+    def apply_exponential(self, entry_vals, nu, gain, alpha: float,
+                          out: np.ndarray | None = None) -> np.ndarray:
+        """One transport sweep of the exponential form, component by component.
+
+        `nu` and `gain` are (p, ny, nx) arrays, or callables that return
+        component i's (ny, nx) values.  For i = 0, ..., p-1 in index order,
+        nu(i) and then gain(i) are called exactly once, just before component
+        i is transported, when components 0..i-1 of `out` hold this sweep's
+        values and i..p-1 the previous ones; with callables that read `out`,
+        the sweep is a Gauss-Seidel pass (inner_monotone_solve relies on this
+        order to refresh one truncated factor per gain call).  The tabulated and grazing
+        cells of `out` (a new zero array by default; C-contiguous, as it is
+        written through views) are overwritten.
+        """
         grid = self.grid
-        out = np.zeros((self.model.p, grid.ny, grid.nx))
+        if out is None:
+            out = np.zeros((self.model.p, grid.ny, grid.nx))
         for i in range(self.model.p):
             tab = self.table(i)
             b, b_graz = entry_vals[i]
+            nu_i = nu(i) if callable(nu) else nu[i]
+            gain_i = gain(i) if callable(gain) else gain[i]
             comp = out[i].ravel()
             comp[tab.cells_flat] = self._transport(
-                tab.dt, b, self._samples(tab, nu[i]), self._samples(tab, gain[i]),
+                tab.dt, b, self._samples(tab, nu_i), self._samples(tab, gain_i),
                 alpha).ravel()[tab.node]
             comp[tab.grazing_flat] = b_graz
         return out
@@ -350,6 +383,7 @@ class SolveTrace:
     min_values: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
     termination: str = ""
+    tolerance: float = float("nan")     # relative change at which the loop stops
     converged: bool = False
     monotone_checked: bool = False
     monotone_violations: int = 0
@@ -393,10 +427,14 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     """Monotone ladder for the stage map at one frozen convolved state.
 
     The frozen state is mollified with radius alpha.  Starting from zero,
-    each step transports the previous iterate's truncated gain and
-    frequency.  The iterates increase cellwise and their mass stays below
-    the damping cap; both properties are monitored, and a cellwise decrease
-    beyond 1e-12 (1 + max F) is a hard failure.
+    each step is one Gauss-Seidel transport pass: component i is transported
+    with the truncated frequency of its own current value and the truncated
+    gain of the components already updated in the pass (the truncated
+    factor of each component is refreshed once, after it is written).  The
+    ladder stops when the relative L1 increment of a pass is at most
+    config.tol_inner.  The iterates increase cellwise and their mass stays
+    below the damping cap; both properties are monitored, and a cellwise
+    decrease beyond 1e-12 (1 + max F) is a hard failure.
     """
     if np.any(frozen.values < 0):
         raise SolverError("frozen state must be nonnegative")
@@ -413,32 +451,42 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     tr_sm = truncated_factor(smoothed.values, k)
 
     trace = SolveTrace(kind="inner", mass_cap=mass_cap, monotone_checked=True,
+                       tolerance=config.tol_inner,
                        grazing_cells=sum(len(ws.table(i).grazing_flat)
                                          for i in range(model.p)))
-    F = np.zeros_like(frozen.values)
+    F = np.zeros((model.p, ws.grid.ny, ws.grid.nx))
+    tr_F = np.zeros_like(F)              # truncated factors of F, refreshed per component
+
+    def nu_of(i):
+        return source[i] / (1.0 + F[i] / k)
+
+    def gain_of(i):
+        # component i - 1 was written last (for i = 0: the last component, by
+        # the previous pass)
+        tr_F[i - 1] = truncated_factor(F[i - 1], k)
+        return gain_truncated(model, tr_F, tr_sm, component=i)
+
     area = ws.grid.cell_area
     for q in range(config.max_inner):
         t0 = time.perf_counter()
-        nu = source / (1.0 + F / k)
-        gain = gain_truncated(model, truncated_factor(F, k), tr_sm)
-        F_new = ws.apply_exponential(entry_vals, nu, gain, alpha)
-        viol = int(np.sum(F_new < F))
+        prev = F.copy()
+        ws.apply_exponential(entry_vals, nu_of, gain_of, alpha, out=F)
+        viol = int(np.sum(F < prev))
         trace.monotone_violations += viol
         if viol:
-            worst = float(np.max(F - F_new))
-            if worst > 1e-12 * (1.0 + float(np.max(F))):
+            worst = float(np.max(prev - F))
+            if worst > 1e-12 * (1.0 + float(np.max(prev))):
                 raise SolverError(
                     f"monotone ladder decreased by {worst:.3e} at iteration {q}; "
                     "this indicates a quadrature defect")
-        inc = float(np.abs(F_new - F).sum() * area)
-        mass = float(F_new.sum() * area)
+        inc = float(np.abs(F - prev).sum() * area)
+        mass = float(F.sum() * area)
         trace.increments.append(inc)
         trace.masses.append(mass)
-        trace.min_values.append(float(F_new.min()))
+        trace.min_values.append(float(F.min()))
         trace.wall_times.append(time.perf_counter() - t0)
         if mass_cap > 0:
             trace.mass_cap_max_ratio = max(trace.mass_cap_max_ratio, mass / mass_cap)
-        F = F_new
         if inc <= config.tol_inner * (mass + 1e-300):
             trace.termination = "converged"
             trace.converged = True
@@ -457,11 +505,16 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
                       start: Field | None = None):
     """Picard iteration of the stage map (frozen state -> transported state).
 
-    Convergence of this loop is monitored, not guaranteed; a stall after
-    max_outer steps is reported through the trace, never asserted away.  The
-    stage counts as converged only when the relative change falls below
-    tol_outer after an inner ladder that converged, and the final residual
-    is finite.
+    The inner ladders are inexact: the first runs at tol_inner, and each
+    later one stops at max(tol_inner, INNER_FORCING x the previous relative
+    change), so early ladders, whose frozen state is still far from the
+    fixed point, stop early.  Convergence of this loop is monitored, not
+    guaranteed; a stall after max_outer steps is reported through the trace,
+    never asserted away.  The stage counts as converged only when the
+    relative change falls below tol_outer after an inner ladder that ran at
+    tol_inner and converged, and the final residual is finite; a relaxed
+    ladder that meets tol_outer is followed by one more outer iteration at
+    tol_inner.
     """
     if config.alpha <= 0 or config.k <= 1:
         raise SolverError("stage requires alpha > 0 and k > 1")
@@ -472,12 +525,13 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     mass_cap = compute_mass_cap(domain, model, boundary, config.alpha,
                                 arcs=ws.inflow_arcs())
     f = start.copy() if start is not None else Field.zeros(grid, model.p)
-    trace = SolveTrace(kind="outer", mass_cap=mass_cap)
+    trace = SolveTrace(kind="outer", mass_cap=mass_cap, tolerance=config.tol_outer)
+    tol_inner = config.tol_inner
     for it in range(config.max_outer):
         t0 = time.perf_counter()
         F, itrace = inner_monotone_solve(
-            domain, model, boundary, f, config, workspace=ws,
-            entry_vals=entry_vals, mass_cap=mass_cap)
+            domain, model, boundary, f, replace(config, tol_inner=tol_inner),
+            workspace=ws, entry_vals=entry_vals, mass_cap=mass_cap)
         change = F.l1_distance(f)
         rel = change / max(F.mass(), 1e-300)
         trace.increments.append(rel)
@@ -489,11 +543,13 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
         trace.monotone_checked = trace.monotone_checked or itrace.monotone_checked
         trace.mass_cap_max_ratio = max(trace.mass_cap_max_ratio, itrace.mass_cap_max_ratio)
         f = F
-        if rel <= config.tol_outer:
+        if rel <= config.tol_outer and tol_inner == config.tol_inner:
             # an inner ladder cut off by max_inner can leave the iterate unchanged
             # without reaching the stage map's fixed point
             trace.termination = "converged" if itrace.converged else "inner_not_converged"
             break
+        tol_inner = (config.tol_inner if rel <= config.tol_outer
+                     else max(config.tol_inner, INNER_FORCING * rel))
     else:
         trace.termination = "max_outer"
     res = residual_mild(domain, model, boundary, f, k=config.k, alpha=config.alpha,
@@ -539,7 +595,11 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
     are reported as an empirical convergence (Cauchy) monitor.  With two or
     more stages the returned estimate removes the leading linear damping
     bias by Richardson extrapolation of the last two stages (clipped at zero
-    to preserve positivity).
+    to preserve positivity).  Only those two stages run at tol_outer; every
+    earlier stage only warm-starts the next one, stops at
+    max(tol_outer, WARM_START_TOL) and, when it converges there, reports the
+    termination "converged_warm_start" (still converged).  Their Cauchy
+    distances therefore carry errors at that level.
     """
     schedule = list(config.alpha_schedule)
     if any(a2 >= a1 for a1, a2 in zip(schedule, schedule[1:])) or schedule[-1] <= 0:
@@ -548,11 +608,16 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
     fields_, traces, alphas = [], [], []
     notes = []
     prev = start
-    for a in schedule:
+    for j, a in enumerate(schedule):
+        warm = j < len(schedule) - 2
         cfg = replace(config, alpha=a)
+        if warm:
+            cfg = replace(cfg, tol_outer=max(config.tol_outer, WARM_START_TOL))
         if ws is None:
             ws = SolverWorkspace(domain, model, Grid(domain, config.grid_n), cfg)
         F, tr = outer_fixed_point(domain, model, boundary, cfg, workspace=ws, start=prev)
+        if warm and tr.converged:
+            tr.termination = "converged_warm_start"
         if not tr.converged:
             notes.append(f"stage alpha={a} did not converge ({tr.termination})")
         fields_.append(F)

@@ -230,6 +230,34 @@ def test_solve_accepts_csv_inflow(tmp_path, shifted_model_file):
     assert main(["solve", "--single-stage", str(cfg)]) == 0
 
 
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--single-stage"], ["sweep"]])
+def test_solve_rejects_output_dir_that_is_a_file(tmp_path, shifted_model_file, capsys,
+                                                 command):
+    cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"}, SMALL_SOLVER)
+    (tmp_path / "out").write_text("not a directory")
+    assert main(command + [str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output_dir") and err.count("\n") == 1
+
+
+def test_solve_rejects_non_string_output_dir(tmp_path, shifted_model_file, capsys):
+    cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"}, SMALL_SOLVER)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "output_dir": 5}))
+    assert main(["solve", str(cfg)]) == 2
+    assert "output_dir" in capsys.readouterr().err
+
+
+def test_sweep_reports_stage_terminations(tmp_path, shifted_model_file):
+    cfg = write_config(tmp_path, shifted_model_file,
+                       {"profile": "constant", "values": [1.0, 1.0, 1.0, 1.0]},
+                       {**SMALL_SOLVER, "alpha_schedule": [0.5, 0.25, 0.125]})
+    assert main(["sweep", str(cfg)]) == 0
+    for k in (4, 16):
+        report = json.loads((tmp_path / "out" / f"report_k{k}.json").read_text())
+        assert report["stage_terminations"] == ["converged_warm_start", "converged",
+                                                "converged"]
+
+
 def test_solve_rejects_uncertified_model(tmp_path, classical_model_file):
     cfg = write_config(tmp_path, classical_model_file, {"profile": "zero"},
                        SMALL_SOLVER)
@@ -288,6 +316,20 @@ def test_diagnose_constant_field_hand_made(tmp_path, shifted_model_file, capsys)
     assert code == 0
     assert report["dissipation"] == 0.0
     assert np.allclose(report["inflow"], report["outflow"], rtol=1e-6)
+
+
+def test_diagnose_rejects_output_dir_that_is_a_file(tmp_path, shifted_model_file, capsys):
+    cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"}, SMALL_SOLVER)
+    assert main(["solve", str(cfg)]) == 0
+    capsys.readouterr()
+    other = json.loads(cfg.read_text())
+    other["output_dir"] = str(tmp_path / "out" / "field_final.csv")
+    cfg.write_text(json.dumps(other))
+    code = main(["diagnose", "--fields", str(tmp_path / "out" / "field_final.csv"),
+                 "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output_dir") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("row", ["0.125,0.125,0,1.0", "-1.5,0.125,1,1.0", "0.125,0.125,1,-1.0"])

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import dvmbvp as dv
 from dvmbvp.collision import (CollisionDomainError, eval_convolved_truncated,
-                              eval_truncated, eval_untruncated, truncated_factor)
+                              eval_truncated, eval_untruncated, expansion,
+                              gain_truncated, truncated_factor)
 
 
 def test_hand_expansion_single_rule(broadwell):
@@ -138,6 +139,25 @@ def test_mass_symmetry_hypothesis(broadwell_state, k):
     ev = eval_truncated(m, f, k)
     lhs, rhs = ev.gain.sum(), ev.loss.sum()
     assert abs(lhs - rhs) <= 1e-12 * max(lhs, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(), (7, 9)])
+def test_gain_row_equals_full_sum_bitwise(broadwell, two_circle_model, shape):
+    """The Gauss-Seidel pass reads one gain row at a time; the full sum equals
+    the entry-ordered np.add.at reference bitwise."""
+    rng = np.random.default_rng(5)
+    for model in (broadwell, two_circle_model, dv.shifted_broadwell(gamma=0.7)):
+        x = truncated_factor(rng.uniform(0.0, 6.0, (model.p,) + shape), 12.0)
+        y = truncated_factor(rng.uniform(0.0, 6.0, (model.p,) + shape), 12.0)
+        full = gain_truncated(model, x, y)
+        ex = expansion(model)
+        ref = np.zeros_like(x)
+        np.add.at(ref, ex.a, ex.gamma.reshape((-1,) + (1,) * len(shape))
+                  * x[ex.out1] * y[ex.out2])
+        assert np.array_equal(full, ref)
+        for i in range(model.p):
+            row = gain_truncated(model, x, y, component=i)
+            assert row.shape == shape and np.array_equal(row, full[i])
 
 
 # -- monotonicity ------------------------------------------------------------------

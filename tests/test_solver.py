@@ -5,13 +5,15 @@ the ladder are the primary oracles.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dvmbvp as dv
+from dvmbvp.collision import frequency_source, gain_truncated, truncated_factor
 from dvmbvp.fields import BoundaryData, Field, mollify_field
-from dvmbvp.solver import (SolverConfig, SolverError, SolverWorkspace,
+from dvmbvp.solver import (WARM_START_TOL, SolverConfig, SolverError, SolverWorkspace,
                            compute_mass_cap, exponential_step,
                            inner_monotone_solve, outer_fixed_point,
                            residual_mild, residual_renormalized)
@@ -264,6 +266,75 @@ def test_inner_tightened_quadrature_agrees(disk, broadwell):
     assert diff < 2e-4
 
 
+def stage_rates(model, frozen, cfg):
+    """Frequency source and truncated smoothed state of the stage map."""
+    sm = mollify_field(frozen, cfg.alpha)
+    return frequency_source(model, sm.values, cfg.k), truncated_factor(sm.values, cfg.k)
+
+
+def jacobi_pass(ws, model, entry, source, tr_sm, F, cfg):
+    """One Jacobi step of the stage map: every component from the previous iterate."""
+    nu = source / (1.0 + F / cfg.k)
+    gain = gain_truncated(model, truncated_factor(F, cfg.k), tr_sm)
+    return ws.apply_exponential(entry, nu, gain, cfg.alpha)
+
+
+def test_apply_exponential_callables_match_arrays(disk, broadwell, ws24):
+    rng = np.random.default_rng(3)
+    shape = (broadwell.p, ws24.grid.ny, ws24.grid.nx)
+    nu = rng.uniform(0.0, 2.0, shape) * ws24.grid.mask
+    gain = rng.uniform(0.0, 1.0, shape) * ws24.grid.mask
+    entry = ws24.entry_values(BoundaryData.constant([0.5, 1.0, 1.5, 2.0]))
+    want = ws24.apply_exponential(entry, nu, gain, 0.25)
+    got = ws24.apply_exponential(entry, lambda i: nu[i], lambda i: gain[i], 0.25)
+    assert np.array_equal(got, want)
+
+
+def test_inner_pass_is_gauss_seidel(disk, broadwell, ws24):
+    """Each inner step transports component i with the frequency of its own
+    previous value and the gain of the components already updated."""
+    cfg = SolverConfig(alpha=0.5, k=8.0, grid_n=24)
+    bd = BoundaryData.constant([1.0, 0.5, 2.0, 1.5])
+    frozen = Field.constant(ws24.grid, [1.0, 0.8, 1.2, 0.9])
+    source, tr_sm = stage_rates(broadwell, frozen, cfg)
+    entry = ws24.entry_values(bd)
+    G = np.zeros((broadwell.p, ws24.grid.ny, ws24.grid.nx))
+    for q in (1, 2, 3):
+        for i in range(broadwell.p):
+            G[i] = jacobi_pass(ws24, broadwell, entry, source, tr_sm, G, cfg)[i]
+        F, tr = inner_monotone_solve(disk, broadwell, bd, frozen,
+                                     replace(cfg, max_inner=q), workspace=ws24)
+        assert tr.iterations == q
+        assert np.array_equal(F.values, G)
+
+
+def test_gauss_seidel_and_jacobi_ladders_share_the_fixed_point(disk, broadwell, ws24):
+    cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=24)
+    bd = BoundaryData.maxwellian(broadwell, 0.0, (0.1, -0.2), 0.05)
+    frozen = Field.constant(ws24.grid, np.exp(broadwell.v @ [0.1, -0.2]
+                                               + 0.05 * broadwell.speeds_sq))
+    F_gs, tr = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws24)
+    source, tr_sm = stage_rates(broadwell, frozen, cfg)
+    entry = ws24.entry_values(bd)
+    F = np.zeros_like(F_gs.values)
+    for jacobi_steps in range(1, cfg.max_inner + 1):
+        new = jacobi_pass(ws24, broadwell, entry, source, tr_sm, F, cfg)
+        inc = np.abs(new - F).sum()
+        F = new
+        if inc <= cfg.tol_inner * F.sum():
+            break
+    assert tr.converged and tr.iterations < jacobi_steps
+    assert np.abs(F_gs.values - F).sum() <= 10 * cfg.tol_inner * F.sum()
+
+
+def test_inner_max_inner_stops_the_ladder(disk, broadwell, ws24):
+    cfg = SolverConfig(alpha=0.5, k=8.0, grid_n=24, max_inner=2)
+    F, tr = inner_monotone_solve(disk, broadwell, BoundaryData.constant([1.0] * 4),
+                                 Field.constant(ws24.grid, [1.0] * 4), cfg, workspace=ws24)
+    assert tr.termination == "max_inner" and not tr.converged
+    assert tr.iterations == 2 and tr.tolerance == cfg.tol_inner
+
+
 def test_mass_cap_requires_damping(disk, broadwell):
     with pytest.raises(SolverError):
         compute_mass_cap(disk, broadwell, BoundaryData.constant([1.0] * 4), 0.0)
@@ -299,6 +370,35 @@ def test_outer_no_false_convergence_without_inner_steps(disk, broadwell):
     assert F.mass() == 0.0
     assert not tr.converged
     assert tr.termination == "inner_not_converged"
+
+
+def test_outer_inner_ladders_are_inexact(disk, broadwell, ws24):
+    """Ladder n stops at max(tol_inner, 0.1 rel_{n-1}); the stage converges
+    only after a ladder that ran at tol_inner."""
+    cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=24)
+    bd = BoundaryData.constant([1.0, 0.5, 2.0, 1.5])
+    F, tr = outer_fixed_point(disk, broadwell, bd, cfg, workspace=ws24)
+    assert tr.converged and tr.tolerance == cfg.tol_outer
+    tols = [c.tolerance for c in tr.children]
+    assert tols[0] == cfg.tol_inner and max(tols) > cfg.tol_inner
+    for n in range(1, len(tols)):
+        prev = tr.increments[n - 1]
+        want = cfg.tol_inner if prev <= cfg.tol_outer else max(cfg.tol_inner, 0.1 * prev)
+        assert tols[n] == want
+    assert tols[-1] == cfg.tol_inner and tr.children[-1].converged
+    assert tr.increments[-1] <= cfg.tol_outer
+    assert all(rel > cfg.tol_outer for rel, t in zip(tr.increments[:-1], tols[:-1])
+               if t == cfg.tol_inner)
+
+
+def test_outer_max_inner_never_converges(disk, broadwell, ws24):
+    """Ladders cut off by max_inner never let the stage count as converged."""
+    cfg = SolverConfig(alpha=0.5, k=8.0, grid_n=24, max_inner=2, max_outer=40)
+    F, tr = outer_fixed_point(disk, broadwell, BoundaryData.constant([1.0] * 4), cfg,
+                              workspace=ws24)
+    assert not tr.converged and tr.termination == "inner_not_converged"
+    assert tr.children[-1].termination == "max_inner"
+    assert tr.children[-1].tolerance == cfg.tol_inner
 
 
 def test_outer_uniqueness_cross_check(disk, broadwell, ws24):
@@ -340,6 +440,24 @@ def test_continuation_distances_shrink(disk, broadwell, ws24):
     assert cont.converged
     assert cont.cauchy_distances[-1] < cont.cauchy_distances[0]
     assert not cont.warnings
+
+
+def test_continuation_warm_start_stages(disk, broadwell, ws24):
+    """Every stage but the last two stops at the warm-start tolerance."""
+    cfg = SolverConfig(grid_n=24, k=8.0,
+                       alpha_schedule=(0.5, 0.25, 0.125, 0.0625, 0.03125))
+    bd = BoundaryData.constant([1.0, 0.5, 2.0, 1.5])
+    cont = dv.alpha_continuation(disk, broadwell, bd, cfg, workspace=ws24)
+    assert cont.converged
+    warm = max(cfg.tol_outer, WARM_START_TOL)
+    assert [t.termination for t in cont.traces] == ["converged_warm_start"] * 3 + [
+        "converged"] * 2
+    assert [t.tolerance for t in cont.traces] == [warm] * 3 + [cfg.tol_outer] * 2
+    for tr in cont.traces:
+        assert tr.children[-1].tolerance == cfg.tol_inner and tr.children[-1].converged
+    two = dv.alpha_continuation(disk, broadwell, bd, replace(cfg, alpha_schedule=(0.5, 0.25)),
+                                workspace=ws24)
+    assert [t.termination for t in two.traces] == ["converged"] * 2
 
 
 def test_continuation_schedule_validated(disk, broadwell, ws24):
