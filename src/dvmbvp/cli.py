@@ -19,8 +19,8 @@ from . import diagnostics as diag
 from .fields import BoundaryData, Field, Grid
 from .geometry import ConvexDomain, GeometryError
 from .model import (ModelError, StructuralError, VelocityModel, certify_model,
-                    generate_circle_model, generate_shifted_model, load_model,
-                    model_from_dict, model_to_dict, save_model)
+                    generate_circle_model, generate_shifted_model, is_real,
+                    load_model, model_from_dict, model_to_dict, save_model)
 from .solver import (SolverConfig, SolverWorkspace, k_sweep, outer_fixed_point,
                      residual_mild, residual_renormalized)
 
@@ -97,21 +97,18 @@ def load_run_config(path):
 
 def _check_solver_config(config: SolverConfig) -> None:
     """Raise StructuralError, naming the option, on a value the solver cannot run."""
-    def real(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
     def count(x):
         return isinstance(x, int) and not isinstance(x, bool)
 
     c = config
     alphas, ks = c.alpha_schedule, c.k_schedule
     rules = [
-        ("alpha", real(c.alpha) and c.alpha > 0, "a positive number"),
-        ("k", real(c.k) and c.k > 1, "a number above 1"),
+        ("alpha", is_real(c.alpha) and c.alpha > 0, "a positive number"),
+        ("k", is_real(c.k) and c.k > 1, "a number above 1"),
         ("grid_n", count(c.grid_n) and c.grid_n >= 4, "an integer of at least 4"),
-        ("h_s", c.h_s is None or (real(c.h_s) and c.h_s > 0), "a positive number or null"),
-        ("tol_inner", real(c.tol_inner) and c.tol_inner > 0, "a positive number"),
-        ("tol_outer", real(c.tol_outer) and c.tol_outer > 0, "a positive number"),
+        ("h_s", c.h_s is None or (is_real(c.h_s) and c.h_s > 0), "a positive number or null"),
+        ("tol_inner", is_real(c.tol_inner) and c.tol_inner > 0, "a positive number"),
+        ("tol_outer", is_real(c.tol_outer) and c.tol_outer > 0, "a positive number"),
         ("max_inner", count(c.max_inner) and c.max_inner >= 1, "a positive integer"),
         ("max_outer", count(c.max_outer) and c.max_outer >= 1, "a positive integer"),
         ("alpha_schedule", len(alphas) > 0 and all(map(math.isfinite, alphas))
@@ -120,7 +117,6 @@ def _check_solver_config(config: SolverConfig) -> None:
         ("k_schedule", len(ks) > 0 and all(map(math.isfinite, ks))
          and all(k2 > k1 for k1, k2 in zip(ks, ks[1:])) and ks[0] > 1,
          "a nonempty, strictly increasing list of numbers above 1"),
-        ("eps_geo_rel", real(c.eps_geo_rel) and c.eps_geo_rel > 0, "a positive number"),
     ]
     for name, ok, want in rules:
         if not ok:
@@ -269,9 +265,16 @@ def cmd_model_gen_shifted(args) -> int:
             base_model = load_model(args.base)
             base = [(w.vx, w.vy) for w in base_model.velocities]
             rules = [(r.i, r.j, r.l, r.m, r.gamma) for r in base_model.rules]
-        n0 = np.asarray([float(x) for x in args.n0.split(",")])
-        n0 = n0 / np.hypot(n0[0], n0[1])
-        model = generate_shifted_model(base, rules, args.c0, n0)
+        try:
+            n0 = np.array([float(x) for x in args.n0.split(",")])
+        except ValueError:
+            n0 = np.zeros(0)
+        if n0.shape != (2,) or not np.all(np.isfinite(n0)) or not np.any(n0):
+            raise StructuralError(f"--n0 must be two finite numbers x,y, not both zero; "
+                                  f"got {args.n0!r}")
+        if not math.isfinite(args.c0):
+            raise StructuralError(f"--c0 must be a finite number, got {args.c0}")
+        model = generate_shifted_model(base, rules, args.c0, n0 / np.hypot(n0[0], n0[1]))
     except (OSError, StructuralError) as exc:
         return _fail_input(str(exc))
     except ModelError as exc:

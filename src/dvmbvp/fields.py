@@ -246,9 +246,6 @@ def _bump_kernel(radius: float, h: float):
             if w > 0.0:
                 offs.append((dy, dx))
                 wts.append(w)
-    if not offs:
-        offs = [(0, 0)]
-        wts = [1.0]
     w = np.array(wts)
     w /= w.sum()
     w.setflags(write=False)

@@ -192,8 +192,7 @@ class ConvexDomain:
         """Characteristic segment through z in direction v.
 
         Entry/exit are measured in the time parameter s of z + s*v; the entry
-        point lies at z - s_plus*v and the exit point at z + s_minus*v.  The
-        segment is grazing when its chord is shorter than 1e-6 diameters.
+        point lies at z - s_plus*v and the exit point at z + s_minus*v.
         """
         z = _as_point(z)
         v = _as_point(v)
@@ -202,12 +201,8 @@ class ConvexDomain:
             raise OutsideDomainError(f"point {z} lies outside the domain (phi={p:.3e})")
         s_minus = float(self.exit_times(z[None, :], v)[0])
         s_plus = float(self.exit_times(z[None, :], -v)[0])
-        tol = 1e-6 * self.diameter / float(np.hypot(v[0], v[1]))
-        return CharacteristicSegment(
-            z=z, v=v, s_plus=s_plus, s_minus=s_minus,
-            z_plus=z - s_plus * v, z_minus=z + s_minus * v,
-            grazing=(s_plus + s_minus) < tol,
-        )
+        return CharacteristicSegment(z=z, v=v, s_plus=s_plus, s_minus=s_minus,
+                                     z_plus=z - s_plus * v, z_minus=z + s_minus * v)
 
 
 @dataclass(frozen=True)
@@ -224,7 +219,6 @@ class CharacteristicSegment:
     s_minus: float
     z_plus: np.ndarray
     z_minus: np.ndarray
-    grazing: bool = False
 
     @property
     def length_time(self) -> float:

@@ -9,7 +9,6 @@ v . n0 > 0 for every v, and normality of the collision-invariant space.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -32,10 +31,6 @@ class Velocity:
     index: int          # 1-based, matching the file format
     vx: float
     vy: float
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.vx, self.vy])
 
 
 def _canonical_key(i, j, l, m):
@@ -85,12 +80,8 @@ class VelocityModel:
         canon: dict = {}
         for r in rules:
             if not isinstance(r, CollisionRule):
-                if isinstance(r, dict):
-                    r = CollisionRule(int(r["i"]), int(r["j"]), int(r["l"]),
-                                      int(r["m"]), float(r["gamma"]))
-                else:
-                    i, j, l, m, g = r
-                    r = CollisionRule(int(i), int(j), int(l), int(m), float(g))
+                i, j, l, m, g = r
+                r = CollisionRule(int(i), int(j), int(l), int(m), float(g))
             for idx in (r.i, r.j, r.l, r.m):
                 if not (1 <= idx <= p):
                     raise StructuralError(f"rule {r} uses velocity index {idx} outside 1..{p}")
@@ -127,15 +118,6 @@ class VelocityModel:
     @cached_property
     def is_integer_valued(self) -> bool:
         return bool(np.all(self.v == np.round(self.v)))
-
-    def content_hash(self) -> str:
-        payload = {
-            "velocities": [[w.vx, w.vy] for w in self.velocities],
-            "rules": [[r.i, r.j, r.l, r.m, r.gamma] for r in self.rules],
-            "n0": list(self.positive_direction) if self.positive_direction else None,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +423,47 @@ def model_to_dict(model: VelocityModel) -> dict:
     }
 
 
-def model_from_dict(data: dict) -> VelocityModel:
+def is_real(x) -> bool:
+    """True for an int or float, not a bool, with a finite float value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
     try:
-        vels = data["velocities"]
-        rules = data.get("rules", [])
-        n0 = data.get("n0")
-    except (KeyError, TypeError) as exc:
-        raise StructuralError(f"malformed model data: {exc}") from exc
-    return VelocityModel.create(vels, rules, positive_direction=n0)
+        return math.isfinite(x)
+    except OverflowError:          # an int beyond the float range
+        return False
+
+
+def _numbers(x, n: int, what: str) -> list:
+    """`x` if it is a list of n finite numbers, else StructuralError naming `what`."""
+    if not (isinstance(x, list) and len(x) == n and all(map(is_real, x))):
+        raise StructuralError(f"{what} must be a list of {n} finite numbers, got {x!r}")
+    return x
+
+
+def _rule(r, n: int) -> list:
+    """Rule n of a model file, {i, j, l, m, gamma} or [i, j, l, m, gamma], as a
+    list, or StructuralError."""
+    entries = [r.get(key) for key in ("i", "j", "l", "m", "gamma")] if isinstance(r, dict) else r
+    if not (isinstance(entries, list) and len(entries) == 5 and all(map(is_real, entries))
+            and all(x == int(x) for x in entries[:4])):
+        raise StructuralError(f"rule {n} must give integer indices i, j, l, m and a finite "
+                              f"gamma, got {r!r}")
+    return entries
+
+
+def model_from_dict(data) -> VelocityModel:
+    """Model from its JSON form; StructuralError on any malformed entry."""
+    if not isinstance(data, dict):
+        raise StructuralError("model data must be an object")
+    vels, rules, n0 = data.get("velocities"), data.get("rules", []), data.get("n0")
+    if not (isinstance(vels, list) and vels):
+        raise StructuralError(f"model velocities must be a nonempty list, got {vels!r}")
+    if not isinstance(rules, list):
+        raise StructuralError(f"model rules must be a list, got {rules!r}")
+    return VelocityModel.create(
+        [_numbers(v, 2, f"velocity {a + 1}") for a, v in enumerate(vels)],
+        [_rule(r, n + 1) for n, r in enumerate(rules)],
+        positive_direction=None if n0 is None else _numbers(n0, 2, "n0"))
 
 
 def save_model(model: VelocityModel, path) -> None:

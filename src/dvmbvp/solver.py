@@ -78,7 +78,6 @@ class SolverConfig:
     max_outer: int = 120
     alpha_schedule: tuple = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
     k_schedule: tuple = (4.0, 16.0, 64.0, 256.0)
-    eps_geo_rel: float = 1e-6
 
     def step(self, grid_h: float) -> float:
         return self.h_s if self.h_s is not None else 0.5 * grid_h
@@ -154,8 +153,7 @@ class _CharTable:
     the shifted Broadwell lattice a line holds many cells; a velocity off the
     lattice gives one cell per line.  Each line is traced once, through its
     most upstream cell; every other cell on it sits at its projection onto v
-    along the same chord.  Lines whose chord is below the geometric tolerance
-    are grazing and their cells stay out of the ladders.
+    along the same chord.
 
     Each line has one node ladder (`_ladder`) from its entry point on the
     boundary whose stops are its cell centres, so every cell centre on the
@@ -164,12 +162,11 @@ class _CharTable:
     the flat index of each cell's own node in the (L, lines) ladder arrays.
 
     The exit ladder (`exit_*`) runs, per line, from its last cell centre to
-    its exit point, and then, per grazing cell, from its entry point to its
-    exit point; its last row holds the exit points.  Transport and
+    its exit point; its last row holds the exit points.  Transport and
     entry->cell integrals never read it; full-chord integrals do.
     """
 
-    def __init__(self, domain: ConvexDomain, grid: Grid, v, h_s: float, eps_geo_rel: float):
+    def __init__(self, domain: ConvexDomain, grid: Grid, v, h_s: float):
         v = np.asarray(v, dtype=float)
         speed = float(np.hypot(v[0], v[1]))
         interior = np.flatnonzero(grid.mask.ravel())
@@ -194,38 +191,23 @@ class _CharTable:
         z_head = zs[order[head]]
         s_head = domain.exit_times(z_head, -v)
         tau = s_head + domain.exit_times(z_head, v)       # chord time per line
-        s_plus = s_head[line] + (proj - proj[head][line])
-        grazing = tau * speed < eps_geo_rel * domain.diameter
-        on_grazing = grazing[line]
-
-        g = order[on_grazing]
-        self.grazing_flat = interior[g]
-        grazing_entry = zs[g] - s_plus[on_grazing][:, None] * v
-        grazing_tau = tau[line[on_grazing]]
-
-        keep = order[~on_grazing]
-        line = (np.cumsum(~grazing) - 1)[line[~on_grazing]]
-        s = s_plus[~on_grazing]
-        entry = z_head[~grazing] - s_head[~grazing][:, None] * v
-        tau = tau[~grazing]
+        s = s_head[line] + (proj - proj[head][line])
+        entry = z_head - s_head[:, None] * v
         self.t, self.dt, self.flat, self.w, self.node = _ladder(
-            grid, entry, line, s, v, h_s, zs[keep])
+            grid, entry, line, s, v, h_s, zs[order])
 
         last = np.flatnonzero(np.diff(line, append=len(entry)))
-        starts = np.concatenate([zs[keep[last]], grazing_entry])
         _, self.exit_dt, self.exit_flat, self.exit_w, _ = _ladder(
-            grid, starts, np.arange(len(starts)),
-            np.concatenate([np.maximum(tau - s[last], 0.0), grazing_tau]), v, h_s)
+            grid, zs[order[last]], np.arange(len(last)), np.maximum(tau - s[last], 0.0),
+            v, h_s)
 
         self.v = v
         self.speed = speed
-        self.cells_flat = interior[keep]
+        self.cells_flat = interior[order]
         self.s_plus = s
         self.line = line
         self.last = last
-        bp = boundary_param(domain)
-        self.t_entry = bp.t_of_point(entry)
-        self.t_entry_grazing = bp.t_of_point(grazing_entry)
+        self.t_entry = boundary_param(domain).t_of_point(entry)
 
     @property
     def n_lines(self) -> int:
@@ -248,8 +230,7 @@ class SolverWorkspace:
     def table(self, i: int) -> _CharTable:
         tab = self._tables.get(i)
         if tab is None:
-            tab = _CharTable(self.domain, self.grid, self.model.v[i], self.h_s,
-                             self.config.eps_geo_rel)
+            tab = _CharTable(self.domain, self.grid, self.model.v[i], self.h_s)
             self._tables[i] = tab
         return tab
 
@@ -265,14 +246,9 @@ class SolverWorkspace:
         return [self.arc(i, +1) for i in range(self.model.p)]
 
     def entry_values(self, boundary: BoundaryData) -> list[np.ndarray]:
-        """Inflow trace at the entry point of every characteristic line, and
-        at the entry point of every grazing cell."""
-        out = []
-        for i in range(self.model.p):
-            tab = self.table(i)
-            out.append((np.asarray(boundary.eval(i, tab.t_entry), dtype=float),
-                        np.asarray(boundary.eval(i, tab.t_entry_grazing), dtype=float)))
-        return out
+        """Inflow trace at the entry point of every characteristic line."""
+        return [np.asarray(boundary.eval(i, self.table(i).t_entry), dtype=float)
+                for i in range(self.model.p)]
 
     def _samples(self, tab: _CharTable, values2d: np.ndarray) -> np.ndarray:
         """Bilinear samples of a cell array at every node, shape (L, lines)."""
@@ -289,11 +265,23 @@ class SolverWorkspace:
         the result never decreases when the gain or the inflow grows or the
         frequency shrinks.  With alpha = 0 and nu = 0 every E_m is exactly 1
         and F is the cumulative trapezoid integral of g plus the inflow.
+
+        E and the sources are built in place: a sweep then holds few
+        ladder-sized temporaries, so the C heap does not grow and shrink
+        (and page-fault) on every component.
         """
-        E = np.exp(-(alpha + 0.5 * (nu_s[:-1] + nu_s[1:])) * dt)
+        E = np.add(nu_s[:-1], nu_s[1:])
+        E *= 0.5
+        E += alpha
+        np.negative(E, out=E)
+        E *= dt
+        np.exp(E, out=E)
         F = np.empty_like(gain_s)
         F[0] = inflow
-        F[1:] = 0.5 * dt * (gain_s[:-1] * E + gain_s[1:])
+        np.multiply(gain_s[:-1], E, out=F[1:])
+        F[1:] += gain_s[1:]
+        F[1:] *= dt
+        F[1:] *= 0.5
         for m in range(len(E)):
             F[m + 1] += F[m] * E[m]
         return F
@@ -308,7 +296,7 @@ class SolverWorkspace:
         i is transported, when components 0..i-1 of `out` hold this sweep's
         values and i..p-1 the previous ones; with callables that read `out`,
         the sweep is a Gauss-Seidel pass (inner_monotone_solve relies on this
-        order to refresh one truncated factor per gain call).  The tabulated and grazing
+        order to refresh one truncated factor per gain call).  The interior
         cells of `out` (a new zero array by default; C-contiguous, as it is
         written through views) are overwritten.
         """
@@ -317,18 +305,16 @@ class SolverWorkspace:
             out = np.zeros((self.model.p, grid.ny, grid.nx))
         for i in range(self.model.p):
             tab = self.table(i)
-            b, b_graz = entry_vals[i]
             nu_i = nu(i) if callable(nu) else nu[i]
             gain_i = gain(i) if callable(gain) else gain[i]
             comp = out[i].ravel()
             comp[tab.cells_flat] = self._transport(
-                tab.dt, b, self._samples(tab, nu_i), self._samples(tab, gain_i),
+                tab.dt, entry_vals[i], self._samples(tab, nu_i), self._samples(tab, gain_i),
                 alpha).ravel()[tab.node]
-            comp[tab.grazing_flat] = b_graz
         return out
 
     def path_integral(self, i: int, values2d: np.ndarray) -> np.ndarray:
-        """Plain trapezoid integral entry->cell per tabulated cell."""
+        """Plain trapezoid integral entry->cell per interior cell, in table order."""
         tab = self.table(i)
         vals = self._samples(tab, values2d)
         return self._transport(tab.dt, np.zeros(tab.n_lines), np.zeros_like(vals),
@@ -347,27 +333,21 @@ class SolverWorkspace:
         Per line: the trapezoid integral of `integrand2d` from the entry to
         the last cell, continued along the exit ladder to the exit point, and
         the bilinear value of `exit2d` at the exit point; every cell on the
-        line gets the line's values.  A grazing cell's chord is its own ray
-        of the exit ladder.  Returns two (ny, nx) arrays.
+        line gets the line's values.  Returns two (ny, nx) arrays.
         """
         tab = self.table(i)
         grid = self.grid
         tail = grid.gather(grid.pad(integrand2d).ravel(), tab.exit_flat, tab.exit_w)
-        inflow = np.zeros(tail.shape[1])
-        inflow[:tab.n_lines] = self.path_integral(i, integrand2d)[tab.last]
+        inflow = self.path_integral(i, integrand2d)[tab.last]
         integral = self._transport(tab.exit_dt, inflow, np.zeros_like(tail), tail, 0.0)[-1]
         at_exit = grid.gather(grid.pad(exit2d).ravel(), tab.exit_flat[-1],
                               tuple(w[-1] for w in tab.exit_w))
-        n = tab.n_lines
-        return (self.scatter(i, integral[tab.line], integral[n:]),
-                self.scatter(i, at_exit[tab.line], at_exit[n:]))
+        return self.scatter(i, integral[tab.line]), self.scatter(i, at_exit[tab.line])
 
-    def scatter(self, i: int, per_cell: np.ndarray, grazing_value=0.0) -> np.ndarray:
-        """Place per-tabulated-cell values back onto the full lattice."""
-        tab = self.table(i)
+    def scatter(self, i: int, per_cell: np.ndarray) -> np.ndarray:
+        """Place per-interior-cell values back onto the full lattice."""
         out = np.zeros(self.grid.ny * self.grid.nx)
-        out[tab.cells_flat] = per_cell
-        out[tab.grazing_flat] = grazing_value
+        out[self.table(i).cells_flat] = per_cell
         return out.reshape(self.grid.ny, self.grid.nx)
 
 
@@ -389,7 +369,6 @@ class SolveTrace:
     monotone_violations: int = 0
     mass_cap: float = float("nan")
     mass_cap_max_ratio: float = 0.0
-    grazing_cells: int = 0
     children: list = field(default_factory=list)
     residual: float = float("nan")
 
@@ -409,8 +388,6 @@ def exponential_step(domain: ConvexDomain, model: VelocityModel, boundary: Bound
 
     Returns, for every cell and component, the exponential-form transport
     solution of (alpha + v.grad + nu) F = gain with the prescribed inflow.
-    Grazing cells (chord below the geometric tolerance) take the plain
-    boundary value.
     """
     if np.any(nu_field.values < 0) or np.any(gain_field.values < 0):
         raise SolverError("nu and gain fields must be nonnegative")
@@ -451,9 +428,7 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     tr_sm = truncated_factor(smoothed.values, k)
 
     trace = SolveTrace(kind="inner", mass_cap=mass_cap, monotone_checked=True,
-                       tolerance=config.tol_inner,
-                       grazing_cells=sum(len(ws.table(i).grazing_flat)
-                                         for i in range(model.p)))
+                       tolerance=config.tol_inner)
     F = np.zeros((model.p, ws.grid.ny, ws.grid.nx))
     tr_F = np.zeros_like(F)              # truncated factors of F, refreshed per component
 

@@ -8,6 +8,7 @@ import pytest
 import dvmbvp as dv
 from dvmbvp.cli import main
 from dvmbvp.fields import Field, Grid
+from dvmbvp.model import model_to_dict
 
 
 @pytest.fixture()
@@ -61,6 +62,36 @@ def test_model_check_malformed(tmp_path):
     assert main(["model", "check", str(bad)]) == 2
 
 
+OTHER_VELOCITIES = [[1, 2], [2, 3], [2, 1]]     # velocities 2-4 of shifted Broadwell
+
+
+@pytest.mark.parametrize("command", ["model check", "solve"])
+@pytest.mark.parametrize("change", [
+    {"velocities": [[1]] + OTHER_VELOCITIES},
+    {"velocities": [["a", 1]] + OTHER_VELOCITIES},
+    {"velocities": [[float("nan"), 2]] + OTHER_VELOCITIES},
+    {"velocities": [[10 ** 400, 2]] + OTHER_VELOCITIES},    # beyond the float range
+    {"rules": [{"i": 1, "j": 2, "l": 3, "gamma": 1.0}]},
+    {"rules": [{"i": 1, "j": 2, "l": 3, "m": 4, "gamma": "x"}]},
+    {"n0": [1]},
+    {"velocities": 5},
+], ids=["short velocity", "text velocity", "nan velocity", "huge velocity",
+        "rule without m", "text gamma", "short n0", "scalar velocities"])
+def test_malformed_model_data_exits_2(tmp_path, broadwell, capsys, command, change):
+    model = {**model_to_dict(broadwell), **change}
+    if command == "model check":
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(model))
+        argv = ["model", "check", str(model_file)]
+    else:
+        cfg = write_config(tmp_path, "unused.json", {"profile": "zero"}, SMALL_SOLVER)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "model": model}))
+        argv = ["solve", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_model_check_missing_file(tmp_path):
     assert main(["model", "check", str(tmp_path / "nope.json")]) == 2
 
@@ -89,6 +120,21 @@ def test_gen_shifted_rejected(tmp_path):
     code = main(["model", "gen-shifted", "--c0", "0.5", "--n0", "1,0",
                  "-o", str(out)])
     assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--c0", "3", "--n0", "a,b"],
+    ["--c0", "3", "--n0", "1"],
+    ["--c0", "3", "--n0", "1,1,1"],
+    ["--c0", "3", "--n0", "0,0"],
+    ["--c0", "nan", "--n0", "1,1"],
+])
+def test_gen_shifted_rejects_malformed_arguments(tmp_path, capsys, args):
+    out = tmp_path / "gen.json"
+    assert main(["model", "gen-shifted", *args, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -171,6 +217,7 @@ def test_solve_rejects_bad_config(tmp_path, shifted_model_file):
     {"tol_inner": "x"},
     {"alpha_schedule": [0.25, 0.5]},      # must decrease toward 0
     {"mono_hard_tol": 1e-12},             # a removed option is an unknown one
+    {"eps_geo_rel": 1e-6},
 ])
 def test_sweep_rejects_invalid_solver_option(tmp_path, shifted_model_file, capsys, option):
     cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"},

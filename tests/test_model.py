@@ -270,7 +270,6 @@ def test_model_json_roundtrip(tmp_path, broadwell):
     dv.save_model(broadwell, path)
     loaded = dv.load_model(path)
     assert loaded == broadwell
-    assert loaded.content_hash() == broadwell.content_hash()
 
 
 def test_model_dict_uses_one_based_indices(broadwell):
