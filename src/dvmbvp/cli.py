@@ -274,6 +274,8 @@ def cmd_model_gen_shifted(args) -> int:
                                   f"got {args.n0!r}")
         if not math.isfinite(args.c0):
             raise StructuralError(f"--c0 must be a finite number, got {args.c0}")
+        if not is_real(args.gamma):
+            raise StructuralError(f"--gamma must be a finite number, got {args.gamma}")
         model = generate_shifted_model(base, rules, args.c0, n0 / np.hypot(n0[0], n0[1]))
     except (OSError, StructuralError) as exc:
         return _fail_input(str(exc))
@@ -296,7 +298,11 @@ def cmd_model_gen_circle(args) -> int:
             pts = [parse_point(p) for p in spec.split(";")]
             if len(pts) != 4:
                 raise StructuralError(f"quadruple {spec!r} must have 4 points")
+            if not all(is_real(c) for pt in pts for c in pt):
+                raise StructuralError(f"quadruple {spec!r} must have finite coordinates")
             quads.append(pts)
+        if not is_real(args.gamma):
+            raise StructuralError(f"--gamma must be a finite number, got {args.gamma}")
     except (ValueError, StructuralError) as exc:
         return _fail_input(str(exc))
     try:
@@ -410,11 +416,18 @@ def cmd_diagnose(args) -> int:
             meta = json.load(fh)
     except OSError as exc:
         return _fail_input(f"missing metadata sidecar: {exc}")
+    except ValueError as exc:
+        return _fail_input(f"metadata sidecar {meta_path} is not JSON: {exc}")
+    if not isinstance(meta, dict):
+        return _fail_input(f"metadata sidecar {meta_path} must hold a JSON object")
     rhash = run_hash(model, raw)
     if meta.get("hash") != rhash:
-        print(f"error: field artifact hash {meta.get('hash')} does not match "
-              f"config hash {rhash}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail_input(f"field artifact hash {meta.get('hash')} does not match "
+                           f"config hash {rhash}")
+    k = meta.get("k", config.k)
+    if not (is_real(k) and k > 1):
+        return _fail_input(f"metadata sidecar k must be a finite number above 1, got {k!r}")
+    k = float(k)
     grid = Grid(domain, config.grid_n)
     try:
         field = Field.load_csv(field_path, grid, model.p)
@@ -424,7 +437,6 @@ def cmd_diagnose(args) -> int:
     if err:
         return _fail_input(err)
 
-    k = float(meta.get("k", config.k))
     rep = diag.mass_energy_flux(domain, model, field, boundary, alpha=0.0, k=k)
     diss = diag.entropy_dissipation(model, field, k)
     ent = diag.entropy_bound_check(domain, model, field, k)

@@ -35,12 +35,9 @@ class RuleExpansion:
     out2: np.ndarray
     gamma: np.ndarray
 
-    def __len__(self):
-        return len(self.a)
-
 
 @lru_cache(maxsize=64)
-def _expansion_cached(model: VelocityModel) -> RuleExpansion:
+def expansion(model: VelocityModel) -> RuleExpansion:
     rows = []
     for r in model.rules:
         i, j, l, m = r.i - 1, r.j - 1, r.l - 1, r.m - 1
@@ -56,10 +53,6 @@ def _expansion_cached(model: VelocityModel) -> RuleExpansion:
         out2=arr[:, 3].astype(np.int64),
         gamma=arr[:, 4],
     )
-
-
-def expansion(model: VelocityModel) -> RuleExpansion:
-    return _expansion_cached(model)
 
 
 @dataclass

@@ -152,11 +152,11 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
 # mass / energy / flux with the slab identity
 # ---------------------------------------------------------------------------
 
-def _frame_angle(model: VelocityModel, candidates: int = 180) -> float:
+def _frame_angle(model: VelocityModel) -> float:
     """Rotation angle whose axes stay away from every velocity direction."""
     vth = np.mod(np.arctan2(model.v[:, 1], model.v[:, 0]), np.pi)
     best, best_score = 0.0, -1.0
-    for ang in np.linspace(0.0, np.pi, candidates, endpoint=False):
+    for ang in np.linspace(0.0, np.pi, 180, endpoint=False):
         score = np.inf
         for axis in (ang % np.pi, (ang + 0.5 * np.pi) % np.pi):
             d = np.abs(vth - axis)

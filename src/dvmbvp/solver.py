@@ -26,9 +26,9 @@ max(tol_outer, WARM_START_TOL).  An outer sweep raises k.
 
 Cells that share a backward characteristic share one line (the method of
 long characteristics): one transport sweep advances a single exponential
-trapezoid recursion per line, from the inflow at the line's entry point
-through a node ladder with steps bounded by `h_s` that has a node at every
-cell centre on the line, and reads each cell at its own node.  On the
+trapezoid recursion per line, from the inflow at the line's entry point to
+its exit point through a node ladder with steps bounded by `h_s` that has a
+node at every cell centre on the line, and reads each cell at its own node.  On the
 integer velocities of the shifted Broadwell lattice a line holds many cells,
 so a sweep costs O(n^2); a velocity off the lattice gets one cell per line
 through the same code.  A sweep is deterministic for fixed inputs.
@@ -156,14 +156,12 @@ class _CharTable:
     along the same chord.
 
     Each line has one node ladder (`_ladder`) from its entry point on the
-    boundary whose stops are its cell centres, so every cell centre on the
-    line is a node.  Per-cell arrays (`cells_flat`, `s_plus`, `line`, `node`)
-    run in line order, cells in a line by increasing entry time; `node` is
-    the flat index of each cell's own node in the (L, lines) ladder arrays.
-
-    The exit ladder (`exit_*`) runs, per line, from its last cell centre to
-    its exit point; its last row holds the exit points.  Transport and
-    entry->cell integrals never read it; full-chord integrals do.
+    boundary to its exit point, whose stops are its cell centres and then the
+    exit point, so every cell centre on the line is a node and the last row
+    holds the exit points.  Per-cell arrays (`cells_flat`, `s_plus`, `line`,
+    `node`) run in line order, cells in a line by increasing entry time;
+    `node` is the flat index of each cell's own node in the (L, lines) ladder
+    arrays.  Transport reads each cell at its node, a full chord at row -1.
     """
 
     def __init__(self, domain: ConvexDomain, grid: Grid, v, h_s: float):
@@ -187,31 +185,30 @@ class _CharTable:
         line, proj = line[order], proj[order]
         head = np.flatnonzero(np.diff(line, prepend=-1) != 0)
 
-        # One trace per line, through its most upstream cell.
+        # One trace per line, through its most upstream cell; the exit point
+        # is one more stop after the line's last cell.
         z_head = zs[order[head]]
         s_head = domain.exit_times(z_head, -v)
         tau = s_head + domain.exit_times(z_head, v)       # chord time per line
         s = s_head[line] + (proj - proj[head][line])
         entry = z_head - s_head[:, None] * v
-        self.t, self.dt, self.flat, self.w, self.node = _ladder(
-            grid, entry, line, s, v, h_s, zs[order])
+        after_last = np.append(head[1:], len(line))
+        lines = np.arange(len(head))
+        _, self.dt, self.flat, self.w, node = _ladder(
+            grid, entry, np.insert(line, after_last, lines),
+            np.insert(s, after_last, np.maximum(tau, s[after_last - 1])), v, h_s,
+            np.insert(zs[order], after_last, entry + tau[:, None] * v, axis=0))
+        self.node = np.delete(node, after_last + lines)
 
-        last = np.flatnonzero(np.diff(line, append=len(entry)))
-        _, self.exit_dt, self.exit_flat, self.exit_w, _ = _ladder(
-            grid, zs[order[last]], np.arange(len(last)), np.maximum(tau - s[last], 0.0),
-            v, h_s)
-
-        self.v = v
         self.speed = speed
         self.cells_flat = interior[order]
         self.s_plus = s
         self.line = line
-        self.last = last
         self.t_entry = boundary_param(domain).t_of_point(entry)
 
     @property
     def n_lines(self) -> int:
-        return self.t.shape[1]
+        return self.dt.shape[1]
 
 
 class SolverWorkspace:
@@ -330,18 +327,18 @@ class SolverWorkspace:
     def chord(self, i: int, integrand2d: np.ndarray, exit2d: np.ndarray):
         """Full chords, entry to exit, through every interior cell.
 
-        Per line: the trapezoid integral of `integrand2d` from the entry to
-        the last cell, continued along the exit ladder to the exit point, and
-        the bilinear value of `exit2d` at the exit point; every cell on the
-        line gets the line's values.  Returns two (ny, nx) arrays.
+        Per line: the trapezoid integral of `integrand2d` along the whole
+        ladder and the bilinear value of `exit2d` at the exit point, both read
+        at the last row; every cell on the line gets the line's values.
+        Returns two (ny, nx) arrays.
         """
         tab = self.table(i)
         grid = self.grid
-        tail = grid.gather(grid.pad(integrand2d).ravel(), tab.exit_flat, tab.exit_w)
-        inflow = self.path_integral(i, integrand2d)[tab.last]
-        integral = self._transport(tab.exit_dt, inflow, np.zeros_like(tail), tail, 0.0)[-1]
-        at_exit = grid.gather(grid.pad(exit2d).ravel(), tab.exit_flat[-1],
-                              tuple(w[-1] for w in tab.exit_w))
+        vals = self._samples(tab, integrand2d)
+        integral = self._transport(tab.dt, np.zeros(tab.n_lines), np.zeros_like(vals),
+                                   vals, 0.0)[-1]
+        at_exit = grid.gather(grid.pad(exit2d).ravel(), tab.flat[-1],
+                              tuple(w[-1] for w in tab.w))
         return self.scatter(i, integral[tab.line]), self.scatter(i, at_exit[tab.line])
 
     def scatter(self, i: int, per_cell: np.ndarray) -> np.ndarray:

@@ -160,6 +160,30 @@ def test_gen_circle_malformed(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["gen-circle", "--quad", "nan,2;1,2;2,3;2,1"],
+    ["gen-circle", "--quad", "3,2;1,2;2,3;2,1", "--gamma", "nan"],
+    ["gen-circle", "--quad", "3,2;1,2;2,3;2,1", "--gamma", "inf"],
+    ["gen-shifted", "--c0", "3", "--n0", "1,1", "--gamma", "nan"],
+])
+def test_generators_reject_non_finite_numbers(tmp_path, capsys, args):
+    out = tmp_path / "gen.json"
+    assert main(["model", *args, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["gen-circle", "--quad", "3,2;1,2;2,3;2,1"],
+    ["gen-shifted", "--c0", "3", "--n0", "1,1"],
+])
+def test_generators_reject_negative_gamma_as_physics(tmp_path, args):
+    out = tmp_path / "gen.json"
+    assert main(["model", *args, "--gamma", "-1", "-o", str(out)]) == 1
+    assert not out.exists()
+
+
 # -- solve ------------------------------------------------------------------------
 
 SMALL_SOLVER = {
@@ -377,6 +401,28 @@ def test_diagnose_rejects_output_dir_that_is_a_file(tmp_path, shifted_model_file
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot create output_dir") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sidecar", [
+    lambda h: "{not json",
+    lambda h: json.dumps([h, 16.0]),
+    lambda h: json.dumps({"hash": h, "k": "abc"}),
+    lambda h: json.dumps({"hash": h, "k": 0.5}),
+    lambda h: '{"hash": "%s", "k": NaN}' % h,
+], ids=["not-json", "list", "k-string", "k-below-1", "k-nan"])
+def test_diagnose_rejects_malformed_sidecar(tmp_path, shifted_model_file, capsys, sidecar):
+    cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"}, {"grid_n": 8})
+    from dvmbvp.cli import load_run_config, run_hash
+    model, domain, boundary, config, outdir, raw = load_run_config(cfg)
+    outdir.mkdir(parents=True)
+    Field.constant(Grid(domain, config.grid_n), [1.0] * 4).save_csv(outdir / "f.csv")
+    (outdir / "f.meta.json").write_text(sidecar(run_hash(model, raw)))
+    code = main(["diagnose", "--fields", str(outdir / "f.csv"), "--config", str(cfg)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (outdir / "diagnostics.json").exists()
 
 
 @pytest.mark.parametrize("row", ["0.125,0.125,0,1.0", "-1.5,0.125,1,1.0", "0.125,0.125,1,-1.0"])

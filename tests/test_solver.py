@@ -14,7 +14,7 @@ import dvmbvp as dv
 from dvmbvp.collision import frequency_source, gain_truncated, truncated_factor
 from dvmbvp.fields import BoundaryData, Field, mollify_field
 from dvmbvp.solver import (WARM_START_TOL, SolverConfig, SolverError, SolverWorkspace,
-                           compute_mass_cap, exponential_step,
+                           _ladder, compute_mass_cap, exponential_step,
                            inner_monotone_solve, outer_fixed_point,
                            residual_mild, residual_renormalized)
 
@@ -118,8 +118,9 @@ def test_line_nodes_increase_with_bounded_steps(disk, broadwell, n):
         tab = ws.table(i)
         last = np.zeros(tab.n_lines, dtype=np.int64)
         np.maximum.at(last, tab.line, tab.node // tab.n_lines)
-        ladder = np.arange(len(tab.dt))[:, None] < last[None, :]
-        assert np.all(tab.t[0] == 0.0)
+        exit_row = np.count_nonzero(tab.dt > 0.0, axis=0)
+        ladder = np.arange(len(tab.dt))[:, None] < exit_row[None, :]
+        assert np.all(exit_row > last)                # the exit point comes after the last cell
         assert np.all(tab.dt[ladder] > 0.0)           # strictly increasing node times
         assert np.all(tab.dt[~ladder] == 0.0)         # padding
         assert np.max(tab.dt) * tab.speed <= ws.h_s * (1 + 1e-12)
@@ -132,7 +133,12 @@ def test_line_node_of_each_cell_is_its_centre(disk, broadwell, n):
     vals = np.random.default_rng(n).uniform(0.0, 1.0, (grid.ny, grid.nx))
     for i in range(broadwell.p):
         tab = ws.table(i)
-        assert np.array_equal(tab.t.ravel()[tab.node], tab.s_plus)
+        v = np.asarray(broadwell.v[i], dtype=float)
+        head = np.flatnonzero(np.diff(tab.line, prepend=-1))
+        entry = grid.centers.reshape(-1, 2)[tab.cells_flat[head]] - tab.s_plus[head, None] * v
+        t, _, _, _, node = _ladder(grid, entry, tab.line, tab.s_plus, v, ws.h_s)
+        assert np.array_equal(t.ravel()[node], tab.s_plus)
+        assert np.array_equal(node, tab.node)
         at_nodes = grid.gather(grid.pad(vals).ravel(), tab.flat, tab.w).ravel()[tab.node]
         assert np.max(np.abs(at_nodes - vals.ravel()[tab.cells_flat])) < 1e-12
         sp = np.array([disk_entry_time(z, broadwell.v[i])
@@ -193,17 +199,17 @@ def test_line_tracing_matches_per_cell_exit_times(broadwell, domain, velocities)
         v = model.v[i]
         zs = grid.centers.reshape(-1, 2)[tab.cells_flat]
         assert np.max(np.abs(tab.s_plus - domain.exit_times(zs, -v))) * tab.speed <= tol
-        # the exit ladder runs from each line's last cell to the exit point in
-        # steps of at most h_s
+        # each line's ladder ends at its exit point, in steps of at most h_s
         last = np.flatnonzero(np.diff(tab.line, append=tab.n_lines))
-        assert np.array_equal(tab.last, last)
         s_minus = domain.exit_times(zs[last], v)
-        tail_dt = tab.exit_dt[:, :tab.n_lines]
-        assert np.max(np.abs(np.sum(tail_dt, axis=0) - s_minus)) * tab.speed <= tol
-        assert np.all(tab.exit_dt >= 0.0)
-        assert np.max(tab.exit_dt) * tab.speed <= ws.h_s * (1 + 1e-12)
-        assert np.array_equal(tab.exit_flat[0][:tab.n_lines],
-                              tab.flat.ravel()[tab.node[last]])
+        chord = tab.s_plus[last] + s_minus
+        assert np.max(np.abs(np.sum(tab.dt, axis=0) - chord)) * tab.speed <= tol
+        assert np.all(tab.dt >= 0.0)
+        assert np.max(tab.dt) * tab.speed <= ws.h_s * (1 + 1e-12)
+        exit_pts = zs[last] + s_minus[:, None] * v
+        vals = np.random.default_rng(i).uniform(0.0, 1.0, (grid.ny, grid.nx))
+        at_exit = grid.gather(grid.pad(vals).ravel(), tab.flat[-1], tuple(w[-1] for w in tab.w))
+        assert np.max(np.abs(at_exit - grid.interpolate(vals, exit_pts))) < 1e-12
 
 
 def test_step_rejects_negative_inputs(disk, broadwell, ws24):
