@@ -259,9 +259,15 @@ def cmd_model_check(args) -> int:
 def cmd_model_gen_shifted(args) -> int:
     try:
         if args.base == "broadwell":
+            gamma = 1.0 if args.gamma is None else args.gamma
+            if not is_real(gamma):
+                raise StructuralError(f"--gamma must be a finite number, got {gamma}")
             base = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-            rules = [(1, 2, 3, 4, args.gamma)]
+            rules = [(1, 2, 3, 4, gamma)]
         else:
+            if args.gamma is not None:
+                raise StructuralError("--gamma applies only to the broadwell base; "
+                                      "a model file keeps its own rule gammas")
             base_model = load_model(args.base)
             base = [(w.vx, w.vy) for w in base_model.velocities]
             rules = [(r.i, r.j, r.l, r.m, r.gamma) for r in base_model.rules]
@@ -274,8 +280,6 @@ def cmd_model_gen_shifted(args) -> int:
                                   f"got {args.n0!r}")
         if not math.isfinite(args.c0):
             raise StructuralError(f"--c0 must be a finite number, got {args.c0}")
-        if not is_real(args.gamma):
-            raise StructuralError(f"--gamma must be a finite number, got {args.gamma}")
         model = generate_shifted_model(base, rules, args.c0, n0 / np.hypot(n0[0], n0[1]))
     except (OSError, StructuralError) as exc:
         return _fail_input(str(exc))
@@ -504,7 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="base model file, or 'broadwell' for the orthogonal-pair model")
     pg.add_argument("--c0", type=float, required=True)
     pg.add_argument("--n0", required=True, help="direction as 'x,y'")
-    pg.add_argument("--gamma", type=float, default=1.0)
+    pg.add_argument("--gamma", type=float, default=None,
+                    help="rule gamma of the broadwell base (default 1.0); "
+                         "refused with a model file base")
     pg.add_argument("-o", "--output", required=True)
     pg.set_defaults(fn=cmd_model_gen_shifted)
     pq = msub.add_parser("gen-circle", help="generate a model from point quadruples")

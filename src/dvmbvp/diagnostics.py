@@ -108,8 +108,8 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
         arc = boundary_quadrature(domain, v, +1, 256)
         w = np.abs(arc.vdotn) * arc.dsigma
         b = np.asarray(boundary.eval(i, arc.t_params), dtype=float)
-        _, steps, flat, wts, _ = _ladder(grid, arc.points, np.arange(len(b)),
-                                         domain.exit_times(arc.points, v), v, 0.5 * grid.h)
+        steps, flat, wts = _ladder(grid, arc.points, domain.exit_times(arc.points, v), v,
+                                   0.5 * grid.h)
         nu_s = grid.gather(grid.pad(nu[i]).ravel(), flat, wts)
         g_s = grid.gather(grid.pad(gain[i]).ravel(), flat, wts)
         del flat, wts           # the largest arrays here; freed before the coefficients

@@ -261,24 +261,27 @@ def mollify_interior(values2d: np.ndarray, radius: float, grid: Grid) -> np.ndar
     constants are reproduced exactly.  A radius below h leaves the one-cell
     kernel, the identity.
     """
+    return _mollify_stack(values2d[None], radius, grid)[0]
+
+
+def _mollify_stack(values: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
+    """`mollify_interior` of every (ny, nx) slice of a (p, ny, nx) stack,
+    padded once and convolved in one pass over the kernel offsets."""
     if radius <= 0:
         raise FieldError("mollifier radius must be positive")
     offs, w = _bump_kernel(radius, grid.h)
     reach = max(max(abs(dy), abs(dx)) for dy, dx in offs)
-    padded = np.pad(grid.pad(values2d), reach, mode="edge")
     ny, nx = grid.ny, grid.nx
-    out = np.zeros((ny, nx))
+    continued = values.reshape(len(values), ny * nx)[:, grid.pad_flat].reshape(-1, ny, nx)
+    padded = np.pad(continued, ((0, 0), (reach, reach), (reach, reach)), mode="edge")
+    out = np.zeros(continued.shape)
     for (dy, dx), wk in zip(offs, w):
-        out += wk * padded[reach + dy: reach + dy + ny, reach + dx: reach + dx + nx]
-    result = np.zeros_like(out)
-    result[grid.mask] = out[grid.mask]
-    return result
+        out += wk * padded[:, reach + dy: reach + dy + ny, reach + dx: reach + dx + nx]
+    return np.where(grid.mask, out, 0.0)
 
 
 def mollify_field(field: Field, radius: float) -> Field:
-    data = np.stack([mollify_interior(field.values[i], radius, field.grid)
-                     for i in range(field.p)])
-    return Field(field.grid, data)
+    return Field(field.grid, _mollify_stack(field.values, radius, field.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +384,10 @@ def truncate_and_mollify_boundary(bd: BoundaryData, k: float, domain: ConvexDoma
         offs = np.arange(-reach, reach + 1)
         w = bump_profile(offs * (L / n_samples) / half)
         w = w / w.sum()
+        wrapped = np.pad(vals, reach, mode="wrap")     # wrapped[reach + t] = vals[t mod n]
         sm = np.zeros_like(vals)
         for off, wk in zip(offs, w):
-            sm += wk * np.roll(vals, -int(off))
+            sm += wk * wrapped[reach + off: reach + off + n_samples]
         sm = np.minimum(sm, cap)   # guard against 1-ulp drift of the kernel sum
         traces.append(SampledTrace(ts, sm, L))
     return BoundaryData(tuple(traces))

@@ -26,12 +26,17 @@ max(tol_outer, WARM_START_TOL).  An outer sweep raises k.
 
 Cells that share a backward characteristic share one line (the method of
 long characteristics): one transport sweep advances a single exponential
-trapezoid recursion per line, from the inflow at the line's entry point to
-its exit point through a node ladder with steps bounded by `h_s` that has a
-node at every cell centre on the line, and reads each cell at its own node.  On the
-integer velocities of the shifted Broadwell lattice a line holds many cells,
-so a sweep costs O(n^2); a velocity off the lattice gets one cell per line
-through the same code.  A sweep is deterministic for fixed inputs.
+trapezoid recursion per line, with steps bounded by `h_s` and a node at
+every cell centre, from the inflow at the line's entry point, gap by gap.
+A node ladder covers the gap from the entry point to the first cell; on the
+integer velocities of the shifted Broadwell lattice every gap between
+consecutive cells has the same nodes relative to its cells, so one stencil
+matrix per velocity gives each gap's transfer in closed form (one
+attenuation factor and one source per gap, as method-of-characteristics
+codes advance per track segment), and a chain over the gaps reads each
+cell.  A line holds many cells there, so a sweep costs O(n^2); a velocity
+off the lattice gets one cell per line, hence no interior gaps, through the
+same code.  A sweep is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,46 +109,89 @@ def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
 # characteristic tables
 # ---------------------------------------------------------------------------
 
-def _ladder(grid: Grid, start: np.ndarray, ray: np.ndarray, t_stop: np.ndarray, v,
-            h_s: float, stop_pts: np.ndarray | None = None):
-    """Node ladders along the rays start + t v, with a node at every stop.
+# A length within this relative tolerance of a multiple of h_s takes that
+# multiple's step count, so rounding in the length never adds a step.
+_STEP_RTOL = 1e-12
 
-    Stops are listed ray by ray: `ray` gives the ray of each stop (every ray
-    0..n-1 has one) and `t_stop` its time from the ray's start, increasing
-    within a ray.  The gap before each stop is split into equal steps of
-    spatial length at most h_s.  Nodes are padded to L per ray and stored
-    transposed, shape (L, rays): row m holds node m of every ray.  Padding
-    repeats a ray's last node, so padding steps have zero length and the
-    last row holds every ray's last stop.  `stop_pts` replaces the computed
-    points of the stops by exact ones.
 
-    Returns the node times t, the steps dt, the bilinear stencil (flat, w) of
-    every node and the flat index of each stop's node in an (L, rays) array.
+def _n_steps(length, h_s: float):
+    """Equal steps of length at most h_s (to _STEP_RTOL) that cover `length`; at least 1."""
+    return np.maximum(1, np.ceil(length / h_s * (1.0 - _STEP_RTOL))).astype(np.int64)
+
+
+# OpenBLAS runs a gemm of at most 2^18 multiply-adds on the calling thread and
+# a larger one on its worker threads, whose wake-ups stalled 128^2 sweeps
+# three-fold on a busy two-core host; the gap products stay below the bound.
+_GEMM_BLOCK = 1 << 18
+
+
+def _matmul(W: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """W @ P in column blocks of at most _GEMM_BLOCK multiply-adds each."""
+    out = np.empty((W.shape[0], P.shape[1]))
+    width = max(1, _GEMM_BLOCK // W.size)
+    for c in range(0, P.shape[1], width):
+        np.matmul(W, P[:, c:c + width], out=out[:, c:c + width])
+    return out
+
+
+class _Ladder(NamedTuple):
+    dt: np.ndarray          # (L - 1, rays) step times
+    flat: np.ndarray        # (L, rays) bilinear stencil of every node ...
+    w: tuple                # ... and its four corner weights
+
+
+def _ladder(grid: Grid, start: np.ndarray, t_end: np.ndarray, v, h_s: float,
+            end_pts: np.ndarray | None = None) -> _Ladder:
+    """Node ladders along the rays start + t v, 0 <= t <= t_end.
+
+    Each ray is split into equal steps of spatial length at most h_s.  Nodes
+    are padded to L per ray and stored transposed, shape (L, rays): row m
+    holds node m of every ray.  Padding repeats a ray's end node, so padding
+    steps have zero length and the last row holds every ray's end, at
+    `end_pts` when given (exact end points in place of the computed ones).
     """
-    n_rays = len(start)
-    speed = float(np.hypot(v[0], v[1]))
-    first = np.diff(ray, prepend=-1) != 0                # first stop of its ray
-    t_prev = np.where(first, 0.0, np.roll(t_stop, 1))
-    gap = t_stop - t_prev
-    steps = np.maximum(1, np.ceil(gap * speed / h_s)).astype(np.int64)
-    ends = np.cumsum(steps)
-    col = ends - (ends - steps)[first][ray]              # node column of each stop
-    L = int(col.max(initial=0)) + 1
-
-    # Node times, one node per step, padded per ray by its last time.
-    owner = np.repeat(np.arange(len(t_stop)), steps)
-    j = np.arange(len(owner)) - np.repeat(ends - steps, steps) + 1
-    t_nodes = t_prev[owner] + j * (gap / steps)[owner]
-    t_nodes[ends - 1] = t_stop                           # a stop's node is exact
-    t = np.zeros((L, n_rays))
-    t[(col - steps)[owner] + j, ray[owner]] = t_nodes
-    np.maximum.accumulate(t, axis=0, out=t)
-
+    steps = _n_steps(t_end * float(np.hypot(v[0], v[1])), h_s)
+    m = np.arange(int(steps.max(initial=0)) + 1)[:, None]
+    t = np.where(m < steps, m * (t_end / steps), t_end)
     pts = start[None, :, :] + t[..., None] * v
-    if stop_pts is not None:
-        pts[col, ray] = stop_pts
+    if end_pts is not None:
+        pts = np.where((m >= steps)[..., None], end_pts, pts)
     flat, w = grid.interp_weights(pts)
-    return t, np.diff(t, axis=0), flat, w, col * n_rays + ray
+    return _Ladder(np.diff(t, axis=0), flat, w)
+
+
+def _transport(lad: _Ladder, inflow: np.ndarray, nu_s, gain_s: np.ndarray,
+               alpha: float) -> np.ndarray:
+    """Exponential-form trapezoid recursion along every ray of a ladder.
+
+    F_0 = inflow and F_{m+1} = F_m E_m + (dt_m / 2)(g_m E_m + g_{m+1}) with
+    E_m = exp(-(alpha + (nu_m + nu_{m+1}) / 2) dt_m), from the node samples
+    nu_s and gain_s (nu_s None is a zero frequency); returns F at the end of
+    every ray.  Padding steps have E_m = 1 and add exactly 0.
+
+    E and the sources are built in place: a sweep then holds few
+    ladder-sized temporaries, so the C heap does not grow and shrink
+    (and page-fault) on every component.
+    """
+    dt = lad.dt
+    if nu_s is None:
+        E = np.full_like(dt, -alpha)
+    else:
+        E = np.add(nu_s[:-1], nu_s[1:])
+        E *= 0.5
+        E += alpha
+        np.negative(E, out=E)
+    E *= dt
+    np.exp(E, out=E)
+    C = np.multiply(gain_s[:-1], E)
+    C += gain_s[1:]
+    C *= dt
+    C *= 0.5
+    F = np.array(inflow, dtype=float)
+    for m in range(len(E)):
+        F *= E[m]
+        F += C[m]
+    return F
 
 
 class _CharTable:
@@ -155,13 +204,31 @@ class _CharTable:
     most upstream cell; every other cell on it sits at its projection onto v
     along the same chord.
 
-    Each line has one node ladder (`_ladder`) from its entry point on the
-    boundary to its exit point, whose stops are its cell centres and then the
-    exit point, so every cell centre on the line is a node and the last row
-    holds the exit points.  Per-cell arrays (`cells_flat`, `s_plus`, `line`,
-    `node`) run in line order, cells in a line by increasing entry time;
-    `node` is the flat index of each cell's own node in the (L, lines) ladder
-    arrays.  Transport reads each cell at its node, a full chord at row -1.
+    A line is transported gap by gap: the entry gap from its entry point on
+    the boundary to its first cell, one interior gap from each cell to the
+    next and the exit gap from its last cell to its exit point.  The two
+    boundary gaps are node ladders (`_ladder`) of shape (L, lines): `entry`,
+    and the exit ladder that `exit_ladder` builds from `exit_t` and
+    `exit_pts` for the chords, its only reader.  Consecutive cells of a line
+    differ by one integer cell vector, the same on every line of the
+    velocity, so every interior gap has the same S + 1 nodes, S equal steps
+    of time `dt` apart, relative to its cells.  Their bilinear weights over
+    the K cell offsets `taps` form one (S + 1, K) matrix `M` per velocity;
+    `MG` is M with the trapezoid weights (dt / 2)(1, 2, ..., 2, 1) folded in,
+    and `MA` (S, K) holds the trapezoid partial sums of the frequency, so
+    that node j of a gap is attenuated by R_j = exp(-A_j) with
+    A_j = (MA nu_patch)_j + alpha `t_rest`_j, t_rest_j = (S - j) dt.  A gap
+    stores only `base`, the flat index of the lowest cell of its patch: tap
+    k reads the padded field at base + taps[k].
+
+    Lines are numbered longest first, so the lines that hold an r-th cell
+    are lines 0, 1, ...: transport chains the cells row by row in a ragged
+    array, rank r of every line in one block.  Interior gaps are stored in
+    the order of their downstream cells there, and `chain` lists per row
+    r + 1 the start of row r, of row r + 1 and of its gaps, and its length.
+    Per-cell arrays (`cells_flat`, `s_plus`, `line`, `slot`) run in line
+    order, cells in a line by increasing entry time; `slot` is each cell's
+    place in the chain and `last` the last cell of each line.
     """
 
     def __init__(self, domain: ConvexDomain, grid: Grid, v, h_s: float):
@@ -180,35 +247,90 @@ class _CharTable:
         line = np.empty(len(zs), dtype=np.int64)
         line[by_offset] = np.cumsum(
             np.diff(sorted_offset, prepend=sorted_offset[:1]) > 1e-9 * grid.h)
+        line = np.argsort(np.argsort(-np.bincount(line), kind="stable"))[line]  # longest first
         proj = (zs @ v) / (speed * speed)
         order = np.lexsort((proj, line))
-        line, proj = line[order], proj[order]
+        line, proj, zs = line[order], proj[order], zs[order]
         head = np.flatnonzero(np.diff(line, prepend=-1) != 0)
+        last = np.append(head[1:], len(line)) - 1
 
-        # One trace per line, through its most upstream cell; the exit point
-        # is one more stop after the line's last cell.
-        z_head = zs[order[head]]
+        # One trace per line, through its most upstream cell.
+        z_head = zs[head]
         s_head = domain.exit_times(z_head, -v)
         tau = s_head + domain.exit_times(z_head, v)       # chord time per line
         s = s_head[line] + (proj - proj[head][line])
         entry = z_head - s_head[:, None] * v
-        after_last = np.append(head[1:], len(line))
-        lines = np.arange(len(head))
-        _, self.dt, self.flat, self.w, node = _ladder(
-            grid, entry, np.insert(line, after_last, lines),
-            np.insert(s, after_last, np.maximum(tau, s[after_last - 1])), v, h_s,
-            np.insert(zs[order], after_last, entry + tau[:, None] * v, axis=0))
-        self.node = np.delete(node, after_last + lines)
+        self.entry = _ladder(grid, entry, s_head, v, h_s, z_head)
+        self.exit_t = np.maximum(tau, s[last]) - s[last]
+        self.exit_pts = entry + tau[:, None] * v
 
-        self.speed = speed
+        rank = np.arange(len(line)) - head[line]          # position of a cell on its line
+        in_row = np.bincount(rank)                        # lines holding an r-th cell
+        row = np.concatenate(([0], np.cumsum(in_row)))
+        self.slot = row[rank] + line
+        self.chain = [(int(a), int(b), int(b) - len(head), int(n))
+                      for a, b, n in zip(row[:-2], row[1:-1], in_row[1:])]
+        up = np.flatnonzero(np.diff(line) == 0)           # upstream cell of each gap
+        up = up[np.argsort(self.slot[up + 1])]
+        self._interior_gaps(grid, interior[order], up, v, speed, h_s)
+
+        self.v, self.speed = v, speed
         self.cells_flat = interior[order]
         self.s_plus = s
         self.line = line
+        self.last = last
         self.t_entry = boundary_param(domain).t_of_point(entry)
+
+    def _interior_gaps(self, grid: Grid, cells, up, v, speed: float, h_s: float):
+        """Step count S, step time dt, matrices M and MA, taps and patch bases."""
+        iy, ix = np.divmod(cells, grid.nx)
+        dy, dx = iy[up + 1] - iy[up], ix[up + 1] - ix[up]
+        if not len(up):               # one cell per line: no gaps, a zero vector
+            dy = dx = np.zeros(1, dtype=np.int64)
+        if np.any(dy != dy[0]) or np.any(dx != dx[0]):
+            raise SolverError("cells of one velocity's lines are not one cell vector apart")
+        dy, dx = int(dy[0]), int(dx[0])
+        gap_t = grid.h * (dx * v[0] + dy * v[1]) / (speed * speed)
+        S = int(_n_steps(gap_t * speed, h_s))
+        # Node j of a gap is its upstream cell + (j / S)(dx, dy) cells; the
+        # patch's lowest cell is the upstream cell + (min(0, dx), min(0, dy)).
+        j = np.arange(S + 1)
+        qy, ry = np.divmod(j * dy - S * min(0, dy), S)
+        qx, rx = np.divmod(j * dx - S * min(0, dx), S)
+        fy, fx = ry / S, rx / S
+        corner_w = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
+                             (1.0 - fx) * fy, fx * fy], axis=1)
+        corner = ((qy[:, None] + [0, 0, 1, 1]) * grid.nx + qx[:, None] + [0, 1, 0, 1])
+        used = corner_w > 0.0
+        self.taps, col = np.unique(corner[used], return_inverse=True)
+        M = np.zeros((S + 1, len(self.taps)))
+        M[np.nonzero(used)[0], col] = corner_w[used]
+        self.S, self.dt = S, gap_t / S
+        self.M = M
+        trapezoid = np.full(S + 1, self.dt)
+        trapezoid[[0, -1]] *= 0.5
+        self.MG = trapezoid[:, None] * M
+        self.MA = (0.5 * self.dt) * np.cumsum((M[:-1] + M[1:])[::-1], axis=0)[::-1]
+        self.t_rest = self.dt * (S - j[:-1])
+        self.base = cells[up] + min(0, dy) * grid.nx + min(0, dx)
+
+    def exit_ladder(self, grid: Grid, h_s: float) -> _Ladder:
+        """Node ladder of every line's exit gap, from its last cell to its exit
+        point.  Only full chords read it, so it is built when they ask: a
+        one-cell line then stores a single ladder."""
+        start = grid.centers.reshape(-1, 2)[self.cells_flat[self.last]]
+        return _ladder(grid, start, self.exit_t, self.v, h_s, self.exit_pts)
 
     @property
     def n_lines(self) -> int:
-        return self.dt.shape[1]
+        return len(self.t_entry)
+
+    def patches(self, padded: np.ndarray) -> np.ndarray:
+        """(K, gaps) array: tap k of every interior gap's patch."""
+        P = np.empty((len(self.taps), len(self.base)))
+        for k, o in enumerate(self.taps):
+            np.take(padded[o:], self.base, out=P[k], mode="clip")
+        return P
 
 
 class SolverWorkspace:
@@ -247,41 +369,40 @@ class SolverWorkspace:
         return [np.asarray(boundary.eval(i, self.table(i).t_entry), dtype=float)
                 for i in range(self.model.p)]
 
-    def _samples(self, tab: _CharTable, values2d: np.ndarray) -> np.ndarray:
-        """Bilinear samples of a cell array at every node, shape (L, lines)."""
-        return self.grid.gather(self.grid.pad(values2d).ravel(), tab.flat, tab.w)
+    def _lines(self, tab: _CharTable, inflow, nu2d, gain2d, alpha: float) -> np.ndarray:
+        """Exponential-form transport along every line of `tab`: F per cell, in table order.
 
-    @staticmethod
-    def _transport(dt: np.ndarray, inflow: np.ndarray, nu_s: np.ndarray,
-                   gain_s: np.ndarray, alpha: float) -> np.ndarray:
-        """Exponential-form trapezoid recursion along every ray of a ladder.
-
-        F_0 = inflow and F_{m+1} = F_m E_m + (dt_m / 2)(g_m E_m + g_{m+1}) with
-        E_m = exp(-(alpha + (nu_m + nu_{m+1}) / 2) dt_m); returns F at every
-        node, shape (L, rays).  Every operation is monotone under rounding, so
-        the result never decreases when the gain or the inflow grows or the
-        frequency shrinks.  With alpha = 0 and nu = 0 every E_m is exactly 1
-        and F is the cumulative trapezoid integral of g plus the inflow.
-
-        E and the sources are built in place: a sweep then holds few
-        ladder-sized temporaries, so the C heap does not grow and shrink
-        (and page-fault) on every component.
+        The recursion of `_transport`, from the entry ladder on, regrouped per
+        interior gap: with R_j = exp(-A_j) (R_S = 1) and G = M gain_patch, a
+        gap maps F at its upstream cell to
+        F R_0 + (dt / 2)(G_0 R_0 + 2 sum_{0<j<S} G_j R_j + G_S) at the next.
+        Every operation adds or multiplies nonnegative numbers or takes exp of
+        a negated nonnegative sum, so F never decreases when the gain or the
+        inflow grows or the frequency shrinks.  `nu2d` None is a zero frequency.
         """
-        E = np.add(nu_s[:-1], nu_s[1:])
-        E *= 0.5
-        E += alpha
-        np.negative(E, out=E)
-        E *= dt
-        np.exp(E, out=E)
-        F = np.empty_like(gain_s)
-        F[0] = inflow
-        np.multiply(gain_s[:-1], E, out=F[1:])
-        F[1:] += gain_s[1:]
-        F[1:] *= dt
-        F[1:] *= 0.5
-        for m in range(len(E)):
-            F[m + 1] += F[m] * E[m]
-        return F
+        grid = self.grid
+        gain = grid.pad(gain2d).ravel()
+        nu = None if nu2d is None else grid.pad(nu2d).ravel()
+        e = tab.entry
+        F = np.empty(len(tab.slot))
+        F[:tab.n_lines] = _transport(e, inflow,
+                                     None if nu is None else grid.gather(nu, e.flat, e.w),
+                                     grid.gather(gain, e.flat, e.w), alpha)
+        if not tab.chain:
+            return F[tab.slot]
+        if nu is None:
+            R = np.exp(-alpha * tab.t_rest)[:, None]
+        else:
+            A = _matmul(tab.MA, tab.patches(nu))
+            R = np.exp(np.subtract(-alpha * tab.t_rest[:, None], A, out=A), out=A)
+        loc = _matmul(tab.MG, tab.patches(gain))
+        loc[:-1] *= R
+        loc = loc.sum(axis=0)
+        R0 = np.broadcast_to(R[0], loc.shape)
+        for a, b, g, n in tab.chain:
+            np.multiply(F[a:a + n], R0[g:g + n], out=F[b:b + n])
+            F[b:b + n] += loc[g:g + n]
+        return F[tab.slot]
 
     def apply_exponential(self, entry_vals, nu, gain, alpha: float,
                           out: np.ndarray | None = None) -> np.ndarray:
@@ -304,41 +425,36 @@ class SolverWorkspace:
             tab = self.table(i)
             nu_i = nu(i) if callable(nu) else nu[i]
             gain_i = gain(i) if callable(gain) else gain[i]
-            comp = out[i].ravel()
-            comp[tab.cells_flat] = self._transport(
-                tab.dt, entry_vals[i], self._samples(tab, nu_i), self._samples(tab, gain_i),
-                alpha).ravel()[tab.node]
+            out[i].ravel()[tab.cells_flat] = self._lines(tab, entry_vals[i], nu_i, gain_i,
+                                                         alpha)
         return out
 
     def path_integral(self, i: int, values2d: np.ndarray) -> np.ndarray:
         """Plain trapezoid integral entry->cell per interior cell, in table order."""
         tab = self.table(i)
-        vals = self._samples(tab, values2d)
-        return self._transport(tab.dt, np.zeros(tab.n_lines), np.zeros_like(vals),
-                               vals, 0.0).ravel()[tab.node]
+        return self._lines(tab, np.zeros(tab.n_lines), None, values2d, 0.0)
 
     def path_integral_attenuated(self, i: int, values2d: np.ndarray,
                                  nu2d: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         """Entry->cell integral with the exponential attenuation factor."""
         tab = self.table(i)
-        return self._transport(tab.dt, np.zeros(tab.n_lines), self._samples(tab, nu2d),
-                               self._samples(tab, values2d), alpha).ravel()[tab.node]
+        return self._lines(tab, np.zeros(tab.n_lines), nu2d, values2d, alpha)
 
     def chord(self, i: int, integrand2d: np.ndarray, exit2d: np.ndarray):
         """Full chords, entry to exit, through every interior cell.
 
-        Per line: the trapezoid integral of `integrand2d` along the whole
-        ladder and the bilinear value of `exit2d` at the exit point, both read
-        at the last row; every cell on the line gets the line's values.
-        Returns two (ny, nx) arrays.
+        Per line: the trapezoid integral of `integrand2d` from the entry point
+        to the last cell, continued along the exit ladder to the exit point,
+        and the bilinear value of `exit2d` at the exit point; every cell on
+        the line gets the line's values.  Returns two (ny, nx) arrays.
         """
         tab = self.table(i)
         grid = self.grid
-        vals = self._samples(tab, integrand2d)
-        integral = self._transport(tab.dt, np.zeros(tab.n_lines), np.zeros_like(vals),
-                                   vals, 0.0)[-1]
-        at_exit = grid.gather(grid.pad(exit2d).ravel(), tab.flat[-1],
-                              tuple(w[-1] for w in tab.w))
+        x = tab.exit_ladder(grid, self.h_s)
+        to_last = self._lines(tab, np.zeros(tab.n_lines), None, integrand2d, 0.0)[tab.last]
+        integral = _transport(x, to_last, None,
+                              grid.gather(grid.pad(integrand2d).ravel(), x.flat, x.w), 0.0)
+        at_exit = grid.gather(grid.pad(exit2d).ravel(), x.flat[-1], tuple(w[-1] for w in x.w))
         return self.scatter(i, integral[tab.line]), self.scatter(i, at_exit[tab.line])
 
     def scatter(self, i: int, per_cell: np.ndarray) -> np.ndarray:

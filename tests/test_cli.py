@@ -123,6 +123,29 @@ def test_gen_shifted_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_gen_shifted_gamma(tmp_path, capsys):
+    """--gamma sets the broadwell rule; a model file base keeps its own gammas
+    and refuses the option."""
+    c0 = repr(float(2.0 * np.sqrt(2.0)))
+    out = tmp_path / "gen.json"
+    assert main(["model", "gen-shifted", "--c0", c0, "--n0", "1,1", "--gamma", "2.5",
+                 "-o", str(out)]) == 0
+    assert [r.gamma for r in dv.load_model(out).rules] == [2.5]
+    base = tmp_path / "base.json"
+    dv.save_model(dv.classical_broadwell(gamma=0.5), base)
+    out.unlink()
+    assert main(["model", "gen-shifted", "--base", str(base), "--c0", c0, "--n0", "1,1",
+                 "-o", str(out)]) == 0
+    assert [r.gamma for r in dv.load_model(out).rules] == [0.5]
+    out.unlink()
+    capsys.readouterr()
+    assert main(["model", "gen-shifted", "--base", str(base), "--c0", c0, "--n0", "1,1",
+                 "--gamma", "5", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--c0", "3", "--n0", "a,b"],
     ["--c0", "3", "--n0", "1"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dvmbvp.fields import (BoundaryData, Field, FieldError, Grid, SampledTrace,
-                           _bump_kernel, bump_profile, mollify_interior,
+                           _bump_kernel, bump_profile, mollify_field, mollify_interior,
                            truncate_and_mollify_boundary)
 from dvmbvp.geometry import ConvexDomain, boundary_param
 
@@ -65,6 +65,32 @@ def test_mollify_constant_exact(disk, grid24):
     f = Field.constant(grid24, [3.5])
     out = mollify_interior(f.values[0], 4 * grid24.h, grid24)
     assert np.allclose(out[grid24.mask], 3.5, atol=1e-13)
+
+
+def mollify_one_component(values2d, radius, grid):
+    """Reference: one component at a time, as mollify_field did component by component."""
+    offs, w = _bump_kernel(radius, grid.h)
+    reach = max(max(abs(dy), abs(dx)) for dy, dx in offs)
+    padded = np.pad(grid.pad(values2d), reach, mode="edge")
+    out = np.zeros((grid.ny, grid.nx))
+    for (dy, dx), wk in zip(offs, w):
+        out += wk * padded[reach + dy: reach + dy + grid.ny, reach + dx: reach + dx + grid.nx]
+    result = np.zeros_like(out)
+    result[grid.mask] = out[grid.mask]
+    return result
+
+
+@pytest.mark.parametrize("n, radii", [(32, (0.5, 0.125, 1 / 64)), (64, (0.125,))])
+def test_mollify_field_stack_matches_per_component_bitwise(disk, n, radii):
+    grid = Grid(disk, n)
+    values = np.random.default_rng(n).uniform(0.0, 2.0, (4, grid.ny, grid.nx)) * grid.mask
+    f = Field(grid, values)
+    for radius in radii:
+        got = mollify_field(f, radius).values
+        for i in range(4):
+            want = mollify_one_component(values[i], radius, grid)
+            assert np.array_equal(got[i], want)
+            assert np.array_equal(mollify_interior(values[i], radius, grid), want)
 
 
 def test_mollify_linear_interior_unchanged(disk):
@@ -213,6 +239,26 @@ def test_truncate_matches_1d_convolution_oracle(disk):
     for off, wk in zip(offs, w):
         want += wk * np.roll(capped, -off)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n, k", [(4096, 6.0), (2048, 16.0), (64, 1.5), (16, 1.01)])
+def test_truncate_smoothing_matches_roll_bitwise(disk, n, k):
+    """The wrapped-slice sum adds the same terms in the same order as np.roll."""
+    L = boundary_param(disk).total_length
+    ts = np.arange(n) * (L / n)
+    profile = 1.5 + np.sin(2 * np.pi * ts / L) + np.cos(6 * np.pi * ts / L) ** 2
+    out = truncate_and_mollify_boundary(BoundaryData((SampledTrace(ts, profile, L),)), k,
+                                        disk, n_samples=n)
+    capped = np.minimum(profile, k / 2)
+    half = L / (2 * k)
+    reach = max(1, int(math.floor(half / (L / n))))
+    offs = np.arange(-reach, reach + 1)
+    w = bump_profile(offs * (L / n) / half)
+    w = w / w.sum()
+    want = np.zeros_like(capped)
+    for off, wk in zip(offs, w):
+        want += wk * np.roll(capped, -int(off))
+    assert np.array_equal(out.traces[0].values, np.minimum(want, k / 2))
 
 
 def test_truncate_requires_k_above_one(disk):

@@ -14,7 +14,7 @@ import dvmbvp as dv
 from dvmbvp.collision import frequency_source, gain_truncated, truncated_factor
 from dvmbvp.fields import BoundaryData, Field, mollify_field
 from dvmbvp.solver import (WARM_START_TOL, SolverConfig, SolverError, SolverWorkspace,
-                           _ladder, compute_mass_cap, exponential_step,
+                           _matmul, _n_steps, compute_mass_cap, exponential_step,
                            inner_monotone_solve, outer_fixed_point,
                            residual_mild, residual_renormalized)
 
@@ -116,34 +116,55 @@ def test_line_nodes_increase_with_bounded_steps(disk, broadwell, n):
     ws = line_workspace(disk, broadwell, n)
     for i in range(broadwell.p):
         tab = ws.table(i)
-        last = np.zeros(tab.n_lines, dtype=np.int64)
-        np.maximum.at(last, tab.line, tab.node // tab.n_lines)
-        exit_row = np.count_nonzero(tab.dt > 0.0, axis=0)
-        ladder = np.arange(len(tab.dt))[:, None] < exit_row[None, :]
-        assert np.all(exit_row > last)                # the exit point comes after the last cell
-        assert np.all(tab.dt[ladder] > 0.0)           # strictly increasing node times
-        assert np.all(tab.dt[~ladder] == 0.0)         # padding
-        assert np.max(tab.dt) * tab.speed <= ws.h_s * (1 + 1e-12)
+        for lad in (tab.entry, tab.exit_ladder(ws.grid, ws.h_s)):
+            end_row = np.count_nonzero(lad.dt > 0.0, axis=0)
+            ladder = np.arange(len(lad.dt))[:, None] < end_row[None, :]
+            assert np.all(lad.dt[ladder] > 0.0)       # strictly increasing node times
+            assert np.all(lad.dt[~ladder] == 0.0)     # padding
+            assert np.max(lad.dt) * tab.speed <= ws.h_s * (1 + 1e-12)
+        # every interior gap: S equal steps from one cell to the next
+        same = np.diff(tab.line) == 0
+        assert len(tab.base) == np.count_nonzero(same) > 0
+        assert np.max(np.abs(np.diff(tab.s_plus)[same] - tab.S * tab.dt)) <= 1e-12
+        assert 0.0 < tab.dt * tab.speed <= ws.h_s * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("n", [40, 48])
 def test_line_node_of_each_cell_is_its_centre(disk, broadwell, n):
+    """The entry ladder ends and the exit ladder starts at a cell centre, and
+    an interior gap's first and last nodes are its two cells."""
     ws = line_workspace(disk, broadwell, n)
     grid = ws.grid
     vals = np.random.default_rng(n).uniform(0.0, 1.0, (grid.ny, grid.nx))
+    padded = grid.pad(vals).ravel()
+    at_cells = vals.ravel()
     for i in range(broadwell.p):
         tab = ws.table(i)
-        v = np.asarray(broadwell.v[i], dtype=float)
         head = np.flatnonzero(np.diff(tab.line, prepend=-1))
-        entry = grid.centers.reshape(-1, 2)[tab.cells_flat[head]] - tab.s_plus[head, None] * v
-        t, _, _, _, node = _ladder(grid, entry, tab.line, tab.s_plus, v, ws.h_s)
-        assert np.array_equal(t.ravel()[node], tab.s_plus)
-        assert np.array_equal(node, tab.node)
-        at_nodes = grid.gather(grid.pad(vals).ravel(), tab.flat, tab.w).ravel()[tab.node]
-        assert np.max(np.abs(at_nodes - vals.ravel()[tab.cells_flat])) < 1e-12
+        up = np.flatnonzero(np.diff(tab.line) == 0)
+        up = up[np.argsort(tab.slot[up + 1])]         # gaps in chain order
+        e, x = tab.entry, tab.exit_ladder(grid, ws.h_s)
+        at_first = grid.gather(padded, e.flat[-1], tuple(w[-1] for w in e.w))
+        at_last = grid.gather(padded, x.flat[0], tuple(w[0] for w in x.w))
+        at_nodes = tab.M @ tab.patches(padded)
+        for got, cells in [(at_first, head), (at_last, tab.last),
+                           (at_nodes[0], up), (at_nodes[-1], up + 1)]:
+            assert np.max(np.abs(got - at_cells[tab.cells_flat[cells]])) < 1e-12
         sp = np.array([disk_entry_time(z, broadwell.v[i])
                        for z in grid.centers.reshape(-1, 2)[tab.cells_flat]])
         assert np.max(np.abs(tab.s_plus - sp)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_classical_broadwell_gaps_take_two_steps(disk, n):
+    """A gap of exactly 2 h_s gets 2 steps, whatever the rounding in its length."""
+    model = dv.classical_broadwell()
+    ws = line_workspace(disk, model, n)
+    for i in range(model.p):
+        tab = ws.table(i)
+        same = np.diff(tab.line) == 0
+        assert tab.S == 2
+        assert np.all(_n_steps(np.diff(tab.s_plus)[same] * tab.speed, ws.h_s) == 2)
 
 
 @pytest.mark.parametrize("n", [40, 48])
@@ -199,17 +220,189 @@ def test_line_tracing_matches_per_cell_exit_times(broadwell, domain, velocities)
         v = model.v[i]
         zs = grid.centers.reshape(-1, 2)[tab.cells_flat]
         assert np.max(np.abs(tab.s_plus - domain.exit_times(zs, -v))) * tab.speed <= tol
-        # each line's ladder ends at its exit point, in steps of at most h_s
-        last = np.flatnonzero(np.diff(tab.line, append=tab.n_lines))
+        # each line's gaps add up to its chord, in steps of at most h_s
+        last = tab.last
         s_minus = domain.exit_times(zs[last], v)
         chord = tab.s_plus[last] + s_minus
-        assert np.max(np.abs(np.sum(tab.dt, axis=0) - chord)) * tab.speed <= tol
-        assert np.all(tab.dt >= 0.0)
-        assert np.max(tab.dt) * tab.speed <= ws.h_s * (1 + 1e-12)
+        gaps = (np.bincount(tab.line) - 1) * (tab.S * tab.dt)
+        x = tab.exit_ladder(grid, ws.h_s)
+        total = np.sum(tab.entry.dt, axis=0) + gaps + np.sum(x.dt, axis=0)
+        assert np.max(np.abs(total - chord)) * tab.speed <= tol
+        for lad in (tab.entry, x):
+            assert np.all(lad.dt >= 0.0)
+            assert np.max(lad.dt) * tab.speed <= ws.h_s * (1 + 1e-12)
+        if len(tab.base):
+            assert tab.dt * tab.speed <= ws.h_s * (1 + 1e-12)
         exit_pts = zs[last] + s_minus[:, None] * v
         vals = np.random.default_rng(i).uniform(0.0, 1.0, (grid.ny, grid.nx))
-        at_exit = grid.gather(grid.pad(vals).ravel(), tab.flat[-1], tuple(w[-1] for w in tab.w))
+        at_exit = grid.gather(grid.pad(vals).ravel(), x.flat[-1], tuple(w[-1] for w in x.w))
         assert np.max(np.abs(at_exit - grid.interpolate(vals, exit_pts))) < 1e-12
+
+
+# -- whole-line reference ------------------------------------------------------------
+# The engine before gap transfers: one node ladder per line from its entry point
+# through every cell centre to its exit point, with one trapezoid recursion
+# over all of its nodes.  Gap transfers regroup the same recursion, so results
+# move by rounding alone.
+
+def reference_ladder(grid, start, ray, t_stop, v, h_s, stop_pts):
+    """Nodes of rays start + t v with a node at every stop (listed ray by ray),
+    shape (L, rays); returns dt, the node stencils and the flat node of each stop."""
+    n_rays = len(start)
+    first = np.diff(ray, prepend=-1) != 0
+    t_prev = np.where(first, 0.0, np.roll(t_stop, 1))
+    gap = t_stop - t_prev
+    steps = _n_steps(gap * float(np.hypot(v[0], v[1])), h_s)
+    ends = np.cumsum(steps)
+    col = ends - (ends - steps)[first][ray]
+    owner = np.repeat(np.arange(len(t_stop)), steps)
+    j = np.arange(len(owner)) - np.repeat(ends - steps, steps) + 1
+    t_nodes = t_prev[owner] + j * (gap / steps)[owner]
+    t_nodes[ends - 1] = t_stop
+    t = np.zeros((int(col.max(initial=0)) + 1, n_rays))
+    t[(col - steps)[owner] + j, ray[owner]] = t_nodes
+    np.maximum.accumulate(t, axis=0, out=t)
+    pts = start[None, :, :] + t[..., None] * v
+    pts[col, ray] = stop_pts
+    flat, w = grid.interp_weights(pts)
+    return np.diff(t, axis=0), flat, w, col * n_rays + ray
+
+
+def reference_recursion(dt, inflow, nu_s, gain_s, alpha):
+    """F at every node: F_{m+1} = F_m E_m + (dt_m / 2)(g_m E_m + g_{m+1})."""
+    E = np.exp(-(alpha + 0.5 * (nu_s[:-1] + nu_s[1:])) * dt)
+    F = np.empty_like(gain_s)
+    F[0] = inflow
+    for m in range(len(E)):
+        F[m + 1] = F[m] * E[m] + 0.5 * dt[m] * (gain_s[m] * E[m] + gain_s[m + 1])
+    return F
+
+
+class ReferenceLines:
+    """Whole-line ladders of one velocity, built from the workspace's lines."""
+
+    def __init__(self, ws, i):
+        tab, grid = ws.table(i), ws.grid
+        v = np.asarray(ws.model.v[i], dtype=float)
+        zs = grid.centers.reshape(-1, 2)[tab.cells_flat]
+        head = np.flatnonzero(np.diff(tab.line, prepend=-1))
+        s_head = tab.s_plus[head]
+        tau = s_head + ws.domain.exit_times(zs[head], v)
+        entry = zs[head] - s_head[:, None] * v
+        after_last = np.append(head[1:], len(tab.line))
+        lines = np.arange(len(head))
+        self.dt, self.flat, self.w, node = reference_ladder(
+            grid, entry, np.insert(tab.line, after_last, lines),
+            np.insert(tab.s_plus, after_last, np.maximum(tau, tab.s_plus[after_last - 1])),
+            v, ws.h_s, np.insert(zs, after_last, entry + tau[:, None] * v, axis=0))
+        self.node = np.delete(node, after_last + lines)
+        self.grid, self.line = grid, tab.line
+
+    def samples(self, values2d):
+        return self.grid.gather(self.grid.pad(values2d).ravel(), self.flat, self.w)
+
+    def nodes(self, inflow, nu2d, gain2d, alpha):
+        return reference_recursion(self.dt, inflow, self.samples(nu2d), self.samples(gain2d),
+                                   alpha)
+
+    def cells(self, inflow, nu2d, gain2d, alpha):
+        return self.nodes(inflow, nu2d, gain2d, alpha).ravel()[self.node]
+
+
+def assert_relative(got, want, rtol=1e-13):
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+
+
+@pytest.mark.parametrize("domain, model", [
+    (dv.ConvexDomain.disk(), dv.shifted_broadwell()),
+    (dv.ConvexDomain.ellipse(2.0, 1.0, center=(0.3, -0.2)), dv.shifted_broadwell()),
+    (dv.ConvexDomain.superellipse(1.0, 0.8, 4.0), dv.shifted_broadwell()),
+    (dv.ConvexDomain.disk(), dv.VelocityModel.create([(1.0, math.sqrt(2.0))], [])),
+    (dv.ConvexDomain.ellipse(2.0, 1.0, center=(0.3, -0.2)), dv.classical_broadwell()),
+], ids=["disk", "ellipse", "superellipse", "off-lattice", "classical"])
+def test_gap_transfers_match_whole_line_recursion(domain, model):
+    ws = line_workspace(domain, model, 40)
+    grid = ws.grid
+    rng = np.random.default_rng(5)
+    shape = (model.p, grid.ny, grid.nx)
+    nu = rng.uniform(0.0, 3.0, shape) * grid.mask
+    gain = rng.uniform(0.1, 2.0, shape) * grid.mask
+    zero = np.zeros((grid.ny, grid.nx))
+    entry = ws.entry_values(BoundaryData.constant([0.5, 1.0, 1.5, 2.0][:model.p]))
+    sweeps = {alpha: ws.apply_exponential(entry, nu, gain, alpha) for alpha in (0.0, 0.25)}
+    for i in range(model.p):
+        ref = ReferenceLines(ws, i)
+        tab = ws.table(i)
+        no_inflow = np.zeros(tab.n_lines)
+        for alpha, sweep in sweeps.items():
+            assert_relative(sweep[i].ravel()[tab.cells_flat],
+                            ref.cells(entry[i], nu[i], gain[i], alpha))
+            assert_relative(ws.path_integral_attenuated(i, gain[i], nu[i], alpha),
+                            ref.cells(no_inflow, nu[i], gain[i], alpha))
+        assert_relative(ws.path_integral(i, gain[i]), ref.cells(no_inflow, zero, gain[i], 0.0))
+        integral, at_exit = ws.chord(i, gain[i], nu[i])
+        want = ref.nodes(no_inflow, zero, gain[i], 0.0)[-1][tab.line]
+        assert_relative(integral.ravel()[tab.cells_flat], want)
+        assert_relative(at_exit.ravel()[tab.cells_flat], ref.samples(nu[i])[-1][tab.line])
+
+
+def test_repeated_sweeps_are_bit_identical(disk, broadwell):
+    """A sweep depends on its inputs alone: repeats, a fresh workspace and inputs
+    copied to other addresses give the same bits."""
+    ws, fresh = line_workspace(disk, broadwell, 48), line_workspace(disk, broadwell, 48)
+    grid = ws.grid
+    rng = np.random.default_rng(11)
+    shape = (broadwell.p, grid.ny, grid.nx)
+    nu = rng.uniform(0.0, 3.0, shape) * grid.mask
+    gain = rng.uniform(0.0, 2.0, shape) * grid.mask
+    entry = ws.entry_values(BoundaryData.constant([0.5, 1.0, 1.5, 2.0]))
+    first = ws.apply_exponential(entry, nu, gain, 0.25)
+    for shift in range(1, 4):
+        buf = np.empty(2 * nu.size + shift)
+        nu_moved = buf[shift:shift + nu.size].reshape(shape)
+        gain_moved = buf[shift + nu.size:].reshape(shape)
+        nu_moved[...], gain_moved[...] = nu, gain
+        assert np.array_equal(ws.apply_exponential(entry, nu_moved, gain_moved, 0.25), first)
+    assert np.array_equal(fresh.apply_exponential(entry, nu, gain, 0.25), first)
+
+
+@pytest.mark.parametrize("model", [dv.shifted_broadwell(), dv.classical_broadwell()],
+                         ids=["shifted", "classical"])
+def test_gap_matrices_deterministic_and_monotone_to_one_ulp(disk, model):
+    """The gap products MG P and MA P give the same bits for patches at any
+    address and never decrease when patch entries grow by one ulp."""
+    ws = line_workspace(disk, model, 48)
+    rng = np.random.default_rng(2)
+    for i in range(model.p):
+        tab = ws.table(i)
+        P = np.hstack([tab.patches(rng.uniform(0.0, 2.0, ws.grid.ny * ws.grid.nx))
+                       for _ in range(4)])               # several gemm blocks wide
+        bumped = np.where(rng.random(P.shape) < 0.5, np.nextafter(P, np.inf), P)
+        for mat in (tab.MG, tab.MA):
+            want = _matmul(mat, P)
+            for shift in range(1, 8):
+                buf = np.empty(P.size + shift)
+                moved = buf[shift:].reshape(P.shape)
+                moved[...] = P
+                assert np.array_equal(_matmul(mat, moved), want)
+            assert np.all(_matmul(mat, bumped) >= want)
+
+
+def test_sweep_monotone_to_one_ulp(disk, broadwell):
+    ws = line_workspace(disk, broadwell, 40)
+    grid = ws.grid
+    rng = np.random.default_rng(13)
+    shape = (broadwell.p, grid.ny, grid.nx)
+    nu = rng.uniform(0.0, 3.0, shape) * grid.mask
+    gain = rng.uniform(0.0, 2.0, shape) * grid.mask
+    pick = rng.random(shape) < 0.5
+    entry = ws.entry_values(BoundaryData.constant([0.5, 1.0, 1.5, 2.0]))
+    for alpha in (0.0, 0.25):
+        base = ws.apply_exponential(entry, nu, gain, alpha)
+        nu_low = np.where(pick, np.nextafter(nu, 0.0), nu)
+        gain_high = np.where(pick, np.nextafter(gain, np.inf), gain)
+        assert np.all(ws.apply_exponential(entry, nu_low, gain, alpha) >= base)
+        assert np.all(ws.apply_exponential(entry, nu, gain_high, alpha) >= base)
 
 
 def test_step_rejects_negative_inputs(disk, broadwell, ws24):
