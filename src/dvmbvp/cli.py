@@ -381,6 +381,7 @@ def cmd_solve(args) -> int:
             json.dump({"hash": rhash, **stage.diagnostics,
                        "cauchy_distances": stage.continuation.cauchy_distances,
                        "alpha_converged": stage.continuation.converged,
+                       "alphas": stage.continuation.alphas,
                        "stage_terminations": [t.termination
                                               for t in stage.continuation.traces],
                        "final_residual": stage.continuation.final_residual,

@@ -2,8 +2,9 @@
 
 Supported shapes are disks, ellipses and superellipses |x/a|^q + |y/b|^q = 1
 with q in (1, 8].  All of them are described by an implicit function phi with
-phi < 0 inside and phi = 0 on the boundary, so ray/boundary intersections can
-be found by bracketed bisection without shape-specific code.
+phi < 0 inside and phi = 0 on the boundary.  A ray leaves a disk or an
+ellipse at the larger root of a quadratic and a superellipse by bracketed
+bisection on phi.
 """
 
 from __future__ import annotations
@@ -164,16 +165,20 @@ class ConvexDomain:
     # -- ray tracing ---------------------------------------------------------
 
     def exit_times(self, zs, v):
-        """Bisection per point of an (n, 2) array: smallest s > 0 with z + s v
+        """Exit time per point of an (n, 2) array: smallest s > 0 with z + s v
         on the boundary.
 
         Assumes phi(z) <= 0 (inside or on the boundary with the ray entering).
+        On a disk or ellipse phi(z + s v) is quadratic in s and the exit time
+        is its larger root; superellipses bisect.
         """
         zs = np.asarray(zs, dtype=float)
         v = _as_point(v)
         speed = float(np.hypot(v[0], v[1]))
         if speed == 0.0:
             raise GeometryError("zero velocity has no characteristic")
+        if self.exponent == 2.0:
+            return self._quadratic_exit_times(zs, v)
         c = np.asarray(self.center)
         hi = (np.linalg.norm(zs - c, axis=1) + self.bounding_radius + self.scale) / speed
         grow = self.phi(zs + hi[:, None] * v) <= 0.0
@@ -187,6 +192,26 @@ class ConvexDomain:
             hi = np.where(outside, mid, hi)
             lo = np.where(outside, lo, mid)
         return 0.5 * (lo + hi)
+
+    def _quadratic_exit_times(self, zs, v):
+        """Larger root of A s^2 + B s + C = 0, with phi(z + s v) = that
+        quadratic, in the form without cancellation (Press et al., Numerical
+        Recipes, 5.6): -2C / (B + sqrt(D)) for B >= 0, (sqrt(D) - B) / (2A)
+        otherwise.  D and s are clamped at 0, so a ray that leaves from the
+        boundary exits at 0.
+        """
+        a, b = self.semi_axes
+        x = (zs[:, 0] - self.center[0]) / a
+        y = (zs[:, 1] - self.center[1]) / b
+        vx, vy = v[0] / a, v[1] / b
+        A = vx * vx + vy * vy
+        B = 2.0 * (x * vx + y * vy)
+        C = x * x + y * y - 1.0
+        root = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
+        den = B + root
+        far = np.where(B >= 0.0, -2.0 * C / np.where(den > 0.0, den, 1.0),
+                       (root - B) / (2.0 * A))
+        return np.maximum(far, 0.0)
 
     def trace(self, z, v):
         """Characteristic segment through z in direction v.

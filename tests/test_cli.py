@@ -346,10 +346,14 @@ def test_sweep_reports_stage_terminations(tmp_path, shifted_model_file):
                        {"profile": "constant", "values": [1.0, 1.0, 1.0, 1.0]},
                        {**SMALL_SOLVER, "alpha_schedule": [0.5, 0.25, 0.125]})
     assert main(["sweep", str(cfg)]) == 0
-    for k in (4, 16):
-        report = json.loads((tmp_path / "out" / f"report_k{k}.json").read_text())
-        assert report["stage_terminations"] == ["converged_warm_start", "converged",
-                                                "converged"]
+    first = json.loads((tmp_path / "out" / "report_k4.json").read_text())
+    assert first["alphas"] == [0.5, 0.25, 0.125]
+    assert first["stage_terminations"] == ["converged_warm_start", "converged",
+                                           "converged"]
+    # later levels run only the Richardson pair, from the previous level's field
+    later = json.loads((tmp_path / "out" / "report_k16.json").read_text())
+    assert later["alphas"] == [0.25, 0.125]
+    assert later["stage_terminations"] == ["converged", "converged"]
 
 
 def test_solve_rejects_uncertified_model(tmp_path, classical_model_file):

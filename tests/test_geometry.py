@@ -82,6 +82,44 @@ def test_exit_times_match_closed_form(disk):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def bisection_exit_times(dom, zs, v, steps=80):
+    """Reference: bracketed bisection on phi along z + s v."""
+    hi = np.full(len(zs), 2.0 * (dom.diameter + np.max(np.abs(zs))) / np.hypot(*v))
+    lo = np.zeros(len(zs))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        outside = dom.phi(zs + mid[:, None] * v) > 0.0
+        hi = np.where(outside, mid, hi)
+        lo = np.where(outside, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("dom", [ConvexDomain.disk(),
+                                 ConvexDomain.ellipse(1.3, 0.7, (0.2, -0.1))],
+                         ids=["disk", "ellipse"])
+def test_quadratic_exit_times_match_bisection(dom):
+    """The closed-form exit time on a disk or ellipse agrees with bisection,
+    from interior points and from boundary points whose ray enters (the
+    chord) or leaves (time 0)."""
+    rng = np.random.default_rng(2)
+    a, b = dom.semi_axes
+    r = np.sqrt(rng.uniform(0.0, 1.0, 2000))
+    th = rng.uniform(0.0, 2.0 * np.pi, 2000)
+    interior = np.c_[a * r * np.cos(th), b * r * np.sin(th)]
+    th = rng.uniform(0.0, 2.0 * np.pi, 500)
+    boundary = np.c_[a * np.cos(th), b * np.sin(th)]
+    zs = np.r_[interior, boundary] + dom.center
+    normals = np.r_[np.zeros((len(interior), 2)), dom.inward_normals(boundary + dom.center)]
+    for v in [(3.0, 2.0), (1.0, 2.0), (2.0, 3.0), (2.0, 1.0), (1.0, 0.0),
+              (1.0, np.sqrt(2.0))]:
+        for w in (np.array(v), -np.array(v)):
+            got = dom.exit_times(zs, w)
+            assert np.max(np.abs(got - bisection_exit_times(dom, zs, w))) <= (
+                1e-12 * dom.diameter)
+            leaving = normals @ w < -1e-3 * np.hypot(*w)
+            assert leaving.any() and np.all(got[leaving] <= 1e-12 * dom.diameter)
+
+
 # -- normals ---------------------------------------------------------------------
 
 def test_inward_normal_disk(disk):

@@ -12,7 +12,9 @@ import pytest
 
 import dvmbvp as dv
 from dvmbvp.collision import frequency_source, gain_truncated, truncated_factor
-from dvmbvp.fields import BoundaryData, Field, mollify_field
+from dvmbvp.fields import (BoundaryData, CallableTrace, Field, mollify_field,
+                           truncate_and_mollify_boundary)
+from dvmbvp.geometry import boundary_param
 from dvmbvp.solver import (WARM_START_TOL, SolverConfig, SolverError, SolverWorkspace,
                            _matmul, _n_steps, compute_mass_cap, exponential_step,
                            inner_monotone_solve, outer_fixed_point,
@@ -716,6 +718,60 @@ def test_k_sweep_cap_active_lowers_mass(disk, broadwell, maxwellian_params,
     grid = sweep.field.grid
     exact = Field.constant(grid, maxwellian_values)
     assert sweep.field.mass() < exact.mass()
+
+
+def full_schedule_sweep(domain, model, boundary, config, ws):
+    """Reference k sweep: the whole alpha schedule at every level, each level
+    starting from the previous level's last field."""
+    estimates, prev = [], None
+    for k in config.k_schedule:
+        bd_k = truncate_and_mollify_boundary(boundary, k, domain)
+        cont = dv.alpha_continuation(domain, model, bd_k, replace(config, k=k),
+                                     workspace=ws, start=prev)
+        estimates.append(cont.estimate)
+        prev = cont.last
+    return estimates
+
+
+def step_inflow(domain, p):
+    """Per component i: 2 on half the boundary from i/p of a turn, else 0.25."""
+    length = boundary_param(domain).total_length
+    return BoundaryData(tuple(
+        CallableTrace(lambda t, s=i / p * length:
+                      np.where(np.mod(t - s, length) < 0.5 * length, 2.0, 0.25))
+        for i in range(p)))
+
+
+@pytest.mark.parametrize("inflow", ["maxwellian", "step"])
+def test_k_sweep_later_levels_run_the_richardson_pair(disk, broadwell, maxwellian_params,
+                                                      inflow):
+    """After the first level only the last two alpha stages run; every level's
+    estimate stays within 1e-8 relative L1 of the full schedule's."""
+    bd = (BoundaryData.maxwellian(broadwell, *maxwellian_params) if inflow == "maxwellian"
+          else step_inflow(disk, broadwell.p))
+    cfg = SolverConfig(grid_n=16, k_schedule=(4.0, 16.0, 64.0),
+                       alpha_schedule=(0.5, 0.25, 0.125))
+    ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), cfg)
+    want = full_schedule_sweep(disk, broadwell, bd, cfg, ws)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws, collect_diagnostics=False)
+    assert sweep.converged
+    assert [st.continuation.alphas for st in sweep.stages] == [
+        list(cfg.alpha_schedule)] + [list(cfg.alpha_schedule[-2:])] * 2
+    assert [len(st.continuation.cauchy_distances) for st in sweep.stages] == [2, 1, 1]
+    assert np.array_equal(sweep.stages[0].continuation.estimate.values, want[0].values)
+    for st, ref in zip(sweep.stages, want):
+        assert st.continuation.estimate.l1_distance(ref) <= 1e-8 * ref.mass()
+
+
+def test_k_sweep_with_a_stage_pair_runs_it_at_every_level(disk, broadwell):
+    """A two-stage schedule is its own Richardson pair: bitwise the reference."""
+    cfg = SolverConfig(grid_n=16, k_schedule=(4.0, 16.0), alpha_schedule=(0.25, 0.125))
+    bd = step_inflow(disk, broadwell.p)
+    ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), cfg)
+    want = full_schedule_sweep(disk, broadwell, bd, cfg, ws)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws, collect_diagnostics=False)
+    for st, ref in zip(sweep.stages, want):
+        assert np.array_equal(st.continuation.estimate.values, ref.values)
 
 
 # -- residuals ----------------------------------------------------------------------------
