@@ -17,14 +17,13 @@ from .geometry import (BoundaryArc, CharacteristicSegment, ConvexDomain,
                        GeometryError, OutsideDomainError, boundary_quadrature,
                        change_of_variables_jacobian_check, tangency_thetas)
 from .fields import (BoundaryData, Field, FieldError, Grid, mollify_field,
-                     mollify_interior, truncate_and_mollify_boundary)
+                     truncate_and_mollify_boundary)
 from .collision import (CollisionEval, eval_convolved_truncated, eval_truncated,
                         eval_untruncated, truncated_factor)
 from .solver import (ContinuationResult, SolveTrace, SolverConfig, SolverError,
                      SolverWorkspace, SweepResult, alpha_continuation,
-                     compute_mass_cap, exponential_step, inner_monotone_solve,
-                     k_sweep, outer_fixed_point, residual_mild,
-                     residual_renormalized)
+                     compute_mass_cap, inner_monotone_solve, k_sweep,
+                     outer_fixed_point, residual_mild, residual_renormalized)
 from .diagnostics import (BalanceReport, ExceptionalSets, MassEnergyReport,
                           ModulusTable, characteristic_balance,
                           entropy_bound_check, entropy_dissipation,

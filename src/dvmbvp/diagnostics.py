@@ -509,7 +509,7 @@ def integrated_collision_frequency(domain: ConvexDomain, model: VelocityModel,
 # ---------------------------------------------------------------------------
 
 def stage_diagnostics(domain: ConvexDomain, model: VelocityModel, field_: Field,
-                      boundary: BoundaryData, alpha: float, k: float,
+                      boundary: BoundaryData, k: float,
                       workspace: SolverWorkspace | None = None) -> dict:
     """Standard measurement bundle for one truncation level.
 

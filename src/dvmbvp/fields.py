@@ -177,9 +177,6 @@ class Field:
     def min_value(self) -> float:
         return float(self.values[:, self.grid.mask].min()) if self.grid.n_interior else 0.0
 
-    def interpolate(self, i: int, points):
-        return self.grid.interpolate(self.values[i], points)
-
     def save_csv(self, path) -> None:
         """Rows x, y, component, value for every interior cell."""
         g = self.grid
@@ -252,20 +249,8 @@ def _bump_kernel(radius: float, h: float):
     return tuple(offs), w
 
 
-def mollify_interior(values2d: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
-    """Convolve one component with the interior bump kernel.
-
-    Stencil points outside the interior take the nearest-interior-cell value,
-    the discrete version of continuing the field past the boundary with its
-    boundary value.  The discrete kernel is normalised to unit sum, so
-    constants are reproduced exactly.  A radius below h leaves the one-cell
-    kernel, the identity.
-    """
-    return _mollify_stack(values2d[None], radius, grid)[0]
-
-
 def _mollify_stack(values: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
-    """`mollify_interior` of every (ny, nx) slice of a (p, ny, nx) stack,
+    """`mollify_field` of every (ny, nx) slice of a (p, ny, nx) stack,
     padded once and convolved in one pass over the kernel offsets."""
     if radius <= 0:
         raise FieldError("mollifier radius must be positive")
@@ -281,6 +266,14 @@ def _mollify_stack(values: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
 
 
 def mollify_field(field: Field, radius: float) -> Field:
+    """Convolve every component with the interior bump kernel.
+
+    Stencil points outside the interior take the nearest-interior-cell value,
+    the discrete version of continuing the field past the boundary with its
+    boundary value.  The discrete kernel is normalised to unit sum, so
+    constants are reproduced exactly.  A radius below h leaves the one-cell
+    kernel, the identity.
+    """
     return Field(field.grid, _mollify_stack(field.values, radius, field.grid))
 
 

@@ -9,6 +9,7 @@ bisection on phi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -139,23 +140,6 @@ class ConvexDomain:
         return self.phi(points) < 0.0
 
     # -- normals -----------------------------------------------------------
-
-    def inward_normal(self, point):
-        """Unit inward normal at a boundary point."""
-        z = _as_point(point)
-        tol = 1e-6 * self.scale
-        if abs(self.phi(z)) > tol:
-            raise GeometryError(f"point {z} is not on the boundary (phi={self.phi(z):.3e})")
-        g = self.grad_phi(z)
-        gn = float(np.hypot(g[0], g[1]))
-        if gn == 0.0:
-            raise GeometryError("degenerate gradient on the boundary")
-        n = -g / gn
-        # orientation probe: stepping inward along n must decrease phi
-        delta = 1e-8 * self.scale
-        if self.phi(z + delta * n) >= self.phi(z):
-            n = -n
-        return n
 
     def inward_normals(self, points):
         g = self.grad_phi(points)
@@ -317,21 +301,26 @@ class BoundaryParam:
         return self.domain.inward_normals(self.point_of_theta(theta))
 
 
-_PARAM_CACHE: dict[ConvexDomain, BoundaryParam] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def boundary_param(domain: ConvexDomain) -> BoundaryParam:
-    bp = _PARAM_CACHE.get(domain)
-    if bp is None:
-        bp = BoundaryParam(domain)
-        _PARAM_CACHE[domain] = bp
-    return bp
+    return BoundaryParam(domain)
+
+
+def _velocity_key(v) -> tuple[float, float]:
+    v = _as_point(v)
+    return float(v[0]), float(v[1])
 
 
 def tangency_thetas(domain: ConvexDomain, v) -> tuple[float, float]:
-    """Parameters of the two boundary points where v is tangent (v.n = 0)."""
+    """Parameters of the two boundary points where v is tangent (v.n = 0),
+    computed once per (domain, v)."""
+    return _tangency_thetas(domain, _velocity_key(v))
+
+
+@functools.lru_cache(maxsize=256)
+def _tangency_thetas(domain: ConvexDomain, key: tuple[float, float]) -> tuple[float, float]:
     bp = boundary_param(domain)
-    v = _as_point(v)
+    v = np.array(key)
     theta = bp.theta_grid
     g = bp.normal_grid @ v
     on_grid = np.flatnonzero(g[:-1] == 0.0)
@@ -378,13 +367,21 @@ def boundary_quadrature(domain: ConvexDomain, v, sign, n_nodes=1024) -> Boundary
     """Midpoint-rule quadrature on the arc where sign(v.n) matches `sign`.
 
     The arc endpoints are the two tangency points of v; midpoint nodes keep
-    the integrand |v.n| away from its zeros at the endpoints.
+    the integrand |v.n| away from its zeros at the endpoints.  Each arc is
+    built once per (domain, v, sign, n_nodes) and shared by every caller, so
+    its arrays are read-only.
     """
     if sign not in (+1, -1):
         raise GeometryError("sign must be +1 (inflow) or -1 (outflow)")
-    v = _as_point(v)
+    return _boundary_quadrature(domain, _velocity_key(v), sign, n_nodes)
+
+
+@functools.lru_cache(maxsize=256)
+def _boundary_quadrature(domain: ConvexDomain, key: tuple[float, float], sign,
+                         n_nodes) -> BoundaryArc:
+    v = np.array(key)
     bp = boundary_param(domain)
-    th1, th2 = tangency_thetas(domain, v)
+    th1, th2 = _tangency_thetas(domain, key)
     # decide which of the two arcs carries the requested sign
     mid = 0.5 * (th1 + th2)
     g_mid = float(bp.normals_of_theta(mid) @ v)
@@ -400,9 +397,11 @@ def boundary_quadrature(domain: ConvexDomain, v, sign, n_nodes=1024) -> Boundary
     # arclength weight per theta interval from the secant of the curve
     edge_pts = bp.point_of_theta(edges)
     dsig = np.linalg.norm(np.diff(edge_pts, axis=0), axis=1)
-    return BoundaryArc(
-        v=v, sign=sign, points=pts, t_params=bp.t_of_theta(mids), dsigma=dsig, vdotn=vdotn,
-    )
+    arc = BoundaryArc(v=v, sign=sign, points=pts, t_params=bp.t_of_theta(mids),
+                      dsigma=dsig, vdotn=vdotn)
+    for a in (arc.v, arc.points, arc.t_params, arc.dsigma, arc.vdotn):
+        a.setflags(write=False)
+    return arc
 
 
 def change_of_variables_jacobian_check(domain: ConvexDomain, vi, vj, z=None,

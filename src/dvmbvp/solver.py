@@ -55,7 +55,7 @@ import numpy as np
 from .collision import (eval_convolved_truncated, eval_truncated, eval_untruncated,
                         frequency_source, gain_truncated, truncated_factor)
 from .fields import BoundaryData, Field, Grid, mollify_field, truncate_and_mollify_boundary
-from .geometry import BoundaryArc, ConvexDomain, boundary_param, boundary_quadrature
+from .geometry import ConvexDomain, boundary_param, boundary_quadrature
 from .model import VelocityModel
 
 # An inner ladder stops at max(tol_inner, INNER_FORCING x the previous outer
@@ -93,7 +93,7 @@ class SolverConfig:
 
 
 def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
-                     boundary: BoundaryData, alpha: float, arcs=None) -> float:
+                     boundary: BoundaryData, alpha: float) -> float:
     """Total inflow flux divided by alpha: the invariant-region mass bound.
 
     Recomputed from the boundary data of the problem actually being solved
@@ -103,7 +103,7 @@ def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
         raise SolverError("mass cap requires positive damping")
     total = 0.0
     for i in range(model.p):
-        arc = arcs[i] if arcs is not None else boundary_quadrature(domain, model.v[i], +1)
+        arc = boundary_quadrature(domain, model.v[i], +1)
         total += arc.integrate_flux(boundary.eval(i, arc.t_params))
     return total / alpha
 
@@ -347,7 +347,6 @@ class SolverWorkspace:
         self.config = config
         self.h_s = config.step(grid.h)
         self._tables: dict[int, _CharTable] = {}
-        self._arcs: dict[tuple[int, int], BoundaryArc] = {}
 
     def table(self, i: int) -> _CharTable:
         tab = self._tables.get(i)
@@ -355,17 +354,6 @@ class SolverWorkspace:
             tab = _CharTable(self.domain, self.grid, self.model.v[i], self.h_s)
             self._tables[i] = tab
         return tab
-
-    def arc(self, i: int, sign: int) -> BoundaryArc:
-        key = (i, sign)
-        arc = self._arcs.get(key)
-        if arc is None:
-            arc = boundary_quadrature(self.domain, self.model.v[i], sign)
-            self._arcs[key] = arc
-        return arc
-
-    def inflow_arcs(self):
-        return [self.arc(i, +1) for i in range(self.model.p)]
 
     def entry_values(self, boundary: BoundaryData) -> list[np.ndarray]:
         """Inflow trace at the entry point of every characteristic line."""
@@ -438,8 +426,9 @@ class SolverWorkspace:
         return self._lines(tab, np.zeros(tab.n_lines), None, values2d, 0.0)
 
     def path_integral_attenuated(self, i: int, values2d: np.ndarray,
-                                 nu2d: np.ndarray, alpha: float = 0.0) -> np.ndarray:
-        """Entry->cell integral with the exponential attenuation factor."""
+                                 nu2d: np.ndarray | None, alpha: float = 0.0) -> np.ndarray:
+        """Entry->cell integral with the exponential attenuation factor;
+        `nu2d` None means zero frequency."""
         tab = self.table(i)
         return self._lines(tab, np.zeros(tab.n_lines), nu2d, values2d, alpha)
 
@@ -497,22 +486,6 @@ class SolveTrace:
 # single stage
 # ---------------------------------------------------------------------------
 
-def exponential_step(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
-                     nu_field: Field, gain_field: Field, alpha: float,
-                     workspace: SolverWorkspace | None = None) -> Field:
-    """Integrate boundary data and a given gain against a given frequency.
-
-    Returns, for every cell and component, the exponential-form transport
-    solution of (alpha + v.grad + nu) F = gain with the prescribed inflow.
-    """
-    if np.any(nu_field.values < 0) or np.any(gain_field.values < 0):
-        raise SolverError("nu and gain fields must be nonnegative")
-    ws = workspace or SolverWorkspace(domain, model, nu_field.grid, SolverConfig())
-    entry_vals = ws.entry_values(boundary)
-    out = ws.apply_exponential(entry_vals, nu_field.values, gain_field.values, alpha)
-    return Field(ws.grid, out)
-
-
 def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
                          boundary: BoundaryData, frozen: Field, config: SolverConfig,
                          workspace: SolverWorkspace | None = None,
@@ -537,8 +510,7 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     if entry_vals is None:
         entry_vals = ws.entry_values(boundary)
     if mass_cap is None:
-        mass_cap = compute_mass_cap(domain, model, boundary, alpha,
-                                    arcs=ws.inflow_arcs())
+        mass_cap = compute_mass_cap(domain, model, boundary, alpha)
 
     source = frequency_source(model, smoothed.values, k)
     tr_sm = truncated_factor(smoothed.values, k)
@@ -613,8 +585,7 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
             (workspace.grid if workspace is not None else Grid(domain, config.grid_n)))
     ws = workspace or SolverWorkspace(domain, model, grid, config)
     entry_vals = ws.entry_values(boundary)
-    mass_cap = compute_mass_cap(domain, model, boundary, config.alpha,
-                                arcs=ws.inflow_arcs())
+    mass_cap = compute_mass_cap(domain, model, boundary, config.alpha)
     f = start.copy() if start is not None else Field.zeros(grid, model.p)
     trace = SolveTrace(kind="outer", mass_cap=mass_cap, tolerance=config.tol_outer)
     tol_inner = config.tol_inner
@@ -783,8 +754,8 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
                                   start=prev_field)
         info = {}
         if collect_diagnostics:
-            info = diag.stage_diagnostics(domain, model, cont.estimate, bd_k,
-                                          alpha=cont.alphas[-1], k=k, workspace=ws)
+            info = diag.stage_diagnostics(domain, model, cont.estimate, bd_k, k=k,
+                                          workspace=ws)
         stages.append(KStage(k, bd_k, cont, info))
         prev_field = cont.last
     dists = [stages[j].continuation.estimate.l1_distance(stages[j - 1].continuation.estimate)
@@ -828,11 +799,10 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
     l1 = np.zeros(model.p)
     rel = np.zeros(model.p)
     worst = 0.0
-    zero_nu = np.zeros((ws.grid.ny, ws.grid.nx))
     for i in range(model.p):
         tab = ws.table(i)
         b = np.asarray(boundary.eval(i, tab.t_entry), dtype=float)[tab.line]
-        coll = ws.path_integral_attenuated(i, net[i], zero_nu, alpha)
+        coll = ws.path_integral_attenuated(i, net[i], None, alpha)
         predicted = b * np.exp(-alpha * tab.s_plus) + coll
         actual = field_.values[i].ravel()[tab.cells_flat]
         r = np.abs(actual - predicted)
@@ -902,8 +872,8 @@ def residual_renormalized(domain: ConvexDomain, model: VelocityModel,
         per_comp = np.zeros(model.p)
         for i in range(model.p):
             v = model.v[i]
-            arc_out = ws.arc(i, -1)
-            arc_in = ws.arc(i, +1)
+            arc_out = boundary_quadrature(domain, v, -1)
+            arc_in = boundary_quadrature(domain, v, +1)
             ln_out = np.log1p(grid.interpolate(field_.values[i], arc_out.points))
             phi_out = np.asarray(tf.fn(arc_out.points[:, 0], arc_out.points[:, 1]))
             out_term = arc_out.integrate_flux(phi_out * ln_out)

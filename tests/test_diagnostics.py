@@ -1,6 +1,7 @@
 """Diagnostics tests: balances, dissipation, entropy caps, exceptional sets,
 translation moduli."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from dvmbvp.diagnostics import (characteristic_balance, collision_grids,
                                 exceptional_sets, integrated_collision_frequency,
                                 mass_energy_flux, slab_energy_rows, translation_modulus)
 from dvmbvp.fields import BoundaryData, Field
-from dvmbvp.solver import SolverConfig, SolverWorkspace
+from dvmbvp.solver import SolverConfig, SolverWorkspace, residual_renormalized
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +301,32 @@ def test_exceptional_workspace_matches_default_bitwise(disk, broadwell, grid24,
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.bound_violations == b.bound_violations
         assert np.any(a.measure_exit > 0) and np.any(a.measure_nu > 0)
+
+
+def test_repeat_calls_on_shared_arcs_are_bitwise_equal(broadwell, maxwellian_values):
+    """The arcs and tangency points are shared between calls; the second call
+    of each boundary diagnostic reads them back unchanged.  The field is a
+    Maxwellian times a few trig modes, on a domain no other test builds, so
+    the first calls build the arcs."""
+    dom = dv.ConvexDomain.disk(center=(0.125, -0.0625))
+    grid = dv.Grid(dom, 32)
+    ws = SolverWorkspace(dom, broadwell, grid, SolverConfig(grid_n=32))
+    F = Field.from_function(grid, [
+        lambda x, y, e=e, ph=ph: e * (1.0 + 0.05 * (np.sin(math.pi * x + ph)
+                                                    + np.sin(math.pi * (x + y) - ph)))
+        for e, ph in zip(maxwellian_values, (0.3, 1.1, 2.0, 4.2))])
+    bd = BoundaryData.constant(list(maxwellian_values))
+    nu, gain = collision_grids(broadwell, F, k=16.0)
+    calls = [
+        lambda: [characteristic_balance(dom, broadwell, F, bd, 0.0, nu, gain)],
+        lambda: [exceptional_sets(dom, broadwell, F, 16.0, epsilon=0.1, workspace=ws)],
+        lambda: residual_renormalized(dom, broadwell, bd, F, k=16.0, workspace=ws),
+    ]
+    for call in calls:
+        first, second = call(), call()
+        for a, b in zip(first, second):
+            for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
+                assert np.array_equal(x, y)
 
 
 # -- translation moduli ------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dvmbvp.fields import (BoundaryData, Field, FieldError, Grid, SampledTrace,
-                           _bump_kernel, bump_profile, mollify_field, mollify_interior,
+                           _bump_kernel, _mollify_stack, bump_profile, mollify_field,
                            truncate_and_mollify_boundary)
 from dvmbvp.geometry import ConvexDomain, boundary_param
 
@@ -49,7 +49,7 @@ def test_nearest_interior_map_matches_bruteforce(domain, n):
 def test_interpolation_exact_on_linears(grid24):
     f = Field.from_function(grid24, [lambda x, y: 1.0 + 2.0 * x - 0.5 * y])
     pts = np.array([[0.1, 0.2], [-0.3, 0.05], [0.0, 0.0]])
-    got = f.interpolate(0, pts)
+    got = grid24.interpolate(f.values[0], pts)
     want = 1.0 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1]
     assert np.allclose(got, want, atol=1e-13)
 
@@ -63,7 +63,7 @@ def test_bump_profile_support():
 
 def test_mollify_constant_exact(disk, grid24):
     f = Field.constant(grid24, [3.5])
-    out = mollify_interior(f.values[0], 4 * grid24.h, grid24)
+    out = mollify_field(f, 4 * grid24.h).values[0]
     assert np.allclose(out[grid24.mask], 3.5, atol=1e-13)
 
 
@@ -90,14 +90,14 @@ def test_mollify_field_stack_matches_per_component_bitwise(disk, n, radii):
         for i in range(4):
             want = mollify_one_component(values[i], radius, grid)
             assert np.array_equal(got[i], want)
-            assert np.array_equal(mollify_interior(values[i], radius, grid), want)
+            assert np.array_equal(_mollify_stack(values[i][None], radius, grid)[0], want)
 
 
 def test_mollify_linear_interior_unchanged(disk):
     grid = Grid(disk, 32)
     radius = 3 * grid.h
     f = Field.from_function(grid, [lambda x, y: 2.0 + x])
-    out = mollify_interior(f.values[0], radius, grid)
+    out = mollify_field(f, radius).values[0]
     # deep interior: stencil fully inside, symmetric kernel kills odd moments
     rr = np.linalg.norm(grid.centers, axis=-1)
     deep = grid.mask & (rr < 1.0 - radius - 2 * grid.h)
@@ -108,7 +108,7 @@ def test_mollify_halfplane_indicator_transition(disk):
     grid = Grid(disk, 48)
     radius = 4 * grid.h
     f = Field.from_function(grid, [lambda x, y: (x > 0).astype(float)])
-    out = mollify_interior(f.values[0], radius, grid)
+    out = mollify_field(f, radius).values[0]
     row = grid.ny // 2
     xs = grid.xs
     vals = out[row]
@@ -123,7 +123,7 @@ def test_mollify_mass_against_bruteforce_oracle(disk):
     grid = Grid(disk, 20)
     radius = 3 * grid.h
     f = Field.from_function(grid, [lambda x, y: 1.0 + 0.5 * x + 0.25 * y * y])
-    out = mollify_interior(f.values[0], radius, grid)
+    out = mollify_field(f, radius).values[0]
 
     # independent dense oracle: explicit nearest-interior search (min distance,
     # lexicographic tie-break) and direct python sums
@@ -161,7 +161,7 @@ def test_mollify_positivity_and_interior_mass(disk):
     # never leaves the interior, so mass is preserved up to rounding
     f = Field.from_function(grid, [
         lambda x, y: np.maximum(0.0, 0.55 - np.hypot(x, y)) * (2 + np.sin(3 * x))])
-    out = mollify_interior(f.values[0], radius, grid)
+    out = mollify_field(f, radius).values[0]
     assert out[grid.mask].min() >= 0.0
     mass_in = f.values[0].sum() * grid.cell_area
     mass_out = out.sum() * grid.cell_area
@@ -174,7 +174,7 @@ def test_mollify_boundary_mass_growth_is_curvature_bounded(disk):
     grid = Grid(disk, 32)
     radius = 4 * grid.h
     f = Field.from_function(grid, [lambda x, y: 1.0 + x * x + y * y])
-    out = mollify_interior(f.values[0], radius, grid)
+    out = mollify_field(f, radius).values[0]
     growth = out.sum() / f.values[0].sum() - 1.0
     assert growth <= (radius / 1.0) ** 2
     assert out[grid.mask].min() >= 0.0
@@ -184,7 +184,7 @@ def test_mollify_boundary_mass_growth_is_curvature_bounded(disk):
 def test_mollify_rejects_nonpositive_radius(grid24, radius):
     f = Field.constant(grid24, [1.0])
     with pytest.raises(FieldError, match="radius"):
-        mollify_interior(f.values[0], radius, grid24)
+        mollify_field(f, radius)
 
 
 # -- boundary traces -------------------------------------------------------------------

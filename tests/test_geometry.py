@@ -123,24 +123,19 @@ def test_quadratic_exit_times_match_bisection(dom):
 # -- normals ---------------------------------------------------------------------
 
 def test_inward_normal_disk(disk):
-    assert np.allclose(disk.inward_normal((1.0, 0.0)), [-1, 0], atol=1e-12)
-    assert np.allclose(disk.inward_normal((0.0, -1.0)), [0, 1], atol=1e-12)
+    assert np.allclose(disk.inward_normals((1.0, 0.0)), [-1, 0], atol=1e-12)
+    assert np.allclose(disk.inward_normals((0.0, -1.0)), [0, 1], atol=1e-12)
 
 
 def test_inward_normal_ellipse():
     dom = ConvexDomain.ellipse(2.0, 1.0)
-    assert np.allclose(dom.inward_normal((2.0, 0.0)), [-1, 0], atol=1e-12)
+    assert np.allclose(dom.inward_normals((2.0, 0.0)), [-1, 0], atol=1e-12)
     # gradient direction (x/2, 2y) normalised at a generic point
     x, y = 2.0 * np.cos(0.7), np.sin(0.7)
-    n = dom.inward_normal((x, y))
+    n = dom.inward_normals((x, y))
     g = np.array([x / 2.0, 2.0 * y])
     assert np.allclose(n, -g / np.linalg.norm(g), atol=1e-10)
     assert abs(np.linalg.norm(n) - 1.0) < 1e-14
-
-
-def test_inward_normal_requires_boundary_point(disk):
-    with pytest.raises(GeometryError):
-        disk.inward_normal((0.5, 0.0))
 
 
 def test_normal_unit_norm_superellipse():
@@ -148,7 +143,7 @@ def test_normal_unit_norm_superellipse():
     bp = boundary_param(dom)
     pts = bp.point_of_theta(np.linspace(0.1, 6.0, 17))
     for pt in pts:
-        n = dom.inward_normal(pt)
+        n = dom.inward_normals(pt)
         assert abs(np.linalg.norm(n) - 1.0) < 1e-14
 
 
@@ -203,6 +198,25 @@ def test_projected_width_identity_superellipse():
 def test_tangency_thetas_disk(disk):
     th = sorted(tangency_thetas(disk, (1.0, 0.0)))
     assert np.allclose(th, [np.pi / 2, 3 * np.pi / 2], atol=1e-8)
+
+
+def test_arcs_and_tangency_points_are_built_once(broadwell):
+    dom = ConvexDomain.ellipse(1.3, 0.8)
+    v = broadwell.v[1]
+    key = (float(v[0]), float(v[1]))
+    arc = dv.boundary_quadrature(dom, v, +1)
+    assert dv.boundary_quadrature(dom, key, +1) is arc
+    assert dv.boundary_quadrature(ConvexDomain.ellipse(1.3, 0.8), v, +1) is arc
+    assert dv.boundary_quadrature(dom, v, -1) is not arc
+    assert dv.boundary_quadrature(dom, v, +1, 256) is not arc
+    assert tangency_thetas(dom, key) is tangency_thetas(dom, v)
+
+
+def test_boundary_arc_arrays_are_read_only(disk):
+    arc = dv.boundary_quadrature(disk, (1.0, 0.5), +1)
+    for a in (arc.v, arc.points, arc.t_params, arc.dsigma, arc.vdotn):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 # -- strict convexity proxy -----------------------------------------------------------

@@ -16,9 +16,8 @@ from dvmbvp.fields import (BoundaryData, CallableTrace, Field, mollify_field,
                            truncate_and_mollify_boundary)
 from dvmbvp.geometry import boundary_param
 from dvmbvp.solver import (WARM_START_TOL, SolverConfig, SolverError, SolverWorkspace,
-                           _matmul, _n_steps, compute_mass_cap, exponential_step,
-                           inner_monotone_solve, outer_fixed_point,
-                           residual_mild, residual_renormalized)
+                           _matmul, _n_steps, compute_mass_cap, inner_monotone_solve,
+                           outer_fixed_point, residual_mild, residual_renormalized)
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +40,18 @@ def disk_entry_time(z, v, r=1.0):
     return (b + np.sqrt(b * b - a * (z @ z - r * r))) / a
 
 
+def transport(ws, bd, nu, gain, alpha):
+    """One exponential transport sweep of the given frequency and gain fields."""
+    return Field(ws.grid, ws.apply_exponential(ws.entry_values(bd), nu.values, gain.values,
+                                               alpha))
+
+
 # -- exponential transport step ------------------------------------------------
 
 def test_step_pure_transport_exact(disk, broadwell, ws24):
     bd = BoundaryData.constant([2.0, 3.0, 4.0, 5.0])
     zero = Field.zeros(ws24.grid, 4)
-    out = exponential_step(disk, broadwell, bd, zero, zero, 0.0, workspace=ws24)
+    out = transport(ws24, bd, zero, zero, 0.0)
     for i in range(4):
         vals = out.values[i][ws24.grid.mask]
         assert np.all(vals == bd.traces[i].value)
@@ -57,7 +62,7 @@ def test_step_constant_frequency_closed_form(disk, broadwell, ws32):
     bd = BoundaryData.constant([2.0] * 4)
     nu = Field.constant(ws32.grid, [c] * 4)
     gain = Field.zeros(ws32.grid, 4)
-    out = exponential_step(disk, broadwell, bd, nu, gain, 0.0, workspace=ws32)
+    out = transport(ws32, bd, nu, gain, 0.0)
     # independent oracle: exact disk chord entry times
     cells = ws32.grid.centers[ws32.grid.mask]
     for i in range(4):
@@ -72,7 +77,7 @@ def test_step_constant_gain_closed_form(disk, broadwell, ws32):
     bd = BoundaryData.constant([2.0] * 4)
     nu = Field.constant(ws32.grid, [c] * 4)
     gain = Field.constant(ws32.grid, [g] * 4)
-    out = exponential_step(disk, broadwell, bd, nu, gain, 0.0, workspace=ws32)
+    out = transport(ws32, bd, nu, gain, 0.0)
     cells = ws32.grid.centers[ws32.grid.mask]
     for i in range(4):
         sp = np.array([disk_entry_time(z, broadwell.v[i]) for z in cells])
@@ -85,7 +90,7 @@ def test_step_damped_transport(disk, broadwell, ws24):
     alpha = 0.5
     bd = BoundaryData.constant([1.0] * 4)
     zero = Field.zeros(ws24.grid, 4)
-    out = exponential_step(disk, broadwell, bd, zero, zero, alpha, workspace=ws24)
+    out = transport(ws24, bd, zero, zero, alpha)
     cells = ws24.grid.centers[ws24.grid.mask]
     for i in range(4):
         sp = np.array([disk_entry_time(z, broadwell.v[i]) for z in cells])
@@ -196,8 +201,7 @@ def test_off_lattice_velocity_one_cell_per_line(disk, n):
     assert tab.n_lines == len(tab.cells_flat)
     c, g = 1.0, 0.7
     bd = BoundaryData.constant([2.0])
-    out = exponential_step(disk, model, bd, Field.constant(ws.grid, [c]),
-                           Field.constant(ws.grid, [g]), 0.0, workspace=ws)
+    out = transport(ws, bd, Field.constant(ws.grid, [c]), Field.constant(ws.grid, [g]), 0.0)
     cells = ws.grid.centers[ws.grid.mask]
     sp = np.array([disk_entry_time(z, model.v[0]) for z in cells])
     want = 2.0 * np.exp(-c * sp) + (g / c) * (1.0 - np.exp(-c * sp))
@@ -341,6 +345,8 @@ def test_gap_transfers_match_whole_line_recursion(domain, model):
                             ref.cells(entry[i], nu[i], gain[i], alpha))
             assert_relative(ws.path_integral_attenuated(i, gain[i], nu[i], alpha),
                             ref.cells(no_inflow, nu[i], gain[i], alpha))
+            assert np.array_equal(ws.path_integral_attenuated(i, gain[i], None, alpha),
+                                  ws.path_integral_attenuated(i, gain[i], zero, alpha))
         assert_relative(ws.path_integral(i, gain[i]), ref.cells(no_inflow, zero, gain[i], 0.0))
         integral, at_exit = ws.chord(i, gain[i], nu[i])
         want = ref.nodes(no_inflow, zero, gain[i], 0.0)[-1][tab.line]
@@ -407,15 +413,6 @@ def test_sweep_monotone_to_one_ulp(disk, broadwell):
         assert np.all(ws.apply_exponential(entry, nu, gain_high, alpha) >= base)
 
 
-def test_step_rejects_negative_inputs(disk, broadwell, ws24):
-    bd = BoundaryData.constant([1.0] * 4)
-    bad = Field.zeros(ws24.grid, 4)
-    bad.values[0, ws24.grid.mask] = -1.0
-    with pytest.raises(SolverError):
-        exponential_step(disk, broadwell, bd, bad, Field.zeros(ws24.grid, 4), 0.0,
-                         workspace=ws24)
-
-
 # -- inner monotone ladder -------------------------------------------------------
 
 def test_inner_zero_boundary(disk, broadwell, ws24):
@@ -433,7 +430,7 @@ def test_inner_frozen_zero_is_damped_transport(disk, broadwell, ws24):
     frozen = Field.zeros(ws24.grid, 4)
     F, tr = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws24)
     zero = Field.zeros(ws24.grid, 4)
-    want = exponential_step(disk, broadwell, bd, zero, zero, 0.25, workspace=ws24)
+    want = transport(ws24, bd, zero, zero, 0.25)
     assert np.array_equal(F.values, want.values)
     assert tr.converged
 
