@@ -108,11 +108,11 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
         arc = boundary_quadrature(domain, v, +1, 256)
         w = np.abs(arc.vdotn) * arc.dsigma
         b = np.asarray(boundary.eval(i, arc.t_params), dtype=float)
-        steps, flat, wts = _ladder(grid, arc.points, domain.exit_times(arc.points, v), v,
-                                   0.5 * grid.h)
-        nu_s = grid.gather(grid.pad(nu[i]).ravel(), flat, wts)
-        g_s = grid.gather(grid.pad(gain[i]).ravel(), flat, wts)
-        del flat, wts           # the largest arrays here; freed before the coefficients
+        steps, reads, W = _ladder(grid, arc.points, domain.exit_times(arc.points, v), v,
+                                  0.5 * grid.h)
+        nu_s = grid.sample(nu[i], reads, W)
+        g_s = grid.sample(gain[i], reads, W)
+        del reads, W            # the largest arrays here; freed before the coefficients
         nu_bar = 0.5 * (nu_s[:-1] + nu_s[1:])
         g_bar = 0.5 * (g_s[:-1] + g_s[1:])
         # step coefficients of every ray at once, shape (L - 1, rays)
@@ -208,7 +208,8 @@ def slab_energy_rows(domain: ConvexDomain, model: VelocityModel, field_: Field,
     bnrm = domain.inward_normals(bpts)
     dsig = np.linalg.norm(np.diff(bp.point_of_theta(theta_edges), axis=0), axis=1)
     bproj = bpts @ ex
-    F_bnd = np.stack([grid.interpolate(field_.values[i], bpts) for i in range(model.p)])
+    at_bpts = grid.interp_weights(bpts)
+    F_bnd = np.stack([grid.sample(field_.values[i], *at_bpts) for i in range(model.p)])
     vdotn = model.v @ bnrm.T        # (p, 2048)
 
     cells_proj = np.einsum("yxc,c->yx", grid.centers, ex)
@@ -220,10 +221,10 @@ def slab_energy_rows(domain: ConvexDomain, model: VelocityModel, field_: Field,
         t_plus = float(domain.exit_times(base[None, :], ey)[0])
         t_minus = float(domain.exit_times(base[None, :], -ey)[0])
         ts = np.linspace(-t_minus, t_plus, 256)
-        chord_pts = base[None, :] + ts[:, None] * ey
+        at_chord = grid.interp_weights(base[None, :] + ts[:, None] * ey)
         lhs = 0.0
         for i in range(model.p):
-            vals = grid.interpolate(field_.values[i], chord_pts)
+            vals = grid.sample(field_.values[i], *at_chord)
             lhs += xi[i] ** 2 * float(np.trapezoid(vals, ts))
         bmask = bproj <= a
         boundary_term = float(np.sum(
@@ -483,9 +484,10 @@ def translation_modulus(values, grid: Grid, direction, h_list) -> ModulusTable:
     for si, h in enumerate(shifts):
         pts = cells + h * d
         valid = grid.domain.contains(pts)
+        at_pts = grid.interp_weights(pts[valid])
         for c in range(vals.shape[0]):
             base = vals[c][grid.mask]
-            shifted = grid.interpolate(vals[c], pts[valid])
+            shifted = grid.sample(vals[c], *at_pts)
             num = float(np.sum(np.abs(shifted - base[valid]))) * area
             den = float(np.sum(np.abs(base))) * area
             out[c, si] = num / max(den, 1e-300)

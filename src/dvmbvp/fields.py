@@ -49,6 +49,11 @@ class Grid:
         if not np.any(self.mask):
             raise FieldError("no interior cells; increase the resolution")
         self.pad_flat = self._nearest_interior_map()
+        # pad_flat of the four bilinear corners of every cell taken as a
+        # lower-left cell; no lower-left cell lies in the last row or column,
+        # whose corners are clamped only to stay in range
+        corners = np.arange(ny * nx) + np.array([[0], [1], [nx], [nx + 1]])
+        self._corner_reads = self.pad_flat[np.minimum(corners, ny * nx - 1)]
         self.n_interior = int(np.sum(self.mask))
 
     def _nearest_interior_map(self) -> np.ndarray:
@@ -87,13 +92,11 @@ class Grid:
     def cell_area(self) -> float:
         return self.h * self.h
 
-    def pad(self, values2d: np.ndarray) -> np.ndarray:
-        """Continue a (ny, nx) array to every cell by nearest interior value."""
-        return values2d.ravel()[self.pad_flat].reshape(self.ny, self.nx)
-
     def interp_weights(self, points):
-        """Bilinear stencil for arbitrary points: flat index of the lower-left
-        cell plus the four nonnegative corner weights.
+        """Bilinear stencil for arbitrary points, each part stacked as
+        (4, *points.shape[:-1]) in corner order (0, 0), (1, 0), (0, 1), (1, 1):
+        the flat index of every corner cell, continued past the boundary
+        through `pad_flat`, and its nonnegative weight.
 
         Points beyond the outermost cell centers are clamped, which keeps the
         weights in [0, 1] and the scheme order-preserving.
@@ -106,23 +109,24 @@ class Grid:
         fx = np.clip(gx - ix, 0.0, 1.0)
         fy = np.clip(gy - iy, 0.0, 1.0)
         flat = iy * self.nx + ix
-        w00 = (1.0 - fx) * (1.0 - fy)
-        w10 = fx * (1.0 - fy)
-        w01 = (1.0 - fx) * fy
-        w11 = fx * fy
-        return flat, (w00, w10, w01, w11)
+        W = np.empty((4,) + flat.shape)
+        ex, ey = 1.0 - fx, 1.0 - fy
+        np.multiply(ex, ey, out=W[0])
+        np.multiply(fx, ey, out=W[1])
+        np.multiply(ex, fy, out=W[2])
+        np.multiply(fx, fy, out=W[3])
+        return self._corner_reads.take(flat, axis=1), W
 
-    def gather(self, padded_flat_values, flat, weights):
-        w00, w10, w01, w11 = weights
-        v = padded_flat_values
-        return (w00 * v[flat] + w10 * v[flat + 1]
-                + w01 * v[flat + self.nx] + w11 * v[flat + self.nx + 1])
+    @staticmethod
+    def sample(values2d, reads, W):
+        """Bilinear values of a (ny, nx) array through an `interp_weights`
+        stencil: one take, then the corner products added in corner order."""
+        corner_vals = values2d.ravel().take(reads)
+        return np.multiply(corner_vals, W, out=corner_vals).sum(axis=0)
 
     def interpolate(self, values2d, points):
         """Bilinear interpolation of a cell array at arbitrary points."""
-        padded = self.pad(values2d).ravel()
-        flat, w = self.interp_weights(points)
-        return self.gather(padded, flat, w)
+        return self.sample(values2d, *self.interp_weights(points))
 
 
 # ---------------------------------------------------------------------------

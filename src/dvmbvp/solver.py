@@ -40,6 +40,12 @@ codes advance per track segment), and a chain over the gaps reads each
 cell.  A line holds many cells there, so a sweep costs O(n^2); a velocity
 off the lattice gets one cell per line, hence no interior gaps, through the
 same code.  A sweep is deterministic for fixed inputs.
+
+A sweep reads each field once per velocity: the table holds one index of
+every node sample it needs, the entry ladder's four bilinear corners and
+each interior gap's stencil taps, composed with the grid's nearest-interior
+continuation, so a single `take` gives them all, with no padded copy of the
+field and no per-call index arithmetic.
 """
 
 from __future__ import annotations
@@ -139,8 +145,8 @@ def _matmul(W: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 class _Ladder(NamedTuple):
     dt: np.ndarray          # (L - 1, rays) step times
-    flat: np.ndarray        # (L, rays) bilinear stencil of every node ...
-    w: tuple                # ... and its four corner weights
+    reads: np.ndarray       # (4, L, rays) bilinear stencil of every node ...
+    W: np.ndarray           # ... and its four corner weights (`Grid.interp_weights`)
 
 
 def _ladder(grid: Grid, start: np.ndarray, t_end: np.ndarray, v, h_s: float,
@@ -159,8 +165,7 @@ def _ladder(grid: Grid, start: np.ndarray, t_end: np.ndarray, v, h_s: float,
     pts = start[None, :, :] + t[..., None] * v
     if end_pts is not None:
         pts = np.where((m >= steps)[..., None], end_pts, pts)
-    flat, w = grid.interp_weights(pts)
-    return _Ladder(np.diff(t, axis=0), flat, w)
+    return _Ladder(np.diff(t, axis=0), *grid.interp_weights(pts))
 
 
 def _transport(lad: _Ladder, inflow: np.ndarray, nu_s, gain_s: np.ndarray,
@@ -220,9 +225,15 @@ class _CharTable:
     `MG` is M with the trapezoid weights (dt / 2)(1, 2, ..., 2, 1) folded in,
     and `MA` (S, K) holds the trapezoid partial sums of the frequency, so
     that node j of a gap is attenuated by R_j = exp(-A_j) with
-    A_j = (MA nu_patch)_j + alpha `t_rest`_j, t_rest_j = (S - j) dt.  A gap
-    stores only `base`, the flat index of the lowest cell of its patch: tap
-    k reads the padded field at base + taps[k].
+    A_j = (MA nu_patch)_j + alpha `t_rest`_j, t_rest_j = (S - j) dt.
+
+    Every node sample a sweep needs comes through one int64 index, `reads`,
+    composed with `Grid.pad_flat` so that it reads the (ny, nx) field itself:
+    first the entry ladder's four bilinear corners, shape (4, L, lines),
+    then tap k of every interior gap's patch, shape (K, gaps).  `read` takes
+    a field through it once and returns the entry nodes' bilinear values
+    (with the ladder's stacked weights, corners added in stencil order) and
+    the (K, gaps) patch matrix; `entry.reads` is a view of the first part.
 
     Lines are numbered longest first, so the lines that hold an r-th cell
     are lines 0, 1, ...: transport chains the cells row by row in a ragged
@@ -263,7 +274,7 @@ class _CharTable:
         tau = s_head + domain.exit_times(z_head, v)       # chord time per line
         s = s_head[line] + (proj - proj[head][line])
         entry = z_head - s_head[:, None] * v
-        self.entry = _ladder(grid, entry, s_head, v, h_s, z_head)
+        e = _ladder(grid, entry, s_head, v, h_s, z_head)
         self.exit_t = np.maximum(tau, s[last]) - s[last]
         self.exit_pts = entry + tau[:, None] * v
 
@@ -275,7 +286,9 @@ class _CharTable:
                       for a, b, n in zip(row[:-2], row[1:-1], in_row[1:])]
         up = np.flatnonzero(np.diff(line) == 0)           # upstream cell of each gap
         up = up[np.argsort(self.slot[up + 1])]
-        self._interior_gaps(grid, interior[order], up, v, speed, h_s)
+        gap_reads = self._interior_gaps(grid, interior[order], up, v, speed, h_s)
+        self.reads = np.concatenate([e.reads.ravel(), gap_reads.ravel()])
+        self.entry = e._replace(reads=self.reads[:e.reads.size].reshape(e.reads.shape))
 
         self.v, self.speed = v, speed
         self.cells_flat = interior[order]
@@ -285,7 +298,8 @@ class _CharTable:
         self.t_entry = boundary_param(domain).t_of_point(entry)
 
     def _interior_gaps(self, grid: Grid, cells, up, v, speed: float, h_s: float):
-        """Step count S, step time dt, matrices M and MA, taps and patch bases."""
+        """Step count S, step time dt, matrices M and MA and taps; returns the
+        (K, gaps) read index of the gap patches."""
         iy, ix = np.divmod(cells, grid.nx)
         dy, dx = iy[up + 1] - iy[up], ix[up + 1] - ix[up]
         if not len(up):               # one cell per line: no gaps, a zero vector
@@ -315,7 +329,8 @@ class _CharTable:
         self.MG = trapezoid[:, None] * M
         self.MA = (0.5 * self.dt) * np.cumsum((M[:-1] + M[1:])[::-1], axis=0)[::-1]
         self.t_rest = self.dt * (S - j[:-1])
-        self.base = cells[up] + min(0, dy) * grid.nx + min(0, dx)
+        base = cells[up] + min(0, dy) * grid.nx + min(0, dx)   # lowest cell of each patch
+        return grid.pad_flat[self.taps[:, None] + base]
 
     def exit_ladder(self, grid: Grid, h_s: float) -> _Ladder:
         """Node ladder of every line's exit gap, from its last cell to its exit
@@ -328,12 +343,15 @@ class _CharTable:
     def n_lines(self) -> int:
         return len(self.t_entry)
 
-    def patches(self, padded: np.ndarray) -> np.ndarray:
-        """(K, gaps) array: tap k of every interior gap's patch."""
-        P = np.empty((len(self.taps), len(self.base)))
-        for k, o in enumerate(self.taps):
-            np.take(padded[o:], self.base, out=P[k], mode="clip")
-        return P
+    def read(self, values2d: np.ndarray):
+        """Every node sample of a (ny, nx) field, from one take through
+        `reads`: the entry ladder's node values, shape (L, lines), and the
+        (K, gaps) patch matrix."""
+        vals = values2d.ravel().take(self.reads)
+        W = self.entry.W
+        corner_vals = vals[:W.size].reshape(W.shape)
+        at_nodes = np.multiply(corner_vals, W, out=corner_vals).sum(axis=0)
+        return at_nodes, vals[W.size:].reshape(len(self.taps), -1)
 
 
 class SolverWorkspace:
@@ -371,25 +389,21 @@ class SolverWorkspace:
         a negated nonnegative sum, so F never decreases when the gain or the
         inflow grows or the frequency shrinks.  `nu2d` None is a zero frequency.
         """
-        grid = self.grid
-        gain = grid.pad(gain2d).ravel()
-        nu = None if nu2d is None else grid.pad(nu2d).ravel()
-        e = tab.entry
+        gain_e, gain_p = tab.read(gain2d)
+        nu_e, nu_p = (None, None) if nu2d is None else tab.read(nu2d)
         F = np.empty(len(tab.slot))
-        F[:tab.n_lines] = _transport(e, inflow,
-                                     None if nu is None else grid.gather(nu, e.flat, e.w),
-                                     grid.gather(gain, e.flat, e.w), alpha)
+        F[:tab.n_lines] = _transport(tab.entry, inflow, nu_e, gain_e, alpha)
         if not tab.chain:
             return F[tab.slot]
-        if nu is None:
+        if nu2d is None:
             R = np.exp(-alpha * tab.t_rest)[:, None]
         else:
-            A = _matmul(tab.MA, tab.patches(nu))
+            A = _matmul(tab.MA, nu_p)
             R = np.exp(np.subtract(-alpha * tab.t_rest[:, None], A, out=A), out=A)
-        loc = _matmul(tab.MG, tab.patches(gain))
+        loc = _matmul(tab.MG, gain_p)
         loc[:-1] *= R
         loc = loc.sum(axis=0)
-        R0 = np.broadcast_to(R[0], loc.shape)
+        R0 = np.broadcast_to(R[0], loc.shape) if nu2d is None else R[0]
         for a, b, g, n in tab.chain:
             np.multiply(F[a:a + n], R0[g:g + n], out=F[b:b + n])
             F[b:b + n] += loc[g:g + n]
@@ -444,9 +458,8 @@ class SolverWorkspace:
         grid = self.grid
         x = tab.exit_ladder(grid, self.h_s)
         to_last = self._lines(tab, np.zeros(tab.n_lines), None, integrand2d, 0.0)[tab.last]
-        integral = _transport(x, to_last, None,
-                              grid.gather(grid.pad(integrand2d).ravel(), x.flat, x.w), 0.0)
-        at_exit = grid.gather(grid.pad(exit2d).ravel(), x.flat[-1], tuple(w[-1] for w in x.w))
+        integral = _transport(x, to_last, None, grid.sample(integrand2d, x.reads, x.W), 0.0)
+        at_exit = grid.sample(exit2d, x.reads[:, -1], x.W[:, -1])
         return self.scatter(i, integral[tab.line]), self.scatter(i, at_exit[tab.line])
 
     def scatter(self, i: int, per_cell: np.ndarray) -> np.ndarray:

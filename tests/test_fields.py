@@ -23,7 +23,7 @@ def test_grid_mask_matches_phi(disk, grid24):
 def test_pad_is_identity_inside(grid24):
     vals = np.zeros((grid24.ny, grid24.nx))
     vals[grid24.mask] = np.arange(grid24.n_interior, dtype=float)
-    padded = grid24.pad(vals)
+    padded = vals.ravel()[grid24.pad_flat].reshape(vals.shape)
     assert np.array_equal(padded[grid24.mask], vals[grid24.mask])
 
 
@@ -71,7 +71,8 @@ def mollify_one_component(values2d, radius, grid):
     """Reference: one component at a time, as mollify_field did component by component."""
     offs, w = _bump_kernel(radius, grid.h)
     reach = max(max(abs(dy), abs(dx)) for dy, dx in offs)
-    padded = np.pad(grid.pad(values2d), reach, mode="edge")
+    continued = values2d.ravel()[grid.pad_flat].reshape(grid.ny, grid.nx)
+    padded = np.pad(continued, reach, mode="edge")
     out = np.zeros((grid.ny, grid.nx))
     for (dy, dx), wk in zip(offs, w):
         out += wk * padded[reach + dy: reach + dy + grid.ny, reach + dx: reach + dx + grid.nx]

@@ -16,8 +16,9 @@ from dvmbvp.fields import (BoundaryData, CallableTrace, Field, mollify_field,
                            truncate_and_mollify_boundary)
 from dvmbvp.geometry import boundary_param
 from dvmbvp.solver import (WARM_START_TOL, SolverConfig, SolverError, SolverWorkspace,
-                           _matmul, _n_steps, compute_mass_cap, inner_monotone_solve,
-                           outer_fixed_point, residual_mild, residual_renormalized)
+                           _matmul, _n_steps, _transport, compute_mass_cap,
+                           inner_monotone_solve, outer_fixed_point, residual_mild,
+                           residual_renormalized)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +132,9 @@ def test_line_nodes_increase_with_bounded_steps(disk, broadwell, n):
             assert np.max(lad.dt) * tab.speed <= ws.h_s * (1 + 1e-12)
         # every interior gap: S equal steps from one cell to the next
         same = np.diff(tab.line) == 0
-        assert len(tab.base) == np.count_nonzero(same) > 0
+        patches = tab.read(np.zeros((ws.grid.ny, ws.grid.nx)))[1]
+        assert patches.shape == (len(tab.taps), np.count_nonzero(same))
+        assert np.count_nonzero(same) > 0
         assert np.max(np.abs(np.diff(tab.s_plus)[same] - tab.S * tab.dt)) <= 1e-12
         assert 0.0 < tab.dt * tab.speed <= ws.h_s * (1 + 1e-12)
 
@@ -143,17 +146,17 @@ def test_line_node_of_each_cell_is_its_centre(disk, broadwell, n):
     ws = line_workspace(disk, broadwell, n)
     grid = ws.grid
     vals = np.random.default_rng(n).uniform(0.0, 1.0, (grid.ny, grid.nx))
-    padded = grid.pad(vals).ravel()
     at_cells = vals.ravel()
     for i in range(broadwell.p):
         tab = ws.table(i)
         head = np.flatnonzero(np.diff(tab.line, prepend=-1))
         up = np.flatnonzero(np.diff(tab.line) == 0)
         up = up[np.argsort(tab.slot[up + 1])]         # gaps in chain order
-        e, x = tab.entry, tab.exit_ladder(grid, ws.h_s)
-        at_first = grid.gather(padded, e.flat[-1], tuple(w[-1] for w in e.w))
-        at_last = grid.gather(padded, x.flat[0], tuple(w[0] for w in x.w))
-        at_nodes = tab.M @ tab.patches(padded)
+        x = tab.exit_ladder(grid, ws.h_s)
+        at_entry_nodes, patches = tab.read(vals)
+        at_first = at_entry_nodes[-1]
+        at_last = grid.sample(vals, x.reads[:, 0], x.W[:, 0])
+        at_nodes = tab.M @ patches
         for got, cells in [(at_first, head), (at_last, tab.last),
                            (at_nodes[0], up), (at_nodes[-1], up + 1)]:
             assert np.max(np.abs(got - at_cells[tab.cells_flat[cells]])) < 1e-12
@@ -237,11 +240,11 @@ def test_line_tracing_matches_per_cell_exit_times(broadwell, domain, velocities)
         for lad in (tab.entry, x):
             assert np.all(lad.dt >= 0.0)
             assert np.max(lad.dt) * tab.speed <= ws.h_s * (1 + 1e-12)
-        if len(tab.base):
+        if tab.chain:
             assert tab.dt * tab.speed <= ws.h_s * (1 + 1e-12)
         exit_pts = zs[last] + s_minus[:, None] * v
         vals = np.random.default_rng(i).uniform(0.0, 1.0, (grid.ny, grid.nx))
-        at_exit = grid.gather(grid.pad(vals).ravel(), x.flat[-1], tuple(w[-1] for w in x.w))
+        at_exit = grid.sample(vals, x.reads[:, -1], x.W[:, -1])
         assert np.max(np.abs(at_exit - grid.interpolate(vals, exit_pts))) < 1e-12
 
 
@@ -270,8 +273,8 @@ def reference_ladder(grid, start, ray, t_stop, v, h_s, stop_pts):
     np.maximum.accumulate(t, axis=0, out=t)
     pts = start[None, :, :] + t[..., None] * v
     pts[col, ray] = stop_pts
-    flat, w = grid.interp_weights(pts)
-    return np.diff(t, axis=0), flat, w, col * n_rays + ray
+    reads, W = grid.interp_weights(pts)
+    return np.diff(t, axis=0), reads, W, col * n_rays + ray
 
 
 def reference_recursion(dt, inflow, nu_s, gain_s, alpha):
@@ -297,7 +300,7 @@ class ReferenceLines:
         entry = zs[head] - s_head[:, None] * v
         after_last = np.append(head[1:], len(tab.line))
         lines = np.arange(len(head))
-        self.dt, self.flat, self.w, node = reference_ladder(
+        self.dt, self.reads, self.W, node = reference_ladder(
             grid, entry, np.insert(tab.line, after_last, lines),
             np.insert(tab.s_plus, after_last, np.maximum(tau, tab.s_plus[after_last - 1])),
             v, ws.h_s, np.insert(zs, after_last, entry + tau[:, None] * v, axis=0))
@@ -305,7 +308,7 @@ class ReferenceLines:
         self.grid, self.line = grid, tab.line
 
     def samples(self, values2d):
-        return self.grid.gather(self.grid.pad(values2d).ravel(), self.flat, self.w)
+        return self.grid.sample(values2d, self.reads, self.W)
 
     def nodes(self, inflow, nu2d, gain2d, alpha):
         return reference_recursion(self.dt, inflow, self.samples(nu2d), self.samples(gain2d),
@@ -354,6 +357,132 @@ def test_gap_transfers_match_whole_line_recursion(domain, model):
         assert_relative(at_exit.ravel()[tab.cells_flat], ref.samples(nu[i])[-1][tab.line])
 
 
+# -- pad-and-gather reference ---------------------------------------------------------
+# A table reads every node sample with one take through an index composed with
+# the grid's nearest-interior map.  Before, a sweep continued each field past
+# the boundary (the padded field), gathered the entry ladders through four
+# shifted reads of a lower-left stencil and took each gap tap with its own
+# clipped take from the lowest cell of the patch.  Same samples, same
+# arithmetic: results must agree bitwise.
+
+def lower_left_stencil(grid, points):
+    """Flat index of each point's lower-left cell and its four corner weights."""
+    gx = (points[..., 0] - grid.x0) / grid.h - 0.5
+    gy = (points[..., 1] - grid.y0) / grid.h - 0.5
+    ix = np.clip(np.floor(gx).astype(np.int64), 0, grid.nx - 2)
+    iy = np.clip(np.floor(gy).astype(np.int64), 0, grid.ny - 2)
+    fx = np.clip(gx - ix, 0.0, 1.0)
+    fy = np.clip(gy - iy, 0.0, 1.0)
+    return iy * grid.nx + ix, ((1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
+                               (1.0 - fx) * fy, fx * fy)
+
+
+def gather(grid, padded, flat, w):
+    w00, w10, w01, w11 = w
+    return (w00 * padded[flat] + w10 * padded[flat + 1]
+            + w01 * padded[flat + grid.nx] + w11 * padded[flat + grid.nx + 1])
+
+
+class PadAndGather:
+    """Node samples of one table by pad and gather, from stencils rebuilt out
+    of the table's lines: the entry ladder's nodes and each gap's `base`, the
+    flat index of the lowest cell of its patch."""
+
+    def __init__(self, ws, i):
+        tab, grid = ws.table(i), ws.grid
+        v = tab.v
+        head = np.flatnonzero(np.diff(tab.line, prepend=-1))
+        z_head = grid.centers.reshape(-1, 2)[tab.cells_flat[head]]
+        s_head = ws.domain.exit_times(z_head, -v)
+        steps = _n_steps(s_head * tab.speed, ws.h_s)
+        m = np.arange(int(steps.max(initial=0)) + 1)[:, None]
+        t = np.where(m < steps, m * (s_head / steps), s_head)
+        pts = (z_head - s_head[:, None] * v)[None, :, :] + t[..., None] * v
+        pts = np.where((m >= steps)[..., None], z_head, pts)
+        assert np.array_equal(np.diff(t, axis=0), tab.entry.dt)
+        self.flat, self.w = lower_left_stencil(grid, pts)
+        up = np.flatnonzero(np.diff(tab.line) == 0)
+        up = up[np.argsort(tab.slot[up + 1])]         # gaps in chain order
+        iy, ix = np.divmod(tab.cells_flat, grid.nx)
+        dy, dx = iy[up + 1] - iy[up], ix[up + 1] - ix[up]
+        self.base = tab.cells_flat[up] + np.minimum(0, dy) * grid.nx + np.minimum(0, dx)
+        self.grid, self.taps = grid, tab.taps
+
+    def padded(self, values2d):
+        return values2d.ravel()[self.grid.pad_flat]
+
+    def entry(self, values2d):
+        return gather(self.grid, self.padded(values2d), self.flat, self.w)
+
+    def patches(self, values2d):
+        padded = self.padded(values2d)
+        P = np.empty((len(self.taps), len(self.base)))
+        for k, o in enumerate(self.taps):
+            np.take(padded[o:], self.base, out=P[k], mode="clip")
+        return P
+
+
+def pad_and_gather_lines(tab, ref, inflow, nu2d, gain2d, alpha):
+    """The sweep of one table with pad-and-gather reads, otherwise as `_lines`."""
+    F = np.empty(len(tab.slot))
+    F[:tab.n_lines] = _transport(tab.entry, inflow,
+                                 None if nu2d is None else ref.entry(nu2d),
+                                 ref.entry(gain2d), alpha)
+    if not tab.chain:
+        return F[tab.slot]
+    if nu2d is None:
+        R = np.exp(-alpha * tab.t_rest)[:, None]
+    else:
+        A = _matmul(tab.MA, ref.patches(nu2d))
+        R = np.exp(np.subtract(-alpha * tab.t_rest[:, None], A, out=A), out=A)
+    loc = _matmul(tab.MG, ref.patches(gain2d))
+    loc[:-1] *= R
+    loc = loc.sum(axis=0)
+    R0 = np.broadcast_to(R[0], loc.shape)
+    for a, b, g, n in tab.chain:
+        np.multiply(F[a:a + n], R0[g:g + n], out=F[b:b + n])
+        F[b:b + n] += loc[g:g + n]
+    return F[tab.slot]
+
+
+@pytest.mark.parametrize("n", [24, 48])
+@pytest.mark.parametrize("model", [
+    dv.shifted_broadwell(), dv.classical_broadwell(),
+    dv.VelocityModel.create([(1.0, math.sqrt(2.0))], []),
+], ids=["shifted", "classical", "off-lattice"])
+def test_table_reads_match_pad_and_gather(disk, model, n):
+    ws = line_workspace(disk, model, n)
+    grid = ws.grid
+    vals = np.random.default_rng(n).uniform(0.0, 1.0, (grid.ny, grid.nx))
+    for i in range(model.p):
+        tab, ref = ws.table(i), PadAndGather(ws, i)
+        at_entry_nodes, patches = tab.read(vals)
+        assert np.array_equal(at_entry_nodes, ref.entry(vals))
+        assert np.array_equal(patches, ref.patches(vals))
+        # every gap read lies inside the grid, so the reference's clip never fired
+        assert np.all(ref.base >= 0)
+        assert np.all(ref.base + tab.taps.max() < grid.ny * grid.nx)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_sweep_matches_pad_and_gather_bitwise(disk, broadwell, n):
+    ws = line_workspace(disk, broadwell, n)
+    grid = ws.grid
+    rng = np.random.default_rng(n)
+    shape = (broadwell.p, grid.ny, grid.nx)
+    nu = rng.uniform(0.0, 3.0, shape)
+    gain = rng.uniform(0.0, 2.0, shape)
+    entry = ws.entry_values(BoundaryData.constant([0.5, 1.0, 1.5, 2.0]))
+    refs = [PadAndGather(ws, i) for i in range(broadwell.p)]
+    for alpha in (0.0, 0.25):
+        for nu_of in (lambda i: nu[i], lambda i: None):
+            got = ws.apply_exponential(entry, nu_of, gain, alpha)
+            for i, ref in enumerate(refs):
+                tab = ws.table(i)
+                want = pad_and_gather_lines(tab, ref, entry[i], nu_of(i), gain[i], alpha)
+                assert np.array_equal(got[i].ravel()[tab.cells_flat], want)
+
+
 def test_repeated_sweeps_are_bit_identical(disk, broadwell):
     """A sweep depends on its inputs alone: repeats, a fresh workspace and inputs
     copied to other addresses give the same bits."""
@@ -383,7 +512,7 @@ def test_gap_matrices_deterministic_and_monotone_to_one_ulp(disk, model):
     rng = np.random.default_rng(2)
     for i in range(model.p):
         tab = ws.table(i)
-        P = np.hstack([tab.patches(rng.uniform(0.0, 2.0, ws.grid.ny * ws.grid.nx))
+        P = np.hstack([tab.read(rng.uniform(0.0, 2.0, (ws.grid.ny, ws.grid.nx)))[1]
                        for _ in range(4)])               # several gemm blocks wide
         bumped = np.where(rng.random(P.shape) < 0.5, np.nextafter(P, np.inf), P)
         for mat in (tab.MG, tab.MA):
