@@ -1,18 +1,17 @@
 """Time one transport sweep on seeded random inputs.
 
-    python3 scripts/sweep_ms.py [--calls 40] [--sizes 32 64 128]
+    python3 scripts/sweep_ms.py
 
-For each grid size: shifted Broadwell on the unit disk, frequency uniform on
-[0, 3] and gain uniform on [0, 2] (seed = grid size), alpha = 0.25.  The
-characteristic tables are built by one untimed sweep; the script then prints
-the median wall time (time.perf_counter) of `--calls` calls of
-`SolverWorkspace.apply_exponential`, in ms, as one JSON line.  The program is
-imported from `src/` next to this script.
+For each grid size in SIZES: shifted Broadwell on the unit disk, frequency
+uniform on [0, 3] and gain uniform on [0, 2] (seed = grid size), alpha = 0.25.
+The characteristic tables are built by one untimed sweep; the script then
+prints the median wall time (time.perf_counter) of CALLS calls of
+`SolverWorkspace.apply_exponential`, in ms, as one JSON line.  The program
+is imported from `src/` next to this script.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import sys
@@ -27,8 +26,11 @@ import dvmbvp as dv  # noqa: E402
 from dvmbvp.fields import BoundaryData  # noqa: E402
 from dvmbvp.solver import SolverConfig, SolverWorkspace  # noqa: E402
 
+CALLS = 40
+SIZES = (32, 64, 128)
 
-def sweep_ms(n: int, calls: int) -> float:
+
+def sweep_ms(n: int) -> float:
     disk, model = dv.ConvexDomain.disk(), dv.shifted_broadwell()
     grid = dv.Grid(disk, n)
     ws = SolverWorkspace(disk, model, grid, SolverConfig(grid_n=n))
@@ -39,20 +41,12 @@ def sweep_ms(n: int, calls: int) -> float:
     entry = ws.entry_values(BoundaryData.constant([0.5, 1.0, 1.5, 2.0]))
     ws.apply_exponential(entry, nu, gain, 0.25)              # builds the tables
     times = []
-    for _ in range(calls):
+    for _ in range(CALLS):
         t0 = time.perf_counter()
         ws.apply_exponential(entry, nu, gain, 0.25)
         times.append(time.perf_counter() - t0)
     return 1e3 * statistics.median(times)
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--calls", type=int, default=40)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 128])
-    args = ap.parse_args()
-    print(json.dumps({f"{n}^2": round(sweep_ms(n, args.calls), 3) for n in args.sizes}))
-
-
 if __name__ == "__main__":
-    main()
+    print(json.dumps({f"{n}^2": round(sweep_ms(n), 3) for n in SIZES}))

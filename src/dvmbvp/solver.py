@@ -233,7 +233,8 @@ class _CharTable:
     then tap k of every interior gap's patch, shape (K, gaps).  `read` takes
     a field through it once and returns the entry nodes' bilinear values
     (with the ladder's stacked weights, corners added in stencil order) and
-    the (K, gaps) patch matrix; `entry.reads` is a view of the first part.
+    the (K, gaps) patch matrix.  `entry` keeps the ladder's step times and
+    weights; its corner indices live only in `reads`.
 
     Lines are numbered longest first, so the lines that hold an r-th cell
     are lines 0, 1, ...: transport chains the cells row by row in a ragged
@@ -288,7 +289,7 @@ class _CharTable:
         up = up[np.argsort(self.slot[up + 1])]
         gap_reads = self._interior_gaps(grid, interior[order], up, v, speed, h_s)
         self.reads = np.concatenate([e.reads.ravel(), gap_reads.ravel()])
-        self.entry = e._replace(reads=self.reads[:e.reads.size].reshape(e.reads.shape))
+        self.entry = e._replace(reads=None)
 
         self.v, self.speed = v, speed
         self.cells_flat = interior[order]
