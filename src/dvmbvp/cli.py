@@ -19,8 +19,8 @@ from . import diagnostics as diag
 from .fields import BoundaryData, Field, Grid
 from .geometry import ConvexDomain, GeometryError
 from .model import (ModelError, StructuralError, VelocityModel, certify_model,
-                    generate_circle_model, generate_shifted_model, is_real,
-                    load_model, model_from_dict, model_to_dict, save_model)
+                    classical_broadwell, generate_circle_model, generate_shifted_model,
+                    is_real, load_model, model_from_dict, model_to_dict, save_model)
 from .solver import (SolverConfig, SolverWorkspace, k_sweep, outer_fixed_point,
                      residual_mild, residual_renormalized)
 
@@ -262,15 +262,14 @@ def cmd_model_gen_shifted(args) -> int:
             gamma = 1.0 if args.gamma is None else args.gamma
             if not is_real(gamma):
                 raise StructuralError(f"--gamma must be a finite number, got {gamma}")
-            base = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-            rules = [(1, 2, 3, 4, gamma)]
+            base_model = classical_broadwell(gamma)
         else:
             if args.gamma is not None:
                 raise StructuralError("--gamma applies only to the broadwell base; "
                                       "a model file keeps its own rule gammas")
             base_model = load_model(args.base)
-            base = [(w.vx, w.vy) for w in base_model.velocities]
-            rules = [(r.i, r.j, r.l, r.m, r.gamma) for r in base_model.rules]
+        base = [(w.vx, w.vy) for w in base_model.velocities]
+        rules = [(r.i, r.j, r.l, r.m, r.gamma) for r in base_model.rules]
         try:
             n0 = np.array([float(x) for x in args.n0.split(",")])
         except ValueError:

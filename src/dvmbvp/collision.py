@@ -128,10 +128,7 @@ def eval_untruncated(model: VelocityModel, values) -> CollisionEval:
 
 def eval_truncated(model: VelocityModel, values, k: float) -> CollisionEval:
     """k-truncated operator: every density enters through f/(1 + f/k)."""
-    if k <= 1:
-        raise CollisionDomainError("truncation level k must exceed 1")
-    f = _check_state(values, model.p)
-    return eval_convolved_truncated(model, f, f, k)
+    return eval_convolved_truncated(model, values, values, k)
 
 
 def eval_convolved_truncated(model: VelocityModel, local, smoothed, k: float) -> CollisionEval:

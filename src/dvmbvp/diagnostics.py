@@ -180,7 +180,7 @@ class SlabRow:
 
 
 def slab_energy_rows(domain: ConvexDomain, model: VelocityModel, field_: Field,
-                     alpha: float, frame_angle: float | None = None) -> list[SlabRow]:
+                     alpha: float) -> list[SlabRow]:
     """Directional second-moment identity on half-domain slabs.
 
     In a rotated frame (chosen so no axis is parallel to a velocity), the
@@ -189,7 +189,7 @@ def slab_energy_rows(domain: ConvexDomain, model: VelocityModel, field_: Field,
     momentum conservation.  The identity is checked at 9 evenly spaced cuts,
     with 256 trapezoid nodes per chord and 2048 boundary midpoints.
     """
-    ang = _frame_angle(model) if frame_angle is None else frame_angle
+    ang = _frame_angle(model)
     ex = np.array([math.cos(ang), math.sin(ang)])
     ey = np.array([-math.sin(ang), math.cos(ang)])
     xi = model.v @ ex
@@ -242,7 +242,6 @@ class MassEnergyReport:
     energy: float
     total_mass: float
     slab_rows: list
-    frame_angle: float
 
     @property
     def per_component_mass(self) -> np.ndarray:
@@ -260,11 +259,9 @@ def mass_energy_flux(domain: ConvexDomain, model: VelocityModel, field_: Field,
     nu, gain = collision_grids(model, field_, k=k)
     bal = characteristic_balance(domain, model, field_, boundary, alpha, nu, gain)
     energy = float(np.sum(model.speeds_sq * bal.mass_cells))
-    ang = _frame_angle(model)
-    rows = slab_energy_rows(domain, model, field_, alpha, frame_angle=ang)
+    rows = slab_energy_rows(domain, model, field_, alpha)
     return MassEnergyReport(balance=bal, energy=energy,
-                            total_mass=float(np.sum(bal.mass_cells)),
-                            slab_rows=rows, frame_angle=ang)
+                            total_mass=float(np.sum(bal.mass_cells)), slab_rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +276,16 @@ class DissipationReport:
     per_rule: list
 
 
-def entropy_dissipation(model: VelocityModel, field_: Field, k: float,
-                        log_cap: float = 500.0) -> DissipationReport:
+# |log(X / Y)| is capped here; a zero density gives an infinite log.
+_LOG_CAP = 500.0
+
+
+def entropy_dissipation(model: VelocityModel, field_: Field, k: float) -> DissipationReport:
     """Nonnegative dissipation of the k-truncated dynamics.
 
     Per rule class and cell the integrand is (X - Y) log(X / Y) with X, Y the
     truncated in/out pair products; zero densities follow x log 0 -> -inf
-    capped at +-log_cap with the cell counted as singular.
+    capped at +-500 with the cell counted as singular.
     """
     g = field_.grid
     mask = g.mask
@@ -300,10 +300,10 @@ def entropy_dissipation(model: VelocityModel, field_: Field, k: float,
             X = tr[r.i - 1][mask] * tr[r.j - 1][mask]
             Y = tr[r.l - 1][mask] * tr[r.m - 1][mask]
             logdiff = np.log(X) - np.log(Y)
-            capped = np.clip(logdiff, -log_cap, log_cap)
+            capped = np.clip(logdiff, -_LOG_CAP, _LOG_CAP)
             equal = X == Y
             capped = np.where(equal, 0.0, capped)
-            hit = (~equal) & (~np.isfinite(logdiff) | (np.abs(logdiff) >= log_cap))
+            hit = (~equal) & (~np.isfinite(logdiff) | (np.abs(logdiff) >= _LOG_CAP))
             singular += int(np.sum(hit))
             integrand = (X - Y) * capped
             if integrand.size:
@@ -363,8 +363,6 @@ def entropy_bound_check(domain: ConvexDomain, model: VelocityModel, field_: Fiel
 @dataclass
 class ExceptionalSets:
     epsilon: float
-    exit_threshold: float
-    nu_threshold: float
     measure: np.ndarray                 # per component, union
     measure_exit: np.ndarray
     measure_nu: np.ndarray
@@ -376,23 +374,22 @@ class ExceptionalSets:
 
 def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
                      k: float, epsilon: float,
-                     exit_threshold: float | None = None,
-                     nu_threshold: float | None = None,
                      workspace: SolverWorkspace | None = None) -> ExceptionalSets:
     """Mark characteristics with large exit value or large integrated
     frequency, plus the two tangency strips, and measure the union.
 
     Each characteristic line of the workspace carries one full chord: the
     trapezoid integral of the truncated frequency from entry to exit and the
-    field's value at the exit point, shared by every cell on the line.  On
-    the complement the pointwise bound F <= (1/eps) exp(1/eps) is verified
-    directly.  Both strip-distance notions (transverse Euclidean and
-    along-boundary arclength) are measured; the mask uses the transverse one.
+    field's value at the exit point, shared by every cell on the line.  A
+    line is marked when either exceeds 1/eps.  On the complement the
+    pointwise bound F <= (1/eps) exp(1/eps), which follows from those two
+    marks, is verified directly.  Both strip-distance notions (transverse
+    Euclidean and along-boundary arclength) are measured; the mask uses the
+    transverse one.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    exit_thr = (1.0 / epsilon) if exit_threshold is None else exit_threshold
-    nu_thr = (1.0 / epsilon) if nu_threshold is None else nu_threshold
+    threshold = 1.0 / epsilon
     grid = field_.grid
     ws = workspace or SolverWorkspace(domain, model, grid, SolverConfig())
     nu = eval_truncated(model, field_.values, k).frequency
@@ -407,15 +404,15 @@ def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
     meas_strip_b = np.zeros(p)
     violations = 0
     cells = grid.centers[grid.mask]
-    bound = (1.0 / epsilon) * math.exp(1.0 / epsilon)
+    bound = threshold * math.exp(threshold)
     for i in range(p):
         v = model.v[i]
         speed = float(np.hypot(v[0], v[1]))
         I_nu, F_exit = ws.chord(i, nu[i], field_.values[i])
         I_nu, F_exit = I_nu[grid.mask], F_exit[grid.mask]
 
-        mark_exit = F_exit > exit_thr
-        mark_nu = I_nu > nu_thr
+        mark_exit = F_exit > threshold
+        mark_nu = I_nu > threshold
 
         perp = np.array([-v[1], v[0]]) / speed
         th1, th2 = tangency_thetas(domain, v)
@@ -449,7 +446,7 @@ def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
         kept = ~union
         F_kept = field_.values[i][grid.mask][kept]
         violations += int(np.sum(F_kept > bound * (1.0 + 1e-9)))
-    return ExceptionalSets(epsilon, exit_thr, nu_thr, meas, meas_exit, meas_nu,
+    return ExceptionalSets(epsilon, meas, meas_exit, meas_nu,
                            meas_strip, meas_strip_b, chi, violations)
 
 

@@ -354,11 +354,13 @@ class BoundaryData:
         return BoundaryData.constant(vals)
 
 
-def truncate_and_mollify_boundary(bd: BoundaryData, k: float, domain: ConvexDomain,
-                                  n_samples=None) -> BoundaryData:
+def truncate_and_mollify_boundary(bd: BoundaryData, k: float,
+                                  domain: ConvexDomain) -> BoundaryData:
     """Cap each trace at k/2, then smooth along the boundary.
 
     The smoothing kernel is a bump supported on 1/k of the total arclength.
+    A trace is sampled at n = max(2048, ceil(16 k)) equally spaced points,
+    so the kernel reaches several samples either side (n / (2k) >= 8).
     Constant traces are closed under both steps and pass through exactly.
     """
     if k <= 1:
@@ -367,17 +369,16 @@ def truncate_and_mollify_boundary(bd: BoundaryData, k: float, domain: ConvexDoma
     L = bp.total_length
     support = (1.0 / k) * L
     cap = 0.5 * k
+    n_samples = max(2048, int(math.ceil(16.0 * k)))
     traces = []
     for tr in bd.traces:
         if isinstance(tr, ConstantTrace):
             traces.append(ConstantTrace(min(tr.value, cap)))
             continue
-        if n_samples is None:
-            n_samples = max(2048, int(math.ceil(16.0 * k)))
         ts = np.arange(n_samples) * (L / n_samples)
         vals = np.minimum(np.asarray(tr.eval(ts), dtype=float), cap)
         half = support / 2.0
-        reach = max(1, int(math.floor(half / (L / n_samples))))
+        reach = int(math.floor(half / (L / n_samples)))
         offs = np.arange(-reach, reach + 1)
         w = bump_profile(offs * (L / n_samples) / half)
         w = w / w.sum()

@@ -153,7 +153,7 @@ def validate_rules(model: VelocityModel) -> ValidationReport:
     if model.p < 1:
         raise StructuralError("model must contain at least one velocity")
     v = model.v
-    exact = model.is_integer_valued
+    tol = 0.0 if model.is_integer_valued else CONS_REL_TOL
     out = []
     flags = []
     for r in model.rules:
@@ -162,18 +162,10 @@ def validate_rules(model: VelocityModel) -> ValidationReport:
         vi, vj, vl, vm = v[r.i - 1], v[r.j - 1], v[r.l - 1], v[r.m - 1]
         dp = (vi + vj) - (vl + vm)
         scale = max(1.0, float(np.max(np.abs([vi, vj, vl, vm]))))
-        if exact:
-            mom_bad = bool(np.any(dp != 0.0))
-        else:
-            mom_bad = bool(np.max(np.abs(dp)) > CONS_REL_TOL * scale)
-        if mom_bad:
+        if np.max(np.abs(dp)) > tol * scale:
             out.append(RuleViolation(r, "momentum", f"defect={dp.tolist()}"))
         de = (vi @ vi + vj @ vj) - (vl @ vl + vm @ vm)
-        if exact:
-            en_bad = de != 0.0
-        else:
-            en_bad = abs(de) > CONS_REL_TOL * scale * scale
-        if en_bad:
+        if abs(de) > tol * scale * scale:
             out.append(RuleViolation(r, "energy", f"defect={de}"))
         if r.i == r.j or r.l == r.m:
             flags.append(f"rule {(r.i, r.j, r.l, r.m)} couples a velocity with itself")
@@ -184,12 +176,12 @@ def check_genericity(model: VelocityModel):
     """True iff no two velocities are parallel (all pairwise cross products
     nonzero).  Returns (ok, offending_pair_or_None)."""
     v = model.v
-    exact = model.is_integer_valued
+    tol = 0.0 if model.is_integer_valued else 1e-12
     scale = max(1.0, float(np.max(np.abs(v)))) if model.p else 1.0
     for a in range(model.p):
         for b in range(a + 1, model.p):
             cross = v[a, 0] * v[b, 1] - v[a, 1] * v[b, 0]
-            if (cross == 0.0) if exact else (abs(cross) <= 1e-12 * scale * scale):
+            if abs(cross) <= tol * scale * scale:
                 return False, (a + 1, b + 1)
     return True, None
 

@@ -479,7 +479,6 @@ class SolveTrace:
     kind: str
     increments: list = field(default_factory=list)
     masses: list = field(default_factory=list)
-    min_values: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
     termination: str = ""
     tolerance: float = float("nan")     # relative change at which the loop stops
@@ -560,7 +559,6 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
         mass = float(F.sum() * area)
         trace.increments.append(inc)
         trace.masses.append(mass)
-        trace.min_values.append(float(F.min()))
         trace.wall_times.append(time.perf_counter() - t0)
         if mass_cap > 0:
             trace.mass_cap_max_ratio = max(trace.mass_cap_max_ratio, mass / mass_cap)
@@ -612,7 +610,6 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
         rel = change / max(F.mass(), 1e-300)
         trace.increments.append(rel)
         trace.masses.append(F.mass())
-        trace.min_values.append(F.min_value())
         trace.wall_times.append(time.perf_counter() - t0)
         trace.children.append(itrace)
         trace.monotone_violations += itrace.monotone_violations
@@ -648,7 +645,6 @@ class ContinuationResult:
     traces: list
     cauchy_distances: list     # L1 distance between consecutive stages
     estimate: Field            # extrapolated (or last) alpha -> 0 estimate
-    extrapolated: bool
     final_residual: float      # undamped truncated mild residual of the estimate
     warnings: list
 
@@ -706,17 +702,15 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
             notes.append(f"Cauchy distances increased at stage {j + 1}; "
                          "consider refining the grid")
             break
-    extrapolated = False
     estimate = fields_[-1]
     if len(fields_) >= 2:
         r = alphas[-2] / alphas[-1]
         vals = (r * fields_[-1].values - fields_[-2].values) / (r - 1.0)
         estimate = Field(estimate.grid, np.maximum(vals, 0.0))
-        extrapolated = True
     res = residual_mild(domain, model, boundary, estimate, k=config.k, alpha=0.0,
                         workspace=ws)
     return ContinuationResult(alphas, fields_, traces, dists, estimate,
-                              extrapolated, res.total_relative, notes)
+                              res.total_relative, notes)
 
 
 @dataclass
@@ -739,8 +733,7 @@ class SweepResult:
 
 
 def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
-            config: SolverConfig, workspace: SolverWorkspace | None = None,
-            collect_diagnostics: bool = True) -> SweepResult:
+            config: SolverConfig, workspace: SolverWorkspace | None = None) -> SweepResult:
     """Raise the truncation level along config.k_schedule.
 
     Each level caps and smooths the inflow trace, runs the damping
@@ -766,10 +759,7 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
             cfg = replace(cfg, alpha_schedule=config.alpha_schedule[-2:])
         cont = alpha_continuation(domain, model, bd_k, cfg, workspace=ws,
                                   start=prev_field)
-        info = {}
-        if collect_diagnostics:
-            info = diag.stage_diagnostics(domain, model, cont.estimate, bd_k, k=k,
-                                          workspace=ws)
+        info = diag.stage_diagnostics(domain, model, cont.estimate, bd_k, k=k, workspace=ws)
         stages.append(KStage(k, bd_k, cont, info))
         prev_field = cont.last
     dists = [stages[j].continuation.estimate.l1_distance(stages[j - 1].continuation.estimate)
@@ -878,24 +868,26 @@ def residual_renormalized(domain: ConvexDomain, model: VelocityModel,
     X = grid.centers[..., 0]
     Y = grid.centers[..., 1]
     area = grid.cell_area
-    lnF = np.log1p(field_.values)
+    lnF = np.log1p(field_.values)[:, grid.mask]
+    # The traces on both arcs do not depend on the test function.
+    arcs = []
+    for i in range(model.p):
+        arc_out = boundary_quadrature(domain, model.v[i], -1)
+        arc_in = boundary_quadrature(domain, model.v[i], +1)
+        arcs.append((arc_out, np.log1p(grid.interpolate(field_.values[i], arc_out.points)),
+                     arc_in, np.log1p(np.asarray(boundary.eval(i, arc_in.t_params)))))
     out = []
     for tf in default_test_functions():
         phi = np.asarray(tf.fn(X, Y), dtype=float)
         gx, gy = tf.grad(X, Y)
         per_comp = np.zeros(model.p)
-        for i in range(model.p):
+        for i, (arc_out, ln_out, arc_in, ln_in) in enumerate(arcs):
             v = model.v[i]
-            arc_out = boundary_quadrature(domain, v, -1)
-            arc_in = boundary_quadrature(domain, v, +1)
-            ln_out = np.log1p(grid.interpolate(field_.values[i], arc_out.points))
             phi_out = np.asarray(tf.fn(arc_out.points[:, 0], arc_out.points[:, 1]))
             out_term = arc_out.integrate_flux(phi_out * ln_out)
-            ln_in = np.log1p(np.asarray(boundary.eval(i, arc_in.t_params)))
             phi_in = np.asarray(tf.fn(arc_in.points[:, 0], arc_in.points[:, 1]))
             in_term = arc_in.integrate_flux(phi_in * ln_in)
-            adv = float(np.sum(lnF[i][grid.mask]
-                               * (v[0] * np.asarray(gx) + v[1] * np.asarray(gy))[grid.mask])
+            adv = float(np.sum(lnF[i] * (v[0] * np.asarray(gx) + v[1] * np.asarray(gy))[grid.mask])
                         * area)
             vol = float(np.sum((phi * ratio[i])[grid.mask]) * area)
             per_comp[i] = out_term - in_term - adv - vol

@@ -106,7 +106,7 @@ def test_criterion_3_zero_inflow(disk, broadwell):
     cfg = SolverConfig(grid_n=24, k_schedule=(4.0, 16.0),
                        alpha_schedule=(0.5, 0.25, 0.125))
     bd = BoundaryData.zero(4)
-    sweep = dv.k_sweep(disk, broadwell, bd, cfg, collect_diagnostics=False)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg)
     ws = SolverWorkspace(disk, broadwell, sweep.field.grid, cfg)
     assert sweep.field.mass() == 0.0
     for st in sweep.stages:
@@ -182,8 +182,7 @@ def test_criterion_6_entropy_dissipation(broadwell, maxwellian_sweep, constant_s
 
 
 def test_criterion_7_geometry(disk, broadwell):
-    dev = dv.change_of_variables_jacobian_check(disk, broadwell.v[0], broadwell.v[2],
-                                                n_s=20, n_sigma=20)
+    dev = dv.change_of_variables_jacobian_check(disk, broadwell.v[0], broadwell.v[2])
     assert dev <= 1e-6
     rng = np.random.default_rng(42)
     worst = 0.0

@@ -222,12 +222,12 @@ def test_truncate_step_profile(disk):
 
 def test_truncate_matches_1d_convolution_oracle(disk):
     L = boundary_param(disk).total_length
-    n = 4096
+    k = 6.0
+    n = 2048                        # the sample count at k = 6, max(2048, ceil(16 k))
     ts = np.arange(n) * (L / n)
     profile = 1.5 + np.sin(2 * np.pi * ts / L) + np.cos(6 * np.pi * ts / L) ** 2
     bd = BoundaryData((SampledTrace(ts, profile, L),))
-    k = 6.0
-    out = truncate_and_mollify_boundary(bd, k, disk, n_samples=n)
+    out = truncate_and_mollify_boundary(bd, k, disk)
     got = out.eval(0, ts)
 
     capped = np.minimum(profile, k / 2)
@@ -242,17 +242,20 @@ def test_truncate_matches_1d_convolution_oracle(disk):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize("n, k", [(4096, 6.0), (2048, 16.0), (64, 1.5), (16, 1.01)])
-def test_truncate_smoothing_matches_roll_bitwise(disk, n, k):
-    """The wrapped-slice sum adds the same terms in the same order as np.roll."""
+@pytest.mark.parametrize("k", [6.0, 16.0, 1.5, 1.01, 256.0])
+def test_truncate_smoothing_matches_roll_bitwise(disk, k):
+    """The wrapped-slice sum adds the same terms in the same order as np.roll,
+    at 2048 samples and, for k = 256, at ceil(16 k) = 4096."""
     L = boundary_param(disk).total_length
+    n = max(2048, math.ceil(16 * k))
     ts = np.arange(n) * (L / n)
     profile = 1.5 + np.sin(2 * np.pi * ts / L) + np.cos(6 * np.pi * ts / L) ** 2
     out = truncate_and_mollify_boundary(BoundaryData((SampledTrace(ts, profile, L),)), k,
-                                        disk, n_samples=n)
+                                        disk)
+    assert len(out.traces[0].values) == n
     capped = np.minimum(profile, k / 2)
     half = L / (2 * k)
-    reach = max(1, int(math.floor(half / (L / n))))
+    reach = int(math.floor(half / (L / n)))
     offs = np.arange(-reach, reach + 1)
     w = bump_profile(offs * (L / n) / half)
     w = w / w.sum()

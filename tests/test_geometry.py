@@ -250,10 +250,10 @@ def test_jacobian_check_rejects_parallel(disk, broadwell):
 
 
 def test_jacobian_check_center_and_near_boundary(disk, broadwell):
-    dev_c = dv.change_of_variables_jacobian_check(
-        disk, broadwell.v[1], broadwell.v[3], z=(0.0, 0.0), n_s=10, n_sigma=10)
-    dev_b = dv.change_of_variables_jacobian_check(
-        disk, broadwell.v[1], broadwell.v[3], z=(0.7, 0.3), n_s=10, n_sigma=10)
+    dev_c = dv.change_of_variables_jacobian_check(disk, broadwell.v[1], broadwell.v[3],
+                                                  z=(0.0, 0.0))
+    dev_b = dv.change_of_variables_jacobian_check(disk, broadwell.v[1], broadwell.v[3],
+                                                  z=(0.7, 0.3))
     assert dev_c <= 1e-6 and dev_b <= 1e-6
 
 

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 import dvmbvp as dv
-from dvmbvp.collision import frequency_source, gain_truncated, truncated_factor
+from dvmbvp.collision import (eval_truncated, eval_untruncated, frequency_source,
+                              gain_truncated, truncated_factor)
 from dvmbvp.fields import (BoundaryData, CallableTrace, Field, mollify_field,
                            truncate_and_mollify_boundary)
-from dvmbvp.geometry import boundary_param
+from dvmbvp.geometry import boundary_param, boundary_quadrature
 from dvmbvp.solver import (WARM_START_TOL, SolverConfig, SolverError, SolverWorkspace,
                            _matmul, _n_steps, _transport, compute_mass_cap,
-                           inner_monotone_solve, outer_fixed_point, residual_mild,
-                           residual_renormalized)
+                           default_test_functions, inner_monotone_solve, outer_fixed_point,
+                           residual_mild, residual_renormalized)
 
 
 @pytest.fixture(scope="module")
@@ -814,8 +815,7 @@ def test_continuation_gap_shrinks_with_alpha(disk, broadwell, ws24):
 def test_k_sweep_zero_inflow(disk, broadwell):
     cfg = SolverConfig(grid_n=16, k_schedule=(4.0, 16.0),
                        alpha_schedule=(0.5, 0.25))
-    sweep = dv.k_sweep(disk, broadwell, BoundaryData.zero(4), cfg,
-                       collect_diagnostics=False)
+    sweep = dv.k_sweep(disk, broadwell, BoundaryData.zero(4), cfg)
     assert sweep.field.mass() == 0.0
     assert all(st.continuation.estimate.mass() == 0.0 for st in sweep.stages)
 
@@ -825,7 +825,7 @@ def test_k_sweep_maxwellian_residual_decreases(disk, broadwell, maxwellian_param
     bd = BoundaryData.maxwellian(broadwell, a, b, c)
     cfg = SolverConfig(grid_n=24, k_schedule=(4.0, 16.0, 64.0),
                        alpha_schedule=(0.5, 0.25, 0.125, 0.0625))
-    sweep = dv.k_sweep(disk, broadwell, bd, cfg, collect_diagnostics=False)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg)
     ws = SolverWorkspace(disk, broadwell, sweep.field.grid, cfg)
     residuals = [residual_mild(disk, broadwell, bd, st.continuation.estimate,
                                k=None, workspace=ws).total_relative
@@ -840,7 +840,7 @@ def test_k_sweep_cap_active_lowers_mass(disk, broadwell, maxwellian_params,
     bd = BoundaryData.maxwellian(broadwell, a, b, c)
     # cap k/2 = 1.25 bites below max(M) ~ 1.73
     cfg = SolverConfig(grid_n=16, k_schedule=(2.5,), alpha_schedule=(0.5, 0.25))
-    sweep = dv.k_sweep(disk, broadwell, bd, cfg, collect_diagnostics=False)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg)
     grid = sweep.field.grid
     exact = Field.constant(grid, maxwellian_values)
     assert sweep.field.mass() < exact.mass()
@@ -879,7 +879,7 @@ def test_k_sweep_later_levels_run_the_richardson_pair(disk, broadwell, maxwellia
                        alpha_schedule=(0.5, 0.25, 0.125))
     ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), cfg)
     want = full_schedule_sweep(disk, broadwell, bd, cfg, ws)
-    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws, collect_diagnostics=False)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws)
     assert sweep.converged
     assert [st.continuation.alphas for st in sweep.stages] == [
         list(cfg.alpha_schedule)] + [list(cfg.alpha_schedule[-2:])] * 2
@@ -895,7 +895,7 @@ def test_k_sweep_with_a_stage_pair_runs_it_at_every_level(disk, broadwell):
     bd = step_inflow(disk, broadwell.p)
     ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), cfg)
     want = full_schedule_sweep(disk, broadwell, bd, cfg, ws)
-    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws, collect_diagnostics=False)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws)
     for st, ref in zip(sweep.stages, want):
         assert np.array_equal(st.continuation.estimate.values, ref.values)
 
@@ -946,6 +946,61 @@ def test_residual_renormalized_constant_maxwellian(disk, broadwell,
     defects = residual_renormalized(disk, broadwell, bd, F, workspace=ws32)
     named = {d.name: abs(d.total) for d in defects}
     assert named["1"] < 1e-10   # flux balance of ln(1+F) on symmetric arcs
+
+
+def renormalized_per_test_function(domain, model, boundary, field_, k, grid):
+    """Reference: the weak-form defects with every boundary trace taken again
+    for each test function and component."""
+    ev = eval_untruncated(model, field_.values) if k is None else eval_truncated(
+        model, field_.values, k)
+    ratio = ev.net / (1.0 + field_.values)
+    X, Y = grid.centers[..., 0], grid.centers[..., 1]
+    lnF = np.log1p(field_.values)
+    out = []
+    for tf in default_test_functions():
+        phi = np.asarray(tf.fn(X, Y), dtype=float)
+        gx, gy = tf.grad(X, Y)
+        per_comp = np.zeros(model.p)
+        for i in range(model.p):
+            v = model.v[i]
+            arc_out = boundary_quadrature(domain, v, -1)
+            arc_in = boundary_quadrature(domain, v, +1)
+            ln_out = np.log1p(grid.interpolate(field_.values[i], arc_out.points))
+            phi_out = np.asarray(tf.fn(arc_out.points[:, 0], arc_out.points[:, 1]))
+            out_term = arc_out.integrate_flux(phi_out * ln_out)
+            ln_in = np.log1p(np.asarray(boundary.eval(i, arc_in.t_params)))
+            phi_in = np.asarray(tf.fn(arc_in.points[:, 0], arc_in.points[:, 1]))
+            in_term = arc_in.integrate_flux(phi_in * ln_in)
+            adv = float(np.sum(lnF[i][grid.mask]
+                               * (v[0] * np.asarray(gx) + v[1] * np.asarray(gy))[grid.mask])
+                        * grid.cell_area)
+            vol = float(np.sum((phi * ratio[i])[grid.mask]) * grid.cell_area)
+            per_comp[i] = out_term - in_term - adv - vol
+        out.append(per_comp)
+    return out
+
+
+@pytest.mark.parametrize("k", [None, 8.0])
+def test_residual_renormalized_interpolates_each_outflow_once(disk, broadwell, ws32,
+                                                              monkeypatch, k):
+    """One outflow interpolation per component, not per test function and
+    component; the defects are bitwise those of the per-test-function loop."""
+    grid = ws32.grid
+    F = Field.from_function(grid, [
+        lambda x, y, c=c: c * (1.0 + 0.3 * np.sin(2.0 * x + c) * np.cos(y - c))
+        for c in (0.7, 1.1, 1.3, 0.9)])
+    bd = step_inflow(disk, broadwell.p)
+    want = renormalized_per_test_function(disk, broadwell, bd, F, k, grid)
+    calls = []
+    interpolate = dv.Grid.interpolate
+    monkeypatch.setattr(dv.Grid, "interpolate",
+                        lambda self, *a: calls.append(1) or interpolate(self, *a))
+    got = residual_renormalized(disk, broadwell, bd, F, k=k, workspace=ws32)
+    assert len(calls) == broadwell.p
+    assert [d.name for d in got] == [tf.name for tf in default_test_functions()]
+    for d, ref in zip(got, want):
+        assert np.array_equal(d.per_component, ref)
+        assert d.total == float(np.sum(ref))
 
 
 def test_solve_on_ellipse(broadwell):
