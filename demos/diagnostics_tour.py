@@ -61,13 +61,13 @@ print("translation moduli (L1 compactness proxy)")
 print("=" * 70)
 shifts = [domain.diameter / d for d in (32, 16, 8)]
 lin = dv.Field.from_function(grid, [lambda x, y: 4.0 + x])
-tab = translation_modulus(lin.values[0], grid, (1.0, 0.0), shifts)
+moduli = translation_modulus(lin.values[0], grid, (1.0, 0.0), shifts)
 print(f"linear field, shifts {np.round(shifts, 4).tolist()}: "
-      f"moduli {np.round(tab.moduli[0], 5).tolist()} (linear in the shift)")
+      f"moduli {np.round(moduli[0], 5).tolist()} (linear in the shift)")
 intnu = integrated_collision_frequency(domain, model, F, k)
-tab = translation_modulus(intnu, grid, model.v[0], shifts)
+moduli = translation_modulus(intnu, grid, model.v[0], shifts)
 print(f"integrated collision frequency, direction v1: "
-      f"{np.round(tab.moduli.max(axis=0), 5).tolist()}\n")
+      f"{np.round(moduli.max(axis=0), 5).tolist()}\n")
 
 print("=" * 70)
 print("mass / energy / flux report on a computed solution")

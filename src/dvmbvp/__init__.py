@@ -25,8 +25,7 @@ from .solver import (ContinuationResult, SolveTrace, SolverConfig, SolverError,
                      compute_mass_cap, inner_monotone_solve, k_sweep,
                      outer_fixed_point, residual_mild, residual_renormalized)
 from .diagnostics import (BalanceReport, ExceptionalSets, MassEnergyReport,
-                          ModulusTable, characteristic_balance,
-                          entropy_bound_check, entropy_dissipation,
+                          characteristic_balance, entropy_bound_check, entropy_dissipation,
                           exceptional_sets, integrated_collision_frequency,
                           mass_energy_flux, translation_modulus)
 

@@ -449,19 +449,19 @@ def cmd_diagnose(args) -> int:
     shifts = [domain.diameter / d for d in (64, 32, 16, 8)]
     intnu = diag.integrated_collision_frequency(domain, model, field, k, workspace=ws)
     moduli = {
-        f"v{i + 1}": diag.translation_modulus(intnu, grid, model.v[i], shifts).moduli.tolist()
+        f"v{i + 1}": diag.translation_modulus(intnu, grid, model.v[i], shifts).tolist()
         for i in range(model.p)
     }
     report = {
         "hash": rhash,
         "k": k,
         "mass": rep.total_mass,
-        "mass_per_component": rep.per_component_mass.tolist(),
+        "mass_per_component": rep.balance.mass_cells.tolist(),
         "energy": rep.energy,
         "inflow": rep.balance.inflow.tolist(),
         "outflow": rep.balance.outflow.tolist(),
         "gap": rep.balance.gap,
-        "balance_defect": rep.defect,
+        "balance_defect": rep.balance.defect,
         "scheme_residual_max_rel": float(np.max(rep.balance.scheme_residual_relative)),
         "slab_defects": [r.defect for r in rep.slab_rows],
         "dissipation": diss.value,

@@ -18,7 +18,7 @@ from .collision import eval_convolved_truncated, eval_truncated, eval_untruncate
 from .fields import BoundaryData, Field, Grid
 from .geometry import ConvexDomain, boundary_param, boundary_quadrature, tangency_thetas
 from .model import VelocityModel, find_positive_direction
-from .solver import SolverConfig, SolverWorkspace, _ladder
+from .solver import SolverConfig, SolverWorkspace, _ladder, _workspace_on
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,6 @@ def _frame_angle(model: VelocityModel) -> float:
 
 @dataclass
 class SlabRow:
-    position: float
     lhs: float           # sum xi_i^2 * chord integral of F_i
     boundary_term: float
     alpha_term: float
@@ -198,15 +197,9 @@ def slab_energy_rows(domain: ConvexDomain, model: VelocityModel, field_: Field,
     c_proj = float(center @ ex)
     reach_plus = float(domain.exit_times(center[None, :], ex)[0])
     reach_minus = float(domain.exit_times(center[None, :], -ex)[0])
-    x_lo, x_hi = c_proj - reach_minus, c_proj + reach_plus
     positions = c_proj + np.linspace(-reach_minus, reach_plus, 9 + 2)[1:-1]
 
-    bp = boundary_param(domain)
-    theta_edges = np.linspace(0.0, 2.0 * np.pi, 2048 + 1)
-    theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
-    bpts = bp.point_of_theta(theta_mid)
-    bnrm = domain.inward_normals(bpts)
-    dsig = np.linalg.norm(np.diff(bp.point_of_theta(theta_edges), axis=0), axis=1)
+    _, bpts, bnrm, dsig = boundary_param(domain).midpoint_rule(0.0, 2.0 * np.pi, 2048)
     bproj = bpts @ ex
     at_bpts = grid.interp_weights(bpts)
     F_bnd = np.stack([grid.sample(field_.values[i], *at_bpts) for i in range(model.p)])
@@ -232,7 +225,7 @@ def slab_energy_rows(domain: ConvexDomain, model: VelocityModel, field_: Field,
         inmask = grid.mask & (cells_proj <= a)
         alpha_term = alpha * float(np.sum(
             xi[:, None, None] * field_.values * inmask[None, :, :]) * area)
-        rows.append(SlabRow(float(a), lhs, boundary_term, alpha_term))
+        rows.append(SlabRow(lhs, boundary_term, alpha_term))
     return rows
 
 
@@ -242,14 +235,6 @@ class MassEnergyReport:
     energy: float
     total_mass: float
     slab_rows: list
-
-    @property
-    def per_component_mass(self) -> np.ndarray:
-        return self.balance.mass_cells
-
-    @property
-    def defect(self) -> float:
-        return self.balance.defect
 
 
 def mass_energy_flux(domain: ConvexDomain, model: VelocityModel, field_: Field,
@@ -273,7 +258,6 @@ class DissipationReport:
     value: float
     termwise_min: float
     singular_cells: int
-    per_rule: list
 
 
 # |log(X / Y)| is capped here; a zero density gives an infinite log.
@@ -294,7 +278,6 @@ def entropy_dissipation(model: VelocityModel, field_: Field, k: float) -> Dissip
     total = 0.0
     term_min = np.inf
     singular = 0
-    per_rule = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for r in model.rules:
             X = tr[r.i - 1][mask] * tr[r.j - 1][mask]
@@ -308,19 +291,16 @@ def entropy_dissipation(model: VelocityModel, field_: Field, k: float) -> Dissip
             integrand = (X - Y) * capped
             if integrand.size:
                 term_min = min(term_min, float(np.min(integrand)))
-            val = r.gamma * float(np.sum(integrand)) * area
-            per_rule.append(((r.i, r.j, r.l, r.m), val))
-            total += val
+            total += r.gamma * float(np.sum(integrand)) * area
     if not np.isfinite(term_min):
         term_min = 0.0
-    return DissipationReport(total, term_min, singular, per_rule)
+    return DissipationReport(total, term_min, singular)
 
 
 @dataclass
 class EntropyBoundReport:
     per_component: np.ndarray | None
     weighted_sum: float | None
-    n0: np.ndarray | None
     skipped: bool = False
     note: str = ""
 
@@ -338,7 +318,7 @@ def entropy_bound_check(domain: ConvexDomain, model: VelocityModel, field_: Fiel
           if model.positive_direction is not None
           else find_positive_direction(model))
     if n0 is None:
-        return EntropyBoundReport(None, None, None, skipped=True,
+        return EntropyBoundReport(None, None, skipped=True,
                                   note="model has no positive direction; "
                                        "the capped entropy bound does not apply")
     g = field_.grid
@@ -353,7 +333,7 @@ def entropy_bound_check(domain: ConvexDomain, model: VelocityModel, field_: Fiel
             flnf = np.where(fb > 0, fb * np.log(np.where(fb > 0, fb, 1.0)), 0.0)
         out[i] = float(np.sum(flnf)) * area + math.log(k / 2.0) * float(np.sum(f[~below])) * area
     weighted = float(np.sum((model.v @ np.asarray(n0)) * out))
-    return EntropyBoundReport(out, weighted, np.asarray(n0))
+    return EntropyBoundReport(out, weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +342,6 @@ def entropy_bound_check(domain: ConvexDomain, model: VelocityModel, field_: Fiel
 
 @dataclass
 class ExceptionalSets:
-    epsilon: float
     measure: np.ndarray                 # per component, union
     measure_exit: np.ndarray
     measure_nu: np.ndarray
@@ -391,7 +370,7 @@ def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
         raise ValueError("epsilon must be positive")
     threshold = 1.0 / epsilon
     grid = field_.grid
-    ws = workspace or SolverWorkspace(domain, model, grid, SolverConfig())
+    ws = _workspace_on(domain, model, grid, SolverConfig(), workspace)
     nu = eval_truncated(model, field_.values, k).frequency
     bp = boundary_param(domain)
     area = grid.cell_area
@@ -446,23 +425,16 @@ def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
         kept = ~union
         F_kept = field_.values[i][grid.mask][kept]
         violations += int(np.sum(F_kept > bound * (1.0 + 1e-9)))
-    return ExceptionalSets(epsilon, meas, meas_exit, meas_nu,
-                           meas_strip, meas_strip_b, chi, violations)
+    return ExceptionalSets(meas, meas_exit, meas_nu, meas_strip, meas_strip_b, chi, violations)
 
 
 # ---------------------------------------------------------------------------
 # translation moduli
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModulusTable:
-    direction: np.ndarray
-    shifts: np.ndarray
-    moduli: np.ndarray      # (n_components, n_shifts)
-
-
-def translation_modulus(values, grid: Grid, direction, h_list) -> ModulusTable:
-    """Relative L1 translation differences of grid quantities.
+def translation_modulus(values, grid: Grid, direction, h_list) -> np.ndarray:
+    """Relative L1 translation differences of grid quantities, shape
+    (components, shifts); a single (ny, nx) array is one component.
 
     For each shift h the integral of |g(z + h d) - g(z)| runs over cells
     whose shifted image stays strictly interior, normalised by the L1 norm
@@ -488,14 +460,14 @@ def translation_modulus(values, grid: Grid, direction, h_list) -> ModulusTable:
             num = float(np.sum(np.abs(shifted - base[valid]))) * area
             den = float(np.sum(np.abs(base))) * area
             out[c, si] = num / max(den, 1e-300)
-    return ModulusTable(d, shifts, out)
+    return out
 
 
 def integrated_collision_frequency(domain: ConvexDomain, model: VelocityModel,
                                    field_: Field, k: float,
                                    workspace: SolverWorkspace | None = None) -> np.ndarray:
     """Cell grids of the entry->cell integral of the truncated frequency."""
-    ws = workspace or SolverWorkspace(domain, model, field_.grid, SolverConfig())
+    ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
     nu = eval_truncated(model, field_.values, k).frequency
     out = np.zeros_like(field_.values)
     for i in range(model.p):
@@ -517,17 +489,15 @@ def stage_diagnostics(domain: ConvexDomain, model: VelocityModel, field_: Field,
     per-stage damped balance is checked separately on stage solutions.  The
     translation moduli use one shift of diameter / 32.
     """
-    ws = workspace or SolverWorkspace(domain, model, field_.grid, SolverConfig())
+    ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
     nu, gain = collision_grids(model, field_, k=k)
     bal = characteristic_balance(domain, model, field_, boundary, 0.0, nu, gain)
     diss = entropy_dissipation(model, field_, k)
     ent = entropy_bound_check(domain, model, field_, k)
     shift = domain.diameter / 32.0
     intnu = integrated_collision_frequency(domain, model, field_, k, workspace=ws)
-    moduli = []
-    for i in range(model.p):
-        tab = translation_modulus(intnu, field_.grid, model.v[i], [shift])
-        moduli.append(float(np.max(tab.moduli)))
+    moduli = [float(np.max(translation_modulus(intnu, field_.grid, model.v[i], [shift])))
+              for i in range(model.p)]
     return {
         "k": k,
         "mass": float(np.sum(bal.mass_cells)),

@@ -164,11 +164,8 @@ class ConvexDomain:
         if self.exponent == 2.0:
             return self._quadratic_exit_times(zs, v)
         c = np.asarray(self.center)
+        # |z + hi v - c| >= bounding_radius + scale: beyond every boundary point
         hi = (np.linalg.norm(zs - c, axis=1) + self.bounding_radius + self.scale) / speed
-        grow = self.phi(zs + hi[:, None] * v) <= 0.0
-        while np.any(grow):
-            hi[grow] *= 2.0
-            grow = self.phi(zs + hi[:, None] * v) <= 0.0
         lo = np.zeros(len(zs))
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -300,6 +297,15 @@ class BoundaryParam:
     def normals_of_theta(self, theta):
         return self.domain.inward_normals(self.point_of_theta(theta))
 
+    def midpoint_rule(self, lo: float, hi: float, n: int):
+        """Midpoint rule of n equal theta intervals of [lo, hi]: the midpoints'
+        thetas, points and inward normals, and each interval's arclength from
+        the secant of the curve."""
+        edges = np.linspace(lo, hi, n + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        dsig = np.linalg.norm(np.diff(self.point_of_theta(edges), axis=0), axis=1)
+        return mids, self.point_of_theta(mids), self.normals_of_theta(mids), dsig
+
 
 @functools.lru_cache(maxsize=32)
 def boundary_param(domain: ConvexDomain) -> BoundaryParam:
@@ -389,16 +395,9 @@ def _boundary_quadrature(domain: ConvexDomain, key: tuple[float, float], sign,
         lo, hi = th1, th2
     else:
         lo, hi = th2, th1 + 2.0 * np.pi
-    edges = np.linspace(lo, hi, n_nodes + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    pts = bp.point_of_theta(mids)
-    nrm = bp.normals_of_theta(mids)
-    vdotn = nrm @ v
-    # arclength weight per theta interval from the secant of the curve
-    edge_pts = bp.point_of_theta(edges)
-    dsig = np.linalg.norm(np.diff(edge_pts, axis=0), axis=1)
+    mids, pts, nrm, dsig = bp.midpoint_rule(lo, hi, n_nodes)
     arc = BoundaryArc(v=v, sign=sign, points=pts, t_params=bp.t_of_theta(mids),
-                      dsigma=dsig, vdotn=vdotn)
+                      dsigma=dsig, vdotn=nrm @ v)
     for a in (arc.v, arc.points, arc.t_params, arc.dsigma, arc.vdotn):
         a.setflags(write=False)
     return arc

@@ -28,7 +28,6 @@ class StructuralError(ModelError):
 
 @dataclass(frozen=True)
 class Velocity:
-    index: int          # 1-based, matching the file format
     vx: float
     vy: float
 
@@ -72,10 +71,11 @@ class VelocityModel:
         Duplicate rules in the same symmetry class must agree on gamma;
         they are collapsed to one canonical entry.
         """
-        vels = tuple(
-            v if isinstance(v, Velocity) else Velocity(idx + 1, float(v[0]), float(v[1]))
-            for idx, v in enumerate(velocities)
-        )
+        vels = tuple(v if isinstance(v, Velocity) else Velocity(float(v[0]), float(v[1]))
+                     for v in velocities)
+        for a, w in enumerate(vels):
+            if not (math.isfinite(w.vx) and math.isfinite(w.vy)):
+                raise StructuralError(f"velocity {a + 1} = ({w.vx}, {w.vy}) is not finite")
         p = len(vels)
         canon: dict = {}
         for r in rules:
@@ -96,6 +96,8 @@ class VelocityModel:
         pd = None
         if positive_direction is not None:
             pd = np.asarray(positive_direction, dtype=float)
+            if not np.all(np.isfinite(pd)):
+                raise StructuralError(f"positive_direction {pd.tolist()} is not finite")
             nrm = float(np.hypot(pd[0], pd[1]))
             if nrm == 0.0:
                 raise StructuralError("positive_direction must be a nonzero vector")
@@ -224,12 +226,6 @@ class NormalityCertificate:
     normal: bool
     d_inv: int                    # dimension of the collision-invariant space
     d_max: int                    # dimension of span{1, vx, vy, |v|^2}
-    invariant_basis: np.ndarray   # (p, d_inv)
-    moment_basis_rank_defect: float
-
-    def __repr__(self):
-        return (f"NormalityCertificate(normal={self.normal}, "
-                f"d_inv={self.d_inv}, d_max={self.d_max})")
 
 
 def check_normality(model: VelocityModel) -> NormalityCertificate:
@@ -256,25 +252,18 @@ def check_normality(model: VelocityModel) -> NormalityCertificate:
     E = np.column_stack([np.ones(p), model.v[:, 0], model.v[:, 1], model.speeds_sq])
 
     if A.shape[0]:
-        u, sv, vt = np.linalg.svd(A)
+        sv = np.linalg.svd(A, compute_uv=False)
         rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0
-        inv_basis = vt[rank:].T
         defect = float(np.max(np.abs(A @ E))) if E.size else 0.0
     else:
-        rank = 0
-        inv_basis = np.eye(p)
-        defect = 0.0
+        rank = defect = 0
     d_inv = p - rank
     sv_e = np.linalg.svd(E, compute_uv=False)
     d_max = int(np.sum(sv_e > RANK_TOL * sv_e[0]))
     scale = max(1.0, float(np.max(np.abs(E))))
     contained = defect <= 1e-9 * scale * max(1, A.shape[0])
-    return NormalityCertificate(
-        normal=(d_inv == d_max) and contained,
-        d_inv=d_inv, d_max=d_max,
-        invariant_basis=inv_basis,
-        moment_basis_rank_defect=defect,
-    )
+    return NormalityCertificate(normal=(d_inv == d_max) and contained,
+                                d_inv=d_inv, d_max=d_max)
 
 
 @dataclass(frozen=True)

@@ -470,13 +470,29 @@ class SolverWorkspace:
         return out.reshape(self.grid.ny, self.grid.nx)
 
 
+def _workspace_on(domain: ConvexDomain, model: VelocityModel, grid: Grid | None,
+                  config: SolverConfig, workspace: SolverWorkspace | None) -> SolverWorkspace:
+    """`workspace`, or a new one on `grid` (on config.grid_n when `grid` is None).
+
+    A field on `grid` is read through the workspace's tables, so a workspace
+    on another grid (another domain or resolution) is a SolverError.
+    """
+    if workspace is None:
+        grid = grid if grid is not None else Grid(domain, config.grid_n)
+        return SolverWorkspace(domain, model, grid, config)
+    have = workspace.grid
+    if grid is not None and (grid.domain, grid.n) != (have.domain, have.n):
+        raise SolverError(f"field grid (n={grid.n} on {grid.domain}) does not match the "
+                          f"workspace grid (n={have.n} on {have.domain})")
+    return workspace
+
+
 # ---------------------------------------------------------------------------
 # traces
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SolveTrace:
-    kind: str
     increments: list = field(default_factory=list)
     masses: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
@@ -517,7 +533,7 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     """
     if np.any(frozen.values < 0):
         raise SolverError("frozen state must be nonnegative")
-    ws = workspace or SolverWorkspace(domain, model, frozen.grid, config)
+    ws = _workspace_on(domain, model, frozen.grid, config, workspace)
     alpha, k = config.alpha, config.k
     smoothed = mollify_field(frozen, alpha)
     if entry_vals is None:
@@ -528,8 +544,7 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     source = frequency_source(model, smoothed.values, k)
     tr_sm = truncated_factor(smoothed.values, k)
 
-    trace = SolveTrace(kind="inner", mass_cap=mass_cap, monotone_checked=True,
-                       tolerance=config.tol_inner)
+    trace = SolveTrace(mass_cap=mass_cap, monotone_checked=True, tolerance=config.tol_inner)
     F = np.zeros((model.p, ws.grid.ny, ws.grid.nx))
     tr_F = np.zeros_like(F)              # truncated factors of F, refreshed per component
 
@@ -593,13 +608,11 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     """
     if config.alpha <= 0 or config.k <= 1:
         raise SolverError("stage requires alpha > 0 and k > 1")
-    grid = (start.grid if start is not None else
-            (workspace.grid if workspace is not None else Grid(domain, config.grid_n)))
-    ws = workspace or SolverWorkspace(domain, model, grid, config)
+    ws = _workspace_on(domain, model, None if start is None else start.grid, config, workspace)
     entry_vals = ws.entry_values(boundary)
     mass_cap = compute_mass_cap(domain, model, boundary, config.alpha)
-    f = start.copy() if start is not None else Field.zeros(grid, model.p)
-    trace = SolveTrace(kind="outer", mass_cap=mass_cap, tolerance=config.tol_outer)
+    f = start.copy() if start is not None else Field.zeros(ws.grid, model.p)
+    trace = SolveTrace(mass_cap=mass_cap, tolerance=config.tol_outer)
     tol_inner = config.tol_inner
     for it in range(config.max_outer):
         t0 = time.perf_counter()
@@ -676,7 +689,7 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
     schedule = list(config.alpha_schedule)
     if any(a2 >= a1 for a1, a2 in zip(schedule, schedule[1:])) or schedule[-1] <= 0:
         raise SolverError("alpha_schedule must decrease strictly toward 0")
-    ws = workspace
+    ws = _workspace_on(domain, model, None if start is None else start.grid, config, workspace)
     fields_, traces, alphas = [], [], []
     notes = []
     prev = start
@@ -685,8 +698,6 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
         cfg = replace(config, alpha=a)
         if warm:
             cfg = replace(cfg, tol_outer=max(config.tol_outer, WARM_START_TOL))
-        if ws is None:
-            ws = SolverWorkspace(domain, model, Grid(domain, config.grid_n), cfg)
         F, tr = outer_fixed_point(domain, model, boundary, cfg, workspace=ws, start=prev)
         if warm and tr.converged:
             tr.termination = "converged_warm_start"
@@ -747,7 +758,7 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     ks = list(config.k_schedule)
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])) or ks[0] <= 1:
         raise SolverError("k_schedule must increase and start above 1")
-    ws = workspace or SolverWorkspace(domain, model, Grid(domain, config.grid_n), config)
+    ws = _workspace_on(domain, model, None, config, workspace)
     from . import diagnostics as diag   # deferred: diagnostics imports solver
 
     stages = []
@@ -773,8 +784,6 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
 
 @dataclass
 class MildResidual:
-    per_component_l1: np.ndarray
-    per_component_relative: np.ndarray
     total_relative: float
     max_cell: float
 
@@ -791,7 +800,7 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
     algebraic cancellations survive interpolation.  `k=None` selects the
     untruncated operator; passing `smoothed` selects the convolved one.
     """
-    ws = workspace or SolverWorkspace(domain, model, field_.grid, SolverConfig())
+    ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
     if k is None:
         ev = eval_untruncated(model, field_.values)
     elif smoothed is not None:
@@ -801,7 +810,6 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
     net = ev.net
     area = ws.grid.cell_area
     l1 = np.zeros(model.p)
-    rel = np.zeros(model.p)
     worst = 0.0
     for i in range(model.p):
         tab = ws.table(i)
@@ -811,12 +819,9 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
         actual = field_.values[i].ravel()[tab.cells_flat]
         r = np.abs(actual - predicted)
         l1[i] = float(np.sum(r) * area)
-        mass_i = float(np.sum(np.abs(actual)) * area)
-        rel[i] = l1[i] / max(mass_i, 1e-300)
         if r.size:
             worst = max(worst, float(np.max(r)))
-    total_rel = float(np.sum(l1) / max(field_.mass(), 1e-300))
-    return MildResidual(l1, rel, total_rel, worst)
+    return MildResidual(float(np.sum(l1) / max(field_.mass(), 1e-300)), worst)
 
 
 @dataclass
@@ -858,7 +863,7 @@ def residual_renormalized(domain: ConvexDomain, model: VelocityModel,
     term phi Q(F)/(1+F).  All four pieces vanish together exactly for an
     exact solution.
     """
-    ws = workspace or SolverWorkspace(domain, model, field_.grid, SolverConfig())
+    ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
     if k is None:
         ev = eval_untruncated(model, field_.values)
     else:

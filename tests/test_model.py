@@ -67,6 +67,18 @@ def test_out_of_range_index_is_structural():
         VelocityModel.create([(1, 0)], [CollisionRule(1, 2, 1, 1, 1.0)])
 
 
+@pytest.mark.parametrize("velocities, direction", [
+    ([(float("nan"), 0), (-1, 0), (0, 1), (0, -1)], None),
+    ([(1, 0), (-1, 0), (0, float("inf")), (0, -1)], None),
+    ([(3, 2), (1, 2), (2, 3), (2, 1)], (float("nan"), 1.0)),
+    ([(3, 2), (1, 2), (2, 3), (2, 1)], (float("inf"), 1.0)),
+], ids=["nan-velocity", "inf-velocity", "nan-direction", "inf-direction"])
+def test_non_finite_model_data_is_structural(velocities, direction):
+    with pytest.raises(StructuralError, match="not finite"):
+        VelocityModel.create(velocities, [CollisionRule(1, 2, 3, 4, 1.0)],
+                             positive_direction=direction)
+
+
 def test_negative_gamma_reported():
     m = VelocityModel.create([(3, 2), (1, 2), (2, 3), (2, 1)],
                              [CollisionRule(1, 2, 3, 4, -1.0)])

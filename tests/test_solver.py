@@ -794,6 +794,37 @@ def test_continuation_schedule_validated(disk, broadwell, ws24):
                               workspace=ws24)
 
 
+def test_continuation_builds_its_workspace_on_the_start_grid(disk, broadwell):
+    start = Field.constant(dv.Grid(disk, 16), [0.5] * 4)
+    cfg = SolverConfig(grid_n=24, k=8.0, alpha_schedule=(0.5, 0.25))
+    cont = dv.alpha_continuation(disk, broadwell, BoundaryData.constant([1.0] * 4), cfg,
+                                 start=start)
+    assert cont.converged and cont.estimate.grid.n == 16
+
+
+def test_field_on_another_grid_than_the_workspace_is_refused(disk, broadwell, ws24):
+    """Grids match by domain and resolution: a fresh Grid(disk, 24) passes,
+    a 16^2 disk grid and a 24^2 ellipse grid are refused before any work."""
+    bd = BoundaryData.constant([1.0] * 4)
+    cfg = SolverConfig(grid_n=24, k=8.0, alpha_schedule=(0.5, 0.25))
+    calls = [
+        lambda f: inner_monotone_solve(disk, broadwell, bd, f, cfg, workspace=ws24),
+        lambda f: outer_fixed_point(disk, broadwell, bd, cfg, workspace=ws24, start=f),
+        lambda f: dv.alpha_continuation(disk, broadwell, bd, cfg, workspace=ws24, start=f),
+        lambda f: residual_mild(disk, broadwell, bd, f, k=8.0, workspace=ws24),
+        lambda f: residual_renormalized(disk, broadwell, bd, f, k=8.0, workspace=ws24),
+        lambda f: dv.exceptional_sets(disk, broadwell, f, 8.0, epsilon=0.1, workspace=ws24),
+        lambda f: dv.integrated_collision_frequency(disk, broadwell, f, 8.0, workspace=ws24),
+    ]
+    same = Field.constant(dv.Grid(disk, 24), [1.0] * 4)
+    assert residual_mild(disk, broadwell, bd, same, k=8.0, workspace=ws24).total_relative >= 0
+    for grid in (dv.Grid(disk, 16), dv.Grid(dv.ConvexDomain.ellipse(1.0, 0.5), 24)):
+        f = Field.constant(grid, [1.0] * 4)
+        for call in calls:
+            with pytest.raises(SolverError, match="does not match the workspace grid"):
+                call(f)
+
+
 def test_continuation_gap_shrinks_with_alpha(disk, broadwell, ws24):
     """inflow - outflow tracks alpha * mass along the damping chain."""
     from dvmbvp.diagnostics import characteristic_balance, collision_grids
