@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .fields import BoundaryData, Field, Grid
+from .fields import BoundaryData, Field, FieldError, Grid
 from .geometry import ConvexDomain, GeometryError
 from .model import (ModelError, StructuralError, VelocityModel, certify_model,
                     classical_broadwell, generate_circle_model, generate_shifted_model,
@@ -189,6 +189,12 @@ def parse_boundary(bspec, model: VelocityModel) -> BoundaryData:
             raise StructuralError(f"cannot read csv boundary {path}: {exc}") from exc
         if rows.shape[1] != 3:
             raise StructuralError("csv boundary rows must be component,t,value")
+        named = np.isin(rows[:, 0], np.arange(1, model.p + 1))
+        if not np.all(named):
+            raise StructuralError(f"csv boundary component {float(rows[~named][0, 0])!r} is not "
+                                  f"an integer in 1..{model.p}")
+        if not np.all(np.isfinite(rows[:, 1])):
+            raise StructuralError("csv boundary t must be finite")
         _check_inflow(rows[:, 2], "csv boundary values")
         try:
             period = float(bspec["period"]) if "period" in bspec else float(np.max(rows[:, 1]))
@@ -337,7 +343,8 @@ def _make_output_dir(outdir: Path) -> str | None:
 def cmd_solve(args) -> int:
     try:
         model, domain, boundary, config, outdir, raw = load_run_config(args.config)
-    except (OSError, StructuralError) as exc:
+        grid = Grid(domain, config.grid_n)
+    except (OSError, StructuralError, FieldError) as exc:
         return _fail_input(str(exc))
     cert = certify_model(model)
     if not cert.certified:
@@ -347,7 +354,6 @@ def cmd_solve(args) -> int:
     if err:
         return _fail_input(err)
     rhash = run_hash(model, raw)
-    grid = Grid(domain, config.grid_n)
     ws = SolverWorkspace(domain, model, grid, config)
     meta_base = {
         "hash": rhash,
@@ -411,7 +417,8 @@ def cmd_solve(args) -> int:
 def cmd_diagnose(args) -> int:
     try:
         model, domain, boundary, config, outdir, raw = load_run_config(args.config)
-    except (OSError, StructuralError) as exc:
+        grid = Grid(domain, config.grid_n)
+    except (OSError, StructuralError, FieldError) as exc:
         return _fail_input(str(exc))
     field_path = Path(args.fields)
     meta_path = field_path.with_suffix(".meta.json")
@@ -432,7 +439,6 @@ def cmd_diagnose(args) -> int:
     if not (is_real(k) and k > 1):
         return _fail_input(f"metadata sidecar k must be a finite number above 1, got {k!r}")
     k = float(k)
-    grid = Grid(domain, config.grid_n)
     try:
         field = Field.load_csv(field_path, grid, model.p)
     except Exception as exc:
@@ -455,18 +461,9 @@ def cmd_diagnose(args) -> int:
     report = {
         "hash": rhash,
         "k": k,
-        "mass": rep.total_mass,
-        "mass_per_component": rep.balance.mass_cells.tolist(),
-        "energy": rep.energy,
-        "inflow": rep.balance.inflow.tolist(),
-        "outflow": rep.balance.outflow.tolist(),
-        "gap": rep.balance.gap,
+        **diag.field_report(model, rep.balance, diss, ent),
         "balance_defect": rep.balance.defect,
-        "scheme_residual_max_rel": float(np.max(rep.balance.scheme_residual_relative)),
         "slab_defects": [r.defect for r in rep.slab_rows],
-        "dissipation": diss.value,
-        "dissipation_termwise_min": diss.termwise_min,
-        "entropy_functional": None if ent.skipped else ent.per_component.tolist(),
         "exceptional_measures": exc_sets.measure.tolist(),
         "exceptional_bound_violations": exc_sets.bound_violations,
         "moduli_shifts": shifts,

@@ -289,8 +289,7 @@ def entropy_dissipation(model: VelocityModel, field_: Field, k: float) -> Dissip
             hit = (~equal) & (~np.isfinite(logdiff) | (np.abs(logdiff) >= _LOG_CAP))
             singular += int(np.sum(hit))
             integrand = (X - Y) * capped
-            if integrand.size:
-                term_min = min(term_min, float(np.min(integrand)))
+            term_min = min(term_min, float(np.min(integrand)))
             total += r.gamma * float(np.sum(integrand)) * area
     if not np.isfinite(term_min):
         term_min = 0.0
@@ -371,7 +370,7 @@ def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
     threshold = 1.0 / epsilon
     grid = field_.grid
     ws = _workspace_on(domain, model, grid, SolverConfig(), workspace)
-    nu = eval_truncated(model, field_.values, k).frequency
+    nu, _ = collision_grids(model, field_, k)
     bp = boundary_param(domain)
     area = grid.cell_area
     p = model.p
@@ -419,12 +418,8 @@ def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
         meas_nu[i] = float(np.sum(mark_nu)) * area
         meas_strip[i] = float(np.sum(strip)) * area
         meas_strip_b[i] = float(np.sum(strip_b)) * area
-        comp = np.zeros(grid.ny * grid.nx, dtype=bool)
-        comp[np.flatnonzero(grid.mask.ravel())] = ~union
-        chi[i] = comp.reshape(grid.ny, grid.nx)
-        kept = ~union
-        F_kept = field_.values[i][grid.mask][kept]
-        violations += int(np.sum(F_kept > bound * (1.0 + 1e-9)))
+        chi[i][grid.mask] = ~union
+        violations += int(np.sum(field_.values[i][chi[i]] > bound * (1.0 + 1e-9)))
     return ExceptionalSets(meas, meas_exit, meas_nu, meas_strip, meas_strip_b, chi, violations)
 
 
@@ -468,7 +463,7 @@ def integrated_collision_frequency(domain: ConvexDomain, model: VelocityModel,
                                    workspace: SolverWorkspace | None = None) -> np.ndarray:
     """Cell grids of the entry->cell integral of the truncated frequency."""
     ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
-    nu = eval_truncated(model, field_.values, k).frequency
+    nu, _ = collision_grids(model, field_, k)
     out = np.zeros_like(field_.values)
     for i in range(model.p):
         out[i] = ws.scatter(i, ws.path_integral(i, nu[i]))
@@ -479,27 +474,11 @@ def integrated_collision_frequency(domain: ConvexDomain, model: VelocityModel,
 # per-stage bundle used by the k sweep
 # ---------------------------------------------------------------------------
 
-def stage_diagnostics(domain: ConvexDomain, model: VelocityModel, field_: Field,
-                      boundary: BoundaryData, k: float,
-                      workspace: SolverWorkspace | None = None) -> dict:
-    """Standard measurement bundle for one truncation level.
-
-    `field_` is the level estimate (damping already continued to ~0), so the
-    balance uses the unconvolved truncated operator at alpha = 0; the
-    per-stage damped balance is checked separately on stage solutions.  The
-    translation moduli use one shift of diameter / 32.
-    """
-    ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
-    nu, gain = collision_grids(model, field_, k=k)
-    bal = characteristic_balance(domain, model, field_, boundary, 0.0, nu, gain)
-    diss = entropy_dissipation(model, field_, k)
-    ent = entropy_bound_check(domain, model, field_, k)
-    shift = domain.diameter / 32.0
-    intnu = integrated_collision_frequency(domain, model, field_, k, workspace=ws)
-    moduli = [float(np.max(translation_modulus(intnu, field_.grid, model.v[i], [shift])))
-              for i in range(model.p)]
+def field_report(model: VelocityModel, bal: BalanceReport, diss: DissipationReport,
+                 ent: EntropyBoundReport) -> dict:
+    """The per-field entries, as JSON values, of a level report and of the
+    `diagnose` report (entropy entries None when the check was skipped)."""
     return {
-        "k": k,
         "mass": float(np.sum(bal.mass_cells)),
         "mass_per_component": bal.mass_cells.tolist(),
         "energy": float(np.sum(model.speeds_sq * bal.mass_cells)),
@@ -513,6 +492,30 @@ def stage_diagnostics(domain: ConvexDomain, model: VelocityModel, field_: Field,
         "dissipation_singular_cells": diss.singular_cells,
         "entropy_functional": None if ent.skipped else ent.per_component.tolist(),
         "entropy_weighted": None if ent.skipped else ent.weighted_sum,
+    }
+
+
+def stage_diagnostics(domain: ConvexDomain, model: VelocityModel, field_: Field,
+                      boundary: BoundaryData, k: float,
+                      workspace: SolverWorkspace | None = None) -> dict:
+    """Standard measurement bundle for one truncation level.
+
+    `field_` is the level estimate (damping already continued to ~0), so the
+    balance uses the unconvolved truncated operator at alpha = 0; the
+    per-stage damped balance is checked separately on stage solutions.  The
+    translation moduli use one shift of diameter / 32.
+    """
+    nu, gain = collision_grids(model, field_, k=k)
+    bal = characteristic_balance(domain, model, field_, boundary, 0.0, nu, gain)
+    diss = entropy_dissipation(model, field_, k)
+    ent = entropy_bound_check(domain, model, field_, k)
+    shift = domain.diameter / 32.0
+    intnu = integrated_collision_frequency(domain, model, field_, k, workspace=workspace)
+    moduli = [float(np.max(translation_modulus(intnu, field_.grid, model.v[i], [shift])))
+              for i in range(model.p)]
+    return {
+        "k": k,
+        **field_report(model, bal, diss, ent),
         "moduli_shift": shift,
         "moduli_integrated_frequency": moduli,
     }

@@ -179,7 +179,7 @@ class Field:
         return float(np.abs(self.values - other.values).sum() * self.grid.cell_area)
 
     def min_value(self) -> float:
-        return float(self.values[:, self.grid.mask].min()) if self.grid.n_interior else 0.0
+        return float(self.values[:, self.grid.mask].min())
 
     def save_csv(self, path) -> None:
         """Rows x, y, component, value for every interior cell."""
@@ -196,8 +196,9 @@ class Field:
     def load_csv(path, grid: Grid, p: int) -> "Field":
         """Read rows written by `save_csv`; every row must name a component
         in 1..p and an interior cell of `grid`, with a finite, nonnegative
-        density."""
+        density, and every (component, interior cell) must appear once."""
         data = np.zeros((p, grid.ny, grid.nx))
+        seen = np.zeros(data.shape, dtype=np.int64)
         with open(path) as fh:
             header = fh.readline()
             if not header.startswith("x,y,component,value"):
@@ -214,6 +215,12 @@ class Field:
                 if not 0 <= v < math.inf:
                     raise FieldError(f"density {v!r} is not finite and nonnegative")
                 data[c - 1, iy, ix] = v
+                seen[c - 1, iy, ix] += 1
+        seen = seen[:, grid.mask]
+        repeated, missing = int(np.sum(seen > 1)), int(np.sum(seen == 0))
+        if repeated or missing:
+            raise FieldError(f"the rows repeat {repeated} and miss {missing} of the "
+                             f"{seen.size} (component, interior cell) pairs")
         return Field(grid, data)
 
 
@@ -253,22 +260,6 @@ def _bump_kernel(radius: float, h: float):
     return tuple(offs), w
 
 
-def _mollify_stack(values: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
-    """`mollify_field` of every (ny, nx) slice of a (p, ny, nx) stack,
-    padded once and convolved in one pass over the kernel offsets."""
-    if radius <= 0:
-        raise FieldError("mollifier radius must be positive")
-    offs, w = _bump_kernel(radius, grid.h)
-    reach = max(max(abs(dy), abs(dx)) for dy, dx in offs)
-    ny, nx = grid.ny, grid.nx
-    continued = values.reshape(len(values), ny * nx)[:, grid.pad_flat].reshape(-1, ny, nx)
-    padded = np.pad(continued, ((0, 0), (reach, reach), (reach, reach)), mode="edge")
-    out = np.zeros(continued.shape)
-    for (dy, dx), wk in zip(offs, w):
-        out += wk * padded[:, reach + dy: reach + dy + ny, reach + dx: reach + dx + nx]
-    return np.where(grid.mask, out, 0.0)
-
-
 def mollify_field(field: Field, radius: float) -> Field:
     """Convolve every component with the interior bump kernel.
 
@@ -276,9 +267,21 @@ def mollify_field(field: Field, radius: float) -> Field:
     the discrete version of continuing the field past the boundary with its
     boundary value.  The discrete kernel is normalised to unit sum, so
     constants are reproduced exactly.  A radius below h leaves the one-cell
-    kernel, the identity.
+    kernel, the identity.  All components are padded once and convolved in
+    one pass over the kernel offsets.
     """
-    return Field(field.grid, _mollify_stack(field.values, radius, field.grid))
+    if radius <= 0:
+        raise FieldError("mollifier radius must be positive")
+    grid = field.grid
+    offs, w = _bump_kernel(radius, grid.h)
+    reach = max(max(abs(dy), abs(dx)) for dy, dx in offs)
+    ny, nx = grid.ny, grid.nx
+    continued = field.values.reshape(field.p, ny * nx)[:, grid.pad_flat].reshape(-1, ny, nx)
+    padded = np.pad(continued, ((0, 0), (reach, reach), (reach, reach)), mode="edge")
+    out = np.zeros(continued.shape)
+    for (dy, dx), wk in zip(offs, w):
+        out += wk * padded[:, reach + dy: reach + dy + ny, reach + dx: reach + dx + nx]
+    return Field(grid, np.where(grid.mask, out, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,15 @@ class ConvexDomain:
     def __post_init__(self):
         if self.kind not in ("disk", "ellipse", "superellipse"):
             raise GeometryError(f"unsupported domain kind {self.kind!r}")
+        if len(self.center) != 2 or not all(map(math.isfinite, self.center)):
+            raise GeometryError(f"center must be two finite numbers, got {self.center}")
         a, b = self.semi_axes
-        if a <= 0 or b <= 0:
-            raise GeometryError("semi-axes must be positive")
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise GeometryError(f"semi-axes must be positive and finite, got {self.semi_axes}")
+        x0, x1, y0, y1 = self.bbox
+        if not (0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf):
+            raise GeometryError(f"bounding box of semi-axes {self.semi_axes} about "
+                                f"{self.center} has no finite, positive width")
         if self.kind == "superellipse" and not (1.0 < self.exponent <= 8.0):
             raise GeometryError("superellipse exponent must lie in (1, 8]")
         if self.kind != "superellipse" and self.exponent != 2.0:

@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -360,6 +360,8 @@ class SolverWorkspace:
 
     def __init__(self, domain: ConvexDomain, model: VelocityModel, grid: Grid,
                  config: SolverConfig):
+        if grid.domain != domain:
+            raise SolverError(f"workspace grid is on {grid.domain}, not on its domain {domain}")
         self.domain = domain
         self.model = model
         self.grid = grid
@@ -474,8 +476,10 @@ def _workspace_on(domain: ConvexDomain, model: VelocityModel, grid: Grid | None,
                   config: SolverConfig, workspace: SolverWorkspace | None) -> SolverWorkspace:
     """`workspace`, or a new one on `grid` (on config.grid_n when `grid` is None).
 
-    A field on `grid` is read through the workspace's tables, so a workspace
-    on another grid (another domain or resolution) is a SolverError.
+    A field on `grid` is read through the workspace's tables, which trace the
+    workspace's domain and velocities, so a workspace on another grid
+    (another domain or resolution), for another domain or for another model
+    is a SolverError.
     """
     if workspace is None:
         grid = grid if grid is not None else Grid(domain, config.grid_n)
@@ -484,6 +488,14 @@ def _workspace_on(domain: ConvexDomain, model: VelocityModel, grid: Grid | None,
     if grid is not None and (grid.domain, grid.n) != (have.domain, have.n):
         raise SolverError(f"field grid (n={grid.n} on {grid.domain}) does not match the "
                           f"workspace grid (n={have.n} on {have.domain})")
+    if domain != workspace.domain:
+        raise SolverError(f"domain {domain} does not match the workspace domain "
+                          f"{workspace.domain}")
+    if model != workspace.model:
+        differ = [f.name for f in dataclass_fields(model)
+                  if getattr(model, f.name) != getattr(workspace.model, f.name)]
+        raise SolverError(f"velocity model differs from the workspace model in its "
+                          f"{' and '.join(differ)}")
     return workspace
 
 
@@ -782,6 +794,18 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
 # residuals
 # ---------------------------------------------------------------------------
 
+def _collision(model: VelocityModel, field_: Field, k: float | None,
+               smoothed: Field | None = None):
+    """The collision operator on `field_`: untruncated for `k` None,
+    convolved-truncated when `smoothed` is given, truncated otherwise.  The
+    `eval_*` names are looked up at each call, so wrappers on them apply."""
+    if k is None:
+        return eval_untruncated(model, field_.values)
+    if smoothed is not None:
+        return eval_convolved_truncated(model, field_.values, smoothed.values, k)
+    return eval_truncated(model, field_.values, k)
+
+
 @dataclass
 class MildResidual:
     total_relative: float
@@ -801,26 +825,19 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
     untruncated operator; passing `smoothed` selects the convolved one.
     """
     ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
-    if k is None:
-        ev = eval_untruncated(model, field_.values)
-    elif smoothed is not None:
-        ev = eval_convolved_truncated(model, field_.values, smoothed.values, k)
-    else:
-        ev = eval_truncated(model, field_.values, k)
-    net = ev.net
+    net = _collision(model, field_, k, smoothed).net
+    entry_vals = ws.entry_values(boundary)
     area = ws.grid.cell_area
     l1 = np.zeros(model.p)
     worst = 0.0
     for i in range(model.p):
         tab = ws.table(i)
-        b = np.asarray(boundary.eval(i, tab.t_entry), dtype=float)[tab.line]
         coll = ws.path_integral_attenuated(i, net[i], None, alpha)
-        predicted = b * np.exp(-alpha * tab.s_plus) + coll
+        predicted = entry_vals[i][tab.line] * np.exp(-alpha * tab.s_plus) + coll
         actual = field_.values[i].ravel()[tab.cells_flat]
         r = np.abs(actual - predicted)
         l1[i] = float(np.sum(r) * area)
-        if r.size:
-            worst = max(worst, float(np.max(r)))
+        worst = max(worst, float(np.max(r)))
     return MildResidual(float(np.sum(l1) / max(field_.mass(), 1e-300)), worst)
 
 
@@ -864,11 +881,7 @@ def residual_renormalized(domain: ConvexDomain, model: VelocityModel,
     exact solution.
     """
     ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
-    if k is None:
-        ev = eval_untruncated(model, field_.values)
-    else:
-        ev = eval_truncated(model, field_.values, k)
-    ratio = ev.net / (1.0 + field_.values)
+    ratio = _collision(model, field_, k).net / (1.0 + field_.values)
     grid = ws.grid
     X = grid.centers[..., 0]
     Y = grid.centers[..., 1]

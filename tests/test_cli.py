@@ -276,10 +276,10 @@ def test_sweep_rejects_invalid_solver_option(tmp_path, shifted_model_file, capsy
     assert not (tmp_path / "out").exists()
 
 
-def write_csv_boundary(tmp_path, values):
+def write_csv_boundary(tmp_path, values, extra_rows=()):
     path = tmp_path / "inflow.csv"
     rows = [f"{i + 1},{t},{values[i]}" for i in range(4) for t in (0.0, 3.0, 6.0)]
-    path.write_text("component,t,value\n" + "\n".join(rows) + "\n")
+    path.write_text("component,t,value\n" + "\n".join(rows + list(extra_rows)) + "\n")
     return {"profile": "csv", "path": str(path)}
 
 
@@ -300,21 +300,42 @@ def test_solve_rejects_negative_or_infinite_inflow(tmp_path, shifted_model_file,
     assert not (tmp_path / "out").exists()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("boundary, domain", [
     ({"profile": "zero"}, {"kind": "disk", "radius": "x"}),
     ({"profile": "zero"}, {"kind": "ellipse"}),             # no semi_axes
+    ({"profile": "zero"}, {"kind": "disk", "radius": NAN}),
+    ({"profile": "zero"}, {"kind": "disk", "radius": INF}),
+    ({"profile": "zero"}, {"kind": "disk", "radius": 1e308}),   # box width overflows
+    ({"profile": "zero"}, {"kind": "ellipse", "semi_axes": [1.0, NAN]}),
+    ({"profile": "zero"}, {"kind": "disk", "center": [NAN, 0]}),
+    ({"profile": "zero"}, {"kind": "disk", "center": [0, 0, 5]}),
+    ({"profile": "zero"}, {"kind": "ellipse", "semi_axes": [1.0, 1e-9]}),  # no interior cell
     ({"profile": "step", "t0": "x"}, None),
     ({"period": "x"}, None),                                 # csv profile
     ({"period": 0.0}, None),
-], ids=["disk radius", "ellipse axes", "step t0", "csv period", "csv zero period"])
-def test_solve_rejects_malformed_domain_or_boundary(tmp_path, shifted_model_file,
+    ({"row": "9,1.0,50.0"}, None),                           # component past p = 4
+    ({"row": "2.7,1.0,80.0"}, None),                         # read as component 2 unchecked
+    ({"row": "1,nan,1.0", "period": 6.0}, None),
+], ids=["disk radius", "ellipse axes", "nan radius", "inf radius", "huge radius",
+        "nan semi-axis", "nan center", "3-d center", "thin ellipse", "step t0",
+        "csv period", "csv zero period", "csv component 9", "csv component 2.7",
+        "csv nan t"])
+def test_solve_rejects_malformed_domain_or_boundary(tmp_path, shifted_model_file, capsys,
                                                      boundary, domain):
     if "profile" not in boundary:
-        boundary = {**write_csv_boundary(tmp_path, [1.0] * 4), **boundary}
+        extra = [boundary["row"]] if "row" in boundary else []
+        boundary = {**write_csv_boundary(tmp_path, [1.0] * 4, extra),
+                    **{key: val for key, val in boundary.items() if key != "row"}}
     cfg = write_config(tmp_path, shifted_model_file, boundary, SMALL_SOLVER)
     if domain is not None:
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "domain": domain}))
     assert main(["solve", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_accepts_csv_inflow(tmp_path, shifted_model_file):
@@ -452,16 +473,26 @@ def test_diagnose_rejects_malformed_sidecar(tmp_path, shifted_model_file, capsys
     assert not (outdir / "diagnostics.json").exists()
 
 
-@pytest.mark.parametrize("row", ["0.125,0.125,0,1.0", "-1.5,0.125,1,1.0", "0.125,0.125,1,-1.0"])
+@pytest.mark.parametrize("row", ["0.125,0.125,0,1.0", "-1.5,0.125,1,1.0", "0.125,0.125,1,-1.0",
+                                 "half", "repeated"])
 def test_diagnose_rejects_bad_field_rows(tmp_path, shifted_model_file, capsys, row):
     """Unchecked, component 0 and x = -1.5 would wrap to component 4 and
-    column 6 at 8^2, and a negative density would reach the collision
-    operator."""
+    column 6 at 8^2, a negative density would reach the collision operator,
+    and a file with half the rows, or a row repeated with another density,
+    would be diagnosed as another field."""
     cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"}, {"grid_n": 8})
     from dvmbvp.cli import load_run_config, run_hash
     model, domain, boundary, config, outdir, raw = load_run_config(cfg)
     outdir.mkdir(parents=True)
-    (outdir / "bad.csv").write_text("x,y,component,value\n" + row + "\n")
+    Field.constant(Grid(domain, config.grid_n), [1.0, 2.0, 0.5, 1.5]).save_csv(outdir / "ok.csv")
+    header, *rows = (outdir / "ok.csv").read_text().splitlines()
+    if row == "half":
+        rows = rows[:len(rows) // 2]
+    elif row == "repeated":
+        rows = rows + [rows[0].rsplit(",", 1)[0] + ",9.0"]
+    else:
+        rows = [row]
+    (outdir / "bad.csv").write_text("\n".join([header] + rows) + "\n")
     (outdir / "bad.meta.json").write_text(json.dumps({"hash": run_hash(model, raw)}))
     code = main(["diagnose", "--fields", str(outdir / "bad.csv"), "--config", str(cfg)])
     assert code == 2

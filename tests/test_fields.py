@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dvmbvp.fields import (BoundaryData, Field, FieldError, Grid, SampledTrace,
-                           _bump_kernel, _mollify_stack, bump_profile, mollify_field,
+                           _bump_kernel, bump_profile, mollify_field,
                            truncate_and_mollify_boundary)
 from dvmbvp.geometry import ConvexDomain, boundary_param
 
@@ -91,7 +91,8 @@ def test_mollify_field_stack_matches_per_component_bitwise(disk, n, radii):
         for i in range(4):
             want = mollify_one_component(values[i], radius, grid)
             assert np.array_equal(got[i], want)
-            assert np.array_equal(_mollify_stack(values[i][None], radius, grid)[0], want)
+            one = mollify_field(Field(grid, values[i][None]), radius).values[0]
+            assert np.array_equal(one, want)
 
 
 def test_mollify_linear_interior_unchanged(disk):
@@ -297,6 +298,7 @@ def test_field_csv_roundtrip(tmp_path, grid24):
     ("0.875,0.875,1,1.0", "interior cell"),     # corner cell centre, outside the disk
     ("0,0,1,-1.0", "density"),
     ("0,0,1,nan", "density"),
+    ("0.125,0.125,1,3.0", "repeat 1 and miss 155 of the 156"),   # the first row again
 ])
 def test_field_csv_rejects_cells_off_the_grid(tmp_path, disk, row, match):
     grid = Grid(disk, 8)

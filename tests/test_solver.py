@@ -825,6 +825,28 @@ def test_field_on_another_grid_than_the_workspace_is_refused(disk, broadwell, ws
                 call(f)
 
 
+def test_workspace_for_another_model_or_domain_is_refused(disk, broadwell):
+    """Tables trace the workspace's own domain and velocities: a workspace
+    for the classical model, a call on an ellipse through a disk workspace
+    and a workspace whose grid lies on another domain are refused."""
+    ellipse = dv.ConvexDomain.ellipse(1.0, 0.5)
+    grid = dv.Grid(disk, 16)
+    cfg = SolverConfig(grid_n=16, k=8.0, alpha=0.5)
+    bd = BoundaryData.constant([1.0] * 4)
+    f = Field.constant(grid, [1.0, 0.5, 2.0, 1.5])
+    classical = SolverWorkspace(disk, dv.classical_broadwell(), grid, cfg)
+    with pytest.raises(SolverError, match="workspace model in its velocities"):
+        residual_mild(disk, broadwell, bd, f, k=8.0, workspace=classical)
+    with pytest.raises(SolverError, match="does not match the workspace domain"):
+        outer_fixed_point(ellipse, broadwell, bd, cfg, workspace=SolverWorkspace(
+            disk, broadwell, grid, cfg))
+    with pytest.raises(SolverError, match="not on its domain"):
+        SolverWorkspace(ellipse, broadwell, grid, cfg)
+    # an equal model and domain built anew pass
+    same = SolverWorkspace(dv.ConvexDomain.disk(), dv.shifted_broadwell(), grid, cfg)
+    assert residual_mild(disk, broadwell, bd, f, k=8.0, workspace=same).total_relative >= 0
+
+
 def test_continuation_gap_shrinks_with_alpha(disk, broadwell, ws24):
     """inflow - outflow tracks alpha * mass along the damping chain."""
     from dvmbvp.diagnostics import characteristic_balance, collision_grids
