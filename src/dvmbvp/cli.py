@@ -395,12 +395,14 @@ def cmd_solve(args) -> int:
     _write_field(final, outdir / "field_final.csv", meta_base)
     mild = residual_mild(domain, model, boundary, final, k=None, workspace=ws)
     renorm = residual_renormalized(domain, model, boundary, final, workspace=ws)
+    # a stage converges on its damped residual; the untruncated one must be finite too
+    converged = sweep.converged and math.isfinite(mild.total_relative)
     summary = {
         "hash": rhash,
         "mode": "sweep",
         "k_schedule": list(config.k_schedule),
         "alpha_schedule": list(config.alpha_schedule),
-        "converged": sweep.converged,
+        "converged": converged,
         "mass": final.mass(),
         "k_distances": sweep.k_distances,
         "mild_residual_untruncated": mild.total_relative,
@@ -411,7 +413,7 @@ def cmd_solve(args) -> int:
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     print(json.dumps(summary, indent=2))
-    return EXIT_OK if sweep.converged else EXIT_CONVERGENCE
+    return EXIT_OK if converged else EXIT_CONVERGENCE
 
 
 def cmd_diagnose(args) -> int:

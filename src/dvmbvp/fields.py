@@ -34,6 +34,9 @@ class Grid:
             raise FieldError("grid resolution must be at least 4")
         x0, x1, y0, y1 = domain.bbox
         h = max(x1 - x0, y1 - y0) / n
+        if not np.finfo(float).tiny <= h * h < math.inf:
+            raise FieldError(f"grid_n {n} on semi-axes {domain.semi_axes} gives cell width "
+                             f"{h:g}, whose area is not a positive, normal, finite float")
         nx = max(4, int(round((x1 - x0) / h)))
         ny = max(4, int(round((y1 - y0) / h)))
         self.domain = domain

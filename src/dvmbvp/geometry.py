@@ -1,11 +1,11 @@
 """Strictly convex planar domains with characteristic tracing.
 
 Supported shapes are disks, ellipses and superellipses |x/a|^q + |y/b|^q = 1
-with q in (1, 8].  All of them are described by an implicit function phi with
-phi < 0 inside and phi = 0 on the boundary.  A ray leaves a disk or an
-ellipse at the larger root of a quadratic and a superellipse by bracketed
-bisection on phi.
-"""
+with q in (1, 8].  Boundary points, inward normals and the tangency points
+of a velocity come in closed form from the parametrization theta ->
+(a sgn(c)|c|^(2/q), b sgn(s)|s|^(2/q)), c = cos theta, s = sin theta.  A ray
+leaves a disk or an ellipse at the larger root of a quadratic and a
+superellipse by bracketed bisection on phi = |x/a|^q + |y/b|^q - 1."""
 
 from __future__ import annotations
 
@@ -77,22 +77,31 @@ class ConvexDomain:
 
     @staticmethod
     def from_spec(spec: dict) -> "ConvexDomain":
-        """Build from a config mapping {kind, center, semi_axes, exponent|radius}."""
+        """Build from a config mapping: `kind`, an optional `center`, and
+        `radius` for a disk, `semi_axes` for an ellipse, `semi_axes` and
+        `exponent` for a superellipse.  Any other key is refused."""
         kind = spec.get("kind")
+        keys = {"disk": {"radius"}, "ellipse": {"semi_axes"},
+                "superellipse": {"semi_axes", "exponent"}}.get(kind)
+        if keys is None:
+            raise GeometryError(f"unsupported domain kind {kind!r}")
+        unknown = set(spec) - keys - {"kind", "center"}
+        if unknown:
+            raise GeometryError(f"unknown keys {sorted(unknown)} for a {kind} domain")
         center = spec.get("center", (0.0, 0.0))
         if kind == "disk":
             return ConvexDomain.disk(spec.get("radius", 1.0), center)
+        a, b = spec["semi_axes"]
         if kind == "ellipse":
-            a, b = spec["semi_axes"]
             return ConvexDomain.ellipse(a, b, center)
-        if kind == "superellipse":
-            a, b = spec["semi_axes"]
-            return ConvexDomain.superellipse(a, b, spec["exponent"], center)
-        raise GeometryError(f"unsupported domain kind {kind!r}")
+        return ConvexDomain.superellipse(a, b, spec["exponent"], center)
 
     def to_spec(self) -> dict:
-        spec = {"kind": self.kind, "center": list(self.center),
-                "semi_axes": list(self.semi_axes)}
+        spec = {"kind": self.kind, "center": list(self.center)}
+        if self.kind == "disk":
+            spec["radius"] = self.semi_axes[0]
+        else:
+            spec["semi_axes"] = list(self.semi_axes)
         if self.kind == "superellipse":
             spec["exponent"] = self.exponent
         return spec
@@ -123,34 +132,11 @@ class ConvexDomain:
         p = np.asarray(points, dtype=float)
         x = (p[..., 0] - self.center[0]) / self.semi_axes[0]
         y = (p[..., 1] - self.center[1]) / self.semi_axes[1]
-        if self.exponent == 2.0:
-            return x * x + y * y - 1.0
         q = self.exponent
         return np.abs(x) ** q + np.abs(y) ** q - 1.0
 
-    def grad_phi(self, points):
-        p = np.asarray(points, dtype=float)
-        a, b = self.semi_axes
-        x = (p[..., 0] - self.center[0]) / a
-        y = (p[..., 1] - self.center[1]) / b
-        if self.exponent == 2.0:
-            gx = 2.0 * x / a
-            gy = 2.0 * y / b
-        else:
-            q = self.exponent
-            gx = q * np.abs(x) ** (q - 1.0) * np.sign(x) / a
-            gy = q * np.abs(y) ** (q - 1.0) * np.sign(y) / b
-        return np.stack([gx, gy], axis=-1)
-
     def contains(self, points):
         return self.phi(points) < 0.0
-
-    # -- normals -----------------------------------------------------------
-
-    def inward_normals(self, points):
-        g = self.grad_phi(points)
-        gn = np.linalg.norm(g, axis=-1, keepdims=True)
-        return -g / gn
 
     # -- ray tracing ---------------------------------------------------------
 
@@ -258,7 +244,6 @@ class BoundaryParam:
         t = np.concatenate([[0.0], np.cumsum(seg)])
         self.theta_grid = theta
         self.t_grid = t
-        self.normal_grid = domain.inward_normals(pts)
         self.total_length = float(t[-1])
 
     def point_of_theta(self, theta):
@@ -266,13 +251,9 @@ class BoundaryParam:
         d = self.domain
         a, b = d.semi_axes
         c, s = np.cos(theta), np.sin(theta)
-        if d.exponent == 2.0:
-            x = a * c
-            y = b * s
-        else:
-            e = 2.0 / d.exponent
-            x = a * np.sign(c) * np.abs(c) ** e
-            y = b * np.sign(s) * np.abs(s) ** e
+        e = 2.0 / d.exponent
+        x = a * np.sign(c) * np.abs(c) ** e
+        y = b * np.sign(s) * np.abs(s) ** e
         return np.stack([d.center[0] + x, d.center[1] + y], axis=-1)
 
     def theta_of_point(self, points):
@@ -281,12 +262,9 @@ class BoundaryParam:
         p = np.asarray(points, dtype=float)
         x = (p[..., 0] - d.center[0]) / d.semi_axes[0]
         y = (p[..., 1] - d.center[1]) / d.semi_axes[1]
-        if d.exponent == 2.0:
-            u, w = x, y
-        else:
-            e = d.exponent / 2.0
-            u = np.sign(x) * np.abs(x) ** e
-            w = np.sign(y) * np.abs(y) ** e
+        e = d.exponent / 2.0
+        u = np.sign(x) * np.abs(x) ** e
+        w = np.sign(y) * np.abs(y) ** e
         return np.mod(np.arctan2(w, u), 2.0 * np.pi)
 
     def t_of_theta(self, theta):
@@ -301,7 +279,14 @@ class BoundaryParam:
         return self.t_of_theta(self.theta_of_point(points))
 
     def normals_of_theta(self, theta):
-        return self.domain.inward_normals(self.point_of_theta(theta))
+        """Inward unit normals at the points of theta: there -grad phi is
+        parallel to -(b sgn(c)|c|^r, a sgn(s)|s|^r), with r = 2 - 2/q."""
+        theta = np.asarray(theta, dtype=float)
+        a, b = self.domain.semi_axes
+        c, s = np.cos(theta), np.sin(theta)
+        r = 2.0 - 2.0 / self.domain.exponent
+        g = np.stack([b * np.sign(c) * np.abs(c) ** r, a * np.sign(s) * np.abs(s) ** r], axis=-1)
+        return -g / np.hypot(g[..., 0], g[..., 1])[..., None]
 
     def midpoint_rule(self, lo: float, hi: float, n: int):
         """Midpoint rule of n equal theta intervals of [lo, hi]: the midpoints'
@@ -324,35 +309,21 @@ def _velocity_key(v) -> tuple[float, float]:
 
 
 def tangency_thetas(domain: ConvexDomain, v) -> tuple[float, float]:
-    """Parameters of the two boundary points where v is tangent (v.n = 0),
-    computed once per (domain, v)."""
-    return _tangency_thetas(domain, _velocity_key(v))
-
-
-@functools.lru_cache(maxsize=256)
-def _tangency_thetas(domain: ConvexDomain, key: tuple[float, float]) -> tuple[float, float]:
-    bp = boundary_param(domain)
-    v = np.array(key)
-    theta = bp.theta_grid
-    g = bp.normal_grid @ v
-    on_grid = np.flatnonzero(g[:-1] == 0.0)
-    bracket = np.flatnonzero(g[:-1] * g[1:] < 0.0)
-    if len(on_grid) + len(bracket) != 2:
-        raise GeometryError(f"expected 2 tangency points, found "
-                            f"{len(on_grid) + len(bracket)}")
-    # bisect every bracket at once; a bracket whose midpoint hits a zero
-    # collapses onto it and stays there
-    lo, hi = theta[bracket], theta[bracket + 1]
-    lo_positive = g[bracket] > 0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        gm = bp.normals_of_theta(mid) @ v
-        same = (gm > 0) == lo_positive
-        lo = np.where(same | (gm == 0.0), mid, lo)
-        hi = np.where(~same | (gm == 0.0), mid, hi)
-    roots = np.concatenate([theta[on_grid], 0.5 * (lo + hi)])
-    order = np.argsort(np.concatenate([on_grid, bracket]))
-    return tuple(roots[order])
+    """Parameters of the two boundary points where v is tangent (v.n = 0), in
+    increasing order.  There (sgn(c)|c|^r, sgn(s)|s|^r) is parallel to
+    +-(v_y a, -v_x b) (see `BoundaryParam.normals_of_theta`): c and s are that
+    pair, scaled to a largest magnitude of 1, to the power 1/r."""
+    vx, vy = _velocity_key(v)
+    vmax = max(abs(vx), abs(vy))
+    if not 0.0 < vmax < math.inf:
+        raise GeometryError(f"velocity ({vx}, {vy}) must be finite and nonzero")
+    a, b = domain.semi_axes
+    u, w = vy / vmax * a, -vx / vmax * b
+    top = max(abs(u), abs(w))
+    inv_r = 1.0 / (2.0 - 2.0 / domain.exponent)
+    c = math.copysign(abs(u / top) ** inv_r, u)
+    s = math.copysign(abs(w / top) ** inv_r, w)
+    return tuple(sorted(math.atan2(y, x) % (2.0 * math.pi) for x, y in ((c, s), (-c, -s))))
 
 
 @dataclass(frozen=True)
@@ -393,7 +364,7 @@ def _boundary_quadrature(domain: ConvexDomain, key: tuple[float, float], sign,
                          n_nodes) -> BoundaryArc:
     v = np.array(key)
     bp = boundary_param(domain)
-    th1, th2 = _tangency_thetas(domain, key)
+    th1, th2 = tangency_thetas(domain, key)
     # decide which of the two arcs carries the requested sign
     mid = 0.5 * (th1 + th2)
     g_mid = float(bp.normals_of_theta(mid) @ v)

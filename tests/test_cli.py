@@ -313,6 +313,13 @@ NAN, INF = float("nan"), float("inf")
     ({"profile": "zero"}, {"kind": "disk", "center": [NAN, 0]}),
     ({"profile": "zero"}, {"kind": "disk", "center": [0, 0, 5]}),
     ({"profile": "zero"}, {"kind": "ellipse", "semi_axes": [1.0, 1e-9]}),  # no interior cell
+    ({"profile": "zero"}, {"kind": "disk", "radius": 1e-320}),  # cell area underflows
+    ({"profile": "zero"}, {"kind": "disk", "radius": 1e-155}),  # cell area is denormal
+    ({"profile": "zero"}, {"kind": "disk", "radius": 1e160}),   # cell area overflows
+    ({"profile": "zero"}, {"kind": "disk", "center": [0, 0], "semi_axes": [2.0, 2.0]}),
+    ({"profile": "zero"}, {"kind": "disk", "radus": 2.0}),
+    ({"profile": "zero"}, {"kind": "disk", "radius": 2.0, "exponent": 4.0}),
+    ({"profile": "zero"}, {"kind": "ellipse", "semi_axes": [1.0, 2.0], "radius": 2.0}),
     ({"profile": "step", "t0": "x"}, None),
     ({"period": "x"}, None),                                 # csv profile
     ({"period": 0.0}, None),
@@ -320,7 +327,9 @@ NAN, INF = float("nan"), float("inf")
     ({"row": "2.7,1.0,80.0"}, None),                         # read as component 2 unchecked
     ({"row": "1,nan,1.0", "period": 6.0}, None),
 ], ids=["disk radius", "ellipse axes", "nan radius", "inf radius", "huge radius",
-        "nan semi-axis", "nan center", "3-d center", "thin ellipse", "step t0",
+        "nan semi-axis", "nan center", "3-d center", "thin ellipse", "tiny disk",
+        "denormal cell area", "huge cell area", "disk semi_axes", "disk radus",
+        "disk exponent", "ellipse radius", "step t0",
         "csv period", "csv zero period", "csv component 9", "csv component 2.7",
         "csv nan t"])
 def test_solve_rejects_malformed_domain_or_boundary(tmp_path, shifted_model_file, capsys,
@@ -338,11 +347,42 @@ def test_solve_rejects_malformed_domain_or_boundary(tmp_path, shifted_model_file
     assert not (tmp_path / "out").exists()
 
 
-def test_solve_accepts_csv_inflow(tmp_path, shifted_model_file):
-    cfg = write_config(tmp_path, shifted_model_file,
-                       write_csv_boundary(tmp_path, [1.0, 0.5, 2.0, 0.0]),
+@pytest.mark.parametrize("boundary, domain", [
+    ("csv", None),
+    ({"profile": "maxwellian", "a": 0.0, "b": [0.1, -0.2], "c": 0.5}, None),
+    ({"profile": "step", "t0": 1.0, "t1": 4.0, "inside": [1.0, 0.5, 2.0, 0.0]}, None),
+    ({"profile": "constant", "values": [1.0, 0.5, 2.0, 0.0]},
+     {"kind": "superellipse", "center": [0.1, -0.2], "semi_axes": [1.2, 0.9], "exponent": 4.0}),
+], ids=["csv", "maxwellian", "step", "superellipse"])
+def test_solve_accepts_inflow_profile(tmp_path, shifted_model_file, boundary, domain):
+    if boundary == "csv":
+        boundary = write_csv_boundary(tmp_path, [1.0, 0.5, 2.0, 0.0])
+    cfg = write_config(tmp_path, shifted_model_file, boundary,
                        {"grid_n": 16, "alpha": 0.5, "k": 8.0})
+    if domain is not None:
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "domain": domain}))
     assert main(["solve", "--single-stage", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert np.isfinite(summary["mass"]) and summary["mass"] > 0.0
+    meta = json.loads((tmp_path / "out" / "field_single.meta.json").read_text())
+    assert dv.ConvexDomain.from_spec(meta["domain"]) == dv.ConvexDomain.from_spec(
+        json.loads(cfg.read_text())["domain"])
+
+
+def test_sweep_with_an_infinite_final_residual_does_not_converge(tmp_path, shifted_model_file,
+                                                                 capsys):
+    """On a disk of radius 1e100 an 8-cell grid is far coarser than the damping
+    length: every stage converges to the zero field, whose untruncated mild
+    residual against the inflow is infinite."""
+    cfg = write_config(tmp_path, shifted_model_file,
+                       {"profile": "constant", "values": [1.0, 1.0, 1.0, 1.0]},
+                       {"grid_n": 8, "alpha_schedule": [0.5, 0.25], "k_schedule": [4.0]})
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                               "domain": {"kind": "disk", "radius": 1e100}}))
+    assert main(["sweep", str(cfg)]) == 3
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["mild_residual_untruncated"] == float("inf")
+    assert summary["converged"] is False
 
 
 @pytest.mark.parametrize("command", [["solve"], ["solve", "--single-stage"], ["sweep"]])

@@ -12,7 +12,8 @@ from dvmbvp.collision import eval_truncated
 from dvmbvp.diagnostics import (characteristic_balance, collision_grids,
                                 entropy_bound_check, entropy_dissipation,
                                 exceptional_sets, integrated_collision_frequency,
-                                mass_energy_flux, slab_energy_rows, translation_modulus)
+                                mass_energy_flux, slab_energy_rows, sweep_soft_checks,
+                                translation_modulus)
 from dvmbvp.fields import BoundaryData, Field
 from dvmbvp.solver import SolverConfig, SolverWorkspace, residual_renormalized
 
@@ -370,3 +371,19 @@ def test_integrated_frequency_modulus_stable_for_constants(disk, broadwell, grid
     assert np.all(intnu >= 0.0)
     moduli = translation_modulus(intnu, grid24, broadwell.v[0], [grid24.h * 2])
     assert np.all(np.isfinite(moduli))
+
+
+def test_sweep_soft_checks_warn_on_entropy_growth_and_spread_moduli():
+    """Synthetic level reports: the last entropy is above twice the median of
+    all levels, and the largest moduli of the levels differ by 3x."""
+    levels = [{"entropy_weighted": 1.0, "moduli_integrated_frequency": [0.1, 0.2]},
+              {"entropy_weighted": -1.2, "moduli_integrated_frequency": [0.3]},
+              {"entropy_weighted": 5.0, "moduli_integrated_frequency": [0.6, 0.1]}]
+    with pytest.warns(UserWarning) as caught:
+        notes = sweep_soft_checks(levels)
+    assert len(notes) == 2
+    assert notes[0].startswith("entropy functional grew to 5.000e+00, above twice "
+                               "the median 1.200e+00")
+    assert notes[1] == "integrated-frequency moduli vary by 3.00x across levels"
+    assert [str(w.message) for w in caught] == notes
+    assert sweep_soft_checks(levels[:2]) == []

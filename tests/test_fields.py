@@ -46,6 +46,19 @@ def test_nearest_interior_map_matches_bruteforce(domain, n):
     assert np.array_equal(grid.pad_flat, want)
 
 
+@pytest.mark.parametrize("radius, ok", [(1e-150, True), (1e150, True), (1e-160, False),
+                                        (1e-320, False), (1e160, False)])
+def test_grid_needs_a_normal_finite_cell_area(radius, ok):
+    """A cell area h^2 that underflows below the smallest normal float or
+    overflows is refused; grids on domains far from unit size still build."""
+    if ok:
+        grid = Grid(ConvexDomain.disk(radius), 8)
+        assert grid.n_interior > 0 and grid.h == radius / 4
+    else:
+        with pytest.raises(FieldError, match="whose area"):
+            Grid(ConvexDomain.disk(radius), 8)
+
+
 def test_interpolation_exact_on_linears(grid24):
     f = Field.from_function(grid24, [lambda x, y: 1.0 + 2.0 * x - 0.5 * y])
     pts = np.array([[0.1, 0.2], [-0.3, 0.05], [0.0, 0.0]])

@@ -109,7 +109,7 @@ def test_quadratic_exit_times_match_bisection(dom):
     th = rng.uniform(0.0, 2.0 * np.pi, 500)
     boundary = np.c_[a * np.cos(th), b * np.sin(th)]
     zs = np.r_[interior, boundary] + dom.center
-    normals = np.r_[np.zeros((len(interior), 2)), dom.inward_normals(boundary + dom.center)]
+    normals = np.r_[np.zeros((len(interior), 2)), boundary_param(dom).normals_of_theta(th)]
     for v in [(3.0, 2.0), (1.0, 2.0), (2.0, 3.0), (2.0, 1.0), (1.0, 0.0),
               (1.0, np.sqrt(2.0))]:
         for w in (np.array(v), -np.array(v)):
@@ -123,16 +123,18 @@ def test_quadratic_exit_times_match_bisection(dom):
 # -- normals ---------------------------------------------------------------------
 
 def test_inward_normal_disk(disk):
-    assert np.allclose(disk.inward_normals((1.0, 0.0)), [-1, 0], atol=1e-12)
-    assert np.allclose(disk.inward_normals((0.0, -1.0)), [0, 1], atol=1e-12)
+    normals = boundary_param(disk).normals_of_theta
+    assert np.allclose(normals(0.0), [-1, 0], atol=1e-12)           # at (1, 0)
+    assert np.allclose(normals(1.5 * np.pi), [0, 1], atol=1e-12)    # at (0, -1)
 
 
 def test_inward_normal_ellipse():
     dom = ConvexDomain.ellipse(2.0, 1.0)
-    assert np.allclose(dom.inward_normals((2.0, 0.0)), [-1, 0], atol=1e-12)
+    normals = boundary_param(dom).normals_of_theta
+    assert np.allclose(normals(0.0), [-1, 0], atol=1e-12)           # at (2, 0)
     # gradient direction (x/2, 2y) normalised at a generic point
     x, y = 2.0 * np.cos(0.7), np.sin(0.7)
-    n = dom.inward_normals((x, y))
+    n = normals(0.7)
     g = np.array([x / 2.0, 2.0 * y])
     assert np.allclose(n, -g / np.linalg.norm(g), atol=1e-10)
     assert abs(np.linalg.norm(n) - 1.0) < 1e-14
@@ -140,11 +142,16 @@ def test_inward_normal_ellipse():
 
 def test_normal_unit_norm_superellipse():
     dom = ConvexDomain.superellipse(1.5, 1.0, 4.0)
-    bp = boundary_param(dom)
-    pts = bp.point_of_theta(np.linspace(0.1, 6.0, 17))
-    for pt in pts:
-        n = dom.inward_normals(pt)
+    for n in boundary_param(dom).normals_of_theta(np.linspace(0.1, 6.0, 17)):
         assert abs(np.linalg.norm(n) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("dom", [ConvexDomain.disk(2.0, (0.5, -1.0)),
+                                 ConvexDomain.ellipse(1.3, 0.7, (0.2, -0.1)),
+                                 ConvexDomain.superellipse(1.2, 0.9, 4.0, (-0.3, 0.4))],
+                         ids=["disk", "ellipse", "superellipse"])
+def test_domain_spec_round_trip(dom):
+    assert ConvexDomain.from_spec(dom.to_spec()) == dom
 
 
 def test_superellipse_exponent_validation():
@@ -200,6 +207,50 @@ def test_tangency_thetas_disk(disk):
     assert np.allclose(th, [np.pi / 2, 3 * np.pi / 2], atol=1e-8)
 
 
+def scanned_tangency_thetas(dom, v, n=8192, steps=60):
+    """Reference: the sign changes of v.n on n equal theta intervals, each
+    bisected `steps` times."""
+    normals = boundary_param(dom).normals_of_theta
+    theta = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    g = normals(theta) @ v
+    lo = np.flatnonzero(g[:-1] * g[1:] <= 0.0)
+    lo = lo[np.r_[True, np.diff(lo) > 1]]         # a zero on a node ends two intervals
+    lo, hi = theta[lo], theta[lo + 1]
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        left = (normals(mid) @ v) * (normals(lo) @ v) <= 0.0
+        hi, lo = np.where(left, mid, hi), np.where(left, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+TANGENCY_DOMAINS = [ConvexDomain.disk(), ConvexDomain.ellipse(1.3, 0.7, (0.2, -0.1)),
+                    *(ConvexDomain.superellipse(1.2, 0.9, q, (-0.3, 0.4))
+                      for q in (1.05, 1.8, 4.0, 8.0)),
+                    ConvexDomain.disk(1e-200), ConvexDomain.disk(1e200)]
+
+
+@pytest.mark.parametrize("dom", TANGENCY_DOMAINS, ids=[
+    "disk", "ellipse", "q1.05", "q1.8", "q4", "q8", "tiny disk", "huge disk"])
+def test_tangency_thetas_match_a_scan_of_the_normals(dom):
+    """The closed-form tangency points agree with a bracket scan and bisection
+    of v.n, also on disks of radius 1e-200 and 1e200, where the squared
+    gradient of the implicit function would underflow or overflow, and the
+    normals have unit norm."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 1001)
+    assert np.max(np.abs(np.linalg.norm(
+        boundary_param(dom).normals_of_theta(theta), axis=1) - 1.0)) < 1e-14
+    for v in [(1.0, 0.0), (0.0, -2.0), (-3.0, 0.0), (3.0, 2.0), (-1.0, np.sqrt(2.0)),
+              (0.3, -2.7), (-1.0, -1.0)]:
+        got = tangency_thetas(dom, v)
+        assert got[0] < got[1]
+        assert np.max(np.abs(np.array(got) - scanned_tangency_thetas(dom, v))) < 1e-14
+
+
+def test_tangency_of_zero_velocity_is_refused(disk):
+    with pytest.raises(GeometryError):
+        tangency_thetas(disk, (0.0, 0.0))
+
+
 def test_arcs_and_tangency_points_are_built_once(broadwell):
     dom = ConvexDomain.ellipse(1.3, 0.8)
     v = broadwell.v[1]
@@ -209,7 +260,7 @@ def test_arcs_and_tangency_points_are_built_once(broadwell):
     assert dv.boundary_quadrature(ConvexDomain.ellipse(1.3, 0.8), v, +1) is arc
     assert dv.boundary_quadrature(dom, v, -1) is not arc
     assert dv.boundary_quadrature(dom, v, +1, 256) is not arc
-    assert tangency_thetas(dom, key) is tangency_thetas(dom, v)
+    assert tangency_thetas(dom, key) == tangency_thetas(dom, v)
 
 
 def test_boundary_arc_arrays_are_read_only(disk):
