@@ -390,6 +390,8 @@ def cmd_solve(args) -> int:
                        "stage_terminations": [t.termination
                                               for t in stage.continuation.traces],
                        "final_residual": stage.continuation.final_residual,
+                       # the grid that final_residual and the terminations describe
+                       "solve_grid_n": stage.continuation.last.grid.n,
                        "warnings": stage.continuation.warnings}, fh, indent=2)
     final = sweep.field
     _write_field(final, outdir / "field_final.csv", meta_base)

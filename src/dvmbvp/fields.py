@@ -37,6 +37,12 @@ class Grid:
         if not np.finfo(float).tiny <= h * h < math.inf:
             raise FieldError(f"grid_n {n} on semi-axes {domain.semi_axes} gives cell width "
                              f"{h:g}, whose area is not a positive, normal, finite float")
+        # quadratic test functions (x^2, xy, y^2) are evaluated on the box
+        reach = max(abs(x0), abs(x1), abs(y0), abs(y1))
+        if not reach * reach < math.inf:
+            raise FieldError(f"the bounding box of semi-axes {domain.semi_axes} about "
+                             f"{domain.center} reaches {reach:g}, whose square is not a "
+                             f"finite float")
         nx = max(4, int(round((x1 - x0) / h)))
         ny = max(4, int(round((y1 - y0) / h)))
         self.domain = domain

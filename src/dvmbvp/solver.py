@@ -25,7 +25,12 @@ two, which feed the Richardson extrapolation, is a warm start that stops at
 max(tol_outer, WARM_START_TOL).  An outer sweep raises k: the first level runs
 the whole alpha schedule, and every later level runs only its Richardson pair,
 starting from the previous level's last field (a stage's fixed point does not
-depend on where its outer iteration starts).
+depend on where its outer iteration starts).  The sweep nests its grids
+(nested iteration; Brandt 1977, Hackbusch 1985, ch. 5): from a run grid of
+32 cells on up, every level but the last runs on a grid a quarter as fine
+(16 cells at least), and only the last level's pair runs on the run grid,
+from the prolonged last coarse field.  Every level's estimate is prolonged
+to the run grid, so what a sweep returns lives on one grid.
 
 Cells that share a backward characteristic share one line (the method of
 long characteristics): one transport sweep advances a single exponential
@@ -665,6 +670,13 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
 
 @dataclass
 class ContinuationResult:
+    """The stages of one damping continuation and their extrapolated estimate.
+
+    Run inside a nested `k_sweep`, an earlier level's `fields`, `traces`,
+    `cauchy_distances` and `final_residual` describe the coarse grid it ran
+    on, while its `estimate` is prolonged to the run grid.
+    """
+
     alphas: list
     fields: list               # per-alpha converged stages
     traces: list
@@ -738,6 +750,14 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
 
 @dataclass
 class KStage:
+    """One truncation level of a sweep.
+
+    `continuation.estimate` and `diagnostics` are on the run grid.  In a
+    nested sweep every level but the last solved on the coarse grid, which
+    its `continuation.last.grid` names: there `continuation.fields`,
+    `traces`, `cauchy_distances` and `final_residual` describe that solve.
+    """
+
     k: float
     boundary: BoundaryData
     continuation: ContinuationResult
@@ -755,6 +775,14 @@ class SweepResult:
         return all(s.continuation.converged for s in self.stages)
 
 
+def _prolong(field_: Field, grid: Grid) -> Field:
+    """Bilinear prolongation to another grid of the same domain: every
+    component interpolated at `grid`'s centres, clipped at 0 and zeroed off
+    its mask."""
+    vals = np.stack([field_.grid.interpolate(v, grid.centers) for v in field_.values])
+    return Field(grid, np.where(grid.mask, np.maximum(vals, 0.0), 0.0))
+
+
 def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
             config: SolverConfig, workspace: SolverWorkspace | None = None) -> SweepResult:
     """Raise the truncation level along config.k_schedule.
@@ -766,6 +794,15 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     Every later level runs only its last two stages, the Richardson pair,
     from the previous level's last field, which already starts them closer
     than the warm-up stages would; it therefore reports one Cauchy distance.
+
+    The grids are nested.  With run grid n and coarse_n = max(16, n // 4),
+    once 2 coarse_n <= n every level but the last runs on a coarse workspace
+    with coarse_n cells, built here once per call.  The last coarse field is
+    prolonged (`_prolong`) to the run grid, and only the last level's pair
+    runs there; its inner ladders still start from zero.  Each earlier
+    level's estimate is prolonged to the run grid before its diagnostics, so
+    every estimate, diagnostic and k distance is on the run grid.  Smaller
+    run grids run every level on themselves.
     """
     ks = list(config.k_schedule)
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])) or ks[0] <= 1:
@@ -773,18 +810,27 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     ws = _workspace_on(domain, model, None, config, workspace)
     from . import diagnostics as diag   # deferred: diagnostics imports solver
 
+    coarse_n = max(16, ws.grid.n // 4)
+    coarse = ws
+    if len(ks) > 1 and 2 * coarse_n <= ws.grid.n:
+        coarse = SolverWorkspace(domain, model, Grid(domain, coarse_n), config)
     stages = []
     prev_field = None
-    for k in ks:
+    for j, k in enumerate(ks):
+        stage_ws = ws if j == len(ks) - 1 else coarse
+        if prev_field is not None and prev_field.grid is not stage_ws.grid:
+            prev_field = _prolong(prev_field, stage_ws.grid)
         bd_k = truncate_and_mollify_boundary(boundary, k, domain)
         cfg = replace(config, k=k)
         if stages:
             cfg = replace(cfg, alpha_schedule=config.alpha_schedule[-2:])
-        cont = alpha_continuation(domain, model, bd_k, cfg, workspace=ws,
+        cont = alpha_continuation(domain, model, bd_k, cfg, workspace=stage_ws,
                                   start=prev_field)
+        prev_field = cont.last
+        if stage_ws is not ws:
+            cont.estimate = _prolong(cont.estimate, ws.grid)
         info = diag.stage_diagnostics(domain, model, cont.estimate, bd_k, k=k, workspace=ws)
         stages.append(KStage(k, bd_k, cont, info))
-        prev_field = cont.last
     dists = [stages[j].continuation.estimate.l1_distance(stages[j - 1].continuation.estimate)
              for j in range(1, len(stages))]
     return SweepResult(stages, dists, stages[-1].continuation.estimate)

@@ -316,6 +316,7 @@ NAN, INF = float("nan"), float("inf")
     ({"profile": "zero"}, {"kind": "disk", "radius": 1e-320}),  # cell area underflows
     ({"profile": "zero"}, {"kind": "disk", "radius": 1e-155}),  # cell area is denormal
     ({"profile": "zero"}, {"kind": "disk", "radius": 1e160}),   # cell area overflows
+    ({"profile": "zero"}, {"kind": "disk", "radius": 1e155}),   # x^2 overflows
     ({"profile": "zero"}, {"kind": "disk", "center": [0, 0], "semi_axes": [2.0, 2.0]}),
     ({"profile": "zero"}, {"kind": "disk", "radus": 2.0}),
     ({"profile": "zero"}, {"kind": "disk", "radius": 2.0, "exponent": 4.0}),
@@ -328,7 +329,7 @@ NAN, INF = float("nan"), float("inf")
     ({"row": "1,nan,1.0", "period": 6.0}, None),
 ], ids=["disk radius", "ellipse axes", "nan radius", "inf radius", "huge radius",
         "nan semi-axis", "nan center", "3-d center", "thin ellipse", "tiny disk",
-        "denormal cell area", "huge cell area", "disk semi_axes", "disk radus",
+        "denormal cell area", "huge cell area", "huge squares", "disk semi_axes", "disk radus",
         "disk exponent", "ellipse radius", "step t0",
         "csv period", "csv zero period", "csv component 9", "csv component 2.7",
         "csv nan t"])
@@ -415,6 +416,23 @@ def test_sweep_reports_stage_terminations(tmp_path, shifted_model_file):
     later = json.loads((tmp_path / "out" / "report_k16.json").read_text())
     assert later["alphas"] == [0.25, 0.125]
     assert later["stage_terminations"] == ["converged", "converged"]
+
+
+def test_sweep_nested_at_32_writes_fields_that_diagnose_reads(tmp_path, shifted_model_file,
+                                                              capsys):
+    """At grid_n 32 the first level solves on 16^2 and the last on 32^2; each
+    report names its solve grid, and every level's field is on the run grid."""
+    cfg = write_config(tmp_path, shifted_model_file,
+                       {"profile": "maxwellian", "a": 0.0, "b": [0.1, -0.2], "c": 0.05},
+                       {**SMALL_SOLVER, "grid_n": 32})
+    assert main(["sweep", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert [json.loads((out / f"report_k{k}.json").read_text())["solve_grid_n"]
+            for k in (4, 16)] == [16, 32]
+    for k in (4, 16):
+        capsys.readouterr()
+        assert main(["diagnose", "--fields", str(out / f"field_k{k}.csv"),
+                     "--config", str(cfg)]) == 0
 
 
 def test_solve_rejects_uncertified_model(tmp_path, classical_model_file):

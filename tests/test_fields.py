@@ -59,6 +59,18 @@ def test_grid_needs_a_normal_finite_cell_area(radius, ok):
             Grid(ConvexDomain.disk(radius), 8)
 
 
+@pytest.mark.parametrize("radius, ok", [(1e150, True), (1e155, False)])
+def test_grid_needs_coordinates_with_finite_squares(radius, ok):
+    """At 16 cells a disk of radius 1e155 has a finite cell area, but the
+    squares of its coordinates, which the quadratic test functions take,
+    overflow: refused."""
+    if ok:
+        assert Grid(ConvexDomain.disk(radius), 16).n_interior > 0
+    else:
+        with pytest.raises(FieldError, match="whose square"):
+            Grid(ConvexDomain.disk(radius), 16)
+
+
 def test_interpolation_exact_on_linears(grid24):
     f = Field.from_function(grid24, [lambda x, y: 1.0 + 2.0 * x - 0.5 * y])
     pts = np.array([[0.1, 0.2], [-0.3, 0.05], [0.0, 0.0]])

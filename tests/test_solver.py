@@ -953,6 +953,52 @@ def test_k_sweep_with_a_stage_pair_runs_it_at_every_level(disk, broadwell):
         assert np.array_equal(st.continuation.estimate.values, ref.values)
 
 
+def all_fine_sweep(domain, model, boundary, config, ws):
+    """Reference k sweep with every level on `ws`: the whole alpha schedule at
+    the first level, the Richardson pair from the previous last field after."""
+    estimates, prev = [], None
+    for j, k in enumerate(config.k_schedule):
+        bd_k = truncate_and_mollify_boundary(boundary, k, domain)
+        cfg = replace(config, k=k)
+        if j:
+            cfg = replace(cfg, alpha_schedule=config.alpha_schedule[-2:])
+        cont = dv.alpha_continuation(domain, model, bd_k, cfg, workspace=ws, start=prev)
+        estimates.append(cont.estimate)
+        prev = cont.last
+    return estimates
+
+
+@pytest.mark.parametrize("inflow", ["maxwellian", "step"])
+def test_k_sweep_runs_earlier_levels_on_a_coarse_grid(disk, broadwell, maxwellian_params,
+                                                      inflow, ws32):
+    """At 32^2 every level but the last solves on 16^2; every estimate is
+    prolonged to the run grid, and the final one stays within 1e-9 relative
+    L1 of the sweep with every level on the run grid."""
+    bd = (BoundaryData.maxwellian(broadwell, *maxwellian_params) if inflow == "maxwellian"
+          else step_inflow(disk, broadwell.p))
+    cfg = SolverConfig(grid_n=32, k_schedule=(4.0, 16.0, 64.0),
+                       alpha_schedule=(0.5, 0.25, 0.125))
+    want = all_fine_sweep(disk, broadwell, bd, cfg, ws32)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws32)
+    assert sweep.converged
+    assert all(st.continuation.estimate.grid is ws32.grid for st in sweep.stages)
+    assert [st.continuation.last.grid.n for st in sweep.stages] == [16, 16, 32]
+    assert sweep.field.l1_distance(want[-1]) <= 1e-9 * want[-1].mass()
+
+
+def test_k_sweep_below_32_is_the_all_fine_sweep(disk, broadwell, ws24):
+    """Below a run grid of 32 no grid is coarse enough to nest: bitwise the
+    sweep with every level on the run grid."""
+    cfg = SolverConfig(grid_n=24, k_schedule=(4.0, 16.0, 64.0),
+                       alpha_schedule=(0.5, 0.25, 0.125))
+    bd = step_inflow(disk, broadwell.p)
+    want = all_fine_sweep(disk, broadwell, bd, cfg, ws24)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws24)
+    for st, ref in zip(sweep.stages, want):
+        assert st.continuation.last.grid is ws24.grid
+        assert np.array_equal(st.continuation.estimate.values, ref.values)
+
+
 # -- residuals ----------------------------------------------------------------------------
 
 def test_residual_mild_constant_maxwellian(disk, broadwell, maxwellian_params,
