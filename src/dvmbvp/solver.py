@@ -28,8 +28,9 @@ starting from the previous level's last field (a stage's fixed point does not
 depend on where its outer iteration starts).  The sweep nests its grids
 (nested iteration; Brandt 1977, Hackbusch 1985, ch. 5): from a run grid of
 32 cells on up, every level but the last runs on a grid a quarter as fine
-(16 cells at least), and only the last level's pair runs on the run grid,
-from the prolonged last coarse field.  Every level's estimate is prolonged
+(16 cells at least; the run grid if the domain has no interior cell there),
+and only the last level's pair runs on the run grid, from the prolonged
+last coarse field.  Every level's estimate is prolonged
 to the run grid, so what a sweep returns lives on one grid.
 
 Cells that share a backward characteristic share one line (the method of
@@ -65,7 +66,8 @@ import numpy as np
 
 from .collision import (eval_convolved_truncated, eval_truncated, eval_untruncated,
                         frequency_source, gain_truncated, truncated_factor)
-from .fields import BoundaryData, Field, Grid, mollify_field, truncate_and_mollify_boundary
+from .fields import (BoundaryData, Field, FieldError, Grid, mollify_field,
+                     truncate_and_mollify_boundary)
 from .geometry import ConvexDomain, boundary_param, boundary_quadrature
 from .model import VelocityModel
 
@@ -802,7 +804,8 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     runs there; its inner ladders still start from zero.  Each earlier
     level's estimate is prolonged to the run grid before its diagnostics, so
     every estimate, diagnostic and k distance is on the run grid.  Smaller
-    run grids run every level on themselves.
+    run grids, and domains with no interior cell at coarse_n, run every level
+    on the run grid.
     """
     ks = list(config.k_schedule)
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])) or ks[0] <= 1:
@@ -813,7 +816,10 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     coarse_n = max(16, ws.grid.n // 4)
     coarse = ws
     if len(ks) > 1 and 2 * coarse_n <= ws.grid.n:
-        coarse = SolverWorkspace(domain, model, Grid(domain, coarse_n), config)
+        try:
+            coarse = SolverWorkspace(domain, model, Grid(domain, coarse_n), config)
+        except FieldError:      # a domain too thin for any interior cell at coarse_n
+            pass
     stages = []
     prev_field = None
     for j, k in enumerate(ks):

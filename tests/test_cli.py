@@ -435,6 +435,19 @@ def test_sweep_nested_at_32_writes_fields_that_diagnose_reads(tmp_path, shifted_
                      "--config", str(cfg)]) == 0
 
 
+def test_sweep_on_a_domain_with_no_coarse_interior_cell(tmp_path, shifted_model_file):
+    """An ellipse with semi-axes [1, 0.02] has interior cells at 32^2 but none
+    at 16^2: every level solves on the run grid."""
+    cfg = write_config(tmp_path, shifted_model_file,
+                       {"profile": "maxwellian", "a": 0.0, "b": [0.1, -0.2], "c": 0.05},
+                       {**SMALL_SOLVER, "grid_n": 32})
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                               "domain": {"kind": "ellipse", "semi_axes": [1.0, 0.02]}}))
+    assert main(["sweep", str(cfg)]) == 0
+    assert [json.loads((tmp_path / "out" / f"report_k{k}.json").read_text())["solve_grid_n"]
+            for k in (4, 16)] == [32, 32]
+
+
 def test_solve_rejects_uncertified_model(tmp_path, classical_model_file):
     cfg = write_config(tmp_path, classical_model_file, {"profile": "zero"},
                        SMALL_SOLVER)

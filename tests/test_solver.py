@@ -899,14 +899,17 @@ def test_k_sweep_cap_active_lowers_mass(disk, broadwell, maxwellian_params,
     assert sweep.field.mass() < exact.mass()
 
 
-def full_schedule_sweep(domain, model, boundary, config, ws):
-    """Reference k sweep: the whole alpha schedule at every level, each level
-    starting from the previous level's last field."""
+def full_schedule_sweep(domain, model, boundary, config, ws, pair_after_first=False):
+    """Reference k sweep with every level on `ws`, each level starting from the
+    previous level's last field: the whole alpha schedule at every level, or,
+    with `pair_after_first`, only the Richardson pair after the first."""
     estimates, prev = [], None
-    for k in config.k_schedule:
+    for j, k in enumerate(config.k_schedule):
+        cfg = replace(config, k=k)
+        if j and pair_after_first:
+            cfg = replace(cfg, alpha_schedule=config.alpha_schedule[-2:])
         bd_k = truncate_and_mollify_boundary(boundary, k, domain)
-        cont = dv.alpha_continuation(domain, model, bd_k, replace(config, k=k),
-                                     workspace=ws, start=prev)
+        cont = dv.alpha_continuation(domain, model, bd_k, cfg, workspace=ws, start=prev)
         estimates.append(cont.estimate)
         prev = cont.last
     return estimates
@@ -953,21 +956,6 @@ def test_k_sweep_with_a_stage_pair_runs_it_at_every_level(disk, broadwell):
         assert np.array_equal(st.continuation.estimate.values, ref.values)
 
 
-def all_fine_sweep(domain, model, boundary, config, ws):
-    """Reference k sweep with every level on `ws`: the whole alpha schedule at
-    the first level, the Richardson pair from the previous last field after."""
-    estimates, prev = [], None
-    for j, k in enumerate(config.k_schedule):
-        bd_k = truncate_and_mollify_boundary(boundary, k, domain)
-        cfg = replace(config, k=k)
-        if j:
-            cfg = replace(cfg, alpha_schedule=config.alpha_schedule[-2:])
-        cont = dv.alpha_continuation(domain, model, bd_k, cfg, workspace=ws, start=prev)
-        estimates.append(cont.estimate)
-        prev = cont.last
-    return estimates
-
-
 @pytest.mark.parametrize("inflow", ["maxwellian", "step"])
 def test_k_sweep_runs_earlier_levels_on_a_coarse_grid(disk, broadwell, maxwellian_params,
                                                       inflow, ws32):
@@ -978,7 +966,7 @@ def test_k_sweep_runs_earlier_levels_on_a_coarse_grid(disk, broadwell, maxwellia
           else step_inflow(disk, broadwell.p))
     cfg = SolverConfig(grid_n=32, k_schedule=(4.0, 16.0, 64.0),
                        alpha_schedule=(0.5, 0.25, 0.125))
-    want = all_fine_sweep(disk, broadwell, bd, cfg, ws32)
+    want = full_schedule_sweep(disk, broadwell, bd, cfg, ws32, pair_after_first=True)
     sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws32)
     assert sweep.converged
     assert all(st.continuation.estimate.grid is ws32.grid for st in sweep.stages)
@@ -986,16 +974,25 @@ def test_k_sweep_runs_earlier_levels_on_a_coarse_grid(disk, broadwell, maxwellia
     assert sweep.field.l1_distance(want[-1]) <= 1e-9 * want[-1].mass()
 
 
-def test_k_sweep_below_32_is_the_all_fine_sweep(disk, broadwell, ws24):
-    """Below a run grid of 32 no grid is coarse enough to nest: bitwise the
-    sweep with every level on the run grid."""
-    cfg = SolverConfig(grid_n=24, k_schedule=(4.0, 16.0, 64.0),
+THIN_ELLIPSE = dv.ConvexDomain.ellipse(1.0, 0.02)
+
+
+@pytest.mark.parametrize("domain,n", [("disk", 24), (THIN_ELLIPSE, 32)],
+                         ids=["below 32", "no coarse interior cell"])
+def test_k_sweep_without_a_coarse_grid_is_the_all_fine_sweep(disk, broadwell, domain, n):
+    """Below a run grid of 32 no grid is coarse enough to nest, and the thin
+    ellipse's first row of cell centres (y = 0.011 at 32^2) lies outside it at
+    16^2 (y = 0.0425): either way bitwise the sweep with every level on the
+    run grid."""
+    domain = disk if domain == "disk" else domain
+    cfg = SolverConfig(grid_n=n, k_schedule=(4.0, 16.0, 64.0),
                        alpha_schedule=(0.5, 0.25, 0.125))
-    bd = step_inflow(disk, broadwell.p)
-    want = all_fine_sweep(disk, broadwell, bd, cfg, ws24)
-    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws24)
+    ws = SolverWorkspace(domain, broadwell, dv.Grid(domain, n), cfg)
+    bd = step_inflow(domain, broadwell.p)
+    want = full_schedule_sweep(domain, broadwell, bd, cfg, ws, pair_after_first=True)
+    sweep = dv.k_sweep(domain, broadwell, bd, cfg, workspace=ws)
     for st, ref in zip(sweep.stages, want):
-        assert st.continuation.last.grid is ws24.grid
+        assert st.continuation.last.grid is ws.grid
         assert np.array_equal(st.continuation.estimate.values, ref.values)
 
 
