@@ -380,6 +380,7 @@ def cmd_solve(args) -> int:
     sweep = k_sweep(domain, model, boundary, config, workspace=ws)
     for stage in sweep.stages:
         tag = f"k{stage.k:g}"
+        starts = [ch.start for t in stage.continuation.traces for ch in t.children]
         _write_field(stage.continuation.estimate, outdir / f"field_{tag}.csv",
                      {**meta_base, "k": stage.k})
         with open(outdir / f"report_{tag}.json", "w") as fh:
@@ -392,6 +393,9 @@ def cmd_solve(args) -> int:
                        "final_residual": stage.continuation.final_residual,
                        # the grid that final_residual and the terminations describe
                        "solve_grid_n": stage.continuation.last.grid.n,
+                       # where the inner ladders of those stages started
+                       "ladder_starts": {s: starts.count(s)
+                                         for s in ("zero", "certified", "fallback")},
                        "warnings": stage.continuation.warnings}, fh, indent=2)
     final = sweep.field
     _write_field(final, outdir / "field_final.csv", meta_base)

@@ -98,6 +98,14 @@ def _partner_sum(model: VelocityModel, x) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _row_entries(model: VelocityModel) -> tuple:
+    """Per component a, the (gamma, out1, out2) of its entries, in entry order."""
+    ex = expansion(model)
+    return tuple(tuple((ex.gamma[e], int(ex.out1[e]), int(ex.out2[e]))
+                       for e in np.flatnonzero(ex.a == a)) for a in range(model.p))
+
+
 def gain_truncated(model: VelocityModel, tr_local, tr_smoothed,
                    component: int | None = None) -> np.ndarray:
     """Per-component sum gamma * tr_local_out1 * tr_smoothed_out2.
@@ -107,12 +115,16 @@ def gain_truncated(model: VelocityModel, tr_local, tr_smoothed,
     With `component` = i only row i is computed, from the same products
     added in the same order, so it equals row i of the full sum bitwise.
     """
+    if component is not None:
+        row = np.zeros_like(tr_local[component])
+        for gamma, out1, out2 in _row_entries(model)[component]:
+            row += gamma * tr_local[out1] * tr_smoothed[out2]
+        return row
     ex = expansion(model)
     gain = np.zeros_like(tr_local)
     for e, a in enumerate(ex.a):
-        if component is None or a == component:
-            gain[a] += ex.gamma[e] * tr_local[ex.out1[e]] * tr_smoothed[ex.out2[e]]
-    return gain if component is None else gain[component]
+        gain[a] += ex.gamma[e] * tr_local[ex.out1[e]] * tr_smoothed[ex.out2[e]]
+    return gain
 
 
 def eval_untruncated(model: VelocityModel, values) -> CollisionEval:

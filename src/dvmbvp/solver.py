@@ -4,22 +4,27 @@ One stage solves, for fixed damping alpha > 0 and truncation level k > 1,
 
     alpha F_a + v_a . grad F_a = gain_a(F, frozen * mu) - F_a freq_a(F, frozen * mu)
 
-with prescribed inflow, by the monotone inner iteration: starting from zero,
-each transport sweep integrates gain and frequency along every backward
-characteristic in exponential (integrating-factor) form.  The sweep is a
-Gauss-Seidel pass over the components: component i is transported with its
-frequency from its own current value and its gain from the components
-already updated in the same pass.  The stage map is isotone (the frequency
-falls and the gain grows as F grows), so from zero every operand of a pass
-is at least its value in the previous pass, and the iterates still increase
-bitwise, each at least the Jacobi iterate of the same step (Ortega &
-Rheinboldt 1970, 13.2).
+with prescribed inflow, by the monotone inner iteration: starting from zero
+or from a certified sub-solution, each transport sweep integrates gain and
+frequency along every backward characteristic in exponential
+(integrating-factor) form.  The sweep is a Gauss-Seidel pass over the
+components: component i is transported with its frequency from its own
+current value and its gain from the components already updated in the same
+pass.  The stage map is isotone (the frequency falls and the gain grows as F
+grows), so from zero every operand of a pass is at least its value in the
+previous pass, and the iterates still increase bitwise, each at least the
+Jacobi iterate of the same step (Ortega & Rheinboldt 1970, 13.2).  The same
+holds from any start S whose first pass is at least S in every cell, bitwise
+(Amann 1976): the ladder then climbs from S to the same fixed point.
 
 The outer loop updates the frozen convolved state until the map reaches its
 fixed point.  Its inner ladders are inexact: each stops at
 max(tol_inner, INNER_FORCING x the previous outer relative change), the
 forcing term of inexact Newton methods (Dembo, Eisenstat & Steihaug 1982),
 and a stage converges only after a ladder that ran at tol_inner itself.
+Every ladder of a stage after its first tries to start just below the
+previous outer iterate, at (1 - LADDER_START_MARGIN x that change) times it,
+and runs from zero when that start fails its certification.
 Continuation then sends alpha -> 0 at fixed k; every stage except the last
 two, which feed the Richardson extrapolation, is a warm start that stops at
 max(tol_outer, WARM_START_TOL).  An outer sweep raises k: the first level runs
@@ -74,6 +79,12 @@ from .model import VelocityModel
 # An inner ladder stops at max(tol_inner, INNER_FORCING x the previous outer
 # relative change).
 INNER_FORCING = 0.1
+# Every inner ladder of a stage after its first tries the start (1 - delta) x
+# the previous outer iterate, delta = LADDER_START_MARGIN x that same change,
+# while delta < 1.  On the default 32^2 Maxwellian sweep, 18 of 88 starts
+# failed their certification at 10 and none at 30; at 300 the starts sat so
+# low that the sweep took 515 passes, against 441 at 30 and 651 from zero.
+LADDER_START_MARGIN = 30.0
 # Alpha stages before the last two stop at max(tol_outer, WARM_START_TOL).
 WARM_START_TOL = 1e-5
 
@@ -524,10 +535,14 @@ class SolveTrace:
     mass_cap_max_ratio: float = 0.0
     children: list = field(default_factory=list)
     residual: float = float("nan")
+    # inner ladders: "zero", "certified" (from a candidate that passed) or
+    # "fallback" (from zero, after one certification pass it discarded)
+    start: str = ""
 
     @property
     def iterations(self) -> int:
-        return len(self.increments)
+        """Loop steps; for an inner ladder, transport passes, the discarded one included."""
+        return len(self.increments) + (self.start == "fallback")
 
 
 # ---------------------------------------------------------------------------
@@ -537,22 +552,33 @@ class SolveTrace:
 def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
                          boundary: BoundaryData, frozen: Field, config: SolverConfig,
                          workspace: SolverWorkspace | None = None,
-                         entry_vals=None, mass_cap: float | None = None):
+                         entry_vals=None, mass_cap: float | None = None,
+                         start: Field | None = None):
     """Monotone ladder for the stage map at one frozen convolved state.
 
-    The frozen state is mollified with radius alpha.  Starting from zero,
-    each step is one Gauss-Seidel transport pass: component i is transported
-    with the truncated frequency of its own current value and the truncated
-    gain of the components already updated in the pass (the truncated
-    factor of each component is refreshed once, after it is written).  The
+    The frozen state is mollified with radius alpha.  Each step is one
+    Gauss-Seidel transport pass: component i is transported with the
+    truncated frequency of its own current value and the truncated gain of
+    the components already updated in the pass (the truncated factor of each
+    component is refreshed once, after it is written).  The ladder starts
+    from zero, or from the candidate `start` S (its interior cells) when S
+    is a certified sub-solution: the first pass from S becomes the ladder's
+    first step only if it is at least S, bitwise, in every cell.  The pass
+    map is isotone, so every later pass then increases too and the ladder
+    climbs to the same fixed point as from zero (Amann 1976; Ortega &
+    Rheinboldt 1970, 13.2).  Otherwise the pass is discarded and the ladder
+    runs from zero, bitwise as if no candidate had been given; the trace's
+    `start` says which, and its `iterations` count the discarded pass.  The
     ladder stops when the relative L1 increment of a pass is at most
     config.tol_inner.  The iterates increase cellwise and their mass stays
     below the damping cap; both properties are monitored, and a cellwise
     decrease beyond 1e-12 (1 + max F) is a hard failure.
     """
-    if np.any(frozen.values < 0):
-        raise SolverError("frozen state must be nonnegative")
+    if np.any(frozen.values < 0) or (start is not None and np.any(start.values < 0)):
+        raise SolverError("frozen state and ladder start must be nonnegative")
     ws = _workspace_on(domain, model, frozen.grid, config, workspace)
+    if start is not None:
+        _workspace_on(domain, model, start.grid, config, ws)
     alpha, k = config.alpha, config.k
     smoothed = mollify_field(frozen, alpha)
     if entry_vals is None:
@@ -563,9 +589,13 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     source = frequency_source(model, smoothed.values, k)
     tr_sm = truncated_factor(smoothed.values, k)
 
-    trace = SolveTrace(mass_cap=mass_cap, monotone_checked=True, tolerance=config.tol_inner)
+    trace = SolveTrace(mass_cap=mass_cap, monotone_checked=True, tolerance=config.tol_inner,
+                       start="zero")
     F = np.zeros((model.p, ws.grid.ny, ws.grid.nx))
-    tr_F = np.zeros_like(F)              # truncated factors of F, refreshed per component
+    if start is not None and config.max_inner > 0:
+        trace.start = "certified"        # until its first pass says otherwise
+        F[:, ws.grid.mask] = start.values[:, ws.grid.mask]
+    tr_F = truncated_factor(F, k)        # truncated factors of F, refreshed per component
 
     def nu_of(i):
         return source[i] / (1.0 + F[i] / k)
@@ -581,6 +611,12 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
         t0 = time.perf_counter()
         prev = F.copy()
         ws.apply_exponential(entry_vals, nu_of, gain_of, alpha, out=F)
+        if q == 0 and trace.start == "certified" and not np.all(F >= prev):
+            trace.start = "fallback"     # T(S) >= S fails somewhere: run from zero
+            F[...] = 0.0
+            tr_F[...] = 0.0
+            prev = F.copy()
+            ws.apply_exponential(entry_vals, nu_of, gain_of, alpha, out=F)
         viol = int(np.sum(F < prev))
         trace.monotone_violations += viol
         if viol:
@@ -615,9 +651,14 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     """Picard iteration of the stage map (frozen state -> transported state).
 
     The inner ladders are inexact: the first runs at tol_inner, and each
-    later one stops at max(tol_inner, INNER_FORCING x the previous relative
-    change), so early ladders, whose frozen state is still far from the
-    fixed point, stop early.  Convergence of this loop is monitored, not
+    later one stops at max(tol_inner, INNER_FORCING x rel), rel the previous
+    relative change, so early ladders, whose frozen state is still far from
+    the fixed point, stop early.  Each later ladder also gets the candidate
+    start (1 - delta) x the previous iterate, delta = LADDER_START_MARGIN x
+    rel, while delta < 1: the previous iterate straddles the new fixed
+    point, and a start pushed below it by a margin that shrinks with the
+    outer change usually certifies (`inner_monotone_solve`); one that does
+    not costs one discarded pass.  Convergence of this loop is monitored, not
     guaranteed; a stall after max_outer steps is reported through the trace,
     never asserted away.  The stage counts as converged only when the
     relative change falls below tol_outer after an inner ladder that ran at
@@ -633,11 +674,12 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     f = start.copy() if start is not None else Field.zeros(ws.grid, model.p)
     trace = SolveTrace(mass_cap=mass_cap, tolerance=config.tol_outer)
     tol_inner = config.tol_inner
+    below = None                         # the next ladder's candidate start
     for it in range(config.max_outer):
         t0 = time.perf_counter()
         F, itrace = inner_monotone_solve(
             domain, model, boundary, f, replace(config, tol_inner=tol_inner),
-            workspace=ws, entry_vals=entry_vals, mass_cap=mass_cap)
+            workspace=ws, entry_vals=entry_vals, mass_cap=mass_cap, start=below)
         change = F.l1_distance(f)
         rel = change / max(F.mass(), 1e-300)
         trace.increments.append(rel)
@@ -655,6 +697,8 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
             break
         tol_inner = (config.tol_inner if rel <= config.tol_outer
                      else max(config.tol_inner, INNER_FORCING * rel))
+        delta = LADDER_START_MARGIN * rel
+        below = Field(ws.grid, (1.0 - delta) * f.values) if delta < 1.0 else None
     else:
         trace.termination = "max_outer"
     res = residual_mild(domain, model, boundary, f, k=config.k, alpha=config.alpha,
@@ -801,11 +845,10 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     once 2 coarse_n <= n every level but the last runs on a coarse workspace
     with coarse_n cells, built here once per call.  The last coarse field is
     prolonged (`_prolong`) to the run grid, and only the last level's pair
-    runs there; its inner ladders still start from zero.  Each earlier
-    level's estimate is prolonged to the run grid before its diagnostics, so
-    every estimate, diagnostic and k distance is on the run grid.  Smaller
-    run grids, and domains with no interior cell at coarse_n, run every level
-    on the run grid.
+    runs there.  Each earlier level's estimate is prolonged to the run grid
+    before its diagnostics, so every estimate, diagnostic and k distance is
+    on the run grid.  Smaller run grids, and domains with no interior cell
+    at coarse_n, run every level on the run grid.
     """
     ks = list(config.k_schedule)
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])) or ks[0] <= 1:

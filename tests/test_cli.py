@@ -416,6 +416,11 @@ def test_sweep_reports_stage_terminations(tmp_path, shifted_model_file):
     later = json.loads((tmp_path / "out" / "report_k16.json").read_text())
     assert later["alphas"] == [0.25, 0.125]
     assert later["stage_terminations"] == ["converged", "converged"]
+    for report in (first, later):
+        starts = report["ladder_starts"]
+        assert set(starts) == {"zero", "certified", "fallback"}
+        assert starts["zero"] >= len(report["alphas"])     # every stage's first ladder
+        assert starts["certified"] > 0
 
 
 def test_sweep_nested_at_32_writes_fields_that_diagnose_reads(tmp_path, shifted_model_file,

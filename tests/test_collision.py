@@ -143,10 +143,13 @@ def test_mass_symmetry_hypothesis(broadwell_state, k):
 
 @pytest.mark.parametrize("shape", [(), (7, 9)])
 def test_gain_row_equals_full_sum_bitwise(broadwell, two_circle_model, shape):
-    """The Gauss-Seidel pass reads one gain row at a time; the full sum equals
-    the entry-ordered np.add.at reference bitwise."""
+    """The Gauss-Seidel pass reads one gain row at a time, built from that
+    row's entries alone; it equals the row of the full sum, which equals the
+    entry-ordered np.add.at reference, bitwise.  The two-circle model has
+    several rules per component."""
     rng = np.random.default_rng(5)
-    for model in (broadwell, two_circle_model, dv.shifted_broadwell(gamma=0.7)):
+    for model in (broadwell, dv.classical_broadwell(), two_circle_model,
+                  dv.shifted_broadwell(gamma=0.7)):
         x = truncated_factor(rng.uniform(0.0, 6.0, (model.p,) + shape), 12.0)
         y = truncated_factor(rng.uniform(0.0, 6.0, (model.p,) + shape), 12.0)
         full = gain_truncated(model, x, y)

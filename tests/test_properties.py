@@ -2,10 +2,13 @@
 
 Over random nonnegative inflow traces (periodic piecewise-linear on the
 boundary arclength) and frozen states, the guarantees of the construction
-hold exactly: the Gauss-Seidel ladder never decreases, its mass stays below
-the damping cap, a repeated solve is bit-identical, and every Gauss-Seidel
-iterate dominates the Jacobi iterate of the same step.
+hold exactly: the Gauss-Seidel ladder never decreases, also from a certified
+start, its mass stays below the damping cap, a repeated solve is
+bit-identical, and every Gauss-Seidel iterate dominates the Jacobi iterate
+of the same step.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +58,33 @@ def test_ladder_monotone_and_mass_capped(disk, broadwell, ws16, values, levels, 
     assert tr.monotone_violations == 0
     assert max(tr.masses) <= tr.mass_cap and tr.mass_cap_max_ratio <= 1.0
     assert F.min_value() >= 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(inflow_values, frozen_levels, stage, st.integers(1, 4),
+       st.one_of(st.just(1.0), st.floats(0.5, 1.5)))
+def test_ladder_from_a_certified_start_monotone_and_mass_capped(disk, broadwell, ws16, values,
+                                                                 levels, alpha_k, q, scale):
+    """Start at `scale` x step q of the zero-start ladder (a sub-solution at
+    scale 1; above 1 most starts fail).  A certified start climbs bitwise,
+    pass by pass, below the cap; a start that fails its certification gives
+    the zero-start ladder."""
+    cfg = config(alpha_k)
+    bd = inflow(disk, values)
+    frozen = Field.constant(ws16.grid, levels)
+    step_q, _ = inner_monotone_solve(disk, broadwell, bd, frozen,
+                                     replace(cfg, max_inner=q, tol_inner=0.0), workspace=ws16)
+    S = scale * step_q.values
+    F, tr = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws16,
+                                 start=Field(ws16.grid, S))
+    assert tr.start == "certified" or scale != 1.0
+    if tr.start == "certified":
+        assert tr.converged and tr.monotone_violations == 0
+        assert np.all(F.values >= S)
+        assert max(tr.masses) <= tr.mass_cap and tr.mass_cap_max_ratio <= 1.0
+    else:
+        Z, _ = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws16)
+        assert tr.start == "fallback" and np.array_equal(F.values, Z.values)
 
 
 @settings(max_examples=12, deadline=None)

@@ -16,8 +16,9 @@ from dvmbvp.collision import (eval_truncated, eval_untruncated, frequency_source
 from dvmbvp.fields import (BoundaryData, CallableTrace, Field, mollify_field,
                            truncate_and_mollify_boundary)
 from dvmbvp.geometry import boundary_param, boundary_quadrature
-from dvmbvp.solver import (WARM_START_TOL, SolverConfig, SolverError, SolverWorkspace,
-                           _matmul, _n_steps, _transport, compute_mass_cap,
+from dvmbvp import solver
+from dvmbvp.solver import (LADDER_START_MARGIN, WARM_START_TOL, SolverConfig, SolverError,
+                           SolverWorkspace, _matmul, _n_steps, _transport, compute_mass_cap,
                            default_test_functions, inner_monotone_solve, outer_fixed_point,
                            residual_mild, residual_renormalized)
 
@@ -662,6 +663,91 @@ def test_inner_max_inner_stops_the_ladder(disk, broadwell, ws24):
     assert tr.iterations == 2 and tr.tolerance == cfg.tol_inner
 
 
+# -- certified ladder starts -------------------------------------------------------
+
+def stage_inflow(disk, broadwell, maxwellian_params, inflow):
+    return (BoundaryData.maxwellian(broadwell, *maxwellian_params) if inflow == "maxwellian"
+            else step_inflow(disk, broadwell.p))
+
+
+@pytest.mark.parametrize("inflow", ["maxwellian", "step"])
+def test_certified_start_ends_at_the_zero_start_limit(disk, broadwell, maxwellian_params,
+                                                      ws24, inflow):
+    """At the frozen state of a fourth outer iterate, the candidate the outer
+    loop would try certifies, and its ladder ends within 10 tol_inner x mass
+    of the zero-start ladder, in no more passes."""
+    bd = stage_inflow(disk, broadwell, maxwellian_params, inflow)
+    cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=24, max_outer=4)
+    frozen, outer = outer_fixed_point(disk, broadwell, bd, cfg, workspace=ws24)
+    delta = LADDER_START_MARGIN * outer.increments[-1]
+    assert delta < 1.0
+    F0, tr0 = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws24)
+    F1, tr1 = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws24,
+                                   start=Field(ws24.grid, (1.0 - delta) * frozen.values))
+    assert tr0.start == "zero" and tr1.start == "certified"
+    assert tr0.converged and tr1.converged and tr1.monotone_violations == 0
+    assert tr1.iterations <= tr0.iterations
+    assert F1.l1_distance(F0) <= 10 * cfg.tol_inner * F0.mass()
+
+
+def test_candidate_above_the_fixed_point_falls_back(disk, broadwell, maxwellian_params, ws24):
+    """Twice the ladder's limit is no sub-solution: its pass is discarded and
+    the ladder is bitwise the zero-start one, with one more pass counted."""
+    cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=24)
+    bd = BoundaryData.maxwellian(broadwell, *maxwellian_params)
+    frozen = Field.constant(ws24.grid, [1.0, 0.8, 1.2, 0.9])
+    F0, tr0 = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws24)
+    F1, tr1 = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws24,
+                                   start=Field(ws24.grid, 2.0 * F0.values))
+    assert tr1.start == "fallback"
+    assert np.array_equal(F1.values, F0.values)
+    assert tr1.increments == tr0.increments and tr1.masses == tr0.masses
+    assert tr1.iterations == tr0.iterations + 1
+
+
+def test_negative_ladder_start_is_refused(disk, broadwell, ws24):
+    cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=24)
+    frozen = Field.constant(ws24.grid, [1.0] * 4)
+    below_zero = Field.constant(ws24.grid, [1.0, -0.1, 1.0, 1.0])
+    with pytest.raises(SolverError, match="must be nonnegative"):
+        inner_monotone_solve(disk, broadwell, BoundaryData.constant([1.0] * 4), frozen, cfg,
+                             workspace=ws24, start=below_zero)
+
+
+def test_outer_ladders_try_a_start_only_while_delta_is_below_one(disk, broadwell, ws24):
+    """Ladder n > 0 tries (1 - delta) x iterate n - 1 with delta =
+    LADDER_START_MARGIN x rel_(n-1) only while delta < 1; the stage's first
+    ladder and every ladder after a change with delta >= 1 start from zero."""
+    cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=24)
+    bd = BoundaryData.constant([1.0, 0.5, 2.0, 1.5])
+    F, tr = outer_fixed_point(disk, broadwell, bd, cfg, workspace=ws24)
+    starts = [c.start for c in tr.children]
+    assert starts[0] == "zero" and "zero" in starts[1:] and "certified" in starts
+    for n in range(1, len(starts)):
+        tried = LADDER_START_MARGIN * tr.increments[n - 1] < 1.0
+        assert (starts[n] != "zero") == tried
+    assert tr.converged and tr.monotone_violations == 0
+
+
+@pytest.mark.parametrize("inflow", ["maxwellian", "step"])
+def test_k_sweep_with_certified_starts_stays_at_the_zero_start_field(
+        disk, broadwell, maxwellian_params, ws32, monkeypatch, inflow):
+    """At 32^2 (nested on 16^2) the sweep's final field stays within 1e-9
+    relative L1 of the sweep whose ladders all start from zero."""
+    bd = stage_inflow(disk, broadwell, maxwellian_params, inflow)
+    cfg = SolverConfig(grid_n=32, k_schedule=(4.0, 16.0, 64.0),
+                       alpha_schedule=(0.5, 0.25, 0.125))
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws32)
+    monkeypatch.setattr(solver, "LADDER_START_MARGIN", math.inf)    # delta >= 1 always
+    want = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws32)
+    starts = [c.start for st in sweep.stages for t in st.continuation.traces
+              for c in t.children]
+    assert "certified" in starts and sweep.converged
+    assert all(c.start == "zero" for st in want.stages for t in st.continuation.traces
+               for c in t.children)
+    assert sweep.field.l1_distance(want.field) <= 1e-9 * want.field.mass()
+
+
 def test_mass_cap_requires_damping(disk, broadwell):
     with pytest.raises(SolverError):
         compute_mass_cap(disk, broadwell, BoundaryData.constant([1.0] * 4), 0.0)
@@ -807,8 +893,10 @@ def test_field_on_another_grid_than_the_workspace_is_refused(disk, broadwell, ws
     a 16^2 disk grid and a 24^2 ellipse grid are refused before any work."""
     bd = BoundaryData.constant([1.0] * 4)
     cfg = SolverConfig(grid_n=24, k=8.0, alpha_schedule=(0.5, 0.25))
+    same = Field.constant(dv.Grid(disk, 24), [1.0] * 4)
     calls = [
         lambda f: inner_monotone_solve(disk, broadwell, bd, f, cfg, workspace=ws24),
+        lambda f: inner_monotone_solve(disk, broadwell, bd, same, cfg, workspace=ws24, start=f),
         lambda f: outer_fixed_point(disk, broadwell, bd, cfg, workspace=ws24, start=f),
         lambda f: dv.alpha_continuation(disk, broadwell, bd, cfg, workspace=ws24, start=f),
         lambda f: residual_mild(disk, broadwell, bd, f, k=8.0, workspace=ws24),
@@ -816,7 +904,6 @@ def test_field_on_another_grid_than_the_workspace_is_refused(disk, broadwell, ws
         lambda f: dv.exceptional_sets(disk, broadwell, f, 8.0, epsilon=0.1, workspace=ws24),
         lambda f: dv.integrated_collision_frequency(disk, broadwell, f, 8.0, workspace=ws24),
     ]
-    same = Field.constant(dv.Grid(disk, 24), [1.0] * 4)
     assert residual_mild(disk, broadwell, bd, same, k=8.0, workspace=ws24).total_relative >= 0
     for grid in (dv.Grid(disk, 16), dv.Grid(dv.ConvexDomain.ellipse(1.0, 0.5), 24)):
         f = Field.constant(grid, [1.0] * 4)
@@ -929,8 +1016,7 @@ def test_k_sweep_later_levels_run_the_richardson_pair(disk, broadwell, maxwellia
                                                       inflow):
     """After the first level only the last two alpha stages run; every level's
     estimate stays within 1e-8 relative L1 of the full schedule's."""
-    bd = (BoundaryData.maxwellian(broadwell, *maxwellian_params) if inflow == "maxwellian"
-          else step_inflow(disk, broadwell.p))
+    bd = stage_inflow(disk, broadwell, maxwellian_params, inflow)
     cfg = SolverConfig(grid_n=16, k_schedule=(4.0, 16.0, 64.0),
                        alpha_schedule=(0.5, 0.25, 0.125))
     ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), cfg)
@@ -962,8 +1048,7 @@ def test_k_sweep_runs_earlier_levels_on_a_coarse_grid(disk, broadwell, maxwellia
     """At 32^2 every level but the last solves on 16^2; every estimate is
     prolonged to the run grid, and the final one stays within 1e-9 relative
     L1 of the sweep with every level on the run grid."""
-    bd = (BoundaryData.maxwellian(broadwell, *maxwellian_params) if inflow == "maxwellian"
-          else step_inflow(disk, broadwell.p))
+    bd = stage_inflow(disk, broadwell, maxwellian_params, inflow)
     cfg = SolverConfig(grid_n=32, k_schedule=(4.0, 16.0, 64.0),
                        alpha_schedule=(0.5, 0.25, 0.125))
     want = full_schedule_sweep(disk, broadwell, bd, cfg, ws32, pair_after_first=True)
