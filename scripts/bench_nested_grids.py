@@ -26,7 +26,7 @@ record is written as JSON:
 
 `--one INFLOW N SRC` is the per-process measurement the record is built from:
 it runs one sweep against the `dvmbvp` package under SRC and prints one JSON
-line.
+line; `--margin C` sets the ladder start margin first.
 """
 
 from __future__ import annotations
@@ -62,13 +62,17 @@ def step_inflow(dv, domain, p):
         for i in range(p)))
 
 
-def measure_one(inflow: str, n: int, src: str, save: str | None, profile: bool) -> dict:
-    """One default k sweep in this process, against the package under `src`."""
+def measure_one(inflow: str, n: int, src: str, save: str | None, profile: bool,
+                margin: float | None = None) -> dict:
+    """One default k sweep in this process, against the package under `src`,
+    with `solver.LADDER_START_MARGIN` set to `margin` when one is given."""
     sys.path.insert(0, src)
     import numpy as np
     import dvmbvp as dv
     from dvmbvp import solver
 
+    if margin is not None:
+        solver.LADDER_START_MARGIN = margin
     model, domain = dv.shifted_broadwell(), dv.ConvexDomain.disk()
     a, b, c = MAXWELLIAN
     boundary = (dv.BoundaryData.maxwellian(model, a, b, c) if inflow == "maxwellian"
@@ -88,17 +92,21 @@ def measure_one(inflow: str, n: int, src: str, save: str | None, profile: bool) 
     sweep = dv.k_sweep(domain, model, boundary, dv.SolverConfig(grid_n=n))
     wall = time.perf_counter() - t0
     sweeps, outer = {}, {}
+    starts = dict.fromkeys(("zero", "certified", "fallback"), 0)
     for st in sweep.stages:
         key = str(st.continuation.last.grid.n)
         for tr in st.continuation.traces:
             outer[key] = outer.get(key, 0) + tr.iterations
             sweeps[key] = sweeps.get(key, 0) + sum(ch.iterations for ch in tr.children)
+            for ch in tr.children:                # older traces have no start
+                starts[getattr(ch, "start", "") or "zero"] += 1
     out = {
-        "inflow": inflow, "grid_n": n, "wall_s": wall,
+        "inflow": inflow, "grid_n": n, "margin": margin, "wall_s": wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "converged": sweep.converged,
         "final_residual": sweep.stages[-1].continuation.final_residual,
         "transport_sweeps_by_grid": sweeps, "outer_iterations_by_grid": outer,
+        "ladder_starts": starts,
         "monotone_violations": sum(tr.monotone_violations for st in sweep.stages
                                    for tr in st.continuation.traces),
     }
@@ -137,9 +145,11 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def one(inflow, n, checkout: Path, save=None, profile=False) -> dict:
+def one(inflow, n, checkout: Path, save=None, profile=False, margin=None) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--one", inflow, str(n),
            str(checkout / "src")]
+    if margin is not None:
+        cmd += ["--margin", repr(margin)]
     if save:
         cmd += ["--save", save]
     if profile:
@@ -213,10 +223,12 @@ def main() -> int:
     ap.add_argument("--one", nargs=3, metavar=("INFLOW", "N", "SRC"))
     ap.add_argument("--save")
     ap.add_argument("--profile", action="store_true")
+    ap.add_argument("--margin", type=float)
     args = ap.parse_args()
     if args.one:
         inflow, n, src = args.one
-        print(json.dumps(measure_one(inflow, int(n), src, args.save, args.profile)))
+        print(json.dumps(measure_one(inflow, int(n), src, args.save, args.profile,
+                                     args.margin)))
         return 0
     if args.parent is None:
         ap.error("--parent is required")

@@ -22,9 +22,8 @@ measurement runs in a fresh process and the record is written as JSON:
   alternating parent/change pairs: wall time (set-up included), sweep counts
   and the distance between the two final fields.
 
-`--one INFLOW N SRC` is the per-process measurement the scan and the 128^2
-timing are built from: one sweep against the `dvmbvp` package under SRC,
-with `--margin C` to set the start margin, printed as one JSON line.
+Each sweep runs in its own process through `scripts/bench_nested_grids.py
+--one`, with `--margin C` for the scan.
 """
 
 from __future__ import annotations
@@ -34,70 +33,19 @@ import json
 import math
 import os
 import platform
-import resource
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_nested_grids import MAXWELLIAN, bench_pairs, run_json, step_inflow  # noqa: E402
+from bench_nested_grids import bench_pairs, one  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("stage64_step", "sweep32_maxwellian", "diagnose128")
 MARGINS = (10.0, 30.0, 100.0, 300.0)
 SCAN_SIZES = (32, 64)
 REPEATS = 3                                  # 128^2 pairs
-
-
-def measure_one(inflow: str, n: int, src: str, margin: float | None,
-                save: str | None) -> dict:
-    """One default k sweep in this process, against the package under `src`."""
-    sys.path.insert(0, src)
-    import numpy as np
-    import dvmbvp as dv
-    from dvmbvp import solver
-
-    if margin is not None:
-        solver.LADDER_START_MARGIN = margin
-    model, domain = dv.shifted_broadwell(), dv.ConvexDomain.disk()
-    a, b, c = MAXWELLIAN
-    boundary = (dv.BoundaryData.maxwellian(model, a, b, c) if inflow == "maxwellian"
-                else step_inflow(dv, domain, model.p))
-    t0 = time.perf_counter()
-    sweep = dv.k_sweep(domain, model, boundary, dv.SolverConfig(grid_n=n))
-    wall = time.perf_counter() - t0
-    outer = [tr for st in sweep.stages for tr in st.continuation.traces]
-    ladders = [ch for tr in outer for ch in tr.children]
-    starts = [getattr(ch, "start", "zero") for ch in ladders]   # the parent has no starts
-    out = {
-        "inflow": inflow, "grid_n": n, "margin": margin, "wall_s": wall,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "converged": sweep.converged,
-        "transport_sweeps": sum(ch.iterations for ch in ladders),
-        "outer_iterations": sum(tr.iterations for tr in outer),
-        "starts": {s: starts.count(s) for s in ("zero", "certified", "fallback")},
-        "monotone_violations": sum(tr.monotone_violations for tr in outer),
-        "final_residual": sweep.stages[-1].continuation.final_residual,
-    }
-    if inflow == "maxwellian":
-        exact = dv.Field.constant(sweep.field.grid,
-                                  np.exp(a + model.v @ np.array(b) + c * model.speeds_sq))
-        out["oracle_rel_l1"] = sweep.field.l1_distance(exact) / exact.mass()
-    if save:
-        np.save(save, sweep.field.values)
-    return out
-
-
-def one(inflow, n, checkout: Path, margin=None, save=None) -> dict:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--one", inflow, str(n),
-           str(checkout / "src")]
-    if margin is not None:
-        cmd += ["--margin", repr(margin)]
-    if save:
-        cmd += ["--save", save]
-    return run_json(cmd, ROOT)[0]
 
 
 def rel_l1(path_a: str, path_b: str) -> float:
@@ -111,15 +59,17 @@ def margin_scan(tmp: str) -> list:
     for inflow in ("maxwellian", "step"):
         for n in SCAN_SIZES:
             ref = f"{tmp}/zero_{inflow}_{n}.npy"
-            runs = [one(inflow, n, ROOT, math.inf, ref)]
+            runs = [one(inflow, n, ROOT, save=ref, margin=math.inf)]
             runs[0]["margin"] = "inf"              # every ladder from zero
             for c in MARGINS:
                 got = f"{tmp}/c{c:g}_{inflow}_{n}.npy"
-                runs.append(one(inflow, n, ROOT, c, got))
+                runs.append(one(inflow, n, ROOT, save=got, margin=c))
                 runs[-1]["rel_l1_from_zero_start"] = rel_l1(got, ref)
             for r in runs:
+                r["transport_sweeps"] = sum(r["transport_sweeps_by_grid"].values())
+                r["outer_iterations"] = sum(r["outer_iterations_by_grid"].values())
                 print(f"{inflow} {n} c={r['margin']}: {r['transport_sweeps']} sweeps, "
-                      f"starts {r['starts']}", file=sys.stderr, flush=True)
+                      f"starts {r['ladder_starts']}", file=sys.stderr, flush=True)
             out.extend(runs)
     return out
 
@@ -146,14 +96,7 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_warm_ladders.json")
-    ap.add_argument("--one", nargs=3, metavar=("INFLOW", "N", "SRC"))
-    ap.add_argument("--margin", type=float)
-    ap.add_argument("--save")
     args = ap.parse_args()
-    if args.one:
-        inflow, n, src = args.one
-        print(json.dumps(measure_one(inflow, int(n), src, args.margin, args.save)))
-        return 0
     if args.parent is None:
         ap.error("--parent is required")
     parent = args.parent.resolve()

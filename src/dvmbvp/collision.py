@@ -112,19 +112,17 @@ def gain_truncated(model: VelocityModel, tr_local, tr_smoothed,
 
     With pre-truncated factor arrays this is the truncated gain (solver fast
     path); with the plain state in both slots it is the untruncated gain.
-    With `component` = i only row i is computed, from the same products
-    added in the same order, so it equals row i of the full sum bitwise.
+    Each row adds its own entries in entry order; with `component` = i only
+    row i is computed, so it equals row i of the full sum bitwise.
     """
-    if component is not None:
-        row = np.zeros_like(tr_local[component])
-        for gamma, out1, out2 in _row_entries(model)[component]:
+    rows = _row_entries(model)
+    picked = range(model.p) if component is None else range(component, component + 1)
+    gain = np.zeros_like(tr_local[picked.start:picked.stop])
+    for j, a in enumerate(picked):
+        row = gain[j:j + 1]              # a view, also for a single state
+        for gamma, out1, out2 in rows[a]:
             row += gamma * tr_local[out1] * tr_smoothed[out2]
-        return row
-    ex = expansion(model)
-    gain = np.zeros_like(tr_local)
-    for e, a in enumerate(ex.a):
-        gain[a] += ex.gamma[e] * tr_local[ex.out1[e]] * tr_smoothed[ex.out2[e]]
-    return gain
+    return gain if component is None else gain[0]
 
 
 def eval_untruncated(model: VelocityModel, values) -> CollisionEval:

@@ -15,7 +15,9 @@ grows), so from zero every operand of a pass is at least its value in the
 previous pass, and the iterates still increase bitwise, each at least the
 Jacobi iterate of the same step (Ortega & Rheinboldt 1970, 13.2).  The same
 holds from any start S whose first pass is at least S in every cell, bitwise
-(Amann 1976): the ladder then climbs from S to the same fixed point.
+(Amann 1976): the ladder then climbs from S to the least fixed point at or
+above S, which is the zero-start limit whenever the stage map has a single
+fixed point.
 
 The outer loop updates the frozen convolved state until the map reaches its
 fixed point.  Its inner ladders are inexact: each stops at
@@ -565,10 +567,12 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     is a certified sub-solution: the first pass from S becomes the ladder's
     first step only if it is at least S, bitwise, in every cell.  The pass
     map is isotone, so every later pass then increases too and the ladder
-    climbs to the same fixed point as from zero (Amann 1976; Ortega &
-    Rheinboldt 1970, 13.2).  Otherwise the pass is discarded and the ladder
-    runs from zero, bitwise as if no candidate had been given; the trace's
-    `start` says which, and its `iterations` count the discarded pass.  The
+    climbs to the least fixed point at or above S, the zero-start limit when
+    the stage map has a single fixed point (Amann 1976; Ortega & Rheinboldt
+    1970, 13.2).  Otherwise the pass is discarded and the ladder runs from
+    zero, as if no candidate had been given but with one step of
+    config.max_inner spent; the trace's `start` says which, and its
+    `iterations` count the discarded pass, so they never exceed max_inner.  The
     ladder stops when the relative L1 increment of a pass is at most
     config.tol_inner.  The iterates increase cellwise and their mass stays
     below the damping cap; both properties are monitored, and a cellwise
@@ -607,16 +611,17 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
         return gain_truncated(model, tr_F, tr_sm, component=i)
 
     area = ws.grid.cell_area
+    t0 = time.perf_counter()
     for q in range(config.max_inner):
-        t0 = time.perf_counter()
         prev = F.copy()
         ws.apply_exponential(entry_vals, nu_of, gain_of, alpha, out=F)
         if q == 0 and trace.start == "certified" and not np.all(F >= prev):
-            trace.start = "fallback"     # T(S) >= S fails somewhere: run from zero
+            # T(S) >= S fails somewhere: run from zero.  The discarded pass
+            # spends one step of max_inner, and its time goes to the next step.
+            trace.start = "fallback"
             F[...] = 0.0
             tr_F[...] = 0.0
-            prev = F.copy()
-            ws.apply_exponential(entry_vals, nu_of, gain_of, alpha, out=F)
+            continue
         viol = int(np.sum(F < prev))
         trace.monotone_violations += viol
         if viol:
@@ -629,7 +634,9 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
         mass = float(F.sum() * area)
         trace.increments.append(inc)
         trace.masses.append(mass)
-        trace.wall_times.append(time.perf_counter() - t0)
+        now = time.perf_counter()
+        trace.wall_times.append(now - t0)
+        t0 = now
         if mass_cap > 0:
             trace.mass_cap_max_ratio = max(trace.mass_cap_max_ratio, mass / mass_cap)
         if inc <= config.tol_inner * (mass + 1e-300):

@@ -67,8 +67,10 @@ def test_ladder_from_a_certified_start_monotone_and_mass_capped(disk, broadwell,
                                                                  levels, alpha_k, q, scale):
     """Start at `scale` x step q of the zero-start ladder (a sub-solution at
     scale 1; above 1 most starts fail).  A certified start climbs bitwise,
-    pass by pass, below the cap; a start that fails its certification gives
-    the zero-start ladder."""
+    pass by pass, below the cap, to the least fixed point above it; that is
+    the zero-start limit when the stage map has a single fixed point, which
+    starts above the zero-start iterates would expose.  A start that fails
+    its certification gives the zero-start ladder."""
     cfg = config(alpha_k)
     bd = inflow(disk, values)
     frozen = Field.constant(ws16.grid, levels)
@@ -77,13 +79,14 @@ def test_ladder_from_a_certified_start_monotone_and_mass_capped(disk, broadwell,
     S = scale * step_q.values
     F, tr = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws16,
                                  start=Field(ws16.grid, S))
+    Z, _ = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws16)
     assert tr.start == "certified" or scale != 1.0
     if tr.start == "certified":
         assert tr.converged and tr.monotone_violations == 0
         assert np.all(F.values >= S)
         assert max(tr.masses) <= tr.mass_cap and tr.mass_cap_max_ratio <= 1.0
+        assert F.l1_distance(Z) <= 10 * cfg.tol_inner * Z.mass()
     else:
-        Z, _ = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws16)
         assert tr.start == "fallback" and np.array_equal(F.values, Z.values)
 
 

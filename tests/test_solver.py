@@ -705,6 +705,27 @@ def test_candidate_above_the_fixed_point_falls_back(disk, broadwell, maxwellian_
     assert tr1.iterations == tr0.iterations + 1
 
 
+def test_discarded_pass_spends_a_step_of_max_inner(disk, broadwell, maxwellian_params, ws24):
+    """With max_inner = q, a ladder whose start falls back makes q passes in
+    all: the discarded one and the first q - 1 of the zero-start ladder."""
+    cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=24)
+    bd = BoundaryData.maxwellian(broadwell, *maxwellian_params)
+    frozen = Field.constant(ws24.grid, [1.0, 0.8, 1.2, 0.9])
+    F0, _ = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws24)
+    above = Field(ws24.grid, 2.0 * F0.values)
+    for q in (1, 2, 3):
+        F, tr = inner_monotone_solve(disk, broadwell, bd, frozen, replace(cfg, max_inner=q),
+                                     workspace=ws24, start=above)
+        assert tr.start == "fallback" and tr.termination == "max_inner"
+        assert tr.iterations == q == len(tr.increments) + 1 == len(tr.wall_times) + 1
+        if q == 1:
+            assert not F.values.any()
+        else:
+            Z, _ = inner_monotone_solve(disk, broadwell, bd, frozen,
+                                        replace(cfg, max_inner=q - 1), workspace=ws24)
+            assert np.array_equal(F.values, Z.values)
+
+
 def test_negative_ladder_start_is_refused(disk, broadwell, ws24):
     cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=24)
     frozen = Field.constant(ws24.grid, [1.0] * 4)
