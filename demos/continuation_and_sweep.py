@@ -5,9 +5,9 @@ With constant equilibrium inflow exp(a + b.v + c|v|^2) the exact stationary
 solution is that same constant state, which makes the full pipeline
 measurable end to end: the damping chain is extrapolated to alpha -> 0 per
 truncation level, and the level estimates converge to the constant as the
-truncation is lifted.  The first level runs every damping stage; each later
-level runs only the last two (the Richardson pair), starting from the
-previous level's last field.  The grids are nested: at 32^2 every level but
+truncation is lifted.  Every level runs only the last two damping stages
+(the Richardson pair), each later level starting from the previous level's
+last field.  The grids are nested: at 32^2 every level but
 the last solves on 16^2, and only the last level's pair runs on 32^2, from
 the prolonged last 16^2 field.  Every level estimate is prolonged to 32^2.
 """

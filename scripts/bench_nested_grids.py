@@ -26,7 +26,8 @@ record is written as JSON:
 
 `--one INFLOW N SRC` is the per-process measurement the record is built from:
 it runs one sweep against the `dvmbvp` package under SRC and prints one JSON
-line; `--margin C` sets the ladder start margin first.
+line; `--margin C` sets the ladder start margin first.  INFLOW is
+`maxwellian`, `step` or `dense` (the Maxwellian with a = 2.5).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MAXWELLIAN = (0.0, (0.1, -0.2), 0.05)        # the acceptance oracle's inflow
+DENSE = (2.5, (0.1, -0.2), 0.05)             # the same Maxwellian, density x12
 SIZES = {"maxwellian": (32, 64, 128, 256), "step": (32, 64, 128)}
 REPEATS = 3                                  # pairs per size below 256^2
 PROFILED = (128, 256)
@@ -74,9 +76,9 @@ def measure_one(inflow: str, n: int, src: str, save: str | None, profile: bool,
     if margin is not None:
         solver.LADDER_START_MARGIN = margin
     model, domain = dv.shifted_broadwell(), dv.ConvexDomain.disk()
-    a, b, c = MAXWELLIAN
-    boundary = (dv.BoundaryData.maxwellian(model, a, b, c) if inflow == "maxwellian"
-                else step_inflow(dv, domain, model.p))
+    a, b, c = DENSE if inflow == "dense" else MAXWELLIAN
+    boundary = (step_inflow(dv, domain, model.p) if inflow == "step"
+                else dv.BoundaryData.maxwellian(model, a, b, c))
     mollify_s = [0.0]
     if profile:
         inner = solver.mollify_field
@@ -104,13 +106,14 @@ def measure_one(inflow: str, n: int, src: str, save: str | None, profile: bool,
         "inflow": inflow, "grid_n": n, "margin": margin, "wall_s": wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "converged": sweep.converged,
+        "alpha_stages": sum(len(st.continuation.traces) for st in sweep.stages),
         "final_residual": sweep.stages[-1].continuation.final_residual,
         "transport_sweeps_by_grid": sweeps, "outer_iterations_by_grid": outer,
         "ladder_starts": starts,
         "monotone_violations": sum(tr.monotone_violations for st in sweep.stages
                                    for tr in st.continuation.traces),
     }
-    if inflow == "maxwellian":
+    if inflow != "step":
         exact = dv.Field.constant(sweep.field.grid,
                                   np.exp(a + model.v @ np.array(b) + c * model.speeds_sq))
         out["oracle_rel_l1"] = sweep.field.l1_distance(exact) / exact.mass()

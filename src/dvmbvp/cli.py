@@ -525,13 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("-o", "--output", required=True)
     pq.set_defaults(fn=cmd_model_gen_circle)
 
-    ps = sub.add_parser("solve", help="run the full sweep (or one stage)")
+    ps = sub.add_parser("solve", help="run the full sweep (or one stage); every k level "
+                                      "runs the last two alpha_schedule stages")
     ps.add_argument("config")
     ps.add_argument("--single-stage", action="store_true",
                     help="solve only the configured (alpha, k) stage")
     ps.set_defaults(fn=cmd_solve)
 
-    pw = sub.add_parser("sweep", help="run the truncation sweep with per-level artifacts")
+    pw = sub.add_parser("sweep", help="run the truncation sweep with per-level artifacts; "
+                                      "every k level runs the last two alpha_schedule stages")
     pw.add_argument("config")
     pw.set_defaults(fn=cmd_solve, single_stage=False)
 

@@ -77,51 +77,76 @@ def _check_state(values, p):
     return f
 
 
-def truncated_factor(x, k):
+def truncated_factor(x, k, out=None):
     """x / (1 + x/k), computed as k / (k/x + 1).
 
     The second form is a chain of operations each monotone under rounding,
     so larger inputs can never yield smaller outputs; the monotone inner
     iteration relies on that.  x = 0 passes through the inf branch to 0.
+    With `out` the result is written there, and the caller sets the
+    floating-point error state for that division by zero.
     """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        return k / (k / x + 1.0)
-
-
-def _partner_sum(model: VelocityModel, x) -> np.ndarray:
-    """Per-component sum gamma * x_partner."""
-    ex = expansion(model)
-    g = ex.gamma.reshape((-1,) + (1,) * (x.ndim - 1))
-    out = np.zeros_like(x)
-    np.add.at(out, ex.a, g * x[ex.partner])
-    return out
+    if out is None:
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):
+            return truncated_factor(x, k, np.empty_like(x))
+    np.divide(k, x, out=out)
+    out += 1.0
+    return np.divide(k, out, out=out)
 
 
 @lru_cache(maxsize=64)
-def _row_entries(model: VelocityModel) -> tuple:
-    """Per component a, the (gamma, out1, out2) of its entries, in entry order."""
+def row_entries(model: VelocityModel) -> tuple:
+    """Per component a, the (gamma, partner, out1, out2) of its entries, in entry order."""
     ex = expansion(model)
-    return tuple(tuple((ex.gamma[e], int(ex.out1[e]), int(ex.out2[e]))
+    return tuple(tuple((ex.gamma[e], int(ex.partner[e]), int(ex.out1[e]), int(ex.out2[e]))
                        for e in np.flatnonzero(ex.a == a)) for a in range(model.p))
 
 
+def _partner_sum(model: VelocityModel, x) -> np.ndarray:
+    """Per-component sum gamma * x_partner, each row in entry order."""
+    out = np.empty_like(x)
+    for a, entries in enumerate(row_entries(model)):
+        row = out[a:a + 1]               # a view, also for a single state
+        if not entries:
+            row[...] = 0.0
+        for n, (gamma, partner, _, _) in enumerate(entries):
+            if n:
+                row += gamma * x[partner]
+            else:                        # 0 + x is x: the first term is assigned
+                np.multiply(gamma, x[partner], out=row)
+    return out
+
+
 def gain_truncated(model: VelocityModel, tr_local, tr_smoothed,
-                   component: int | None = None) -> np.ndarray:
+                   component: int | None = None, out=None, rows=None) -> np.ndarray:
     """Per-component sum gamma * tr_local_out1 * tr_smoothed_out2.
 
     With pre-truncated factor arrays this is the truncated gain (solver fast
     path); with the plain state in both slots it is the untruncated gain.
-    Each row adds its own entries in entry order; with `component` = i only
-    row i is computed, so it equals row i of the full sum bitwise.
+    Each row adds its own entries in entry order, its first product
+    assigned (0 + x is x); with `component` = i only row i is computed, so
+    it equals row i of the full sum bitwise.  `out` receives the result, and
+    `rows`, `row_entries(model)`, spares a caller that evaluates one row per
+    call the cache lookup, which hashes the model.
     """
-    rows = _row_entries(model)
-    picked = range(model.p) if component is None else range(component, component + 1)
-    gain = np.zeros_like(tr_local[picked.start:picked.stop])
+    rows = row_entries(model) if rows is None else rows
+    if component is None:
+        picked = range(model.p)
+        gain = np.empty_like(tr_local) if out is None else out
+    else:
+        picked = (component,)
+        gain = (np.empty_like(tr_local[component]) if out is None else out)[None]
     for j, a in enumerate(picked):
         row = gain[j:j + 1]              # a view, also for a single state
-        for gamma, out1, out2 in rows[a]:
-            row += gamma * tr_local[out1] * tr_smoothed[out2]
+        if not rows[a]:
+            row[...] = 0.0
+        for n, (gamma, _, out1, out2) in enumerate(rows[a]):
+            if n:
+                row += gamma * tr_local[out1] * tr_smoothed[out2]
+            else:
+                np.multiply(gamma, tr_local[out1], out=row)
+                row *= tr_smoothed[out2]
     return gain if component is None else gain[0]
 
 

@@ -276,13 +276,17 @@ def mollify_field(field: Field, radius: float) -> Field:
     the discrete version of continuing the field past the boundary with its
     boundary value.  The discrete kernel is normalised to unit sum, so
     constants are reproduced exactly.  A radius below h leaves the one-cell
-    kernel, the identity.  All components are padded once and convolved in
-    one pass over the kernel offsets.
+    kernel, the identity, which returns the interior values as they are
+    (the convolution would add them to zero with weight 1).  Otherwise all
+    components are padded once and convolved in one pass over the kernel
+    offsets.
     """
     if radius <= 0:
         raise FieldError("mollifier radius must be positive")
     grid = field.grid
     offs, w = _bump_kernel(radius, grid.h)
+    if len(offs) == 1:
+        return Field(grid, np.where(grid.mask, field.values, 0.0))
     reach = max(max(abs(dy), abs(dx)) for dy, dx in offs)
     ny, nx = grid.ny, grid.nx
     continued = field.values.reshape(field.p, ny * nx)[:, grid.pad_flat].reshape(-1, ny, nx)

@@ -27,12 +27,13 @@ and a stage converges only after a ladder that ran at tol_inner itself.
 Every ladder of a stage after its first tries to start just below the
 previous outer iterate, at (1 - LADDER_START_MARGIN x that change) times it,
 and runs from zero when that start fails its certification.
-Continuation then sends alpha -> 0 at fixed k; every stage except the last
-two, which feed the Richardson extrapolation, is a warm start that stops at
-max(tol_outer, WARM_START_TOL).  An outer sweep raises k: the first level runs
-the whole alpha schedule, and every later level runs only its Richardson pair,
-starting from the previous level's last field (a stage's fixed point does not
-depend on where its outer iteration starts).  The sweep nests its grids
+Continuation then sends alpha -> 0 at fixed k, and the last two stages feed
+the Richardson extrapolation.  An outer sweep raises k, and every level runs
+only that Richardson pair, the last two entries of the alpha schedule: the
+first from zero, every later one from the previous level's last field (a
+stage's fixed point does not depend on where its outer iteration starts, and
+the earlier entries, run as a warm-up, changed no bit of the final field of
+the default sweep).  The sweep nests its grids
 (nested iteration; Brandt 1977, Hackbusch 1985, ch. 5): from a run grid of
 32 cells on up, every level but the last runs on a grid a quarter as fine
 (16 cells at least; the run grid if the domain has no interior cell there),
@@ -72,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .collision import (eval_convolved_truncated, eval_truncated, eval_untruncated,
-                        frequency_source, gain_truncated, truncated_factor)
+                        frequency_source, gain_truncated, row_entries, truncated_factor)
 from .fields import (BoundaryData, Field, FieldError, Grid, mollify_field,
                      truncate_and_mollify_boundary)
 from .geometry import ConvexDomain, boundary_param, boundary_quadrature
@@ -87,8 +88,6 @@ INNER_FORCING = 0.1
 # failed their certification at 10 and none at 30; at 300 the starts sat so
 # low that the sweep took 515 passes, against 441 at 30 and 651 from zero.
 LADDER_START_MARGIN = 30.0
-# Alpha stages before the last two stop at max(tol_outer, WARM_START_TOL).
-WARM_START_TOL = 1e-5
 
 
 class SolverError(RuntimeError):
@@ -600,51 +599,59 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
         trace.start = "certified"        # until its first pass says otherwise
         F[:, ws.grid.mask] = start.values[:, ws.grid.mask]
     tr_F = truncated_factor(F, k)        # truncated factors of F, refreshed per component
+    # Per-ladder buffers: a pass writes nu, the gain and its bookkeeping in place.
+    rows = row_entries(model)
+    nu, gain = np.empty(F.shape[1:]), np.empty(F.shape[1:])
+    prev, diff, fell = np.empty_like(F), np.empty_like(F), np.empty(F.shape, dtype=bool)
 
     def nu_of(i):
-        return source[i] / (1.0 + F[i] / k)
+        np.divide(F[i], k, out=nu)
+        np.add(nu, 1.0, out=nu)
+        return np.divide(source[i], nu, out=nu)
 
     def gain_of(i):
         # component i - 1 was written last (for i = 0: the last component, by
         # the previous pass)
-        tr_F[i - 1] = truncated_factor(F[i - 1], k)
-        return gain_truncated(model, tr_F, tr_sm, component=i)
+        truncated_factor(F[i - 1], k, out=tr_F[i - 1])
+        return gain_truncated(model, tr_F, tr_sm, component=i, out=gain, rows=rows)
 
     area = ws.grid.cell_area
     t0 = time.perf_counter()
-    for q in range(config.max_inner):
-        prev = F.copy()
-        ws.apply_exponential(entry_vals, nu_of, gain_of, alpha, out=F)
-        if q == 0 and trace.start == "certified" and not np.all(F >= prev):
-            # T(S) >= S fails somewhere: run from zero.  The discarded pass
-            # spends one step of max_inner, and its time goes to the next step.
-            trace.start = "fallback"
-            F[...] = 0.0
-            tr_F[...] = 0.0
-            continue
-        viol = int(np.sum(F < prev))
-        trace.monotone_violations += viol
-        if viol:
-            worst = float(np.max(prev - F))
-            if worst > 1e-12 * (1.0 + float(np.max(prev))):
-                raise SolverError(
-                    f"monotone ladder decreased by {worst:.3e} at iteration {q}; "
-                    "this indicates a quadrature defect")
-        inc = float(np.abs(F - prev).sum() * area)
-        mass = float(F.sum() * area)
-        trace.increments.append(inc)
-        trace.masses.append(mass)
-        now = time.perf_counter()
-        trace.wall_times.append(now - t0)
-        t0 = now
-        if mass_cap > 0:
-            trace.mass_cap_max_ratio = max(trace.mass_cap_max_ratio, mass / mass_cap)
-        if inc <= config.tol_inner * (mass + 1e-300):
-            trace.termination = "converged"
-            trace.converged = True
-            break
-    else:
-        trace.termination = "max_inner"
+    # truncated_factor divides by zero where F is 0
+    with np.errstate(divide="ignore", over="ignore"):
+        for q in range(config.max_inner):
+            np.copyto(prev, F)
+            ws.apply_exponential(entry_vals, nu_of, gain_of, alpha, out=F)
+            if q == 0 and trace.start == "certified" and not np.all(F >= prev):
+                # T(S) >= S fails somewhere: run from zero.  The discarded pass
+                # spends one step of max_inner, and its time goes to the next step.
+                trace.start = "fallback"
+                F[...] = 0.0
+                tr_F[...] = 0.0
+                continue
+            viol = int(np.count_nonzero(np.less(F, prev, out=fell)))
+            trace.monotone_violations += viol
+            if viol:
+                worst = float(np.max(prev - F))
+                if worst > 1e-12 * (1.0 + float(np.max(prev))):
+                    raise SolverError(
+                        f"monotone ladder decreased by {worst:.3e} at iteration {q}; "
+                        "this indicates a quadrature defect")
+            inc = float(np.abs(np.subtract(F, prev, out=diff), out=diff).sum() * area)
+            mass = float(F.sum() * area)
+            trace.increments.append(inc)
+            trace.masses.append(mass)
+            now = time.perf_counter()
+            trace.wall_times.append(now - t0)
+            t0 = now
+            if mass_cap > 0:
+                trace.mass_cap_max_ratio = max(trace.mass_cap_max_ratio, mass / mass_cap)
+            if inc <= config.tol_inner * (mass + 1e-300):
+                trace.termination = "converged"
+                trace.converged = True
+                break
+        else:
+            trace.termination = "max_inner"
     if trace.mass_cap_max_ratio > 1.0 + 1e-9:
         warnings.warn(f"inner iterate mass exceeded the damping cap by factor "
                       f"{trace.mass_cap_max_ratio:.12f}", stacklevel=2)
@@ -753,15 +760,12 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
                        start: Field | None = None) -> ContinuationResult:
     """Drive the damping to zero along config.alpha_schedule at fixed k.
 
-    Stages warm-start from the previous solution; consecutive L1 distances
-    are reported as an empirical convergence (Cauchy) monitor.  With two or
-    more stages the returned estimate removes the leading linear damping
-    bias by Richardson extrapolation of the last two stages (clipped at zero
-    to preserve positivity).  Only those two stages run at tol_outer; every
-    earlier stage only warm-starts the next one, stops at
-    max(tol_outer, WARM_START_TOL) and, when it converges there, reports the
-    termination "converged_warm_start" (still converged).  Their Cauchy
-    distances therefore carry errors at that level.
+    Each stage runs at tol_outer from the previous stage's solution (the
+    first from `start`, or from zero); consecutive L1 distances are reported
+    as an empirical convergence (Cauchy) monitor.  With two or more stages
+    the returned estimate removes the leading linear damping bias by
+    Richardson extrapolation of the last two stages (clipped at zero to
+    preserve positivity).  `k_sweep` passes only those two.
     """
     schedule = list(config.alpha_schedule)
     if any(a2 >= a1 for a1, a2 in zip(schedule, schedule[1:])) or schedule[-1] <= 0:
@@ -770,14 +774,9 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
     fields_, traces, alphas = [], [], []
     notes = []
     prev = start
-    for j, a in enumerate(schedule):
-        warm = j < len(schedule) - 2
-        cfg = replace(config, alpha=a)
-        if warm:
-            cfg = replace(cfg, tol_outer=max(config.tol_outer, WARM_START_TOL))
-        F, tr = outer_fixed_point(domain, model, boundary, cfg, workspace=ws, start=prev)
-        if warm and tr.converged:
-            tr.termination = "converged_warm_start"
+    for a in schedule:
+        F, tr = outer_fixed_point(domain, model, boundary, replace(config, alpha=a),
+                                  workspace=ws, start=prev)
         if not tr.converged:
             notes.append(f"stage alpha={a} did not converge ({tr.termination})")
         fields_.append(F)
@@ -843,10 +842,13 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     Each level caps and smooths the inflow trace, runs the damping
     continuation and collects the level diagnostics: mass, energy,
     dissipation, entropy functionals and translation moduli of the integrated
-    collision frequency.  The first level runs config.alpha_schedule in full.
-    Every later level runs only its last two stages, the Richardson pair,
-    from the previous level's last field, which already starts them closer
-    than the warm-up stages would; it therefore reports one Cauchy distance.
+    collision frequency.  Every level runs only the last two stages of
+    config.alpha_schedule, the Richardson pair, so it reports one Cauchy
+    distance: the first level from zero, every later one from the previous
+    level's last field.  The earlier entries of the schedule are not run;
+    as a warm-up of the first level they changed no bit of the default
+    sweep's final field, at 32^2 to 128^2, on the Maxwellian and a step
+    inflow.
 
     The grids are nested.  With run grid n and coarse_n = max(16, n // 4),
     once 2 coarse_n <= n every level but the last runs on a coarse workspace
@@ -877,9 +879,7 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
         if prev_field is not None and prev_field.grid is not stage_ws.grid:
             prev_field = _prolong(prev_field, stage_ws.grid)
         bd_k = truncate_and_mollify_boundary(boundary, k, domain)
-        cfg = replace(config, k=k)
-        if stages:
-            cfg = replace(cfg, alpha_schedule=config.alpha_schedule[-2:])
+        cfg = replace(config, k=k, alpha_schedule=config.alpha_schedule[-2:])
         cont = alpha_continuation(domain, model, bd_k, cfg, workspace=stage_ws,
                                   start=prev_field)
         prev_field = cont.last
@@ -940,7 +940,9 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
         r = np.abs(actual - predicted)
         l1[i] = float(np.sum(r) * area)
         worst = max(worst, float(np.max(r)))
-    return MildResidual(float(np.sum(l1) / max(field_.mass(), 1e-300)), worst)
+    with np.errstate(over="ignore"):     # an infinite total stays inf
+        total = float(np.sum(l1) / max(field_.mass(), 1e-300))
+    return MildResidual(total, worst)
 
 
 @dataclass

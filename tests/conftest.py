@@ -43,3 +43,15 @@ def two_circle_model():
         [(2, 3), (4, 1), (4, 3), (2, 1)],
     ]
     return dv.generate_circle_model(quads, [1.0, 1.0])
+
+
+@pytest.fixture(scope="session")
+def three_circle_model():
+    """Eight-velocity model from three quadruples through (2, 1), with unequal
+    gammas: (2, 1)'s rows add three entries, so their order shows."""
+    quads = [
+        [(3, 2), (1, 2), (2, 3), (2, 1)],
+        [(2, 3), (4, 1), (4, 3), (2, 1)],
+        [(2, 1), (2, 5), (0, 3), (4, 3)],
+    ]
+    return dv.generate_circle_model(quads, [1.0, 0.7, 1.3])

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dvmbvp as dv
-from dvmbvp.collision import (CollisionDomainError, eval_convolved_truncated,
+from dvmbvp.collision import (CollisionDomainError, _partner_sum, eval_convolved_truncated,
                               eval_truncated, eval_untruncated, expansion,
-                              gain_truncated, truncated_factor)
+                              gain_truncated, row_entries, truncated_factor)
 
 
 def test_hand_expansion_single_rule(broadwell):
@@ -161,6 +161,45 @@ def test_gain_row_equals_full_sum_bitwise(broadwell, two_circle_model, shape):
         for i in range(model.p):
             row = gain_truncated(model, x, y, component=i)
             assert row.shape == shape and np.array_equal(row, full[i])
+
+
+@pytest.mark.parametrize("shape", [(), (7, 9)])
+def test_partner_sum_equals_add_at_bitwise(broadwell, two_circle_model, three_circle_model,
+                                           shape):
+    """Per-row sums in entry order are the entry-ordered np.add.at reference,
+    bitwise; the circle models have several rules per component."""
+    rng = np.random.default_rng(6)
+    for model in (broadwell, dv.classical_broadwell(), two_circle_model, three_circle_model,
+                  dv.shifted_broadwell(gamma=0.7)):
+        x = rng.uniform(0.0, 6.0, (model.p,) + shape)
+        ex = expansion(model)
+        ref = np.zeros_like(x)
+        np.add.at(ref, ex.a, ex.gamma.reshape((-1,) + (1,) * len(shape)) * x[ex.partner])
+        got = _partner_sum(model, x)
+        assert got.shape == ref.shape and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_in_place_factor_and_gain_rows_are_bitwise_the_allocating_ones(three_circle_model):
+    """The forms a transport pass uses, written into buffers with the model's
+    row entries looked up once, give the bits of k / (k / x + 1) and of the
+    full gain sum; zeros pass through the division by zero to 0."""
+    rng = np.random.default_rng(7)
+    model = three_circle_model
+    x = rng.uniform(0.0, 6.0, (model.p, 7, 9))
+    x[:, 0] = 0.0
+    y = truncated_factor(rng.uniform(0.0, 6.0, x.shape), 12.0)
+    got = np.full_like(x, np.nan)
+    with np.errstate(divide="ignore", over="ignore"):
+        want = 12.0 / (12.0 / x + 1.0)
+        truncated_factor(x, 12.0, out=got)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(truncated_factor(x, 12.0).view(np.int64), want.view(np.int64))
+    full = gain_truncated(model, want, y)
+    rows, buf = row_entries(model), np.full(x.shape[1:], np.nan)
+    for i in range(model.p):
+        row = gain_truncated(model, want, y, component=i, out=buf, rows=rows)
+        assert np.shares_memory(row, buf)
+        assert np.array_equal(row.view(np.int64), full[i].view(np.int64))
 
 
 # -- monotonicity ------------------------------------------------------------------

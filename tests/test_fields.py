@@ -120,6 +120,18 @@ def test_mollify_field_stack_matches_per_component_bitwise(disk, n, radii):
             assert np.array_equal(one, want)
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_mollify_below_one_cell_returns_the_field_bitwise(disk, n):
+    """A radius up to h leaves the one-cell kernel: the interior values come
+    back with their bits, and zeros off the mask."""
+    grid = Grid(disk, n)
+    values = np.random.default_rng(n).uniform(0.0, 2.0, (4, grid.ny, grid.nx)) * grid.mask
+    for radius in (1e-6, grid.h / 2, grid.h):
+        assert len(_bump_kernel(radius, grid.h)[0]) == 1
+        got = mollify_field(Field(grid, values), radius).values
+        assert np.array_equal(got.view(np.int64), values.view(np.int64))
+
+
 def test_mollify_linear_interior_unchanged(disk):
     grid = Grid(disk, 32)
     radius = 3 * grid.h

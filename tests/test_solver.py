@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import dvmbvp as dv
-from dvmbvp.collision import (eval_truncated, eval_untruncated, frequency_source,
+from dvmbvp.collision import (eval_truncated, eval_untruncated, expansion, frequency_source,
                               gain_truncated, truncated_factor)
 from dvmbvp.fields import (BoundaryData, CallableTrace, Field, mollify_field,
                            truncate_and_mollify_boundary)
 from dvmbvp.geometry import boundary_param, boundary_quadrature
 from dvmbvp import solver
-from dvmbvp.solver import (LADDER_START_MARGIN, WARM_START_TOL, SolverConfig, SolverError,
+from dvmbvp.solver import (LADDER_START_MARGIN, SolverConfig, SolverError,
                            SolverWorkspace, _matmul, _n_steps, _transport, compute_mass_cap,
                            default_test_functions, inner_monotone_solve, outer_fixed_point,
                            residual_mild, residual_renormalized)
@@ -705,6 +705,70 @@ def test_candidate_above_the_fixed_point_falls_back(disk, broadwell, maxwellian_
     assert tr1.iterations == tr0.iterations + 1
 
 
+def allocating_ladder(ws, model, bd, frozen, cfg, start=None):
+    """Reference ladder that allocates what it computes: nu, each gain row
+    (np.zeros plus every entry in entry order) and each truncated factor
+    k / (k / x + 1) per call, and a copy of F per pass.  Returns F, the
+    increments and the start."""
+    source, tr_sm = stage_rates(model, frozen, cfg)
+    entry, area, k, ex = ws.entry_values(bd), ws.grid.cell_area, cfg.k, expansion(model)
+    F = np.zeros((model.p, ws.grid.ny, ws.grid.nx))
+    kind = "zero"
+    if start is not None:
+        kind = "certified"
+        F[:, ws.grid.mask] = start.values[:, ws.grid.mask]
+    with np.errstate(divide="ignore"):
+        tr_F = k / (k / F + 1.0)
+
+    def gain_of(i):
+        with np.errstate(divide="ignore"):
+            tr_F[i - 1] = k / (k / F[i - 1] + 1.0)
+        g = np.zeros(F.shape[1:])
+        for e in np.flatnonzero(ex.a == i):
+            g += ex.gamma[e] * tr_F[ex.out1[e]] * tr_sm[ex.out2[e]]
+        return g
+
+    incs = []
+    for q in range(cfg.max_inner):
+        prev = F.copy()
+        ws.apply_exponential(entry, lambda i: source[i] / (1.0 + F[i] / k), gain_of,
+                             cfg.alpha, out=F)
+        if q == 0 and kind == "certified" and not np.all(F >= prev):
+            kind = "fallback"
+            F[...] = 0.0
+            tr_F[...] = 0.0
+            continue
+        incs.append(float(np.abs(F - prev).sum() * area))
+        if incs[-1] <= cfg.tol_inner * (float(F.sum() * area) + 1e-300):
+            break
+    return F, incs, kind
+
+
+@pytest.mark.parametrize("model_name", ["gamma 0.7", "three circles"])
+def test_ladder_buffers_keep_the_allocating_pass_sequence(disk, three_circle_model,
+                                                          model_name):
+    """Zero, certified and fallback ladders give the reference's increments,
+    start and final field bitwise."""
+    model = (dv.shifted_broadwell(gamma=0.7) if model_name == "gamma 0.7"
+             else three_circle_model)
+    cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=16)
+    ws = SolverWorkspace(disk, model, dv.Grid(disk, 16), cfg)
+    bd = BoundaryData.constant(np.linspace(0.5, 2.0, model.p))
+    frozen, outer = outer_fixed_point(disk, model, bd, replace(cfg, max_outer=4), workspace=ws)
+    delta = LADDER_START_MARGIN * outer.increments[-1]
+    assert delta < 1.0
+    below = Field(ws.grid, (1.0 - delta) * frozen.values)
+    F0, _ = inner_monotone_solve(disk, model, bd, frozen, cfg, workspace=ws)
+    kinds = []
+    for start in (None, below, Field(ws.grid, 2.0 * F0.values)):
+        F, tr = inner_monotone_solve(disk, model, bd, frozen, cfg, workspace=ws, start=start)
+        want, incs, kind = allocating_ladder(ws, model, bd, frozen, cfg, start)
+        assert tr.start == kind and tr.increments == incs
+        assert np.array_equal(F.values.view(np.int64), want.view(np.int64))
+        kinds.append(kind)
+    assert kinds == ["zero", "certified", "fallback"]
+
+
 def test_discarded_pass_spends_a_step_of_max_inner(disk, broadwell, maxwellian_params, ws24):
     """With max_inner = q, a ladder whose start falls back makes q passes in
     all: the discarded one and the first q - 1 of the zero-start ladder."""
@@ -876,22 +940,23 @@ def test_continuation_distances_shrink(disk, broadwell, ws24):
     assert not cont.warnings
 
 
-def test_continuation_warm_start_stages(disk, broadwell, ws24):
-    """Every stage but the last two stops at the warm-start tolerance."""
+def test_continuation_runs_every_stage_at_tol_outer(disk, broadwell, ws24):
+    """Every stage is the plain stage solve at tol_outer, bitwise, from the
+    previous stage's field: no stage is relaxed as a warm start."""
     cfg = SolverConfig(grid_n=24, k=8.0,
                        alpha_schedule=(0.5, 0.25, 0.125, 0.0625, 0.03125))
     bd = BoundaryData.constant([1.0, 0.5, 2.0, 1.5])
     cont = dv.alpha_continuation(disk, broadwell, bd, cfg, workspace=ws24)
     assert cont.converged
-    warm = max(cfg.tol_outer, WARM_START_TOL)
-    assert [t.termination for t in cont.traces] == ["converged_warm_start"] * 3 + [
-        "converged"] * 2
-    assert [t.tolerance for t in cont.traces] == [warm] * 3 + [cfg.tol_outer] * 2
-    for tr in cont.traces:
+    assert [t.termination for t in cont.traces] == ["converged"] * 5
+    assert [t.tolerance for t in cont.traces] == [cfg.tol_outer] * 5
+    prev = None
+    for a, F, tr in zip(cfg.alpha_schedule, cont.fields, cont.traces):
         assert tr.children[-1].tolerance == cfg.tol_inner and tr.children[-1].converged
-    two = dv.alpha_continuation(disk, broadwell, bd, replace(cfg, alpha_schedule=(0.5, 0.25)),
-                                workspace=ws24)
-    assert [t.termination for t in two.traces] == ["converged"] * 2
+        want, _ = outer_fixed_point(disk, broadwell, bd, replace(cfg, alpha=a),
+                                    workspace=ws24, start=prev)
+        assert np.array_equal(F.values, want.values)
+        prev = F
 
 
 def test_continuation_schedule_validated(disk, broadwell, ws24):
@@ -1007,14 +1072,14 @@ def test_k_sweep_cap_active_lowers_mass(disk, broadwell, maxwellian_params,
     assert sweep.field.mass() < exact.mass()
 
 
-def full_schedule_sweep(domain, model, boundary, config, ws, pair_after_first=False):
+def full_schedule_sweep(domain, model, boundary, config, ws, pair_only=False):
     """Reference k sweep with every level on `ws`, each level starting from the
     previous level's last field: the whole alpha schedule at every level, or,
-    with `pair_after_first`, only the Richardson pair after the first."""
+    with `pair_only`, only its Richardson pair, the last two stages."""
     estimates, prev = [], None
-    for j, k in enumerate(config.k_schedule):
+    for k in config.k_schedule:
         cfg = replace(config, k=k)
-        if j and pair_after_first:
+        if pair_only:
             cfg = replace(cfg, alpha_schedule=config.alpha_schedule[-2:])
         bd_k = truncate_and_mollify_boundary(boundary, k, domain)
         cont = dv.alpha_continuation(domain, model, bd_k, cfg, workspace=ws, start=prev)
@@ -1035,21 +1100,65 @@ def step_inflow(domain, p):
 @pytest.mark.parametrize("inflow", ["maxwellian", "step"])
 def test_k_sweep_later_levels_run_the_richardson_pair(disk, broadwell, maxwellian_params,
                                                       inflow):
-    """After the first level only the last two alpha stages run; every level's
-    estimate stays within 1e-8 relative L1 of the full schedule's."""
+    """Every level, the first included, runs only the last two alpha stages,
+    bitwise the pair-only reference; every level's estimate stays within
+    1e-8 relative L1 of the full schedule's."""
     bd = stage_inflow(disk, broadwell, maxwellian_params, inflow)
     cfg = SolverConfig(grid_n=16, k_schedule=(4.0, 16.0, 64.0),
                        alpha_schedule=(0.5, 0.25, 0.125))
     ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), cfg)
     want = full_schedule_sweep(disk, broadwell, bd, cfg, ws)
+    pair = full_schedule_sweep(disk, broadwell, bd, cfg, ws, pair_only=True)
     sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws)
     assert sweep.converged
     assert [st.continuation.alphas for st in sweep.stages] == [
-        list(cfg.alpha_schedule)] + [list(cfg.alpha_schedule[-2:])] * 2
-    assert [len(st.continuation.cauchy_distances) for st in sweep.stages] == [2, 1, 1]
-    assert np.array_equal(sweep.stages[0].continuation.estimate.values, want[0].values)
-    for st, ref in zip(sweep.stages, want):
+        list(cfg.alpha_schedule[-2:])] * 3
+    assert [len(st.continuation.cauchy_distances) for st in sweep.stages] == [1, 1, 1]
+    for st, ref, ref_pair in zip(sweep.stages, want, pair):
+        assert np.array_equal(st.continuation.estimate.values, ref_pair.values)
         assert st.continuation.estimate.l1_distance(ref) <= 1e-8 * ref.mass()
+
+
+def warm_up_sweep(domain, model, boundary, config):
+    """The sweep as it ran with the alpha warm-up: the whole schedule at the
+    first level, each stage before the last two stopping at
+    max(tol_outer, 1e-5), and every later level from the previous level's
+    last field; every level but the last on the max(16, n // 4) grid, whose
+    fields are prolonged (run grids of 32 on).  Returns the final field."""
+    fine = SolverWorkspace(domain, model, dv.Grid(domain, config.grid_n), config)
+    coarse = SolverWorkspace(domain, model, dv.Grid(domain, max(16, config.grid_n // 4)),
+                             config)
+    prev = None
+    for j, k in enumerate(config.k_schedule):
+        ws = fine if j == len(config.k_schedule) - 1 else coarse
+        if prev is not None and prev.grid is not ws.grid:
+            prev = solver._prolong(prev, ws.grid)
+        bd_k = truncate_and_mollify_boundary(boundary, k, domain)
+        cfg = replace(config, k=k)
+        if j == 0:
+            for a in config.alpha_schedule[:-2]:
+                prev, _ = outer_fixed_point(
+                    domain, model, bd_k, replace(cfg, alpha=a, tol_outer=max(cfg.tol_outer, 1e-5)),
+                    workspace=ws, start=prev)
+        cont = dv.alpha_continuation(domain, model, bd_k,
+                                     replace(cfg, alpha_schedule=config.alpha_schedule[-2:]),
+                                     workspace=ws, start=prev)
+        prev = cont.last
+    return cont.estimate
+
+
+@pytest.mark.parametrize("inflow", ["maxwellian", "step"])
+def test_k_sweep_without_the_alpha_warm_up_keeps_the_final_field(disk, broadwell,
+                                                                 maxwellian_params, inflow):
+    """The default 32^2 sweep, which runs only the Richardson pair at its
+    first level too, ends bitwise at the field of the sweep with the six-stage
+    warm-up."""
+    bd = stage_inflow(disk, broadwell, maxwellian_params, inflow)
+    cfg = SolverConfig(grid_n=32)
+    assert len(cfg.alpha_schedule) == 6
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg)
+    assert sweep.converged
+    assert np.array_equal(sweep.field.values, warm_up_sweep(disk, broadwell, bd, cfg).values)
 
 
 def test_k_sweep_with_a_stage_pair_runs_it_at_every_level(disk, broadwell):
@@ -1072,7 +1181,7 @@ def test_k_sweep_runs_earlier_levels_on_a_coarse_grid(disk, broadwell, maxwellia
     bd = stage_inflow(disk, broadwell, maxwellian_params, inflow)
     cfg = SolverConfig(grid_n=32, k_schedule=(4.0, 16.0, 64.0),
                        alpha_schedule=(0.5, 0.25, 0.125))
-    want = full_schedule_sweep(disk, broadwell, bd, cfg, ws32, pair_after_first=True)
+    want = full_schedule_sweep(disk, broadwell, bd, cfg, ws32, pair_only=True)
     sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws32)
     assert sweep.converged
     assert all(st.continuation.estimate.grid is ws32.grid for st in sweep.stages)
@@ -1095,7 +1204,7 @@ def test_k_sweep_without_a_coarse_grid_is_the_all_fine_sweep(disk, broadwell, do
                        alpha_schedule=(0.5, 0.25, 0.125))
     ws = SolverWorkspace(domain, broadwell, dv.Grid(domain, n), cfg)
     bd = step_inflow(domain, broadwell.p)
-    want = full_schedule_sweep(domain, broadwell, bd, cfg, ws, pair_after_first=True)
+    want = full_schedule_sweep(domain, broadwell, bd, cfg, ws, pair_only=True)
     sweep = dv.k_sweep(domain, broadwell, bd, cfg, workspace=ws)
     for st, ref in zip(sweep.stages, want):
         assert st.continuation.last.grid is ws.grid
