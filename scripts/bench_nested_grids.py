@@ -64,6 +64,13 @@ def step_inflow(dv, domain, p):
         for i in range(p)))
 
 
+def inflow_boundary(dv, model, domain, inflow: str):
+    """The boundary data of INFLOW `maxwellian`, `step` or `dense`."""
+    if inflow == "step":
+        return step_inflow(dv, domain, model.p)
+    return dv.BoundaryData.maxwellian(model, *(DENSE if inflow == "dense" else MAXWELLIAN))
+
+
 def measure_one(inflow: str, n: int, src: str, save: str | None, profile: bool,
                 margin: float | None = None) -> dict:
     """One default k sweep in this process, against the package under `src`,
@@ -77,8 +84,7 @@ def measure_one(inflow: str, n: int, src: str, save: str | None, profile: bool,
         solver.LADDER_START_MARGIN = margin
     model, domain = dv.shifted_broadwell(), dv.ConvexDomain.disk()
     a, b, c = DENSE if inflow == "dense" else MAXWELLIAN
-    boundary = (step_inflow(dv, domain, model.p) if inflow == "step"
-                else dv.BoundaryData.maxwellian(model, a, b, c))
+    boundary = inflow_boundary(dv, model, domain, inflow)
     mollify_s = [0.0]
     if profile:
         inner = solver.mollify_field

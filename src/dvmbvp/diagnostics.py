@@ -113,29 +113,46 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
         nu_s = grid.sample(nu[i], reads, W)
         g_s = grid.sample(gain[i], reads, W)
         del reads, W            # the largest arrays here; freed before the coefficients
-        nu_bar = 0.5 * (nu_s[:-1] + nu_s[1:])
-        g_bar = 0.5 * (g_s[:-1] + g_s[1:])
-        # step coefficients of every ray at once, shape (L - 1, rays)
-        lam = alpha + nu_bar
-        x = lam * steps
-        em1 = -np.expm1(-x)                         # 1 - exp(-x), accurate
-        # division-free forms of (1 - e^-x)/x and (x - 1 + e^-x)/x^2
-        with np.errstate(invalid="ignore"):
-            em1_over_x = np.where(x > 1e-12, em1 / np.where(x > 0, x, 1.0),
-                                  1.0 - 0.5 * x)
-            g2 = np.where(x > 1e-6, (x - em1) / np.where(x > 0, x * x, 1.0),
-                          0.5 - x / 6.0)
-        g_dt = g_bar * steps
-        g_dt_g2 = g_dt * g2
-        F = b.copy()
-        I_mass = np.zeros_like(b)
-        I_net = np.zeros_like(b)
-        for m, dt in enumerate(steps):
-            F_new = F + (g_bar[m] - lam[m] * F) * dt * em1_over_x[m]
-            seg_mass = dt * (g_dt_g2[m] + F * em1_over_x[m])
-            I_mass += seg_mass
-            I_net += g_dt[m] - nu_bar[m] * seg_mass
-            F = F_new
+        # Step coefficients of every ray at once, shape (L - 1, rays), built in
+        # place: over a step of length dt with frequency nu_bar and gain g_bar,
+        # x = (alpha + nu_bar) dt, F -> a F + c with a = 1 - em1, em1 = 1 - e^-x,
+        # c = g_bar dt r, and the step's mass is dt (g_bar dt g2 + F r), with
+        # r = em1 / x and g2 = (x - em1) / x^2 (their series for small x).
+        nu_bar = np.add(nu_s[:-1], nu_s[1:])
+        nu_bar *= 0.5
+        c = np.add(g_s[:-1], g_s[1:])
+        c *= 0.5
+        c *= steps                                  # g_bar dt
+        x = np.add(nu_bar, alpha, out=nu_s[:-1])
+        x *= steps
+        a = np.negative(x)
+        np.expm1(a, out=a)                          # -em1, accurate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g2 = np.add(x, a)
+            g2 /= x
+            g2 /= x
+            r = np.divide(a, x)
+        np.negative(r, out=r)
+        tiny = x <= 1e-12
+        r[tiny] = 1.0 - 0.5 * x[tiny]
+        tiny = x <= 1e-6
+        g2[tiny] = 0.5 - x[tiny] / 6.0
+        a += 1.0
+        g2 *= c                                     # g_bar dt g2
+        g_total = c.sum(axis=0)
+        c *= r
+        # F before every step, in the rows of g_s, which no one reads again
+        F = g_s
+        F[0] = b
+        for m in range(len(a)):
+            np.multiply(F[m], a[m], out=F[m + 1])
+            F[m + 1] += c[m]
+        seg_mass = np.multiply(F[:-1], r, out=r)
+        seg_mass += g2
+        seg_mass *= steps
+        I_mass = seg_mass.sum(axis=0)
+        I_net = g_total - np.multiply(nu_bar, seg_mass, out=nu_bar).sum(axis=0)
+        F = F[-1]
         inflow[i] = float(np.sum(w * b))
         outflow[i] = float(np.sum(w * F))
         mass_path[i] = float(np.sum(w * I_mass))

@@ -240,7 +240,8 @@ class BoundaryParam:
         n = 8192
         theta = np.linspace(0.0, 2.0 * np.pi, n + 1)
         pts = self.point_of_theta(theta)
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        d = np.diff(pts, axis=0)
+        seg = np.hypot(d[:, 0], d[:, 1])       # no overflow of the squares on huge domains
         t = np.concatenate([[0.0], np.cumsum(seg)])
         self.theta_grid = theta
         self.t_grid = t

@@ -23,7 +23,9 @@ The outer loop updates the frozen convolved state until the map reaches its
 fixed point.  Its inner ladders are inexact: each stops at
 max(tol_inner, INNER_FORCING x the previous outer relative change), the
 forcing term of inexact Newton methods (Dembo, Eisenstat & Steihaug 1982),
-and a stage converges only after a ladder that ran at tol_inner itself.
+and a stage converges only after a ladder that ran at tol_inner itself.  A
+stage that starts from a field runs its first ladder as if that change had
+been STARTED_CHANGE; a stage from zero runs it at tol_inner.
 Every ladder of a stage after its first tries to start just below the
 previous outer iterate, at (1 - LADDER_START_MARGIN x that change) times it,
 and runs from zero when that start fails its certification.
@@ -37,9 +39,11 @@ the default sweep).  The sweep nests its grids
 (nested iteration; Brandt 1977, Hackbusch 1985, ch. 5): from a run grid of
 32 cells on up, every level but the last runs on a grid a quarter as fine
 (16 cells at least; the run grid if the domain has no interior cell there),
-and only the last level's pair runs on the run grid, from the prolonged
-last coarse field.  Every level's estimate is prolonged
-to the run grid, so what a sweep returns lives on one grid.
+each only to max(tol_outer, COARSE_TOL_OUTER), since its estimate sits
+further than that from the run-grid solve; only the last level's pair runs
+on the run grid, at tol_outer, from the prolonged last coarse field.  Every
+level's estimate is prolonged to the run grid, so what a sweep returns lives
+on one grid.
 
 Cells that share a backward characteristic share one line (the method of
 long characteristics): one transport sweep advances a single exponential
@@ -68,6 +72,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +87,18 @@ from .model import VelocityModel
 # An inner ladder stops at max(tol_inner, INNER_FORCING x the previous outer
 # relative change).
 INNER_FORCING = 0.1
+# A nested sweep solves its earlier levels on a coarse grid only to
+# max(tol_outer, COARSE_TOL_OUTER), their ladders to max(tol_inner,
+# INNER_FORCING x COARSE_TOL_OUTER): their prolonged estimates sit 2e-5 to
+# 3e-2 relative L1 from the run-grid solves, so tighter digits never reach
+# the sweep's answer, and the last level, on the run grid, keeps tol_outer.
+COARSE_TOL_OUTER = 1e-5
+# A stage that starts from a field runs its first ladder by the forcing rule
+# as if the outer change before it had been STARTED_CHANGE: on the default
+# sweep the next outer iterate moves the frozen state by about 5e-3, so that
+# ladder's digits below INNER_FORCING never reach the stage's fixed point.  A
+# stage from zero runs its first ladder at tol_inner.
+STARTED_CHANGE = 1.0
 # Every inner ladder of a stage after its first tries the start (1 - delta) x
 # the previous outer iterate, delta = LADDER_START_MARGIN x that same change,
 # while delta < 1.  On the default 32^2 Maxwellian sweep, 18 of 88 starts
@@ -395,6 +412,20 @@ class SolverWorkspace:
             self._tables[i] = tab
         return tab
 
+    @cached_property
+    def coarse(self) -> SolverWorkspace | None:
+        """The workspace of a nested sweep's earlier levels, built on first use:
+        coarse_n = max(16, n // 4) cells once 2 coarse_n <= n, None below that
+        or when the domain has no interior cell at coarse_n."""
+        coarse_n = max(16, self.grid.n // 4)
+        if 2 * coarse_n > self.grid.n:
+            return None
+        try:
+            return SolverWorkspace(self.domain, self.model, Grid(self.domain, coarse_n),
+                                   self.config)
+        except FieldError:      # a domain too thin for any interior cell at coarse_n
+            return None
+
     def entry_values(self, boundary: BoundaryData) -> list[np.ndarray]:
         """Inflow trace at the entry point of every characteristic line."""
         return [np.asarray(boundary.eval(i, self.table(i).t_entry), dtype=float)
@@ -664,14 +695,16 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
                       start: Field | None = None):
     """Picard iteration of the stage map (frozen state -> transported state).
 
-    The inner ladders are inexact: the first runs at tol_inner, and each
-    later one stops at max(tol_inner, INNER_FORCING x rel), rel the previous
-    relative change, so early ladders, whose frozen state is still far from
-    the fixed point, stop early.  Each later ladder also gets the candidate
-    start (1 - delta) x the previous iterate, delta = LADDER_START_MARGIN x
-    rel, while delta < 1: the previous iterate straddles the new fixed
-    point, and a start pushed below it by a margin that shrinks with the
-    outer change usually certifies (`inner_monotone_solve`); one that does
+    The inner ladders are inexact: each stops at max(tol_inner,
+    INNER_FORCING x rel), rel the previous relative change, so early
+    ladders, whose frozen state is still far from the fixed point, stop
+    early.  The first ladder takes rel = STARTED_CHANGE when the stage starts
+    from `start` (the next outer iterate moves that frozen state anyway) and
+    runs at tol_inner when it starts from zero.  Each later ladder also gets
+    the candidate start (1 - delta) x the previous iterate, delta =
+    LADDER_START_MARGIN x rel, while delta < 1: the previous iterate
+    straddles the new fixed point, and a start pushed below it by a margin
+    that shrinks with the outer change usually certifies (`inner_monotone_solve`); one that does
     not costs one discarded pass.  Convergence of this loop is monitored, not
     guaranteed; a stall after max_outer steps is reported through the trace,
     never asserted away.  The stage counts as converged only when the
@@ -687,7 +720,8 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     mass_cap = compute_mass_cap(domain, model, boundary, config.alpha)
     f = start.copy() if start is not None else Field.zeros(ws.grid, model.p)
     trace = SolveTrace(mass_cap=mass_cap, tolerance=config.tol_outer)
-    tol_inner = config.tol_inner
+    tol_inner = (config.tol_inner if start is None
+                 else max(config.tol_inner, INNER_FORCING * STARTED_CHANGE))
     below = None                         # the next ladder's candidate start
     for it in range(config.max_outer):
         t0 = time.perf_counter()
@@ -734,7 +768,8 @@ class ContinuationResult:
 
     Run inside a nested `k_sweep`, an earlier level's `fields`, `traces`,
     `cauchy_distances` and `final_residual` describe the coarse grid it ran
-    on, while its `estimate` is prolonged to the run grid.
+    on, at the coarse tolerances, while its `estimate` is prolonged to the
+    run grid.
     """
 
     alphas: list
@@ -851,13 +886,19 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     inflow.
 
     The grids are nested.  With run grid n and coarse_n = max(16, n // 4),
-    once 2 coarse_n <= n every level but the last runs on a coarse workspace
-    with coarse_n cells, built here once per call.  The last coarse field is
-    prolonged (`_prolong`) to the run grid, and only the last level's pair
-    runs there.  Each earlier level's estimate is prolonged to the run grid
-    before its diagnostics, so every estimate, diagnostic and k distance is
-    on the run grid.  Smaller run grids, and domains with no interior cell
-    at coarse_n, run every level on the run grid.
+    once 2 coarse_n <= n every level but the last runs on the workspace's
+    `coarse` workspace, with coarse_n cells, built once per run-grid
+    workspace.  Those levels stop their outer loops at max(tol_outer,
+    COARSE_TOL_OUTER) and their ladders at max(tol_inner, INNER_FORCING x
+    COARSE_TOL_OUTER): their prolonged estimates sit 2e-5 (Maxwellian) to
+    3e-2 (step inflow) relative L1 from the run-grid solves, so tighter
+    digits would not reach the answer.  The last coarse field is prolonged
+    (`_prolong`) to the run grid, and only the last level's pair runs there,
+    at tol_outer and tol_inner.  Each earlier level's estimate is prolonged
+    to the run grid before its diagnostics, so every estimate, diagnostic
+    and k distance is on the run grid.  Smaller run grids, and domains with
+    no interior cell at coarse_n, run every level on the run grid at
+    tol_outer.
     """
     ks = list(config.k_schedule)
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])) or ks[0] <= 1:
@@ -865,13 +906,9 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     ws = _workspace_on(domain, model, None, config, workspace)
     from . import diagnostics as diag   # deferred: diagnostics imports solver
 
-    coarse_n = max(16, ws.grid.n // 4)
-    coarse = ws
-    if len(ks) > 1 and 2 * coarse_n <= ws.grid.n:
-        try:
-            coarse = SolverWorkspace(domain, model, Grid(domain, coarse_n), config)
-        except FieldError:      # a domain too thin for any interior cell at coarse_n
-            pass
+    coarse = (ws.coarse if len(ks) > 1 else None) or ws
+    coarse_cfg = replace(config, tol_outer=max(config.tol_outer, COARSE_TOL_OUTER),
+                         tol_inner=max(config.tol_inner, INNER_FORCING * COARSE_TOL_OUTER))
     stages = []
     prev_field = None
     for j, k in enumerate(ks):
@@ -879,7 +916,8 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
         if prev_field is not None and prev_field.grid is not stage_ws.grid:
             prev_field = _prolong(prev_field, stage_ws.grid)
         bd_k = truncate_and_mollify_boundary(boundary, k, domain)
-        cfg = replace(config, k=k, alpha_schedule=config.alpha_schedule[-2:])
+        cfg = replace(config if stage_ws is ws else coarse_cfg, k=k,
+                      alpha_schedule=config.alpha_schedule[-2:])
         cont = alpha_continuation(domain, model, bd_k, cfg, workspace=stage_ws,
                                   start=prev_field)
         prev_field = cont.last

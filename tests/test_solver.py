@@ -889,6 +889,32 @@ def test_outer_inner_ladders_are_inexact(disk, broadwell, ws24):
                if t == cfg.tol_inner)
 
 
+def test_a_started_stage_runs_its_first_ladder_inexactly(disk, broadwell, ws24):
+    """A stage from zero runs its first ladder at tol_inner; a stage started
+    from a field runs it at max(tol_inner, INNER_FORCING), the forcing rule
+    after a change of STARTED_CHANGE = 1, and its later ladders by the usual
+    rule.  Both converge after a ladder at tol_inner, and the started stage
+    ends at the fixed point of the same stage from zero."""
+    cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=24)
+    bd = BoundaryData.constant([1.0, 0.5, 2.0, 1.5])
+    F0, tr0 = outer_fixed_point(disk, broadwell, bd, replace(cfg, alpha=0.5), workspace=ws24)
+    F, tr = outer_fixed_point(disk, broadwell, bd, cfg, workspace=ws24, start=F0)
+    want, _ = outer_fixed_point(disk, broadwell, bd, cfg, workspace=ws24)
+    assert solver.STARTED_CHANGE == 1.0
+    assert tr0.children[0].tolerance == cfg.tol_inner
+    assert tr.children[0].tolerance == max(cfg.tol_inner, solver.INNER_FORCING) > cfg.tol_inner
+    assert tr.children[0].start == "zero"
+    for n in range(1, len(tr.children)):
+        prev = tr.increments[n - 1]
+        assert tr.children[n].tolerance == (
+            cfg.tol_inner if prev <= cfg.tol_outer
+            else max(cfg.tol_inner, solver.INNER_FORCING * prev))
+    for t in (tr0, tr):
+        assert t.converged and t.children[-1].tolerance == cfg.tol_inner
+        assert t.children[-1].converged and t.increments[-1] <= cfg.tol_outer
+    assert F.l1_distance(want) <= 10 * cfg.tol_outer * want.mass()
+
+
 def test_outer_max_inner_never_converges(disk, broadwell, ws24):
     """Ladders cut off by max_inner never let the stage count as converged."""
     cfg = SolverConfig(alpha=0.5, k=8.0, grid_n=24, max_inner=2, max_outer=40)
@@ -1124,7 +1150,9 @@ def warm_up_sweep(domain, model, boundary, config):
     first level, each stage before the last two stopping at
     max(tol_outer, 1e-5), and every later level from the previous level's
     last field; every level but the last on the max(16, n // 4) grid, whose
-    fields are prolonged (run grids of 32 on).  Returns the final field."""
+    fields are prolonged (run grids of 32 on), at the coarse tolerances
+    max(tol_outer, COARSE_TOL_OUTER) and max(tol_inner, INNER_FORCING x
+    COARSE_TOL_OUTER).  Returns the final field."""
     fine = SolverWorkspace(domain, model, dv.Grid(domain, config.grid_n), config)
     coarse = SolverWorkspace(domain, model, dv.Grid(domain, max(16, config.grid_n // 4)),
                              config)
@@ -1135,6 +1163,10 @@ def warm_up_sweep(domain, model, boundary, config):
             prev = solver._prolong(prev, ws.grid)
         bd_k = truncate_and_mollify_boundary(boundary, k, domain)
         cfg = replace(config, k=k)
+        if ws is coarse:
+            cfg = replace(cfg, tol_outer=max(cfg.tol_outer, solver.COARSE_TOL_OUTER),
+                          tol_inner=max(cfg.tol_inner,
+                                        solver.INNER_FORCING * solver.COARSE_TOL_OUTER))
         if j == 0:
             for a in config.alpha_schedule[:-2]:
                 prev, _ = outer_fixed_point(
@@ -1159,6 +1191,68 @@ def test_k_sweep_without_the_alpha_warm_up_keeps_the_final_field(disk, broadwell
     sweep = dv.k_sweep(disk, broadwell, bd, cfg)
     assert sweep.converged
     assert np.array_equal(sweep.field.values, warm_up_sweep(disk, broadwell, bd, cfg).values)
+
+
+def test_k_sweep_stops_coarse_levels_at_the_coarse_tolerance(disk, broadwell,
+                                                             maxwellian_params, ws24, ws32):
+    """Nested at 32^2, every coarse level's stages stop at COARSE_TOL_OUTER =
+    1e-5 after a ladder at INNER_FORCING x 1e-5, while the run-grid pair, and
+    every level of an unnested 24^2 sweep, keep tol_outer and tol_inner."""
+    bd = BoundaryData.maxwellian(broadwell, *maxwellian_params)
+    cfg = SolverConfig(grid_n=32, k_schedule=(4.0, 16.0, 64.0),
+                       alpha_schedule=(0.5, 0.25, 0.125))
+    assert solver.COARSE_TOL_OUTER == 1e-5
+    coarse_inner = max(cfg.tol_inner, solver.INNER_FORCING * solver.COARSE_TOL_OUTER)
+    assert coarse_inner == pytest.approx(1e-6, rel=1e-12)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws32)
+    unnested = dv.k_sweep(disk, broadwell, bd, replace(cfg, grid_n=24), workspace=ws24)
+    assert sweep.converged and unnested.converged
+    for st in sweep.stages[:-1]:
+        assert st.continuation.last.grid is ws32.coarse.grid
+        for tr in st.continuation.traces:
+            assert tr.tolerance == 1e-5 and tr.increments[-1] <= 1e-5
+            assert tr.children[-1].tolerance == coarse_inner
+    fine = [tr for st in sweep.stages[-1:] + unnested.stages for tr in st.continuation.traces]
+    assert [tr.tolerance for tr in fine] == [cfg.tol_outer] * 8
+    assert all(tr.children[-1].tolerance == cfg.tol_inner for tr in fine)
+
+
+def test_k_sweep_builds_the_coarse_workspace_once(disk, broadwell, monkeypatch):
+    """Two nested sweeps through one run-grid workspace build one coarse grid,
+    with its tables, on the first; a thin domain has no coarse workspace."""
+    built = []
+    monkeypatch.setattr(solver, "Grid", lambda *a: built.append(a) or dv.Grid(*a))
+    cfg = SolverConfig(grid_n=32, k_schedule=(4.0, 16.0), alpha_schedule=(0.5, 0.25))
+    ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 32), cfg)
+    bd = BoundaryData.constant([1.0] * 4)
+    first = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws)
+    coarse_tables = dict(ws.coarse._tables)
+    again = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws)
+    assert built == [(disk, 16)] and len(coarse_tables) == broadwell.p
+    assert all(ws.coarse._tables[i] is tab for i, tab in coarse_tables.items())
+    assert np.array_equal(first.field.values, again.field.values)
+    thin = SolverWorkspace(THIN_ELLIPSE, broadwell, dv.Grid(THIN_ELLIPSE, 32), cfg)
+    assert thin.coarse is None
+
+
+@pytest.mark.parametrize("inflow", ["maxwellian", "step"])
+def test_k_sweep_early_stops_keep_every_estimate(disk, broadwell, maxwellian_params, ws32,
+                                                 monkeypatch, inflow):
+    """The default 32^2 sweep's earlier-level estimates stay within 1e-6
+    relative L1, and its final field within 1e-9, of the sweep that runs its
+    coarse levels at tol_outer and a started stage's first ladder at
+    tol_inner (both constants 0)."""
+    bd = stage_inflow(disk, broadwell, maxwellian_params, inflow)
+    cfg = SolverConfig(grid_n=32)
+    sweep = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws32)
+    monkeypatch.setattr(solver, "COARSE_TOL_OUTER", 0.0)
+    monkeypatch.setattr(solver, "STARTED_CHANGE", 0.0)
+    want = dv.k_sweep(disk, broadwell, bd, cfg, workspace=ws32)
+    assert sweep.converged and want.converged
+    for st, ref in zip(sweep.stages[:-1], want.stages[:-1]):
+        ref_est = ref.continuation.estimate
+        assert st.continuation.estimate.l1_distance(ref_est) <= 1e-6 * ref_est.mass()
+    assert sweep.field.l1_distance(want.field) <= 1e-9 * want.field.mass()
 
 
 def test_k_sweep_with_a_stage_pair_runs_it_at_every_level(disk, broadwell):
