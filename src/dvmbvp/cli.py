@@ -21,7 +21,7 @@ from .geometry import ConvexDomain, GeometryError
 from .model import (ModelError, StructuralError, VelocityModel, certify_model,
                     classical_broadwell, generate_circle_model, generate_shifted_model,
                     is_real, load_model, model_from_dict, model_to_dict, save_model)
-from .solver import (SolverConfig, SolverWorkspace, k_sweep, outer_fixed_point,
+from .solver import (SolverConfig, SolverError, SolverWorkspace, k_sweep, outer_fixed_point,
                      residual_mild, residual_renormalized)
 
 EXIT_OK = 0
@@ -85,43 +85,16 @@ def load_run_config(path):
             if key in sspec:
                 sspec[key] = tuple(float(x) for x in sspec[key])
         config = SolverConfig(**sspec)
+        config.check()
     except (TypeError, ValueError) as exc:
         raise StructuralError(f"bad solver options: {exc}") from exc
-    _check_solver_config(config)
+    except SolverError as exc:
+        raise StructuralError(str(exc)) from exc
 
     outdir = raw.get("output_dir", "out")
     if not isinstance(outdir, str) or not outdir:
         raise StructuralError("output_dir must be a nonempty path")
     return model, domain, boundary, config, Path(outdir), raw
-
-
-def _check_solver_config(config: SolverConfig) -> None:
-    """Raise StructuralError, naming the option, on a value the solver cannot run."""
-    def count(x):
-        return isinstance(x, int) and not isinstance(x, bool)
-
-    c = config
-    alphas, ks = c.alpha_schedule, c.k_schedule
-    rules = [
-        ("alpha", is_real(c.alpha) and c.alpha > 0, "a positive number"),
-        ("k", is_real(c.k) and c.k > 1, "a number above 1"),
-        ("grid_n", count(c.grid_n) and c.grid_n >= 4, "an integer of at least 4"),
-        ("h_s", c.h_s is None or (is_real(c.h_s) and c.h_s > 0), "a positive number or null"),
-        ("tol_inner", is_real(c.tol_inner) and c.tol_inner > 0, "a positive number"),
-        ("tol_outer", is_real(c.tol_outer) and c.tol_outer > 0, "a positive number"),
-        ("max_inner", count(c.max_inner) and c.max_inner >= 1, "a positive integer"),
-        ("max_outer", count(c.max_outer) and c.max_outer >= 1, "a positive integer"),
-        ("alpha_schedule", len(alphas) > 0 and all(map(math.isfinite, alphas))
-         and all(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])) and alphas[-1] > 0,
-         "a nonempty, strictly decreasing list of positive numbers"),
-        ("k_schedule", len(ks) > 0 and all(map(math.isfinite, ks))
-         and all(k2 > k1 for k1, k2 in zip(ks, ks[1:])) and ks[0] > 1,
-         "a nonempty, strictly increasing list of numbers above 1"),
-    ]
-    for name, ok, want in rules:
-        if not ok:
-            raise StructuralError(f"bad solver option {name}: expected {want}, "
-                                  f"got {getattr(c, name)!r}")
 
 
 def _check_inflow(values, what: str) -> None:

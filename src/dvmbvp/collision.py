@@ -175,7 +175,7 @@ def eval_convolved_truncated(model: VelocityModel, local, smoothed, k: float) ->
 
     With smoothed == local this reduces exactly to eval_truncated.
     """
-    if k <= 1:
+    if not k > 1:
         raise CollisionDomainError("truncation level k must exceed 1")
     f = _check_state(local, model.p)
     sm = _check_state(smoothed, model.p)

@@ -382,7 +382,7 @@ def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
     Euclidean and along-boundary arclength) are measured; the mask uses the
     transverse one.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     threshold = 1.0 / epsilon
     grid = field_.grid

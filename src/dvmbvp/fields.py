@@ -281,7 +281,7 @@ def mollify_field(field: Field, radius: float) -> Field:
     components are padded once and convolved in one pass over the kernel
     offsets.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise FieldError("mollifier radius must be positive")
     grid = field.grid
     offs, w = _bump_kernel(radius, grid.h)
@@ -379,7 +379,7 @@ def truncate_and_mollify_boundary(bd: BoundaryData, k: float,
     so the kernel reaches several samples either side (n / (2k) >= 8).
     Constant traces are closed under both steps and pass through exactly.
     """
-    if k <= 1:
+    if not k > 1:
         raise FieldError("truncation level k must exceed 1")
     bp = boundary_param(domain)
     L = bp.total_length

@@ -82,7 +82,7 @@ from .collision import (eval_convolved_truncated, eval_truncated, eval_untruncat
 from .fields import (BoundaryData, Field, FieldError, Grid, mollify_field,
                      truncate_and_mollify_boundary)
 from .geometry import ConvexDomain, boundary_param, boundary_quadrature
-from .model import VelocityModel
+from .model import VelocityModel, is_real
 
 # An inner ladder stops at max(tol_inner, INNER_FORCING x the previous outer
 # relative change).
@@ -116,7 +116,7 @@ class SolverConfig:
     """Numerical parameters for one stage and for the continuation loops.
 
     The partner factor is mollified with radius alpha and the inflow trace
-    is smoothed over 1/k of the boundary arclength.
+    is smoothed over 1/k of the boundary arclength.  `check()` states each field's rule.
     """
 
     alpha: float = 0.5
@@ -133,6 +133,35 @@ class SolverConfig:
     def step(self, grid_h: float) -> float:
         return self.h_s if self.h_s is not None else 0.5 * grid_h
 
+    def check(self) -> None:
+        """Raise SolverError, naming the option, on a value the solver cannot run:
+        `outer_fixed_point`, `alpha_continuation` and `k_sweep` call it first."""
+        def count(x):
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        c = self
+        alphas, ks = c.alpha_schedule, c.k_schedule
+        rules = [
+            ("alpha", is_real(c.alpha) and c.alpha > 0, "a positive number"),
+            ("k", is_real(c.k) and c.k > 1, "a number above 1"),
+            ("grid_n", count(c.grid_n) and c.grid_n >= 4, "an integer of at least 4"),
+            ("h_s", c.h_s is None or (is_real(c.h_s) and c.h_s > 0), "a positive number or null"),
+            ("tol_inner", is_real(c.tol_inner) and c.tol_inner > 0, "a positive number"),
+            ("tol_outer", is_real(c.tol_outer) and c.tol_outer > 0, "a positive number"),
+            ("max_inner", count(c.max_inner) and c.max_inner >= 1, "a positive integer"),
+            ("max_outer", count(c.max_outer) and c.max_outer >= 1, "a positive integer"),
+            ("alpha_schedule", len(alphas) > 0 and all(map(is_real, alphas))
+             and all(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])) and alphas[-1] > 0,
+             "a nonempty, strictly decreasing list of positive numbers"),
+            ("k_schedule", len(ks) > 0 and all(map(is_real, ks))
+             and all(k2 > k1 for k1, k2 in zip(ks, ks[1:])) and ks[0] > 1,
+             "a nonempty, strictly increasing list of numbers above 1"),
+        ]
+        for name, ok, want in rules:
+            if not ok:
+                raise SolverError(f"bad solver option {name}: expected {want}, "
+                                  f"got {getattr(c, name)!r}")
+
 
 def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
                      boundary: BoundaryData, alpha: float) -> float:
@@ -141,7 +170,7 @@ def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
     Recomputed from the boundary data of the problem actually being solved
     (for a truncated stage that is the truncated trace).
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise SolverError("mass cap requires positive damping")
     total = 0.0
     for i in range(model.p):
@@ -493,11 +522,10 @@ class SolverWorkspace:
         return self._lines(tab, np.zeros(tab.n_lines), None, values2d, 0.0)
 
     def path_integral_attenuated(self, i: int, values2d: np.ndarray,
-                                 nu2d: np.ndarray | None, alpha: float = 0.0) -> np.ndarray:
-        """Entry->cell integral with the exponential attenuation factor;
-        `nu2d` None means zero frequency."""
+                                 alpha: float = 0.0) -> np.ndarray:
+        """Entry->cell integral damped by exp(-alpha x length), in table order."""
         tab = self.table(i)
-        return self._lines(tab, np.zeros(tab.n_lines), nu2d, values2d, alpha)
+        return self._lines(tab, np.zeros(tab.n_lines), None, values2d, alpha)
 
     def chord(self, i: int, integrand2d: np.ndarray, exit2d: np.ndarray):
         """Full chords, entry to exit, through every interior cell.
@@ -713,8 +741,7 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     ladder that meets tol_outer is followed by one more outer iteration at
     tol_inner.
     """
-    if config.alpha <= 0 or config.k <= 1:
-        raise SolverError("stage requires alpha > 0 and k > 1")
+    config.check()
     ws = _workspace_on(domain, model, None if start is None else start.grid, config, workspace)
     entry_vals = ws.entry_values(boundary)
     mass_cap = compute_mass_cap(domain, model, boundary, config.alpha)
@@ -802,9 +829,8 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
     Richardson extrapolation of the last two stages (clipped at zero to
     preserve positivity).  `k_sweep` passes only those two.
     """
+    config.check()
     schedule = list(config.alpha_schedule)
-    if any(a2 >= a1 for a1, a2 in zip(schedule, schedule[1:])) or schedule[-1] <= 0:
-        raise SolverError("alpha_schedule must decrease strictly toward 0")
     ws = _workspace_on(domain, model, None if start is None else start.grid, config, workspace)
     fields_, traces, alphas = [], [], []
     notes = []
@@ -900,9 +926,8 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     no interior cell at coarse_n, run every level on the run grid at
     tol_outer.
     """
+    config.check()
     ks = list(config.k_schedule)
-    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])) or ks[0] <= 1:
-        raise SolverError("k_schedule must increase and start above 1")
     ws = _workspace_on(domain, model, None, config, workspace)
     from . import diagnostics as diag   # deferred: diagnostics imports solver
 
@@ -972,7 +997,7 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
     worst = 0.0
     for i in range(model.p):
         tab = ws.table(i)
-        coll = ws.path_integral_attenuated(i, net[i], None, alpha)
+        coll = ws.path_integral_attenuated(i, net[i], alpha)
         predicted = entry_vals[i][tab.line] * np.exp(-alpha * tab.s_plus) + coll
         actual = field_.values[i].ravel()[tab.cells_flat]
         r = np.abs(actual - predicted)

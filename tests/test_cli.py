@@ -9,6 +9,7 @@ import dvmbvp as dv
 from dvmbvp.cli import main
 from dvmbvp.fields import Field, Grid
 from dvmbvp.model import model_to_dict
+from dvmbvp.solver import SolverConfig, SolverError
 
 
 @pytest.fixture()
@@ -273,6 +274,22 @@ def test_sweep_rejects_invalid_solver_option(tmp_path, shifted_model_file, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(option)) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("h_s", -0.1), ("max_inner", 0), ("tol_outer", float("nan")), ("k_schedule", [16.0, 4.0]),
+])
+def test_sweep_refuses_an_option_with_the_solver_config_message(tmp_path, shifted_model_file,
+                                                                capsys, option, value):
+    """The CLI's exit-2 line is `SolverConfig.check()`'s message, which the
+    solver calls raise too."""
+    cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"},
+                       {**SMALL_SOLVER, option: value})
+    assert main(["sweep", str(cfg)]) == 2
+    with pytest.raises(SolverError) as want:
+        SolverConfig(**{option: tuple(value) if isinstance(value, list) else value}).check()
+    assert capsys.readouterr().err == f"error: {want.value}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -5,15 +5,17 @@ the ladder are the primary oracles.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 import pytest
 
 import dvmbvp as dv
-from dvmbvp.collision import (eval_truncated, eval_untruncated, expansion, frequency_source,
+from dvmbvp.collision import (CollisionDomainError, eval_convolved_truncated, eval_truncated,
+                              eval_untruncated, expansion, frequency_source,
                               gain_truncated, truncated_factor)
-from dvmbvp.fields import (BoundaryData, CallableTrace, Field, mollify_field,
+from dvmbvp.diagnostics import exceptional_sets
+from dvmbvp.fields import (BoundaryData, CallableTrace, Field, FieldError, mollify_field,
                            truncate_and_mollify_boundary)
 from dvmbvp.geometry import boundary_param, boundary_quadrature
 from dvmbvp import solver
@@ -348,10 +350,12 @@ def test_gap_transfers_match_whole_line_recursion(domain, model):
         for alpha, sweep in sweeps.items():
             assert_relative(sweep[i].ravel()[tab.cells_flat],
                             ref.cells(entry[i], nu[i], gain[i], alpha))
-            assert_relative(ws.path_integral_attenuated(i, gain[i], nu[i], alpha),
+            assert_relative(ws._lines(tab, no_inflow, nu[i], gain[i], alpha),
                             ref.cells(no_inflow, nu[i], gain[i], alpha))
-            assert np.array_equal(ws.path_integral_attenuated(i, gain[i], None, alpha),
-                                  ws.path_integral_attenuated(i, gain[i], zero, alpha))
+            assert np.array_equal(ws._lines(tab, no_inflow, None, gain[i], alpha),
+                                  ws._lines(tab, no_inflow, zero, gain[i], alpha))
+            assert np.array_equal(ws.path_integral_attenuated(i, gain[i], alpha),
+                                  ws._lines(tab, no_inflow, None, gain[i], alpha))
         assert_relative(ws.path_integral(i, gain[i]), ref.cells(no_inflow, zero, gain[i], 0.0))
         integral, at_exit = ws.chord(i, gain[i], nu[i])
         want = ref.nodes(no_inflow, zero, gain[i], 0.0)[-1][tab.line]
@@ -838,6 +842,87 @@ def test_mass_cap_requires_damping(disk, broadwell):
         compute_mass_cap(disk, broadwell, BoundaryData.constant([1.0] * 4), 0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda d, m, f: compute_mass_cap(d, m, BoundaryData.constant([1.0] * 4), NAN),
+     SolverError, "mass cap requires positive damping"),
+    (lambda d, m, f: mollify_field(f, NAN), FieldError, "mollifier radius must be positive"),
+    (lambda d, m, f: truncate_and_mollify_boundary(BoundaryData.constant([1.0] * 4), NAN, d),
+     FieldError, "truncation level k must exceed 1"),
+    (lambda d, m, f: eval_convolved_truncated(m, f.values, f.values, NAN),
+     CollisionDomainError, "truncation level k must exceed 1"),
+    (lambda d, m, f: exceptional_sets(d, m, f, 8.0, NAN), ValueError, "epsilon must be positive"),
+], ids=["compute_mass_cap", "mollify_field", "truncate_and_mollify_boundary",
+        "eval_convolved_truncated", "exceptional_sets"])
+def test_guards_refuse_nan(disk, broadwell, call, error, message):
+    """A NaN damping, radius, truncation level or epsilon fails its module's
+    guard, as a nonpositive one does, instead of reaching numpy."""
+    field_ = Field.constant(dv.Grid(disk, 8), [1.0] * 4)
+    with pytest.raises(error, match=message):
+        call(disk, broadwell, field_)
+
+
+# -- solver options ---------------------------------------------------------------
+
+# What each option must be, in the words of the CLI's exit-2 message.
+OPTION_RULES = {
+    "alpha": "a positive number",
+    "k": "a number above 1",
+    "grid_n": "an integer of at least 4",
+    "h_s": "a positive number or null",
+    "tol_inner": "a positive number",
+    "tol_outer": "a positive number",
+    "max_inner": "a positive integer",
+    "max_outer": "a positive integer",
+    "alpha_schedule": "a nonempty, strictly decreasing list of positive numbers",
+    "k_schedule": "a nonempty, strictly increasing list of numbers above 1",
+}
+BAD_OPTIONS = [
+    ("alpha", NAN), ("alpha", 0.0), ("alpha", -0.5), ("alpha", INF), ("alpha", "0.5"),
+    ("k", NAN), ("k", 1.0), ("k", -4.0),
+    ("grid_n", 3), ("grid_n", 16.0), ("grid_n", True),
+    ("h_s", NAN), ("h_s", 0.0), ("h_s", -0.1),
+    ("tol_inner", NAN), ("tol_inner", 0.0),
+    ("tol_outer", NAN), ("tol_outer", -1e-8),
+    ("max_inner", 0), ("max_inner", 2.5),
+    ("max_outer", 0), ("max_outer", -1),
+    ("alpha_schedule", ()), ("alpha_schedule", (0.25, 0.5)), ("alpha_schedule", (0.5, 0.5)),
+    ("alpha_schedule", (0.5, 0.0)), ("alpha_schedule", (0.5, NAN)),
+    ("alpha_schedule", (INF, 0.5)),
+    ("k_schedule", ()), ("k_schedule", (16.0, 4.0)), ("k_schedule", (1.0, 4.0)),
+    ("k_schedule", (4.0, INF)), ("k_schedule", (NAN,)),
+]
+
+
+def test_every_option_has_one_rule():
+    """Every field of SolverConfig has a rule with one wording (each bad value
+    below gets exactly its field's OPTION_RULES text), and the least values
+    each rule admits pass."""
+    names = [f.name for f in dataclass_fields(SolverConfig)]
+    assert sorted(OPTION_RULES) == sorted(names)
+    assert {name for name, _ in BAD_OPTIONS} == set(names)
+    SolverConfig().check()
+    SolverConfig(alpha=5e-324, k=1.0 + 2.0 ** -52, grid_n=4, h_s=5e-324, tol_inner=5e-324,
+                 tol_outer=5e-324, max_inner=1, max_outer=1, alpha_schedule=(5e-324,),
+                 k_schedule=(1.0 + 2.0 ** -52,)).check()
+
+
+@pytest.mark.parametrize("name, value", BAD_OPTIONS)
+def test_bad_option_is_refused_before_any_table(disk, broadwell, name, value):
+    """k_sweep, alpha_continuation and outer_fixed_point refuse a bad value of
+    any option with the CLI's message before they build a characteristic table."""
+    cfg = replace(SolverConfig(grid_n=8), **{name: value})
+    want = f"bad solver option {name}: expected {OPTION_RULES[name]}, got {value!r}"
+    ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 8), SolverConfig(grid_n=8))
+    for run in (dv.k_sweep, dv.alpha_continuation, outer_fixed_point):
+        with pytest.raises(SolverError) as err:
+            run(disk, broadwell, BoundaryData.constant([1.0] * 4), cfg, workspace=ws)
+        assert str(err.value) == want
+        assert ws._tables == {}
+
+
 # -- outer fixed point ------------------------------------------------------------
 
 def test_outer_zero_inflow(disk, broadwell, ws24):
@@ -861,13 +946,13 @@ def test_outer_constant_inflow(disk, broadwell, ws32):
 
 
 def test_outer_no_false_convergence_without_inner_steps(disk, broadwell):
-    """An inner ladder that never runs leaves the iterate at zero: no change,
-    but no fixed point either."""
+    """An inner ladder that never ran would leave the iterate at zero: no
+    change, but no fixed point either.  A stage refuses max_inner = 0 before
+    it runs; `test_outer_max_inner_never_converges` covers ladders cut short."""
     cfg = SolverConfig(grid_n=8, max_inner=0)
-    F, tr = outer_fixed_point(disk, broadwell, BoundaryData.constant([1.0] * 4), cfg)
-    assert F.mass() == 0.0
-    assert not tr.converged
-    assert tr.termination == "inner_not_converged"
+    with pytest.raises(SolverError, match="bad solver option max_inner: expected a positive "
+                                          "integer, got 0"):
+        outer_fixed_point(disk, broadwell, BoundaryData.constant([1.0] * 4), cfg)
 
 
 def test_outer_inner_ladders_are_inexact(disk, broadwell, ws24):
@@ -987,7 +1072,7 @@ def test_continuation_runs_every_stage_at_tol_outer(disk, broadwell, ws24):
 
 def test_continuation_schedule_validated(disk, broadwell, ws24):
     cfg = SolverConfig(grid_n=24, alpha_schedule=(0.25, 0.5))
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="bad solver option alpha_schedule"):
         dv.alpha_continuation(disk, broadwell, BoundaryData.zero(4), cfg,
                               workspace=ws24)
 
