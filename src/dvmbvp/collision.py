@@ -25,36 +25,6 @@ class CollisionDomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RuleExpansion:
-    """Directed entries (a, partner, out1, out2) with coefficients."""
-
-    a: np.ndarray
-    partner: np.ndarray
-    out1: np.ndarray
-    out2: np.ndarray
-    gamma: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def expansion(model: VelocityModel) -> RuleExpansion:
-    rows = []
-    for r in model.rules:
-        i, j, l, m = r.i - 1, r.j - 1, r.l - 1, r.m - 1
-        rows.append((i, j, l, m, r.gamma))
-        rows.append((j, i, m, l, r.gamma))
-        rows.append((l, m, i, j, r.gamma))
-        rows.append((m, l, j, i, r.gamma))
-    arr = np.array(rows, dtype=float) if rows else np.zeros((0, 5))
-    return RuleExpansion(
-        a=arr[:, 0].astype(np.int64),
-        partner=arr[:, 1].astype(np.int64),
-        out1=arr[:, 2].astype(np.int64),
-        out2=arr[:, 3].astype(np.int64),
-        gamma=arr[:, 4],
-    )
-
-
 @dataclass
 class CollisionEval:
     """Componentwise gain, collision frequency, loss and net term."""
@@ -97,10 +67,14 @@ def truncated_factor(x, k, out=None):
 
 @lru_cache(maxsize=64)
 def row_entries(model: VelocityModel) -> tuple:
-    """Per component a, the (gamma, partner, out1, out2) of its entries, in entry order."""
-    ex = expansion(model)
-    return tuple(tuple((ex.gamma[e], int(ex.partner[e]), int(ex.out1[e]), int(ex.out2[e]))
-                       for e in np.flatnonzero(ex.a == a)) for a in range(model.p))
+    """Per component a, the (gamma, partner, out1, out2) of its directed entries
+    in entry order: rule by rule, the four slots of the module docstring in turn."""
+    rows = [[] for _ in range(model.p)]
+    for r in model.rules:
+        i, j, l, m = r.i - 1, r.j - 1, r.l - 1, r.m - 1
+        for a, partner, out1, out2 in ((i, j, l, m), (j, i, m, l), (l, m, i, j), (m, l, j, i)):
+            rows[a].append((float(r.gamma), partner, out1, out2))
+    return tuple(map(tuple, rows))
 
 
 def _partner_sum(model: VelocityModel, x) -> np.ndarray:

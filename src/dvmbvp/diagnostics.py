@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The eval_* names are unused here; the benchmark's traced run (bench/tracing.py) wraps them.
 from .collision import eval_convolved_truncated, eval_truncated, eval_untruncated, truncated_factor
 from .fields import BoundaryData, Field, Grid
 from .geometry import ConvexDomain, boundary_param, boundary_quadrature, tangency_thetas
 from .model import VelocityModel, find_positive_direction
-from .solver import SolverConfig, SolverWorkspace, _ladder, _workspace_on
+from .solver import SolverConfig, SolverWorkspace, _collision, _ladder, _workspace_on
 
 
 # ---------------------------------------------------------------------------
@@ -27,14 +28,9 @@ from .solver import SolverConfig, SolverWorkspace, _ladder, _workspace_on
 
 def collision_grids(model: VelocityModel, field_: Field, k: float | None = None,
                     smoothed: Field | None = None):
-    """(frequency, gain) cell arrays for the untruncated / truncated /
-    convolved-truncated operator."""
-    if k is None:
-        ev = eval_untruncated(model, field_.values)
-    elif smoothed is not None:
-        ev = eval_convolved_truncated(model, field_.values, smoothed.values, k)
-    else:
-        ev = eval_truncated(model, field_.values, k)
+    """(frequency, gain) cell arrays of the collision operator that
+    `solver._collision` picks for `k` and `smoothed`."""
+    ev = _collision(model, field_, k, smoothed)
     return ev.frequency, ev.gain
 
 

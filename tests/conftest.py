@@ -55,3 +55,17 @@ def three_circle_model():
         [(2, 1), (2, 5), (0, 3), (4, 3)],
     ]
     return dv.generate_circle_model(quads, [1.0, 0.7, 1.3])
+
+
+def directed_entries(model):
+    """Reference for the collision operator's directed entries, 0-based: per
+    rule (i,j;l,m) of `model.rules`, in order, the entries (a, partner, out1,
+    out2, gamma) of the slots (i,j;l,m), (j,i;m,l), (l,m;i,j), (m,l;j,i).
+    Returns the columns a, partner, out1, out2 (int arrays) and gamma."""
+    rows = []
+    for r in model.rules:
+        i, j, l, m = r.i - 1, r.j - 1, r.l - 1, r.m - 1
+        rows += [(i, j, l, m, r.gamma), (j, i, m, l, r.gamma),
+                 (l, m, i, j, r.gamma), (m, l, j, i, r.gamma)]
+    cols = np.array(rows, dtype=float).T
+    return (*cols[:4].astype(np.int64), cols[4])

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import dvmbvp as dv
 from dvmbvp.collision import (CollisionDomainError, _partner_sum, eval_convolved_truncated,
-                              eval_truncated, eval_untruncated, expansion,
+                              eval_truncated, eval_untruncated,
                               gain_truncated, row_entries, truncated_factor)
+
+from conftest import directed_entries
 
 
 def test_hand_expansion_single_rule(broadwell):
@@ -153,10 +155,9 @@ def test_gain_row_equals_full_sum_bitwise(broadwell, two_circle_model, shape):
         x = truncated_factor(rng.uniform(0.0, 6.0, (model.p,) + shape), 12.0)
         y = truncated_factor(rng.uniform(0.0, 6.0, (model.p,) + shape), 12.0)
         full = gain_truncated(model, x, y)
-        ex = expansion(model)
+        a, _, out1, out2, gamma = directed_entries(model)
         ref = np.zeros_like(x)
-        np.add.at(ref, ex.a, ex.gamma.reshape((-1,) + (1,) * len(shape))
-                  * x[ex.out1] * y[ex.out2])
+        np.add.at(ref, a, gamma.reshape((-1,) + (1,) * len(shape)) * x[out1] * y[out2])
         assert np.array_equal(full, ref)
         for i in range(model.p):
             row = gain_truncated(model, x, y, component=i)
@@ -172,11 +173,22 @@ def test_partner_sum_equals_add_at_bitwise(broadwell, two_circle_model, three_ci
     for model in (broadwell, dv.classical_broadwell(), two_circle_model, three_circle_model,
                   dv.shifted_broadwell(gamma=0.7)):
         x = rng.uniform(0.0, 6.0, (model.p,) + shape)
-        ex = expansion(model)
+        a, partner, _, _, gamma = directed_entries(model)
         ref = np.zeros_like(x)
-        np.add.at(ref, ex.a, ex.gamma.reshape((-1,) + (1,) * len(shape)) * x[ex.partner])
+        np.add.at(ref, a, gamma.reshape((-1,) + (1,) * len(shape)) * x[partner])
         got = _partner_sum(model, x)
         assert got.shape == ref.shape and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_row_entries_group_the_directed_entries(broadwell, two_circle_model,
+                                               three_circle_model):
+    """Each component's row holds its directed entries in entry order; the
+    circle models have several rules per component."""
+    for model in (broadwell, two_circle_model, three_circle_model):
+        a, partner, out1, out2, gamma = directed_entries(model)
+        want = tuple(tuple((gamma[e], partner[e], out1[e], out2[e])
+                           for e in np.flatnonzero(a == c)) for c in range(model.p))
+        assert row_entries(model) == want
 
 
 def test_in_place_factor_and_gain_rows_are_bitwise_the_allocating_ones(three_circle_model):

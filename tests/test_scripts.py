@@ -23,3 +23,15 @@ def test_nested_grids_one_sweep(inflow):
     assert proc.returncode == 0, proc.stderr[-2000:]
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["converged"] and out["monotone_violations"] == 0
+
+
+def test_coarse_tolerance_levels(tmp_path):
+    """The per-level measurement reaches the coarse workspace and each stage's
+    estimate by name: four k levels, three distances between them."""
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_coarse_tolerances.py"),
+                           "--levels", "maxwellian", "32", str(ROOT / "src"),
+                           str(tmp_path / "levels.npy")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(out["final_residuals"]) == 4 and len(out["k_distances"]) == 3

@@ -12,7 +12,7 @@ import pytest
 
 import dvmbvp as dv
 from dvmbvp.collision import (CollisionDomainError, eval_convolved_truncated, eval_truncated,
-                              eval_untruncated, expansion, frequency_source,
+                              eval_untruncated, frequency_source,
                               gain_truncated, truncated_factor)
 from dvmbvp.diagnostics import exceptional_sets
 from dvmbvp.fields import (BoundaryData, CallableTrace, Field, FieldError, mollify_field,
@@ -23,6 +23,8 @@ from dvmbvp.solver import (LADDER_START_MARGIN, SolverConfig, SolverError,
                            SolverWorkspace, _matmul, _n_steps, _transport, compute_mass_cap,
                            default_test_functions, inner_monotone_solve, outer_fixed_point,
                            residual_mild, residual_renormalized)
+
+from conftest import directed_entries
 
 
 @pytest.fixture(scope="module")
@@ -354,7 +356,7 @@ def test_gap_transfers_match_whole_line_recursion(domain, model):
                             ref.cells(no_inflow, nu[i], gain[i], alpha))
             assert np.array_equal(ws._lines(tab, no_inflow, None, gain[i], alpha),
                                   ws._lines(tab, no_inflow, zero, gain[i], alpha))
-            assert np.array_equal(ws.path_integral_attenuated(i, gain[i], alpha),
+            assert np.array_equal(ws.path_integral(i, gain[i], alpha),
                                   ws._lines(tab, no_inflow, None, gain[i], alpha))
         assert_relative(ws.path_integral(i, gain[i]), ref.cells(no_inflow, zero, gain[i], 0.0))
         integral, at_exit = ws.chord(i, gain[i], nu[i])
@@ -715,7 +717,8 @@ def allocating_ladder(ws, model, bd, frozen, cfg, start=None):
     k / (k / x + 1) per call, and a copy of F per pass.  Returns F, the
     increments and the start."""
     source, tr_sm = stage_rates(model, frozen, cfg)
-    entry, area, k, ex = ws.entry_values(bd), ws.grid.cell_area, cfg.k, expansion(model)
+    entry, area, k = ws.entry_values(bd), ws.grid.cell_area, cfg.k
+    a, _, out1, out2, gamma = directed_entries(model)
     F = np.zeros((model.p, ws.grid.ny, ws.grid.nx))
     kind = "zero"
     if start is not None:
@@ -728,8 +731,8 @@ def allocating_ladder(ws, model, bd, frozen, cfg, start=None):
         with np.errstate(divide="ignore"):
             tr_F[i - 1] = k / (k / F[i - 1] + 1.0)
         g = np.zeros(F.shape[1:])
-        for e in np.flatnonzero(ex.a == i):
-            g += ex.gamma[e] * tr_F[ex.out1[e]] * tr_sm[ex.out2[e]]
+        for e in np.flatnonzero(a == i):
+            g += gamma[e] * tr_F[out1[e]] * tr_sm[out2[e]]
         return g
 
     incs = []
@@ -1129,6 +1132,31 @@ def test_workspace_for_another_model_or_domain_is_refused(disk, broadwell):
     # an equal model and domain built anew pass
     same = SolverWorkspace(dv.ConvexDomain.disk(), dv.shifted_broadwell(), grid, cfg)
     assert residual_mild(disk, broadwell, bd, f, k=8.0, workspace=same).total_relative >= 0
+
+
+@pytest.mark.parametrize("h_s", [-0.1, NAN, 0.0])
+def test_workspace_refuses_a_bad_step(disk, broadwell, h_s):
+    """A workspace's path step comes from its config; a bad one is refused with
+    the option's rule, as the solves refuse it."""
+    with pytest.raises(SolverError) as err:
+        SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), SolverConfig(h_s=h_s))
+    assert str(err.value) == f"bad solver option h_s: expected {OPTION_RULES['h_s']}, got {h_s!r}"
+
+
+def test_workspace_at_another_step_than_the_config_is_refused(disk, broadwell):
+    """An explicit h_s must be the passed workspace's step, checked before any
+    table is built; the same step passes, and residuals (h_s None) accept any."""
+    ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), SolverConfig(grid_n=16))
+    bd = BoundaryData.constant([1.0] * 4)
+    with pytest.raises(SolverError, match=f"path step h_s=0.05 does not match the workspace "
+                                          f"step {ws.h_s!r}"):
+        outer_fixed_point(disk, broadwell, bd, SolverConfig(grid_n=16, h_s=0.05), workspace=ws)
+    assert ws._tables == {}
+    F, tr = outer_fixed_point(disk, broadwell, bd, SolverConfig(grid_n=16, k=8.0, h_s=ws.h_s),
+                              workspace=ws)
+    assert tr.converged
+    fine = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), SolverConfig(h_s=0.05))
+    assert residual_mild(disk, broadwell, bd, F, k=8.0, workspace=fine).total_relative >= 0
 
 
 def test_continuation_gap_shrinks_with_alpha(disk, broadwell, ws24):
