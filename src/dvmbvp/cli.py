@@ -336,8 +336,15 @@ def cmd_solve(args) -> int:
         "p": model.p,
     }
 
+    try:
+        if args.single_stage:
+            field, trace = outer_fixed_point(domain, model, boundary, config, workspace=ws)
+        else:
+            sweep = k_sweep(domain, model, boundary, config, workspace=ws)
+    except FieldError as exc:       # a mollifier kernel above the build budget
+        return _fail_input(str(exc))
+
     if args.single_stage:
-        field, trace = outer_fixed_point(domain, model, boundary, config, workspace=ws)
         _write_field(field, outdir / "field_single.csv", meta_base)
         summary = {
             "hash": rhash, "mode": "single", "alpha": config.alpha, "k": config.k,
@@ -350,7 +357,6 @@ def cmd_solve(args) -> int:
         print(json.dumps(summary, indent=2))
         return EXIT_OK if trace.converged else EXIT_CONVERGENCE
 
-    sweep = k_sweep(domain, model, boundary, config, workspace=ws)
     for stage in sweep.stages:
         tag = f"k{stage.k:g}"
         starts = [ch.start for t in stage.continuation.traces for ch in t.children]

@@ -246,27 +246,81 @@ def bump_profile(r):
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _bump_kernel(radius: float, h: float):
-    """Discrete bump kernel: cell offsets within the radius and unit-sum
-    weights, built once per (radius, h).
+# Building a bump kernel evaluates (reach + 1)^2 weights, reach = floor(radius / h),
+# one quadrant row at a time: about 0.2 s at this many, the most a radius may cost.
+KERNEL_BUDGET = 2 ** 24
 
-    The weights are read-only because every caller shares them.
+
+def kernel_reach(radius: float, h: float) -> int:
+    """floor(radius / h), the reach of the bump kernel in cells; a FieldError
+    when building it would evaluate more than KERNEL_BUDGET weights."""
+    if not radius > 0:
+        raise FieldError("mollifier radius must be positive")
+    cells = radius / h
+    if not cells < math.isqrt(KERNEL_BUDGET):
+        raise FieldError(f"mollifier radius {radius:g} spans {cells:.4g} cells of width "
+                         f"{h:g}; its kernel would take more than {KERNEL_BUDGET} weights "
+                         f"to build: use a coarser grid or a smaller radius")
+    return int(cells)
+
+
+def _bump_kernel(radius: float, h: float, fold=None):
+    """Discrete bump kernel: the (m, 2) cell offsets (dy, dx) of its nonzero
+    weights, in row-major order, and the weights, scaled to unit sum.
+
+    With `fold=(ny, nx)` every offset is clamped to |dy| <= ny - 1 and
+    |dx| <= nx - 1 and the weights landing on one offset are summed: on an
+    edge-continued field those offsets read the same cells.  The kernel is
+    built one quadrant row at a time and mirrored, so it is exactly
+    symmetric and never holds more than its folded size.
     """
-    reach = int(math.floor(radius / h))
-    offs = []
-    wts = []
-    for dy in range(-reach, reach + 1):
-        for dx in range(-reach, reach + 1):
-            r = math.hypot(dx * h, dy * h) / radius
-            w = float(bump_profile(r))
-            if w > 0.0:
-                offs.append((dy, dx))
-                wts.append(w)
-    w = np.array(wts)
-    w /= w.sum()
-    w.setflags(write=False)
-    return tuple(offs), w
+    reach = kernel_reach(radius, h)
+    ry, rx = (reach, reach) if fold is None else (min(reach, fold[0] - 1),
+                                                  min(reach, fold[1] - 1))
+    dx = np.arange(reach + 1) * h
+    quad = np.zeros((ry + 1, rx + 1))
+    for dy in range(reach + 1):
+        row = bump_profile(np.hypot(dx, dy * h) / radius)
+        acc = quad[min(dy, ry)]
+        acc[:rx] += row[:rx]
+        acc[rx] += row[rx:].sum()
+    quad = np.concatenate([quad[:0:-1], quad])
+    full = np.concatenate([quad[:, :0:-1], quad], axis=1)
+    offs = np.argwhere(full > 0.0) - (ry, rx)
+    w = full[full > 0.0]
+    return offs, w / w.sum()
+
+
+def _fft_size(n: int) -> int:
+    """The least number at least n with no prime factor above 11: pocketfft
+    has a pass for each of those radices, and runs a larger prime factor
+    through a much slower general pass."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_transform(radius: float, h: float, ny: int, nx: int):
+    """The folded kernel of a (ny, nx) grid as the FFT product needs it: its
+    reach (ry, rx), the FFT shape (the edge-padded shape (ny + 2 ry,
+    nx + 2 rx) rounded up by `_fft_size`) and its real transform at that
+    shape; None for the one-cell kernel."""
+    offs, w = _bump_kernel(radius, h, fold=(ny, nx))
+    if len(offs) == 1:
+        return None
+    ry, rx = np.abs(offs).max(axis=0).tolist()
+    kernel = np.zeros((2 * ry + 1, 2 * rx + 1))
+    kernel[offs[:, 0] + ry, offs[:, 1] + rx] = w
+    shape = (_fft_size(ny + 2 * ry), _fft_size(nx + 2 * rx))
+    kt = np.fft.rfft2(kernel, s=shape)
+    kt.setflags(write=False)
+    return ry, rx, shape, kt
 
 
 def mollify_field(field: Field, radius: float) -> Field:
@@ -275,25 +329,30 @@ def mollify_field(field: Field, radius: float) -> Field:
     Stencil points outside the interior take the nearest-interior-cell value,
     the discrete version of continuing the field past the boundary with its
     boundary value.  The discrete kernel is normalised to unit sum, so
-    constants are reproduced exactly.  A radius below h leaves the one-cell
-    kernel, the identity, which returns the interior values as they are
-    (the convolution would add them to zero with weight 1).  Otherwise all
-    components are padded once and convolved in one pass over the kernel
-    offsets.
+    constants are reproduced to rounding.  A radius up to h leaves the
+    one-cell kernel, the identity, which returns the interior values as they
+    are.  Otherwise the kernel is folded onto the grid's (2 ny - 1, 2 nx - 1)
+    offsets (`_bump_kernel`), all components are continued and edge-padded
+    by its reach with one read through `Grid.pad_flat`, and convolved with
+    one FFT product (convolution theorem; Cooley & Tukey 1965), so a call
+    costs O(n^2 log n) whatever radius / h is.  The product is clipped at 0,
+    which removes the FFT's rounding below zero, and zeroed off the mask.
     """
-    if not radius > 0:
-        raise FieldError("mollifier radius must be positive")
     grid = field.grid
-    offs, w = _bump_kernel(radius, grid.h)
-    if len(offs) == 1:
+    kernel = _kernel_transform(radius, grid.h, grid.ny, grid.nx)
+    if kernel is None:
         return Field(grid, np.where(grid.mask, field.values, 0.0))
-    reach = max(max(abs(dy), abs(dx)) for dy, dx in offs)
+    ry, rx, shape, kt = kernel
     ny, nx = grid.ny, grid.nx
-    continued = field.values.reshape(field.p, ny * nx)[:, grid.pad_flat].reshape(-1, ny, nx)
-    padded = np.pad(continued, ((0, 0), (reach, reach), (reach, reach)), mode="edge")
-    out = np.zeros(continued.shape)
-    for (dy, dx), wk in zip(offs, w):
-        out += wk * padded[:, reach + dy: reach + dy + ny, reach + dx: reach + dx + nx]
+    rows = np.clip(np.arange(-ry, ny + ry), 0, ny - 1) * nx
+    cols = np.clip(np.arange(-rx, nx + rx), 0, nx - 1)
+    reads = grid.pad_flat[rows[:, None] + cols]
+    padded = field.values.reshape(field.p, ny * nx).take(reads, axis=1)
+    # the symmetric kernel sits at offset (ry, rx) of its array, so the
+    # circular product holds cell (y, x) at (y + 2 ry, x + 2 rx), clear of
+    # the wrap-around, which only reaches the first 2 ry rows and 2 rx columns
+    conv = np.fft.irfft2(np.fft.rfft2(padded, s=shape) * kt, s=shape)
+    out = np.maximum(conv[:, 2 * ry:2 * ry + ny, 2 * rx:2 * rx + nx], 0.0)
     return Field(grid, np.where(grid.mask, out, 0.0))
 
 

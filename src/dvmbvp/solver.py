@@ -79,7 +79,7 @@ import numpy as np
 
 from .collision import (eval_convolved_truncated, eval_truncated, eval_untruncated,
                         frequency_source, gain_truncated, row_entries, truncated_factor)
-from .fields import (BoundaryData, Field, FieldError, Grid, mollify_field,
+from .fields import (BoundaryData, Field, FieldError, Grid, kernel_reach, mollify_field,
                      truncate_and_mollify_boundary)
 from .geometry import ConvexDomain, boundary_param, boundary_quadrature
 from .model import VelocityModel, is_real
@@ -746,6 +746,7 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     """
     config.check()
     ws = _workspace_on(domain, model, None if start is None else start.grid, config, workspace)
+    kernel_reach(config.alpha, ws.grid.h)      # an unaffordable kernel fails before any table
     entry_vals = ws.entry_values(boundary)
     mass_cap = compute_mass_cap(domain, model, boundary, config.alpha)
     f = start.copy() if start is not None else Field.zeros(ws.grid, model.p)
@@ -835,6 +836,8 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
     config.check()
     schedule = list(config.alpha_schedule)
     ws = _workspace_on(domain, model, None if start is None else start.grid, config, workspace)
+    for a in schedule:
+        kernel_reach(a, ws.grid.h)             # an unaffordable kernel fails before any table
     fields_, traces, alphas = [], [], []
     notes = []
     prev = start
@@ -932,6 +935,8 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     config.check()
     ks = list(config.k_schedule)
     ws = _workspace_on(domain, model, None, config, workspace)
+    for a in config.alpha_schedule[-2:]:
+        kernel_reach(a, ws.grid.h)             # checked on the run grid, before the coarse one
     from . import diagnostics as diag   # deferred: diagnostics imports solver
 
     coarse = (ws.coarse if len(ks) > 1 else None) or ws

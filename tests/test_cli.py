@@ -293,6 +293,23 @@ def test_sweep_refuses_an_option_with_the_solver_config_message(tmp_path, shifte
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--single-stage"]])
+def test_solve_refuses_a_kernel_above_the_build_budget(tmp_path, shifted_model_file, capsys,
+                                                       command):
+    """On a disk of radius 1e-4 at grid_n 8, alpha = 0.5 spans 20,000 cells:
+    the solve exits 2 with one line, no traceback and no artifact."""
+    cfg = write_config(tmp_path, shifted_model_file,
+                       {"profile": "constant", "values": [1.0, 1.0, 1.0, 1.0]},
+                       {"grid_n": 8, "alpha": 0.5, "alpha_schedule": [0.5, 0.25],
+                        "k_schedule": [4.0]})
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                               "domain": {"kind": "disk", "radius": 1e-4}}))
+    assert main(command + [str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mollifier radius 0.5 spans") and err.count("\n") == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def write_csv_boundary(tmp_path, values, extra_rows=()):
     path = tmp_path / "inflow.csv"
     rows = [f"{i + 1},{t},{values[i]}" for i in range(4) for t in (0.0, 3.0, 6.0)]

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dvmbvp.fields import (BoundaryData, Field, FieldError, Grid, SampledTrace,
-                           _bump_kernel, bump_profile, mollify_field,
-                           truncate_and_mollify_boundary)
+from dvmbvp.fields import (KERNEL_BUDGET, BoundaryData, Field, FieldError, Grid,
+                           SampledTrace, _bump_kernel, _kernel_transform, bump_profile,
+                           kernel_reach, mollify_field, truncate_and_mollify_boundary)
 from dvmbvp.geometry import ConvexDomain, boundary_param
 
 
@@ -93,7 +93,7 @@ def test_mollify_constant_exact(disk, grid24):
 
 
 def mollify_one_component(values2d, radius, grid):
-    """Reference: one component at a time, as mollify_field did component by component."""
+    """Reference: one component at a time, one pass over the kernel offsets."""
     offs, w = _bump_kernel(radius, grid.h)
     reach = max(max(abs(dy), abs(dx)) for dy, dx in offs)
     continued = values2d.ravel()[grid.pad_flat].reshape(grid.ny, grid.nx)
@@ -108,6 +108,9 @@ def mollify_one_component(values2d, radius, grid):
 
 @pytest.mark.parametrize("n, radii", [(32, (0.5, 0.125, 1 / 64)), (64, (0.125,))])
 def test_mollify_field_stack_matches_per_component_bitwise(disk, n, radii):
+    """A component mollified in a stack and alone gives the same bits, and
+    both match the offset loop to rounding (the FFT product sums in
+    another order)."""
     grid = Grid(disk, n)
     values = np.random.default_rng(n).uniform(0.0, 2.0, (4, grid.ny, grid.nx)) * grid.mask
     f = Field(grid, values)
@@ -115,9 +118,63 @@ def test_mollify_field_stack_matches_per_component_bitwise(disk, n, radii):
         got = mollify_field(f, radius).values
         for i in range(4):
             want = mollify_one_component(values[i], radius, grid)
-            assert np.array_equal(got[i], want)
+            assert np.max(np.abs(got[i] - want)) <= 1e-13 * np.max(np.abs(want))
             one = mollify_field(Field(grid, values[i][None]), radius).values[0]
-            assert np.array_equal(one, want)
+            assert np.array_equal(one, got[i])
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.5])
+def test_folded_kernel_matches_the_unfolded_sum(radius):
+    """On a disk of radius 0.01 at grid_n 8 the kernel reaches 20 and 200
+    cells, far past the 8-cell box, so nearly all of it is folded onto the
+    edge offsets.  Reference: every cell sums the whole unfolded kernel,
+    built on its own mesh, over the edge-padded continued field."""
+    grid = Grid(ConvexDomain.disk(0.01), 8)
+    values = np.random.default_rng(8).uniform(0.0, 2.0, (2, grid.ny, grid.nx)) * grid.mask
+    got = mollify_field(Field(grid, values), radius).values
+    reach = int(radius / grid.h)
+    d = np.arange(-reach, reach + 1) * grid.h
+    w = bump_profile(np.hypot(d[:, None], d[None, :]) / radius)
+    w /= w.sum()
+    for i in range(2):
+        continued = values[i].ravel()[grid.pad_flat].reshape(grid.ny, grid.nx)
+        padded = np.pad(continued, reach, mode="edge")
+        want = np.zeros((grid.ny, grid.nx))
+        for iy, ix in np.argwhere(grid.mask):
+            want[iy, ix] = np.sum(w * padded[iy:iy + 2 * reach + 1, ix:ix + 2 * reach + 1])
+        assert np.max(np.abs(got[i] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_mollify_spike_among_zeros_stays_nonnegative(disk):
+    """The FFT product leaves rounding of either sign where the exact
+    convolution is 0; the mollifier clips it."""
+    grid = Grid(disk, 32)
+    values = np.zeros((1, grid.ny, grid.nx))
+    values[0, 16, 16] = 1.0
+    out = mollify_field(Field(grid, values), 0.25).values
+    assert out.min() >= 0.0
+    assert out.max() > 0.0 and abs(out.sum() - 1.0) < 1e-12
+
+
+def test_mollify_repeats_its_bits(disk):
+    grid = Grid(disk, 48)
+    values = np.random.default_rng(3).uniform(0.0, 2.0, (3, grid.ny, grid.nx)) * grid.mask
+    first = mollify_field(Field(grid, values), 0.3).values
+    _kernel_transform.cache_clear()
+    for _ in range(2):
+        again = mollify_field(Field(grid, values), 0.3).values
+        assert np.array_equal(first.view(np.int64), again.view(np.int64))
+
+
+def test_mollify_refuses_a_kernel_above_the_build_budget():
+    """A radius of 0.5 on a disk of radius 1e-4 at grid_n 8 spans 20,000
+    cells: the kernel would take 4e8 weights, so it is refused at once."""
+    grid = Grid(ConvexDomain.disk(1e-4), 8)
+    with pytest.raises(FieldError, match="weights to build"):
+        mollify_field(Field.constant(grid, [1.0]), 0.5)
+    assert (kernel_reach(0.5, 0.5 / 4095.5) + 1) ** 2 <= KERNEL_BUDGET
+    with pytest.raises(FieldError):
+        kernel_reach(0.5, 0.5 / 4096)
 
 
 @pytest.mark.parametrize("n", [16, 32])

@@ -926,6 +926,20 @@ def test_bad_option_is_refused_before_any_table(disk, broadwell, name, value):
         assert ws._tables == {}
 
 
+def test_unaffordable_kernel_is_refused_before_any_table(broadwell):
+    """On a disk of radius 0.0025 at grid_n 64, alpha = 0.5 spans 6,400 cells,
+    a kernel above the build budget; on the 16-cell coarse grid of a nested
+    sweep, 1.0 spans 3,200, within it.  Every solve refuses the schedule before
+    it builds a table, k_sweep on the run grid before it runs a coarse level."""
+    disk = dv.ConvexDomain.disk(0.0025)
+    cfg = SolverConfig(grid_n=64, alpha=0.5, alpha_schedule=(1.0, 0.5), k_schedule=(4.0, 16.0))
+    ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 64), cfg)
+    for run in (dv.k_sweep, dv.alpha_continuation, outer_fixed_point):
+        with pytest.raises(FieldError, match="weights to build"):
+            run(disk, broadwell, BoundaryData.constant([1.0] * 4), cfg, workspace=ws)
+        assert ws._tables == {} and ws.coarse._tables == {}
+
+
 # -- outer fixed point ------------------------------------------------------------
 
 def test_outer_zero_inflow(disk, broadwell, ws24):
