@@ -1,0 +1,581 @@
+"""Write one benchmark record: this checkout (the change) against a parent.
+
+    python3 scripts/bench_record.py SECTION [SECTION ...] --parent DIR [--label NAME]
+        --what TEXT --out FILE [--seeds 0 23] [--pairs 10] [--seconds 10]
+
+DIR is a checkout of the commit to compare with, for example one made with
+`git archive`; the change is the checkout that holds this script.  Every
+measurement runs in a fresh process; where both sides run, parent and change
+alternate, and the first side of a pair alternates too.  The record is strict
+JSON: the header `what`, `parent` (the label), `host` and `command`, then one
+key per SECTION, in the order given.  The sections are the functions listed
+in `SECTIONS`; each one's docstring says what it measures.
+
+The per-process measurements the sections are built from, each printing one
+JSON line, against the `dvmbvp` package under SRC:
+
+    --one INFLOW N SRC [--save PATH] [--margin C] [--all-fine] [--profile]
+        one default `k_sweep` (shifted Broadwell, unit disk) at N^2, INFLOW
+        `maxwellian` (the acceptance oracle), `step` or `dense` (the
+        Maxwellian with a = 2.5); `--save` stacks every level's estimate, the
+        last one being the final field; `--margin` sets the ladder start
+        margin, `--all-fine` runs every level on the run grid and `--profile`
+        times `mollify_field`
+    --calls SRC [--sizes N ...] [--save PATH]
+        one `mollify_field` call per (n, alpha); `--save` keeps the outputs
+    --sweep-ms SRC
+        one `apply_exponential` call per size of SWEEP_MS_SIZES
+    --faults WORKLOAD CHECKOUT
+        minor page faults per operation of one `bench/run.py` run of CHECKOUT
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import shlex
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+WORKLOADS = ("sweep32_maxwellian", "stage64_step", "diagnose128")
+MAXWELLIAN = (0.0, (0.1, -0.2), 0.05)        # the acceptance oracle's inflow
+DENSE = (2.5, (0.1, -0.2), 0.05)             # the same Maxwellian, density x12
+SWEEP_CASES = ([("maxwellian", n) for n in (32, 64, 128, 256)]
+               + [("step", n) for n in (32, 64, 128)] + [("dense", 32)])
+SWEEP_PAIRS = 3
+LEVEL_CASES = [(inflow, n) for inflow in ("maxwellian", "step") for n in (32, 64, 128)]
+FAULT_SECONDS = 8.0
+CALL_SIZES = (32, 64, 128, 256)
+CALL_ALPHAS = (0.0625, 0.125, 0.25, 0.5)
+CALL_SECONDS = 0.3            # each (n, alpha) repeats its call for about this long
+SMALL_RADII = (0.01, 1e-4)
+SMALL_TIMEOUT = 30.0
+MARGINS = (10.0, 30.0, 100.0, 300.0)
+MARGIN_SIZES = (32, 64)
+PROFILED = (128, 256)
+SWEEP_MS_SIZES = (32, 64, 128)
+SWEEP_MS_CALLS = 40
+SWEEP_MS_PROCESSES = 3
+
+
+# ---------------------------------------------------------------------------
+# per-process measurements
+# ---------------------------------------------------------------------------
+
+def inflow_boundary(dv, model, domain, inflow: str):
+    """The boundary data of INFLOW `maxwellian`, `dense` or `step`; the step
+    inflow is, per component i, 2 on half the boundary from i/p of a turn and
+    0.25 elsewhere."""
+    import numpy as np
+    if inflow != "step":
+        return dv.BoundaryData.maxwellian(model, *(DENSE if inflow == "dense" else MAXWELLIAN))
+    length = dv.geometry.boundary_param(domain).total_length
+    return dv.BoundaryData(tuple(
+        dv.fields.CallableTrace(lambda t, s=i / model.p * length:
+                                np.where(np.mod(t - s, length) < 0.5 * length, 2.0, 0.25))
+        for i in range(model.p)))
+
+
+def measure_sweep(inflow: str, n: int, src: str, save: str | None = None,
+                  margin: float | None = None, all_fine: bool = False,
+                  profile: bool = False) -> dict:
+    """One default k sweep in this process, set-up included in its wall time."""
+    sys.path.insert(0, src)
+    import numpy as np
+    import dvmbvp as dv
+    from dvmbvp import solver
+
+    if margin is not None:
+        solver.LADDER_START_MARGIN = margin
+    mollify_s = [0.0]
+    if profile:
+        inner = solver.mollify_field
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                mollify_s[0] += time.perf_counter() - t0
+        solver.mollify_field = timed
+    model, domain = dv.shifted_broadwell(), dv.ConvexDomain.disk()
+    boundary = inflow_boundary(dv, model, domain, inflow)
+    config = dv.SolverConfig(grid_n=n)
+    t0 = time.perf_counter()
+    ws = dv.SolverWorkspace(domain, model, dv.Grid(domain, n), config)
+    if all_fine:
+        ws.coarse = None
+    sweep = dv.k_sweep(domain, model, boundary, config, workspace=ws)
+    wall = time.perf_counter() - t0
+    sweeps, outer = {}, {}
+    starts = dict.fromkeys(("zero", "certified", "fallback"), 0)
+    for st in sweep.stages:
+        key = str(st.continuation.last.grid.n)
+        for tr in st.continuation.traces:
+            outer[key] = outer.get(key, 0) + tr.iterations
+            sweeps[key] = sweeps.get(key, 0) + sum(ch.iterations for ch in tr.children)
+            for ch in tr.children:
+                starts[ch.start] += 1
+    out = {
+        "inflow": inflow, "grid_n": n, "margin": margin, "all_fine": all_fine,
+        "wall_s": wall,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "converged": sweep.converged,
+        "alpha_stages": sum(len(st.continuation.traces) for st in sweep.stages),
+        "transport_sweeps": sum(sweeps.values()), "outer_iterations": sum(outer.values()),
+        "transport_sweeps_by_grid": sweeps, "outer_iterations_by_grid": outer,
+        "ladder_starts": starts,
+        "monotone_violations": sum(tr.monotone_violations for st in sweep.stages
+                                   for tr in st.continuation.traces),
+        "final_residuals": [st.continuation.final_residual for st in sweep.stages],
+        "k_distances": sweep.k_distances,
+    }
+    if inflow != "step":
+        a, b, c = DENSE if inflow == "dense" else MAXWELLIAN
+        exact = dv.Field.constant(sweep.field.grid,
+                                  np.exp(a + model.v @ np.array(b) + c * model.speeds_sq))
+        out["oracle_rel_l1"] = sweep.field.l1_distance(exact) / exact.mass()
+    if profile:
+        out["mollify_field_s"] = mollify_s[0]
+        out["mollify_field_share"] = mollify_s[0] / wall
+    if save:
+        np.save(save, np.stack([st.continuation.estimate.values for st in sweep.stages]))
+    return out
+
+
+def measure_calls(src: str, sizes, save: str | None) -> dict:
+    """Median wall time of one `mollify_field` call on a 4-component random
+    field on the unit disk, per (n, alpha); the first call builds the kernel
+    and is not timed."""
+    sys.path.insert(0, src)
+    import numpy as np
+    import dvmbvp as dv
+    from dvmbvp.fields import mollify_field
+
+    out, outputs = [], {}
+    for n in sizes:
+        grid = dv.Grid(dv.ConvexDomain.disk(), n)
+        values = np.random.default_rng(n).uniform(0.0, 2.0, (4, grid.ny, grid.nx)) * grid.mask
+        field = dv.Field(grid, values)
+        for alpha in CALL_ALPHAS:
+            t0 = time.perf_counter()
+            result = mollify_field(field, alpha).values
+            first = time.perf_counter() - t0
+            times = []
+            while sum(times) + first < CALL_SECONDS and len(times) < 200:
+                t0 = time.perf_counter()
+                mollify_field(field, alpha)
+                times.append(time.perf_counter() - t0)
+            out.append({"grid_n": n, "alpha": alpha, "reach": int(alpha / grid.h),
+                        "call_ms": 1e3 * statistics.median(times or [first]),
+                        "first_call_ms": 1e3 * first, "calls": max(1, len(times))})
+            outputs[f"{n}_{alpha}"] = result
+    if save:
+        np.savez(save, **outputs)
+    return {"calls": out}
+
+
+def measure_sweep_ms(src: str) -> dict:
+    """Median wall time, in ms, of SWEEP_MS_CALLS `apply_exponential` calls
+    per size: shifted Broadwell on the unit disk, frequency uniform on [0, 3]
+    and gain on [0, 2] (seed = grid size), alpha = 0.25, tables built by one
+    untimed call."""
+    sys.path.insert(0, src)
+    import numpy as np
+    import dvmbvp as dv
+
+    out = {}
+    for n in SWEEP_MS_SIZES:
+        disk, model = dv.ConvexDomain.disk(), dv.shifted_broadwell()
+        grid = dv.Grid(disk, n)
+        ws = dv.SolverWorkspace(disk, model, grid, dv.SolverConfig(grid_n=n))
+        rng = np.random.default_rng(n)
+        nu = rng.uniform(0.0, 3.0, (model.p, grid.ny, grid.nx))
+        gain = rng.uniform(0.0, 2.0, (model.p, grid.ny, grid.nx))
+        entry = ws.entry_values(dv.BoundaryData.constant([0.5, 1.0, 1.5, 2.0]))
+        ws.apply_exponential(entry, nu, gain, 0.25)
+        times = []
+        for _ in range(SWEEP_MS_CALLS):
+            t0 = time.perf_counter()
+            ws.apply_exponential(entry, nu, gain, 0.25)
+            times.append(time.perf_counter() - t0)
+        out[f"{n}^2"] = 1e3 * statistics.median(times)
+    return out
+
+
+def measure_faults(workload: str, checkout: Path) -> dict:
+    """One untraced `bench/run.py` measurement of `checkout` at seed 0, with
+    the minor page faults of every operation counted around the workload's `op`."""
+    sys.path[:0] = [str(checkout / "bench"), str(checkout / "src")]
+    import run
+    wl = run.import_workloads().WORKLOADS[workload]()
+    faults, op = [], wl.op
+
+    def counted(*args):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        try:
+            return op(*args)
+        finally:
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    wl.op = counted
+    res = run.measure(wl, 0, FAULT_SECONDS)
+    return {"ops": len(faults), "minor_faults_per_op_median": statistics.median(faults),
+            "minor_faults_first_op": faults[0],
+            "minor_faults_per_op_after_first": statistics.mean(faults[1:] or faults),
+            "op_s": res["metrics"]["op_s"][0]}
+
+
+# ---------------------------------------------------------------------------
+# running the measurements
+# ---------------------------------------------------------------------------
+
+def log(msg: str) -> None:
+    print(msg, file=sys.stderr, flush=True)
+
+
+def run_json(cmd, cwd=ROOT) -> tuple[dict, list]:
+    """Run a command; the JSON object on its last output line, and the lines before."""
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    return json.loads(lines[-1]), lines[:-1]
+
+
+def measure(*args) -> dict:
+    """One per-process measurement of this script, in a fresh process."""
+    return run_json([sys.executable, str(Path(__file__).resolve()), *map(str, args)])[0]
+
+
+def checkout(side: str, parent: Path) -> Path:
+    return parent if side == "parent" else ROOT
+
+
+def alternating(pairs: int):
+    """The sides of each pair in run order: the first side alternates."""
+    for i in range(pairs):
+        yield SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def rel_l1(got, want) -> float:
+    import numpy as np
+    return float(np.abs(got - want).sum() / np.abs(want).sum())
+
+
+def quartiles(xs) -> dict:
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": statistics.median(xs), "q1": q[0], "q3": q[2], "iqr": q[2] - q[0]}
+
+
+def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `bench/run.py` run: its four end-to-end metrics, its operation
+    counts, and the oracle error and sweep counts it prints."""
+    res, lines = run_json([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          root)
+    out = {name: m["value"] for name, m in res["metrics"].items()}
+    out.update(attempted=res["attempted"], failed=res["failed"])
+    for line in lines:
+        key, _, val = line.strip().partition(": ")
+        if key in ("oracle_rel_l1", "transport_sweeps", "outer_iterations",
+                   "monotone_violations"):
+            out[key] = float(val)
+    return out
+
+
+def bench_pair_stats(parent: Path, workload: str, seed: int, pairs: int,
+                     seconds: float) -> dict:
+    runs = {side: [] for side in SIDES}
+    for i, order in enumerate(alternating(pairs)):
+        for side in order:
+            runs[side].append(bench_run(checkout(side, parent), workload, seed, seconds))
+            log(f"{workload} seed {seed} pair {i} {side}: op_s {runs[side][-1]['op_s']:.4f}")
+    op = {side: [r["op_s"] for r in runs[side]] for side in SIDES}
+    stats = {side: quartiles(op[side]) for side in SIDES}
+    return {
+        "runs": runs,
+        "op_s": stats,
+        "change_wins": sum(c < p for p, c in zip(op["parent"], op["change"])),
+        "median_ratio": stats["change"]["median"] / stats["parent"]["median"],
+        "median_gap_over_parent_iqr":
+            (stats["parent"]["median"] - stats["change"]["median"]) / stats["parent"]["iqr"],
+        "metric_medians": {side: {m: statistics.median(r[m] for r in runs[side])
+                                  for m in ("setup_s", "op_s", "peak_rss_mb", "mild_residual")}
+                           for side in SIDES},
+    }
+
+
+# ---------------------------------------------------------------------------
+# sections: each takes (parent checkout, scratch directory, parsed options)
+# ---------------------------------------------------------------------------
+
+def bench_pairs(parent: Path, tmp: str, args) -> dict:
+    """Per workload of WORKLOADS and per `--seeds` seed, `--pairs` alternating
+    pairs of `bench/run.py --seconds S`, each run in its own checkout: all
+    four end-to-end metrics and the sweep counts, the op_s quartiles per side,
+    the pairs the change won and the median gap over the parent's IQR."""
+    return {w: {str(seed): bench_pair_stats(parent, w, seed, args.pairs, args.seconds)
+                for seed in args.seeds}
+            for w in WORKLOADS}
+
+
+def sweeps(parent: Path, tmp: str, args) -> list:
+    """Per case of SWEEP_CASES, SWEEP_PAIRS alternating pairs of `--one`: each
+    run's counts, wall time, oracle error and residuals, the median wall times,
+    and whether the change's final field is bitwise the parent's, with its
+    relative L1 distance from it."""
+    import numpy as np
+    out = []
+    for inflow, n in SWEEP_CASES:
+        runs = {side: [] for side in SIDES}
+        for order in alternating(SWEEP_PAIRS):
+            for side in order:
+                runs[side].append(measure("--one", inflow, n, checkout(side, parent) / "src",
+                                          "--save", f"{tmp}/{side}.npy"))
+                log(f"sweep {inflow} {n} {side}: {runs[side][-1]['wall_s']:.2f} s, "
+                    f"{runs[side][-1]['transport_sweeps']} sweeps")
+        want, got = (np.load(f"{tmp}/{side}.npy")[-1] for side in SIDES)
+        wall = {side: statistics.median(r["wall_s"] for r in runs[side]) for side in SIDES}
+        out.append({
+            "inflow": inflow, "grid_n": n, "wall_s_median": wall,
+            "speedup": wall["parent"] / wall["change"],
+            "change_wins": sum(c["wall_s"] < p["wall_s"]
+                               for p, c in zip(runs["parent"], runs["change"])),
+            "final_field_bitwise_equal": bool(np.array_equal(want.view(np.int64),
+                                                             got.view(np.int64))),
+            "rel_l1_from_parent": rel_l1(got, want),
+            "runs": runs,
+        })
+    return out
+
+
+def earlier_levels(parent: Path, tmp: str, args) -> list:
+    """Per case of LEVEL_CASES and per level but the last, the relative L1
+    distance of the change's estimate from the parent's, against the gap
+    between the parent's estimate and the change's all-fine sweep (every
+    level on the run grid); also how far each level's final residual and
+    each k distance move."""
+    import numpy as np
+    out = []
+    for inflow, n in LEVEL_CASES:
+        res = {}
+        for side, root, extra in (("parent", parent, ()), ("change", ROOT, ()),
+                                  ("all_fine", ROOT, ("--all-fine",))):
+            res[side] = measure("--one", inflow, n, root / "src", "--save", f"{tmp}/{side}.npy",
+                                *extra)
+        est = {side: np.load(f"{tmp}/{side}.npy") for side in res}
+        levels = []
+        for j in range(len(est["parent"]) - 1):
+            moved = rel_l1(est["change"][j], est["parent"][j])
+            gap = rel_l1(est["parent"][j], est["all_fine"][j])
+            levels.append({"level": j, "moved": moved, "nested_vs_fine_gap": gap,
+                           "moved_over_gap": moved / gap})
+        want, got = res["parent"], res["change"]
+        out.append({
+            "inflow": inflow, "grid_n": n, "levels": levels,
+            "final_field_moved": rel_l1(est["change"][-1], est["parent"][-1]),
+            "final_residual_rel_change": [abs(g / w - 1.0) for g, w in zip(
+                got["final_residuals"], want["final_residuals"])],
+            "k_distance_rel_change": [abs(g / w - 1.0) for g, w in zip(
+                got["k_distances"], want["k_distances"])],
+            "runs": res,
+        })
+        log(f"levels {inflow} {n}: earlier levels moved <= "
+            f"{max(lv['moved_over_gap'] for lv in levels):.2e} of their gap")
+    return out
+
+
+def page_faults(parent: Path, tmp: str, args) -> dict:
+    """Per workload of WORKLOADS, one `--faults` measurement per side: minor
+    page faults per operation (median, first, mean after the first) and op_s."""
+    out = {}
+    for w in WORKLOADS:
+        out[w] = {side: measure("--faults", w, checkout(side, parent)) for side in SIDES}
+        log(f"faults {w}: {out[w]['parent']['minor_faults_per_op_median']} -> "
+            f"{out[w]['change']['minor_faults_per_op_median']} per op")
+    return out
+
+
+def calls(parent: Path, tmp: str, args) -> list:
+    """One `--calls` run per side: per (n, alpha) of CALL_SIZES x CALL_ALPHAS,
+    the median call time of each side, and the largest difference of the
+    change's output from the parent's, relative to the parent's largest value."""
+    import numpy as np
+    runs = {side: measure("--calls", checkout(side, parent) / "src",
+                          "--save", f"{tmp}/{side}_calls.npz")["calls"] for side in SIDES}
+    want, got = (np.load(f"{tmp}/{side}_calls.npz") for side in SIDES)
+    out = []
+    for p, c in zip(runs["parent"], runs["change"]):
+        key = f"{p['grid_n']}_{p['alpha']}"
+        out.append({"grid_n": p["grid_n"], "alpha": p["alpha"], "reach": p["reach"],
+                    "call_ms": {"parent": p["call_ms"], "change": c["call_ms"]},
+                    "speedup": p["call_ms"] / c["call_ms"],
+                    "max_rel_diff": float(np.abs(got[key] - want[key]).max()
+                                          / np.abs(want[key]).max()),
+                    "change_min": float(got[key].min())})
+    return out
+
+
+def small_disks(parent: Path, tmp: str, args) -> list:
+    """`dvmbvp solve` on disks of each radius of SMALL_RADII at grid_n 8
+    (constant inflow 1, alpha_schedule [0.5, 0.25], k_schedule [4]), per side:
+    exit code, process wall time and the last stderr line; a run still going
+    after SMALL_TIMEOUT seconds is stopped and marked so."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import dvmbvp as dv          # the change's package, only to write the model file
+    model_file = Path(tmp) / "model.json"
+    dv.save_model(dv.shifted_broadwell(), model_file)
+    out = []
+    for radius in SMALL_RADII:
+        runs = {}
+        for side in SIDES:
+            cfg = Path(tmp) / f"small_{side}.json"
+            cfg.write_text(json.dumps({
+                "model": str(model_file), "domain": {"kind": "disk", "radius": radius},
+                "boundary": {"profile": "constant", "values": [1.0, 1.0, 1.0, 1.0]},
+                "solver": {"grid_n": 8, "alpha_schedule": [0.5, 0.25], "k_schedule": [4.0]},
+                "output_dir": str(Path(tmp) / f"small_{side}_out")}))
+            env = {**os.environ, "PYTHONPATH": str(checkout(side, parent) / "src")}
+            t0 = time.perf_counter()
+            try:
+                proc = subprocess.run([sys.executable, "-m", "dvmbvp.cli", "solve", str(cfg)],
+                                      capture_output=True, text=True, env=env,
+                                      timeout=SMALL_TIMEOUT)
+                runs[side] = {"exit_code": proc.returncode,
+                              "stderr_last_line": (proc.stderr.strip().splitlines()
+                                                   or [""])[-1]}
+            except subprocess.TimeoutExpired:
+                runs[side] = {"exit_code": None, "timed_out_after_s": SMALL_TIMEOUT}
+            runs[side]["wall_s"] = time.perf_counter() - t0
+            log(f"disk {radius} {side}: {runs[side]}")
+        out.append({"radius": radius, "grid_n": 8, "runs": runs})
+    return out
+
+
+def margin_scan(parent: Path, tmp: str, args) -> list:
+    """The change's `--one` on the Maxwellian and the step inflow at each of
+    MARGIN_SIZES, with the ladder start margin at infinity (every ladder from
+    zero) and at each of MARGINS: each run's counts, starts, violations,
+    oracle error and residuals, and its final field's relative L1 distance
+    from the zero-start sweep's."""
+    import numpy as np
+    out = []
+    for inflow in ("maxwellian", "step"):
+        for n in MARGIN_SIZES:
+            zero = measure("--one", inflow, n, ROOT / "src", "--save", f"{tmp}/zero.npy",
+                           "--margin", "inf")
+            zero["margin"] = "inf"
+            runs = [zero]
+            for c in MARGINS:
+                runs.append(measure("--one", inflow, n, ROOT / "src", "--save",
+                                    f"{tmp}/margin.npy", "--margin", repr(c)))
+                runs[-1]["rel_l1_from_zero_start"] = rel_l1(np.load(f"{tmp}/margin.npy")[-1],
+                                                             np.load(f"{tmp}/zero.npy")[-1])
+            for r in runs:
+                log(f"margin {inflow} {n} c={r['margin']}: {r['transport_sweeps']} sweeps, "
+                    f"starts {r['ladder_starts']}")
+            out.extend(runs)
+    return out
+
+
+def mollify_share(parent: Path, tmp: str, args) -> list:
+    """The change's `--one --profile` on the Maxwellian at each of PROFILED:
+    the share of the sweep's wall time spent in `mollify_field`."""
+    return [measure("--one", "maxwellian", n, ROOT / "src", "--profile") for n in PROFILED]
+
+
+def sweep_ms(parent: Path, tmp: str, args) -> dict:
+    """SWEEP_MS_PROCESSES alternating `--sweep-ms` processes per side, and the
+    median over them of each size's call time, in ms."""
+    runs = {side: [] for side in SIDES}
+    for order in alternating(SWEEP_MS_PROCESSES):
+        for side in order:
+            runs[side].append(measure("--sweep-ms", checkout(side, parent) / "src"))
+            log(f"sweep ms {side}: {runs[side][-1]}")
+    return {"median_ms": {side: {size: statistics.median(r[size] for r in runs[side])
+                                 for size in runs[side][0]} for side in SIDES},
+            "runs": runs}
+
+
+SECTIONS = {f.__name__: f for f in (bench_pairs, sweeps, earlier_levels, page_faults, calls,
+                                     small_disks, margin_scan, mollify_share, sweep_ms)}
+
+
+# ---------------------------------------------------------------------------
+# the record
+# ---------------------------------------------------------------------------
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("sections", nargs="*", metavar="SECTION",
+                    help=f"one of {', '.join(SECTIONS)}")
+    ap.add_argument("--parent", type=Path)
+    ap.add_argument("--label", default="parent")
+    ap.add_argument("--what")
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 23])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--one", nargs=3, metavar=("INFLOW", "N", "SRC"))
+    ap.add_argument("--save")
+    ap.add_argument("--margin", type=float)
+    ap.add_argument("--all-fine", action="store_true")
+    ap.add_argument("--profile", action="store_true")
+    ap.add_argument("--calls", metavar="SRC")
+    ap.add_argument("--sizes", type=int, nargs="+", default=list(CALL_SIZES))
+    ap.add_argument("--sweep-ms", metavar="SRC")
+    ap.add_argument("--faults", nargs=2, metavar=("WORKLOAD", "CHECKOUT"))
+    args = ap.parse_args(argv)
+    if args.one:
+        inflow, n, src = args.one
+        result = measure_sweep(inflow, int(n), src, args.save, args.margin, args.all_fine,
+                               args.profile)
+    elif args.calls:
+        result = measure_calls(args.calls, args.sizes, args.save)
+    elif args.sweep_ms:
+        result = measure_sweep_ms(args.sweep_ms)
+    elif args.faults:
+        result = measure_faults(args.faults[0], Path(args.faults[1]).resolve())
+    else:
+        return write_record(ap, args)
+    print(json.dumps(result))
+    return 0
+
+
+def write_record(ap, args) -> int:
+    if args.parent is None or args.what is None or args.out is None or not args.sections:
+        ap.error("a record needs --parent, --what, --out and at least one SECTION")
+    unknown = [name for name in args.sections if name not in SECTIONS]
+    if unknown:
+        ap.error(f"unknown section {unknown[0]!r}; choose from {', '.join(SECTIONS)}")
+    import numpy
+    command = ["python3", "scripts/bench_record.py", *args.sections,
+               "--parent", f"<checkout of {args.label}>", "--label", args.label,
+               "--what", args.what, "--out", str(args.out), "--seeds", *map(str, args.seeds),
+               "--pairs", str(args.pairs), "--seconds", f"{args.seconds:g}"]
+    record = {
+        "what": args.what,
+        "parent": args.label,
+        "host": {"python": platform.python_version(), "numpy": numpy.__version__,
+                 "cpus": os.cpu_count(), "machine": platform.machine()},
+        "command": shlex.join(command),
+    }
+    parent = args.parent.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in args.sections:
+            log(f"section {name}")
+            record[name] = SECTIONS[name](parent, tmp, args)
+    args.out.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n")
+    log(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

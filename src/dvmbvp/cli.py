@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -33,6 +34,20 @@ EXIT_CONVERGENCE = 3
 def _fail_input(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_INPUT
+
+
+def _json(obj, **kwargs) -> str:
+    """`json.dumps` with every non-finite float written as null, so that
+    every report and artifact is strict JSON."""
+    def finite(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {key: finite(val) for key, val in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(val) for val in x]
+        return x
+    return json.dumps(finite(obj), allow_nan=False, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +202,7 @@ def parse_boundary(bspec, model: VelocityModel) -> BoundaryData:
 
 
 def run_hash(model: VelocityModel, raw_config: dict) -> str:
-    blob = json.dumps({"model": model_to_dict(model),
+    blob = _json({"model": model_to_dict(model),
                        "domain": raw_config.get("domain"),
                        "solver": raw_config.get("solver", {})},
                       sort_keys=True, separators=(",", ":"))
@@ -220,7 +235,7 @@ def cmd_model_check(args) -> int:
         "certified": cert.certified,
     }
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json(report, indent=2))
     else:
         print(f"velocities: {model.p}, rules: {len(model.rules)}")
         for v in report["violations"]:
@@ -297,11 +312,13 @@ def cmd_model_gen_circle(args) -> int:
     return EXIT_OK
 
 
+def _write_meta(path: Path, meta: dict) -> None:
+    path.with_suffix(".meta.json").write_text(_json(meta, indent=2) + "\n")
+
+
 def _write_field(field: Field, path: Path, meta: dict) -> None:
     field.save_csv(path)
-    with open(path.with_suffix(".meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    _write_meta(path, meta)
 
 
 def _make_output_dir(outdir: Path) -> str | None:
@@ -352,9 +369,9 @@ def cmd_solve(args) -> int:
             "outer_iterations": trace.iterations, "mass": field.mass(),
             "damped_mild_residual": trace.residual,
         }
-        with open(outdir / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
-        print(json.dumps(summary, indent=2))
+        text = _json(summary, indent=2)
+        (outdir / "summary.json").write_text(text)
+        print(text)
         return EXIT_OK if trace.converged else EXIT_CONVERGENCE
 
     for stage in sweep.stages:
@@ -362,22 +379,23 @@ def cmd_solve(args) -> int:
         starts = [ch.start for t in stage.continuation.traces for ch in t.children]
         _write_field(stage.continuation.estimate, outdir / f"field_{tag}.csv",
                      {**meta_base, "k": stage.k})
-        with open(outdir / f"report_{tag}.json", "w") as fh:
-            json.dump({"hash": rhash, **stage.diagnostics,
-                       "cauchy_distances": stage.continuation.cauchy_distances,
-                       "alpha_converged": stage.continuation.converged,
-                       "alphas": stage.continuation.alphas,
-                       "stage_terminations": [t.termination
-                                              for t in stage.continuation.traces],
-                       "final_residual": stage.continuation.final_residual,
-                       # the grid that final_residual and the terminations describe
-                       "solve_grid_n": stage.continuation.last.grid.n,
-                       # where the inner ladders of those stages started
-                       "ladder_starts": {s: starts.count(s)
-                                         for s in ("zero", "certified", "fallback")},
-                       "warnings": stage.continuation.warnings}, fh, indent=2)
-    final = sweep.field
-    _write_field(final, outdir / "field_final.csv", meta_base)
+        report = {"hash": rhash, **stage.diagnostics,
+                  "cauchy_distances": stage.continuation.cauchy_distances,
+                  "alpha_converged": stage.continuation.converged,
+                  "alphas": stage.continuation.alphas,
+                  "stage_terminations": [t.termination
+                                         for t in stage.continuation.traces],
+                  "final_residual": stage.continuation.final_residual,
+                  # the grid that final_residual and the terminations describe
+                  "solve_grid_n": stage.continuation.last.grid.n,
+                  # where the inner ladders of those stages started
+                  "ladder_starts": {s: starts.count(s)
+                                    for s in ("zero", "certified", "fallback")},
+                  "warnings": stage.continuation.warnings}
+        (outdir / f"report_{tag}.json").write_text(_json(report, indent=2))
+    final = sweep.field            # the last level's estimate, written just above
+    shutil.copyfile(outdir / f"field_k{sweep.stages[-1].k:g}.csv", outdir / "field_final.csv")
+    _write_meta(outdir / "field_final.csv", meta_base)
     mild = residual_mild(domain, model, boundary, final, k=None, workspace=ws)
     renorm = residual_renormalized(domain, model, boundary, final, workspace=ws)
     # a stage converges on its damped residual; the untruncated one must be finite too
@@ -395,9 +413,9 @@ def cmd_solve(args) -> int:
         "soft_check_warnings": diag.sweep_soft_checks(
             [s.diagnostics for s in sweep.stages if s.diagnostics]),
     }
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-    print(json.dumps(summary, indent=2))
+    text = _json(summary, indent=2)
+    (outdir / "summary.json").write_text(text)
+    print(text)
     return EXIT_OK if converged else EXIT_CONVERGENCE
 
 
@@ -456,8 +474,8 @@ def cmd_diagnose(args) -> int:
         "moduli_shifts": shifts,
         "moduli": moduli,
     }
-    with open(outdir / "diagnostics.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+    text = _json(report, indent=2)
+    (outdir / "diagnostics.json").write_text(text)
     lines = [f"{key}: {val}" for key, val in report.items() if key != "moduli"]
     with open(outdir / "diagnostics.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -467,7 +485,7 @@ def cmd_diagnose(args) -> int:
             for ci, row in enumerate(np.atleast_2d(rows)):
                 for s, mval in zip(shifts, row):
                     fh.write(f"{name},{ci + 1},{s!r},{mval!r}\n")
-    print(json.dumps(report, indent=2))
+    print(text)
     return EXIT_OK
 
 

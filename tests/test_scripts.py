@@ -1,10 +1,13 @@
-"""Smoke test: the record scripts' per-process measurements still run.
+"""Smoke tests: the record harness's per-process measurements still run, a
+whole record comes out as strict JSON, and every checked-in record keeps the
+header the harness writes.
 
-The scripts under `scripts/` reach solver internals by name (trace fields,
-module constants), so a rename in `src/` can break them without failing any
+`scripts/bench_record.py` reaches solver internals by name (trace fields,
+module constants), so a rename in `src/` can break it without failing any
 other test.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -13,27 +16,33 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+HARNESS = ROOT / "scripts" / "bench_record.py"
+HEADER = ("what", "parent", "host", "command")
+
+
+def measure(*args) -> dict:
+    proc = subprocess.run([sys.executable, str(HARNESS), *map(str, args)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def strict_json(path: Path):
+    def refuse(constant):
+        raise ValueError(f"{path.name}: {constant} is not strict JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 @pytest.mark.parametrize("inflow", ["maxwellian", "step"])
 def test_nested_grids_one_sweep(inflow):
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_nested_grids.py"),
-                           "--one", inflow, "16", str(ROOT / "src")],
-                          cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = measure("--one", inflow, 16, ROOT / "src")
     assert out["converged"] and out["monotone_violations"] == 0
 
 
 def test_coarse_tolerance_levels(tmp_path):
-    """The per-level measurement reaches the coarse workspace and each stage's
+    """The sweep measurement reaches the coarse workspace and each stage's
     estimate by name: four k levels, three distances between them."""
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_coarse_tolerances.py"),
-                           "--levels", "maxwellian", "32", str(ROOT / "src"),
-                           str(tmp_path / "levels.npy")],
-                          cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = measure("--one", "maxwellian", 32, ROOT / "src", "--save", tmp_path / "levels.npy")
     assert len(out["final_residuals"]) == 4 and len(out["k_distances"]) == 3
 
 
@@ -41,14 +50,33 @@ def test_mollifier_calls(tmp_path):
     """The per-call timing reaches `mollify_field` by name: one entry per
     (n, alpha), and the saved outputs are nonnegative."""
     import numpy as np
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_mollifier.py"),
-                           "--calls", str(ROOT / "src"), "--sizes", "16", "32",
-                           "--save", str(tmp_path / "calls.npz")],
-                          cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    out = json.loads(proc.stdout.strip().splitlines()[-1])["calls"]
+    out = measure("--calls", ROOT / "src", "--sizes", 16, 32,
+                  "--save", tmp_path / "calls.npz")["calls"]
     assert [(c["grid_n"], c["alpha"]) for c in out] == [
         (n, a) for n in (16, 32) for a in (0.0625, 0.125, 0.25, 0.5)]
     assert all(c["call_ms"] > 0 for c in out)
     saved = np.load(tmp_path / "calls.npz")
     assert len(saved.files) == 8 and all(saved[k].min() >= 0.0 for k in saved.files)
+
+
+def test_record_against_itself(tmp_path, monkeypatch):
+    """A whole record, the repository as its own parent, on the smallest sweep
+    case: strict JSON with the header, and a final field bitwise its own."""
+    spec = importlib.util.spec_from_file_location("bench_record", HARNESS)
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    monkeypatch.setattr(harness, "SWEEP_CASES", harness.SWEEP_CASES[:1])
+    monkeypatch.setattr(harness, "SWEEP_PAIRS", 1)
+    out = tmp_path / "BENCH_self.json"
+    assert harness.main(["sweeps", "--parent", str(ROOT), "--label", "self",
+                         "--what", "the repository against itself", "--out", str(out)]) == 0
+    record = strict_json(out)
+    assert list(record)[:4] == list(HEADER) and record["parent"] == "self"
+    [case] = record["sweeps"]
+    assert case["final_field_bitwise_equal"] and case["rel_l1_from_parent"] == 0.0
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_checked_in_records_keep_the_header(path):
+    record = strict_json(path)
+    assert all(key in record for key in HEADER)
