@@ -25,6 +25,8 @@ JSON line, against the `dvmbvp` package under SRC:
         one `mollify_field` call per (n, alpha); `--save` keeps the outputs
     --sweep-ms SRC
         one `apply_exponential` call per size of SWEEP_MS_SIZES
+    --balance SRC [--sizes N ...]
+        BALANCE_CALLS `characteristic_balance` calls per size
     --faults WORKLOAD CHECKOUT
         minor page faults per operation of one `bench/run.py` run of CHECKOUT
 """
@@ -32,6 +34,7 @@ JSON line, against the `dvmbvp` package under SRC:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -65,6 +68,8 @@ PROFILED = (128, 256)
 SWEEP_MS_SIZES = (32, 64, 128)
 SWEEP_MS_CALLS = 40
 SWEEP_MS_PROCESSES = 3
+BALANCE_SIZES = (32, 64, 128)
+BALANCE_CALLS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +143,9 @@ def measure_sweep(inflow: str, n: int, src: str, save: str | None = None,
                                    for tr in st.continuation.traces),
         "final_residuals": [st.continuation.final_residual for st in sweep.stages],
         "k_distances": sweep.k_distances,
+        # every float of every level's diagnostics dict, written exactly (repr)
+        "diagnostics_sha256": hashlib.sha256(
+            json.dumps([st.diagnostics for st in sweep.stages]).encode()).hexdigest(),
     }
     if inflow != "step":
         a, b, c = DENSE if inflow == "dense" else MAXWELLIAN
@@ -209,6 +217,43 @@ def measure_sweep_ms(src: str) -> dict:
             ws.apply_exponential(entry, nu, gain, 0.25)
             times.append(time.perf_counter() - t0)
         out[f"{n}^2"] = 1e3 * statistics.median(times)
+    return out
+
+
+def measure_balance(src: str, sizes) -> dict:
+    """Per size, BALANCE_CALLS `characteristic_balance` calls after one untimed
+    first call, on a workspace where the function takes one: shifted
+    Broadwell on the unit disk, the oracle Maxwellian times 1.01 and k = 16;
+    the median call time in ms and the minor page faults of the calls
+    after the first."""
+    sys.path.insert(0, src)
+    import inspect
+    import numpy as np
+    import dvmbvp as dv
+    from dvmbvp.diagnostics import characteristic_balance, collision_grids
+
+    out = {}
+    disk, model = dv.ConvexDomain.disk(), dv.shifted_broadwell()
+    boundary = dv.BoundaryData.maxwellian(model, *MAXWELLIAN)
+    a, b, c = MAXWELLIAN
+    eq = np.exp(a + model.v @ np.array(b) + c * model.speeds_sq)
+    takes_ws = "workspace" in inspect.signature(characteristic_balance).parameters
+    for n in sizes:
+        grid = dv.Grid(disk, n)
+        ws = dv.SolverWorkspace(disk, model, grid, dv.SolverConfig(grid_n=n))
+        field = dv.Field.constant(grid, 1.01 * eq)
+        nu, gain = collision_grids(model, field, k=16.0)
+        kwargs = {"workspace": ws} if takes_ws else {}
+        characteristic_balance(disk, model, field, boundary, 0.0, nu, gain, **kwargs)
+        times, faults = [], 0
+        for _ in range(BALANCE_CALLS):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            t0 = time.perf_counter()
+            characteristic_balance(disk, model, field, boundary, 0.0, nu, gain, **kwargs)
+            times.append(time.perf_counter() - t0)
+            faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        out[f"{n}^2"] = {"call_ms": 1e3 * statistics.median(times),
+                         "minor_faults_after_first": faults, "on_workspace": takes_ws}
     return out
 
 
@@ -329,8 +374,9 @@ def bench_pairs(parent: Path, tmp: str, args) -> dict:
 def sweeps(parent: Path, tmp: str, args) -> list:
     """Per case of SWEEP_CASES, SWEEP_PAIRS alternating pairs of `--one`: each
     run's counts, wall time, oracle error and residuals, the median wall times,
-    and whether the change's final field is bitwise the parent's, with its
-    relative L1 distance from it."""
+    whether the change's final field is bitwise the parent's, with its
+    relative L1 distance from it, and whether every run's level diagnostics
+    are bitwise the same."""
     import numpy as np
     out = []
     for inflow, n in SWEEP_CASES:
@@ -342,6 +388,7 @@ def sweeps(parent: Path, tmp: str, args) -> list:
                 log(f"sweep {inflow} {n} {side}: {runs[side][-1]['wall_s']:.2f} s, "
                     f"{runs[side][-1]['transport_sweeps']} sweeps")
         want, got = (np.load(f"{tmp}/{side}.npy")[-1] for side in SIDES)
+        digests = {r["diagnostics_sha256"] for side in SIDES for r in runs[side]}
         wall = {side: statistics.median(r["wall_s"] for r in runs[side]) for side in SIDES}
         out.append({
             "inflow": inflow, "grid_n": n, "wall_s_median": wall,
@@ -351,6 +398,7 @@ def sweeps(parent: Path, tmp: str, args) -> list:
             "final_field_bitwise_equal": bool(np.array_equal(want.view(np.int64),
                                                              got.view(np.int64))),
             "rel_l1_from_parent": rel_l1(got, want),
+            "diagnostics_bitwise_equal": len(digests) == 1,
             "runs": runs,
         })
     return out
@@ -504,8 +552,21 @@ def sweep_ms(parent: Path, tmp: str, args) -> dict:
             "runs": runs}
 
 
+def balance_calls(parent: Path, tmp: str, args) -> dict:
+    """One `--balance` process per side at BALANCE_SIZES: per size, the median
+    `characteristic_balance` call time and the minor page faults of
+    BALANCE_CALLS calls after the first."""
+    runs = {side: measure("--balance", checkout(side, parent) / "src",
+                          "--sizes", *BALANCE_SIZES) for side in SIDES}
+    for size in runs["parent"]:
+        log(f"balance {size}: {runs['parent'][size]['call_ms']:.2f} -> "
+            f"{runs['change'][size]['call_ms']:.2f} ms")
+    return runs
+
+
 SECTIONS = {f.__name__: f for f in (bench_pairs, sweeps, earlier_levels, page_faults, calls,
-                                     small_disks, margin_scan, mollify_share, sweep_ms)}
+                                     small_disks, margin_scan, mollify_share, sweep_ms,
+                                     balance_calls)}
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +593,7 @@ def main(argv=None) -> int:
     ap.add_argument("--sizes", type=int, nargs="+", default=list(CALL_SIZES))
     ap.add_argument("--sweep-ms", metavar="SRC")
     ap.add_argument("--faults", nargs=2, metavar=("WORKLOAD", "CHECKOUT"))
+    ap.add_argument("--balance", metavar="SRC")
     args = ap.parse_args(argv)
     if args.one:
         inflow, n, src = args.one
@@ -541,6 +603,8 @@ def main(argv=None) -> int:
         result = measure_calls(args.calls, args.sizes, args.save)
     elif args.sweep_ms:
         result = measure_sweep_ms(args.sweep_ms)
+    elif args.balance:
+        result = measure_balance(args.balance, args.sizes)
     elif args.faults:
         result = measure_faults(args.faults[0], Path(args.faults[1]).resolve())
     else:

@@ -334,7 +334,8 @@ def cmd_solve(args) -> int:
     try:
         model, domain, boundary, config, outdir, raw = load_run_config(args.config)
         grid = Grid(domain, config.grid_n)
-    except (OSError, StructuralError, FieldError) as exc:
+        ws = SolverWorkspace(domain, model, grid, config)     # builds no table yet
+    except (OSError, StructuralError, FieldError, SolverError) as exc:
         return _fail_input(str(exc))
     cert = certify_model(model)
     if not cert.certified:
@@ -344,7 +345,6 @@ def cmd_solve(args) -> int:
     if err:
         return _fail_input(err)
     rhash = run_hash(model, raw)
-    ws = SolverWorkspace(domain, model, grid, config)
     meta_base = {
         "hash": rhash,
         "model": model_to_dict(model),
@@ -423,7 +423,8 @@ def cmd_diagnose(args) -> int:
     try:
         model, domain, boundary, config, outdir, raw = load_run_config(args.config)
         grid = Grid(domain, config.grid_n)
-    except (OSError, StructuralError, FieldError) as exc:
+        ws = SolverWorkspace(domain, model, grid, config)     # builds no table yet
+    except (OSError, StructuralError, FieldError, SolverError) as exc:
         return _fail_input(str(exc))
     field_path = Path(args.fields)
     meta_path = field_path.with_suffix(".meta.json")
@@ -455,7 +456,6 @@ def cmd_diagnose(args) -> int:
     rep = diag.mass_energy_flux(domain, model, field, boundary, alpha=0.0, k=k)
     diss = diag.entropy_dissipation(model, field, k)
     ent = diag.entropy_bound_check(domain, model, field, k)
-    ws = SolverWorkspace(domain, model, grid, config)
     exc_sets = diag.exceptional_sets(domain, model, field, k, epsilon=0.1, workspace=ws)
     shifts = [domain.diameter / d for d in (64, 32, 16, 8)]
     intnu = diag.integrated_collision_frequency(domain, model, field, k, workspace=ws)

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The eval_* names are unused here; the benchmark's traced run (bench/tracing.py) wraps them.
+# The eval_* names and boundary_quadrature are unused here; the benchmark's traced run
+# (bench/tracing.py) wraps them.
 from .collision import eval_convolved_truncated, eval_truncated, eval_untruncated, truncated_factor
 from .fields import BoundaryData, Field, Grid
 from .geometry import ConvexDomain, boundary_param, boundary_quadrature, tangency_thetas
 from .model import VelocityModel, find_positive_direction
-from .solver import SolverConfig, SolverWorkspace, _collision, _ladder, _workspace_on
+from .solver import SolverConfig, SolverWorkspace, _collision, _workspace_on
 
 
 # ---------------------------------------------------------------------------
@@ -82,33 +83,38 @@ class BalanceReport:
 
 def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: Field,
                            boundary: BoundaryData, alpha: float,
-                           nu: np.ndarray, gain: np.ndarray) -> BalanceReport:
+                           nu: np.ndarray, gain: np.ndarray,
+                           workspace: SolverWorkspace | None = None) -> BalanceReport:
     """Integrate the stage dynamics along full inflow->outflow chords.
 
     One chord starts at each of 256 inflow-arc nodes and runs to its exit
-    point on a node ladder (`_ladder`) with steps of at most h/2.  Every
-    chord is advanced with piecewise-constant frequency and gain per step
-    and the exact single-interval solution, and the interval mass is
-    recovered from the same update; zero-length padding steps add exactly 0.
-    The per-component damped balance then telescopes identically, making the
-    report a quadrature-consistency check as well as a physical measurement.
+    point on a node ladder with steps of at most h/2.  The chords are the
+    workspace's `rays`, built once per workspace and velocity; without a
+    workspace, the call builds each velocity's rays for itself and drops
+    them after use.  A call on stored rays only rebuilds the bilinear
+    weights from their compact stencils and reads the frequency and the
+    gain at the nodes.  Every chord is advanced with piecewise-constant
+    frequency and gain per step and the exact single-interval solution, and
+    the interval mass is recovered from the same update; zero-length padding
+    steps add exactly 0.  The per-component damped balance then telescopes
+    identically, making the report a quadrature-consistency check as well
+    as a physical measurement.
     """
     grid = field_.grid
+    ws = _workspace_on(domain, model, grid, SolverConfig(), workspace)
     inflow = np.zeros(model.p)
     outflow = np.zeros(model.p)
     mass_path = np.zeros(model.p)
     coll = np.zeros(model.p)
     resid = np.zeros(model.p)
     for i in range(model.p):
-        v = model.v[i]
-        arc = boundary_quadrature(domain, v, +1, 256)
-        w = np.abs(arc.vdotn) * arc.dsigma
-        b = np.asarray(boundary.eval(i, arc.t_params), dtype=float)
-        steps, reads, W = _ladder(grid, arc.points, domain.exit_times(arc.points, v), v,
-                                  0.5 * grid.h)
-        nu_s = grid.sample(nu[i], reads, W)
-        g_s = grid.sample(gain[i], reads, W)
-        del reads, W            # the largest arrays here; freed before the coefficients
+        rays = ws.rays(i, keep=workspace is not None)
+        w, steps = rays.flux_w, rays.dt
+        b = np.asarray(boundary.eval(i, rays.t_params), dtype=float)
+        W = grid.weights(rays.fx, rays.fy)
+        nu_s = grid.sample_stencil(nu[i], rays.flat, W)
+        g_s = grid.sample_stencil(gain[i], rays.flat, W)
+        del W                   # the largest array here; freed before the coefficients
         # Step coefficients of every ray at once, shape (L - 1, rays), built in
         # place: over a step of length dt with frequency nu_bar and gain g_bar,
         # x = (alpha + nu_bar) dt, F -> a F + c with a = 1 - em1, em1 = 1 - e^-x,
@@ -516,10 +522,13 @@ def stage_diagnostics(domain: ConvexDomain, model: VelocityModel, field_: Field,
     `field_` is the level estimate (damping already continued to ~0), so the
     balance uses the unconvolved truncated operator at alpha = 0; the
     per-stage damped balance is checked separately on stage solutions.  The
-    translation moduli use one shift of diameter / 32.
+    translation moduli use one shift of diameter / 32.  The balance's rays
+    and the characteristic tables come from `workspace`, so a sweep traces
+    them once, on its first level.
     """
     nu, gain = collision_grids(model, field_, k=k)
-    bal = characteristic_balance(domain, model, field_, boundary, 0.0, nu, gain)
+    bal = characteristic_balance(domain, model, field_, boundary, 0.0, nu, gain,
+                                 workspace=workspace)
     diss = entropy_dissipation(model, field_, k)
     ent = entropy_bound_check(domain, model, field_, k)
     shift = domain.diameter / 32.0

@@ -101,14 +101,14 @@ class Grid:
     def cell_area(self) -> float:
         return self.h * self.h
 
-    def interp_weights(self, points):
-        """Bilinear stencil for arbitrary points, each part stacked as
-        (4, *points.shape[:-1]) in corner order (0, 0), (1, 0), (0, 1), (1, 1):
-        the flat index of every corner cell, continued past the boundary
-        through `pad_flat`, and its nonnegative weight.
+    def stencil(self, points):
+        """Compact bilinear stencil for arbitrary points, each part of shape
+        points.shape[:-1]: the flat index of the lower-left corner cell and
+        the fractions fx, fy toward the next column and row.
 
         Points beyond the outermost cell centers are clamped, which keeps the
-        weights in [0, 1] and the scheme order-preserving.
+        fractions, and so the weights, in [0, 1] and the scheme
+        order-preserving.
         """
         pts = np.asarray(points, dtype=float)
         gx = (pts[..., 0] - self.x0) / self.h - 0.5
@@ -117,20 +117,40 @@ class Grid:
         iy = np.clip(np.floor(gy).astype(np.int64), 0, self.ny - 2)
         fx = np.clip(gx - ix, 0.0, 1.0)
         fy = np.clip(gy - iy, 0.0, 1.0)
-        flat = iy * self.nx + ix
-        W = np.empty((4,) + flat.shape)
+        return iy * self.nx + ix, fx, fy
+
+    @staticmethod
+    def weights(fx, fy):
+        """The four nonnegative corner weights of a `stencil`'s fractions,
+        stacked as (4, *fx.shape) in corner order (0, 0), (1, 0), (0, 1), (1, 1)."""
+        W = np.empty((4,) + fx.shape)
         ex, ey = 1.0 - fx, 1.0 - fy
         np.multiply(ex, ey, out=W[0])
         np.multiply(fx, ey, out=W[1])
         np.multiply(ex, fy, out=W[2])
         np.multiply(fx, fy, out=W[3])
-        return self._corner_reads.take(flat, axis=1), W
+        return W
+
+    def interp_weights(self, points):
+        """Bilinear stencil for arbitrary points, each part stacked as
+        (4, *points.shape[:-1]) in corner order: the flat index of every
+        corner cell of the `stencil`, continued past the boundary through
+        `pad_flat`, and its weight (`weights`)."""
+        flat, fx, fy = self.stencil(points)
+        return self._corner_reads.take(flat, axis=1), self.weights(fx, fy)
 
     @staticmethod
     def sample(values2d, reads, W):
         """Bilinear values of a (ny, nx) array through an `interp_weights`
         stencil: one take, then the corner products added in corner order."""
         corner_vals = values2d.ravel().take(reads)
+        return np.multiply(corner_vals, W, out=corner_vals).sum(axis=0)
+
+    def sample_stencil(self, values2d, flat, W):
+        """`sample` through a compact `stencil`'s lower-left cells `flat` and
+        their `weights` W, bitwise: every cell's four corner values, then
+        those of the cells in `flat`."""
+        corner_vals = values2d.ravel().take(self._corner_reads).take(flat, axis=1)
         return np.multiply(corner_vals, W, out=corner_vals).sum(axis=0)
 
     def interpolate(self, values2d, points):

@@ -214,15 +214,16 @@ class _Ladder(NamedTuple):
     W: np.ndarray           # ... and its four corner weights (`Grid.interp_weights`)
 
 
-def _ladder(grid: Grid, start: np.ndarray, t_end: np.ndarray, v, h_s: float,
-            end_pts: np.ndarray | None = None) -> _Ladder:
-    """Node ladders along the rays start + t v, 0 <= t <= t_end.
+def _ladder_nodes(start: np.ndarray, t_end: np.ndarray, v, h_s: float,
+                  end_pts: np.ndarray | None = None):
+    """Step times (L - 1, rays) and node points (L, rays, 2) of the node
+    ladders along the rays start + t v, 0 <= t <= t_end.
 
     Each ray is split into equal steps of spatial length at most h_s.  Nodes
-    are padded to L per ray and stored transposed, shape (L, rays): row m
-    holds node m of every ray.  Padding repeats a ray's end node, so padding
-    steps have zero length and the last row holds every ray's end, at
-    `end_pts` when given (exact end points in place of the computed ones).
+    are padded to L per ray and stored transposed: row m holds node m of
+    every ray.  Padding repeats a ray's end node, so padding steps have zero
+    length and the last row holds every ray's end, at `end_pts` when given
+    (exact end points in place of the computed ones).
     """
     steps = _n_steps(t_end * float(np.hypot(v[0], v[1])), h_s)
     m = np.arange(int(steps.max(initial=0)) + 1)[:, None]
@@ -230,7 +231,24 @@ def _ladder(grid: Grid, start: np.ndarray, t_end: np.ndarray, v, h_s: float,
     pts = start[None, :, :] + t[..., None] * v
     if end_pts is not None:
         pts = np.where((m >= steps)[..., None], end_pts, pts)
-    return _Ladder(np.diff(t, axis=0), *grid.interp_weights(pts))
+    return np.diff(t, axis=0), pts
+
+
+def _ladder(grid: Grid, start: np.ndarray, t_end: np.ndarray, v, h_s: float,
+            end_pts: np.ndarray | None = None) -> _Ladder:
+    """The `_ladder_nodes` ladders with the bilinear stencil of every node."""
+    dt, pts = _ladder_nodes(start, t_end, v, h_s, end_pts)
+    return _Ladder(dt, *grid.interp_weights(pts))
+
+
+class _Rays(NamedTuple):
+    """The balance's inflow rays of one velocity (`SolverWorkspace.rays`)."""
+    t_params: np.ndarray    # (rays,) arclength parameter of each ray's start
+    flux_w: np.ndarray      # (rays,) its flux weight |v . n| dsigma
+    dt: np.ndarray          # (L - 1, rays) step times of the node ladders
+    flat: np.ndarray        # (L, rays) compact bilinear stencil of every node:
+    fx: np.ndarray          # its lower-left cell and fractions (`Grid.stencil`)
+    fy: np.ndarray
 
 
 def _transport(lad: _Ladder, inflow: np.ndarray, nu_s, gain_s: np.ndarray,
@@ -421,7 +439,15 @@ class _CharTable:
 
 
 class SolverWorkspace:
-    """Shared per-(domain, model, grid) precomputation for solver passes."""
+    """Shared per-(domain, model, grid) precomputation for solver passes and
+    diagnostics, each part built on first use: per velocity, the
+    characteristic table (`table`) and the balance's inflow rays (`rays`).
+
+    Stored rays stay for the life of the workspace: a compact stencil of 3
+    values per ladder node and the step times, 256 x 65 nodes per velocity
+    at 32^2, so 2.1 MB for 4 velocities (1.6 MB of it stencils), growing as
+    n (8.4 MB at 128^2).
+    """
 
     def __init__(self, domain: ConvexDomain, model: VelocityModel, grid: Grid,
                  config: SolverConfig):
@@ -433,7 +459,14 @@ class SolverWorkspace:
         self.grid = grid
         self.config = config
         self.h_s = config.step(grid.h)
+        # `_n_steps` casts step counts to int64: no chord, at most the bounding
+        # box's diagonal long, may take 2^62 steps or more
+        diagonal = 2.0 * domain.bounding_radius
+        if not diagonal / self.h_s < 2.0 ** 62:
+            raise SolverError(f"path step h_s={self.h_s!r} splits a chord of up to "
+                              f"{diagonal:g} into 2^62 steps or more")
         self._tables: dict[int, _CharTable] = {}
+        self._rays: dict[int, _Rays] = {}
 
     def table(self, i: int) -> _CharTable:
         tab = self._tables.get(i)
@@ -441,6 +474,28 @@ class SolverWorkspace:
             tab = _CharTable(self.domain, self.grid, self.model.v[i], self.h_s)
             self._tables[i] = tab
         return tab
+
+    def rays(self, i: int, keep: bool = True) -> _Rays:
+        """Velocity i's inflow rays for `characteristic_balance`, one from each
+        of 256 midpoint nodes of its inflow arc (`boundary_quadrature`) to its
+        exit point, on a node ladder with steps of at most h/2 whatever
+        `h_s`, so that a balance reads the same with or without a workspace.
+        Built on first use and kept for later calls, unless `keep` is False:
+        a workspace made for a single balance then holds one velocity's rays
+        at a time."""
+        rays = self._rays.get(i)
+        if rays is None:
+            v = self.model.v[i]
+            arc = boundary_quadrature(self.domain, v, +1, 256)
+            dt, pts = _ladder_nodes(arc.points, self.domain.exit_times(arc.points, v), v,
+                                    0.5 * self.grid.h)
+            rays = _Rays(arc.t_params, np.abs(arc.vdotn) * arc.dsigma, dt,
+                         *self.grid.stencil(pts))
+            for a in rays:
+                a.setflags(write=False)
+            if keep:
+                self._rays[i] = rays
+        return rays
 
     @cached_property
     def coarse(self) -> SolverWorkspace | None:
@@ -635,7 +690,8 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     config.max_inner spent; the trace's `start` says which, and its
     `iterations` count the discarded pass, so they never exceed max_inner.  The
     ladder stops when the relative L1 increment of a pass is at most
-    config.tol_inner.  The iterates increase cellwise and their mass stays
+    config.tol_inner, and at once, as "not_finite", when that increment is
+    not finite.  The iterates increase cellwise and their mass stays
     below the damping cap; both properties are monitored, and a cellwise
     decrease beyond 1e-12 (1 + max F) is a hard failure.
     """
@@ -708,6 +764,9 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
             t0 = now
             if mass_cap > 0:
                 trace.mass_cap_max_ratio = max(trace.mass_cap_max_ratio, mass / mass_cap)
+            if not math.isfinite(inc):
+                trace.termination = "not_finite"     # it would never meet the tolerance
+                break
             if inc <= config.tol_inner * (mass + 1e-300):
                 trace.termination = "converged"
                 trace.converged = True
@@ -738,7 +797,8 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     that shrinks with the outer change usually certifies (`inner_monotone_solve`); one that does
     not costs one discarded pass.  Convergence of this loop is monitored, not
     guaranteed; a stall after max_outer steps is reported through the trace,
-    never asserted away.  The stage counts as converged only when the
+    never asserted away; a relative change that is not finite ends the loop
+    at once, as "not_finite".  The stage counts as converged only when the
     relative change falls below tol_outer after an inner ladder that ran at
     tol_inner and converged, and the final residual is finite; a relaxed
     ladder that meets tol_outer is followed by one more outer iteration at
@@ -769,6 +829,9 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
         trace.monotone_checked = trace.monotone_checked or itrace.monotone_checked
         trace.mass_cap_max_ratio = max(trace.mass_cap_max_ratio, itrace.mass_cap_max_ratio)
         f = F
+        if not math.isfinite(rel):
+            trace.termination = "not_finite"
+            break
         if rel <= config.tol_outer and tol_inner == config.tol_inner:
             # an inner ladder cut off by max_inner can leave the iterate unchanged
             # without reaching the stage map's fixed point

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -277,6 +278,46 @@ def test_solve_writes_strict_json_when_the_sweep_overflows(tmp_path, shifted_mod
     assert {"summary.json", "report_k1e+300.json"} <= {p.name for p in paths}
     reports = {p.name: json.loads(p.read_text(), parse_constant=refuse) for p in paths}
     assert reports["summary.json"]["mild_residual_untruncated"] is None
+
+
+def test_solve_stops_an_overflowing_sweep_at_its_first_non_finite_change(tmp_path,
+                                                                        shifted_model_file):
+    """The overflowing sweep above, at the default max_outer and max_inner:
+    each stage stops at its first non-finite change, so the run exits 3
+    within a second, and no stage is reported as converged."""
+    cfg = write_config(tmp_path, shifted_model_file,
+                       {"profile": "constant", "values": [1e300, 1.0, 1.0, 1.0]},
+                       {"grid_n": 8, "k_schedule": [4, 1e300]})
+    t0 = time.perf_counter()
+    # the transport's overflow warnings are not yet turned into an input error
+    with pytest.warns(RuntimeWarning):
+        assert main(["solve", str(cfg)]) == 3
+    assert time.perf_counter() - t0 <= 1.0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    out = tmp_path / "out"
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["converged"] is False
+    report = json.loads((out / "report_k1e+300.json").read_text(), parse_constant=refuse)
+    assert report["stage_terminations"] == ["not_finite", "not_finite"]
+
+
+@pytest.mark.parametrize("command", [["solve", "CFG"], ["sweep", "CFG"],
+                                     ["diagnose", "--fields", "f.csv", "--config", "CFG"]])
+def test_solve_refuses_a_step_whose_counts_overflow(tmp_path, shifted_model_file, capsys,
+                                                    command):
+    """h_s = 1e-300 would split a chord into more steps than an int64 holds:
+    the workspace refuses it before any table, with exit 2, one line and no
+    warning (a RuntimeWarning would fail this test)."""
+    cfg = write_config(tmp_path, shifted_model_file,
+                       {"profile": "constant", "values": [1.0, 1.0, 1.0, 1.0]},
+                       {"grid_n": 8, "k_schedule": [4], "h_s": 1e-300})
+    assert main([str(cfg) if arg == "CFG" else arg for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: path step h_s=1e-300 splits a chord of up to 2.82843 into "
+                   "2^62 steps or more\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, shifted_model_file):

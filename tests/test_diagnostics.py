@@ -2,7 +2,9 @@
 translation moduli."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from dvmbvp.collision import eval_truncated
 from dvmbvp.diagnostics import (characteristic_balance, collision_grids,
                                 entropy_bound_check, entropy_dissipation,
                                 exceptional_sets, integrated_collision_frequency,
-                                mass_energy_flux, slab_energy_rows, sweep_soft_checks,
-                                translation_modulus)
+                                mass_energy_flux, slab_energy_rows, stage_diagnostics,
+                                sweep_soft_checks, translation_modulus)
 from dvmbvp.fields import BoundaryData, Field
-from dvmbvp.solver import SolverConfig, SolverWorkspace, residual_renormalized
+from dvmbvp.solver import SolverConfig, SolverError, SolverWorkspace, residual_renormalized
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,77 @@ def test_balance_matches_the_per_step_reference(disk, broadwell, smooth_field):
             got = np.stack([bal.inflow, bal.outflow, bal.mass_path, bal.collision_net], axis=1)
             want = per_step_balance(domain, model, boundary, alpha, nu, gain, F.grid)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0))
+
+
+def test_balance_on_a_workspace_is_bitwise_the_balance_without_one(disk, broadwell,
+                                                                    smooth_field):
+    """The rays a workspace keeps give the report of the rays a call builds for
+    itself, on its first call and on a later one: on the disk, on a 2:1
+    ellipse and on the ellipse whose rays have unequal step counts."""
+    ellipse = dv.ConvexDomain.ellipse(1.0, 0.5)
+    uneven = dv.ConvexDomain.ellipse(1.5, 0.8, center=(0.1, -0.2))
+    one = dv.VelocityModel.create([(1.0, math.sqrt(2.0))], [])
+    G = Field.from_function(dv.Grid(uneven, 32), [lambda x, y: 1.0 + 0.4 * np.sin(2 * x + y)])
+    E = Field.from_function(dv.Grid(ellipse, 24), [lambda x, y: 1.0 + 0.3 * x] * 4)
+    bd = BoundaryData.constant([1.0, 0.5, 2.0, 0.25])
+    cases = [(disk, broadwell, smooth_field, bd,
+              *collision_grids(broadwell, smooth_field, k=8.0)),
+             (ellipse, broadwell, E, bd, *collision_grids(broadwell, E, k=8.0)),
+             (uneven, one, G, BoundaryData.constant([0.7]), 0.5 + 0.2 * G.values, 0.3 * G.values)]
+    for domain, model, F, boundary, nu, gain in cases:
+        ws = SolverWorkspace(domain, model, F.grid, SolverConfig(grid_n=F.grid.n))
+        for alpha in (0.0, 0.25):
+            want = characteristic_balance(domain, model, F, boundary, alpha, nu, gain)
+            for _ in range(2):
+                got = characteristic_balance(domain, model, F, boundary, alpha, nu, gain,
+                                             workspace=ws)
+                for x, y in zip(dataclasses.astuple(want), dataclasses.astuple(got)):
+                    assert np.array_equal(x, y)
+        assert sorted(ws._rays) == list(range(model.p)) and ws._tables == {}
+
+
+def test_second_stage_diagnostics_on_a_workspace_traces_no_ray(monkeypatch, disk, broadwell,
+                                                               maxwellian_values):
+    """`stage_diagnostics` hands its workspace to the balance, so the balance
+    rays, like the tables, are traced on the first call only."""
+    grid = dv.Grid(disk, 16)
+    ws = SolverWorkspace(disk, broadwell, grid, SolverConfig(grid_n=16))
+    F = Field.constant(grid, 1.01 * maxwellian_values)
+    bd = BoundaryData.constant(list(maxwellian_values))
+    first = stage_diagnostics(disk, broadwell, F, bd, 16.0, workspace=ws)
+    traced = []
+    exit_times = dv.ConvexDomain.exit_times
+    monkeypatch.setattr(dv.ConvexDomain, "exit_times",
+                        lambda self, zs, v: traced.append(len(zs)) or exit_times(self, zs, v))
+    assert stage_diagnostics(disk, broadwell, F, bd, 16.0, workspace=ws) == first
+    assert traced == []
+
+
+def test_balance_without_a_workspace_keeps_no_workspace_alive(monkeypatch, disk, broadwell,
+                                                             smooth_field):
+    """The rays of a call without a workspace go with the workspace it built,
+    which nothing holds once the call returns."""
+    built = []
+    rays = SolverWorkspace.rays
+
+    def spy(self, i, keep=True):
+        built.append(weakref.ref(self))
+        return rays(self, i, keep)
+    monkeypatch.setattr(SolverWorkspace, "rays", spy)
+    nu, gain = collision_grids(broadwell, smooth_field, k=8.0)
+    characteristic_balance(disk, broadwell, smooth_field, BoundaryData.constant([1.0] * 4),
+                           0.0, nu, gain)
+    gc.collect()
+    assert len(built) == broadwell.p and all(ref() is None for ref in built)
+
+
+def test_balance_refuses_a_workspace_on_another_grid(disk, broadwell, smooth_field):
+    nu, gain = collision_grids(broadwell, smooth_field, k=8.0)
+    ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), SolverConfig(grid_n=16))
+    with pytest.raises(SolverError, match="does not match the workspace grid"):
+        characteristic_balance(disk, broadwell, smooth_field, BoundaryData.constant([1.0] * 4),
+                               0.0, nu, gain, workspace=ws)
+    assert ws._rays == {}
 
 
 def test_balance_zero_field(disk, broadwell, grid24):

@@ -79,6 +79,19 @@ def test_interpolation_exact_on_linears(grid24):
     assert np.allclose(got, want, atol=1e-13)
 
 
+def test_compact_stencil_samples_bitwise_as_the_full_one(grid24):
+    """Corners read through every cell's corner reads and a compact `stencil`,
+    with its `weights`, give `sample`'s values bitwise, clamped points and
+    points past the boundary included."""
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.0, 5.0, (grid24.ny, grid24.nx))
+    pts = rng.uniform(-1.2, 1.2, (7, 40, 2))
+    flat, fx, fy = grid24.stencil(pts)
+    got = grid24.sample_stencil(values, flat, Grid.weights(fx, fy))
+    want = grid24.interpolate(values, pts)
+    assert got.shape == (7, 40) and np.array_equal(got, want)
+
+
 # -- mollifier ----------------------------------------------------------------------
 
 def test_bump_profile_support():

@@ -59,6 +59,13 @@ def test_mollifier_calls(tmp_path):
     assert len(saved.files) == 8 and all(saved[k].min() >= 0.0 for k in saved.files)
 
 
+def test_balance_calls():
+    """The balance timing reaches `characteristic_balance` and its workspace
+    keyword by name."""
+    out = measure("--balance", ROOT / "src", "--sizes", 16)
+    assert out["16^2"]["on_workspace"] and out["16^2"]["call_ms"] > 0
+
+
 def test_record_against_itself(tmp_path, monkeypatch):
     """A whole record, the repository as its own parent, on the smallest sweep
     case: strict JSON with the header, and a final field bitwise its own."""
@@ -74,6 +81,7 @@ def test_record_against_itself(tmp_path, monkeypatch):
     assert list(record)[:4] == list(HEADER) and record["parent"] == "self"
     [case] = record["sweeps"]
     assert case["final_field_bitwise_equal"] and case["rel_l1_from_parent"] == 0.0
+    assert case["diagnostics_bitwise_equal"]
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -1157,6 +1157,34 @@ def test_workspace_refuses_a_bad_step(disk, broadwell, h_s):
     assert str(err.value) == f"bad solver option h_s: expected {OPTION_RULES['h_s']}, got {h_s!r}"
 
 
+def test_workspace_refuses_a_step_whose_counts_overflow(disk, broadwell):
+    """A chord of the domain split into 2^62 steps or more would overflow the
+    int64 step counts: the workspace refuses the step when it is built, and a
+    step just inside the bound builds."""
+    grid = dv.Grid(disk, 8)
+    with pytest.raises(SolverError, match=r"h_s=1e-300 splits a chord of up to 2.82843 "
+                                          r"into 2\^62 steps or more"):
+        SolverWorkspace(disk, broadwell, grid, SolverConfig(h_s=1e-300))
+    assert SolverWorkspace(disk, broadwell, grid, SolverConfig(h_s=1e-18))._tables == {}
+
+
+def test_outer_stops_at_the_first_non_finite_change(disk, broadwell):
+    """An inflow of 1e300 at k = 1e300 overflows: the inner ladder and the
+    outer loop stop at their first non-finite change, not at max_inner or
+    max_outer, and the stage does not converge."""
+    cfg = SolverConfig(alpha=0.5, k=1e300, grid_n=8)
+    # the transport's overflow warnings are not yet turned into an input error
+    with pytest.warns(RuntimeWarning):
+        F, tr = outer_fixed_point(disk, broadwell, BoundaryData.constant([1e300, 1.0, 1.0, 1.0]),
+                                  cfg)
+    assert tr.termination == "not_finite" and not tr.converged
+    assert not math.isfinite(tr.increments[-1]) and all(map(math.isfinite, tr.increments[:-1]))
+    assert tr.iterations < cfg.max_outer
+    last = tr.children[-1]
+    assert last.termination == "not_finite" and not last.converged
+    assert last.iterations < cfg.max_inner and not math.isfinite(last.increments[-1])
+
+
 def test_workspace_at_another_step_than_the_config_is_refused(disk, broadwell):
     """An explicit h_s must be the passed workspace's step, checked before any
     table is built; the same step passes, and residuals (h_s None) accept any."""
