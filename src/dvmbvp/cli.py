@@ -19,7 +19,7 @@ import numpy as np
 from . import diagnostics as diag
 from .fields import BoundaryData, Field, FieldError, Grid
 from .geometry import ConvexDomain, GeometryError
-from .model import (ModelError, StructuralError, VelocityModel, certify_model,
+from .model import (ModelError, StructuralError, VelocityModel, _numbers, certify_model,
                     classical_broadwell, generate_circle_model, generate_shifted_model,
                     is_real, load_model, model_from_dict, model_to_dict, save_model)
 from .solver import (SolverConfig, SolverError, SolverWorkspace, k_sweep, outer_fixed_point,
@@ -54,6 +54,14 @@ def _json(obj, **kwargs) -> str:
 # config parsing
 # ---------------------------------------------------------------------------
 
+def _number(x, what: str) -> float:
+    """`x` as a float if it is one finite JSON number (`is_real`: not a
+    string, not a bool), else StructuralError naming `what`."""
+    if not is_real(x):
+        raise StructuralError(f"{what} must be a finite number, got {x!r}")
+    return float(x)
+
+
 def load_run_config(path):
     """Parse and validate a run configuration document.
 
@@ -81,6 +89,12 @@ def load_run_config(path):
     dspec = raw.get("domain")
     if not isinstance(dspec, dict):
         raise StructuralError("config.domain must be an object")
+    for key in ("radius", "exponent"):
+        if key in dspec:
+            _number(dspec[key], f"domain {key}")
+    for key in ("semi_axes", "center"):
+        if key in dspec:
+            _numbers(dspec[key], 2, f"domain {key}")
     try:
         domain = ConvexDomain.from_spec(dspec)
     except (GeometryError, KeyError, TypeError, ValueError) as exc:
@@ -97,7 +111,8 @@ def load_run_config(path):
         raise StructuralError(f"unknown solver options: {sorted(unknown)}")
     try:
         for key in ("alpha_schedule", "k_schedule"):
-            if key in sspec:
+            # anything but a list of numbers stays as it is, for check() to refuse
+            if isinstance(sspec.get(key), list) and all(map(is_real, sspec[key])):
                 sspec[key] = tuple(float(x) for x in sspec[key])
         config = SolverConfig(**sspec)
         config.check()
@@ -118,11 +133,10 @@ def _check_inflow(values, what: str) -> None:
 
 
 def _levels(values, what: str, p: int) -> np.ndarray:
-    """One finite, nonnegative inflow level per velocity."""
-    try:
-        levels = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"{what} must be numbers") from exc
+    """One finite, nonnegative inflow level per velocity, each a JSON number."""
+    if not (isinstance(values, list) and all(map(is_real, values))):
+        raise StructuralError(f"{what} must be finite and nonnegative numbers, got {values!r}")
+    levels = np.asarray(values, dtype=float)
     if levels.shape != (p,):
         raise StructuralError(f"{what} needs one value per velocity")
     _check_inflow(levels, what)
@@ -138,26 +152,22 @@ def parse_boundary(bspec, model: VelocityModel) -> BoundaryData:
     if profile == "zero":
         return BoundaryData.zero(model.p)
     if profile == "constant":
-        return BoundaryData.constant(_levels(bspec.get("values"), "constant boundary", model.p))
+        return BoundaryData.constant(_levels(bspec.get("values"), "constant boundary values",
+                                             model.p))
     if profile == "maxwellian":
-        try:
-            a, b, c = float(bspec["a"]), np.asarray(bspec["b"], dtype=float), float(bspec["c"])
-        except KeyError as exc:
-            raise StructuralError(f"maxwellian boundary needs a, b, c: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise StructuralError("maxwellian boundary parameters must be numbers") from exc
-        if b.shape != (2,):
-            raise StructuralError("maxwellian boundary needs b = [bx, by]")
+        if not {"a", "b", "c"} <= set(bspec):
+            raise StructuralError("maxwellian boundary needs a, b, c")
+        a = _number(bspec["a"], "maxwellian boundary a")
+        b = np.asarray(_numbers(bspec["b"], 2, "maxwellian boundary b"), dtype=float)
+        c = _number(bspec["c"], "maxwellian boundary c")
         with np.errstate(over="ignore"):
             bd = BoundaryData.maxwellian(model, a, b, c)
         _check_inflow(np.array([tr.value for tr in bd.traces]), "maxwellian boundary values")
         return bd
     if profile == "step":
         from .fields import CallableTrace
-        try:
-            t0, t1 = float(bspec.get("t0", 0.0)), float(bspec.get("t1", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise StructuralError("step boundary t0, t1 must be numbers") from exc
+        t0 = _number(bspec.get("t0", 0.0), "step boundary t0")
+        t1 = _number(bspec.get("t1", 1.0), "step boundary t1")
         inside = _levels(bspec.get("inside", [1.0] * model.p), "step boundary inside", model.p)
         outside = _levels(bspec.get("outside", [0.0] * model.p), "step boundary outside",
                           model.p)
@@ -184,10 +194,8 @@ def parse_boundary(bspec, model: VelocityModel) -> BoundaryData:
         if not np.all(np.isfinite(rows[:, 1])):
             raise StructuralError("csv boundary t must be finite")
         _check_inflow(rows[:, 2], "csv boundary values")
-        try:
-            period = float(bspec["period"]) if "period" in bspec else float(np.max(rows[:, 1]))
-        except (TypeError, ValueError) as exc:
-            raise StructuralError("csv boundary period must be a number") from exc
+        period = (_number(bspec["period"], "csv boundary period") if "period" in bspec
+                  else float(np.max(rows[:, 1])))
         if not 0 < period < np.inf:
             raise StructuralError("csv boundary period must be positive and finite")
         traces = []
@@ -335,7 +343,7 @@ def cmd_solve(args) -> int:
         model, domain, boundary, config, outdir, raw = load_run_config(args.config)
         grid = Grid(domain, config.grid_n)
         ws = SolverWorkspace(domain, model, grid, config)     # builds no table yet
-    except (OSError, StructuralError, FieldError, SolverError) as exc:
+    except (OSError, StructuralError, FieldError) as exc:
         return _fail_input(str(exc))
     cert = certify_model(model)
     if not cert.certified:
@@ -424,7 +432,7 @@ def cmd_diagnose(args) -> int:
         model, domain, boundary, config, outdir, raw = load_run_config(args.config)
         grid = Grid(domain, config.grid_n)
         ws = SolverWorkspace(domain, model, grid, config)     # builds no table yet
-    except (OSError, StructuralError, FieldError, SolverError) as exc:
+    except (OSError, StructuralError, FieldError) as exc:
         return _fail_input(str(exc))
     field_path = Path(args.fields)
     meta_path = field_path.with_suffix(".meta.json")

@@ -47,7 +47,7 @@ on one grid.
 
 Cells that share a backward characteristic share one line (the method of
 long characteristics): one transport sweep advances a single exponential
-trapezoid recursion per line, with steps bounded by `h_s` and a node at
+trapezoid recursion per line, with steps of at most h/2 and a node at
 every cell centre, from the inflow at the line's entry point, gap by gap.
 A node ladder covers the gap from the entry point to the first cell; on the
 integer velocities of the shifted Broadwell lattice every gap between
@@ -122,16 +122,12 @@ class SolverConfig:
     alpha: float = 0.5
     k: float = 16.0
     grid_n: int = 64
-    h_s: float | None = None            # path quadrature step; None -> h/2
     tol_inner: float = 1e-9
     tol_outer: float = 1e-8
     max_inner: int = 400
     max_outer: int = 120
     alpha_schedule: tuple = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
     k_schedule: tuple = (4.0, 16.0, 64.0, 256.0)
-
-    def step(self, grid_h: float) -> float:
-        return self.h_s if self.h_s is not None else 0.5 * grid_h
 
     def check(self) -> None:
         """Raise SolverError, naming the option, on a value the solver cannot run:
@@ -145,7 +141,6 @@ class SolverConfig:
             ("alpha", is_real(c.alpha) and c.alpha > 0, "a positive number"),
             ("k", is_real(c.k) and c.k > 1, "a number above 1"),
             ("grid_n", count(c.grid_n) and c.grid_n >= 4, "an integer of at least 4"),
-            ("h_s", c.h_s is None or (is_real(c.h_s) and c.h_s > 0), "a positive number or null"),
             ("tol_inner", is_real(c.tol_inner) and c.tol_inner > 0, "a positive number"),
             ("tol_outer", is_real(c.tol_outer) and c.tol_outer > 0, "a positive number"),
             ("max_inner", count(c.max_inner) and c.max_inner >= 1, "a positive integer"),
@@ -398,14 +393,12 @@ class _CharTable:
         j = np.arange(S + 1)
         qy, ry = np.divmod(j * dy - S * min(0, dy), S)
         qx, rx = np.divmod(j * dx - S * min(0, dx), S)
-        fy, fx = ry / S, rx / S
-        corner_w = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
-                             (1.0 - fx) * fy, fx * fy], axis=1)
-        corner = ((qy[:, None] + [0, 0, 1, 1]) * grid.nx + qx[:, None] + [0, 1, 0, 1])
+        corner_w = grid.weights(rx / S, ry / S)
+        corner = (qy + [[0], [0], [1], [1]]) * grid.nx + qx + [[0], [1], [0], [1]]
         used = corner_w > 0.0
         self.taps, col = np.unique(corner[used], return_inverse=True)
         M = np.zeros((S + 1, len(self.taps)))
-        M[np.nonzero(used)[0], col] = corner_w[used]
+        M[np.nonzero(used)[1], col] = corner_w[used]
         self.S, self.dt = S, gap_t / S
         self.M = M
         trapezoid = np.full(S + 1, self.dt)
@@ -453,18 +446,11 @@ class SolverWorkspace:
                  config: SolverConfig):
         if grid.domain != domain:
             raise SolverError(f"workspace grid is on {grid.domain}, not on its domain {domain}")
-        replace(SolverConfig(), h_s=config.h_s).check()   # the step alone; solves check the rest
         self.domain = domain
         self.model = model
         self.grid = grid
         self.config = config
-        self.h_s = config.step(grid.h)
-        # `_n_steps` casts step counts to int64: no chord, at most the bounding
-        # box's diagonal long, may take 2^62 steps or more
-        diagonal = 2.0 * domain.bounding_radius
-        if not diagonal / self.h_s < 2.0 ** 62:
-            raise SolverError(f"path step h_s={self.h_s!r} splits a chord of up to "
-                              f"{diagonal:g} into 2^62 steps or more")
+        self.h_s = 0.5 * grid.h           # the path quadrature step of every ladder
         self._tables: dict[int, _CharTable] = {}
         self._rays: dict[int, _Rays] = {}
 
@@ -478,8 +464,7 @@ class SolverWorkspace:
     def rays(self, i: int, keep: bool = True) -> _Rays:
         """Velocity i's inflow rays for `characteristic_balance`, one from each
         of 256 midpoint nodes of its inflow arc (`boundary_quadrature`) to its
-        exit point, on a node ladder with steps of at most h/2 whatever
-        `h_s`, so that a balance reads the same with or without a workspace.
+        exit point, on a node ladder with steps of at most `h_s`.
         Built on first use and kept for later calls, unless `keep` is False:
         a workspace made for a single balance then holds one velocity's rays
         at a time."""
@@ -488,7 +473,7 @@ class SolverWorkspace:
             v = self.model.v[i]
             arc = boundary_quadrature(self.domain, v, +1, 256)
             dt, pts = _ladder_nodes(arc.points, self.domain.exit_times(arc.points, v), v,
-                                    0.5 * self.grid.h)
+                                    self.h_s)
             rays = _Rays(arc.t_params, np.abs(arc.vdotn) * arc.dsigma, dt,
                          *self.grid.stencil(pts))
             for a in rays:
@@ -610,9 +595,9 @@ def _workspace_on(domain: ConvexDomain, model: VelocityModel, grid: Grid | None,
     """`workspace`, or a new one on `grid` (on config.grid_n when `grid` is None).
 
     A field on `grid` is read through the workspace's tables, which trace the
-    workspace's domain and velocities at its step, so a workspace on another
-    grid (another domain or resolution), for another domain or for another
-    model, or at another step than an explicit `config.h_s`, is a SolverError.
+    workspace's domain and velocities, so a workspace on another grid
+    (another domain or resolution), for another domain or for another model
+    is a SolverError.
     """
     if workspace is None:
         grid = grid if grid is not None else Grid(domain, config.grid_n)
@@ -621,9 +606,6 @@ def _workspace_on(domain: ConvexDomain, model: VelocityModel, grid: Grid | None,
     if grid is not None and (grid.domain, grid.n) != (have.domain, have.n):
         raise SolverError(f"field grid (n={grid.n} on {grid.domain}) does not match the "
                           f"workspace grid (n={have.n} on {have.domain})")
-    if config.h_s is not None and config.h_s != workspace.h_s:
-        raise SolverError(f"path step h_s={config.h_s!r} does not match the workspace "
-                          f"step {workspace.h_s!r}")
     if domain != workspace.domain:
         raise SolverError(f"domain {domain} does not match the workspace domain "
                           f"{workspace.domain}")
@@ -647,7 +629,6 @@ class SolveTrace:
     termination: str = ""
     tolerance: float = float("nan")     # relative change at which the loop stops
     converged: bool = False
-    monotone_checked: bool = False
     monotone_violations: int = 0
     mass_cap: float = float("nan")
     mass_cap_max_ratio: float = 0.0
@@ -710,8 +691,7 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     source = frequency_source(model, smoothed.values, k)
     tr_sm = truncated_factor(smoothed.values, k)
 
-    trace = SolveTrace(mass_cap=mass_cap, monotone_checked=True, tolerance=config.tol_inner,
-                       start="zero")
+    trace = SolveTrace(mass_cap=mass_cap, tolerance=config.tol_inner, start="zero")
     F = np.zeros((model.p, ws.grid.ny, ws.grid.nx))
     if start is not None and config.max_inner > 0:
         trace.start = "certified"        # until its first pass says otherwise
@@ -735,8 +715,9 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
 
     area = ws.grid.cell_area
     t0 = time.perf_counter()
-    # truncated_factor divides by zero where F is 0
-    with np.errstate(divide="ignore", over="ignore"):
+    # truncated_factor divides by zero where F is 0; an overflowing pass ends
+    # the ladder as "not_finite"
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for q in range(config.max_inner):
             np.copyto(prev, F)
             ws.apply_exponential(entry_vals, nu_of, gain_of, alpha, out=F)
@@ -826,7 +807,6 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
         trace.wall_times.append(time.perf_counter() - t0)
         trace.children.append(itrace)
         trace.monotone_violations += itrace.monotone_violations
-        trace.monotone_checked = trace.monotone_checked or itrace.monotone_checked
         trace.mass_cap_max_ratio = max(trace.mass_cap_max_ratio, itrace.mass_cap_max_ratio)
         f = F
         if not math.isfinite(rel):

@@ -268,9 +268,7 @@ def test_solve_writes_strict_json_when_the_sweep_overflows(tmp_path, shifted_mod
                        {"profile": "constant", "values": [1e300, 1.0, 1.0, 1.0]},
                        {"grid_n": 8, "k_schedule": [4, 1e300], "max_outer": 5,
                         "max_inner": 5})
-    # the transport's overflow warnings are not yet turned into an input error
-    with pytest.warns(RuntimeWarning):
-        assert main(["solve", str(cfg)]) == 3
+    assert main(["solve", str(cfg)]) == 3       # with no RuntimeWarning
 
     def refuse(constant):
         raise ValueError(f"{constant} is not strict JSON")
@@ -289,9 +287,7 @@ def test_solve_stops_an_overflowing_sweep_at_its_first_non_finite_change(tmp_pat
                        {"profile": "constant", "values": [1e300, 1.0, 1.0, 1.0]},
                        {"grid_n": 8, "k_schedule": [4, 1e300]})
     t0 = time.perf_counter()
-    # the transport's overflow warnings are not yet turned into an input error
-    with pytest.warns(RuntimeWarning):
-        assert main(["solve", str(cfg)]) == 3
+    assert main(["solve", str(cfg)]) == 3       # with no RuntimeWarning
     assert time.perf_counter() - t0 <= 1.0
 
     def refuse(constant):
@@ -303,20 +299,18 @@ def test_solve_stops_an_overflowing_sweep_at_its_first_non_finite_change(tmp_pat
     assert report["stage_terminations"] == ["not_finite", "not_finite"]
 
 
+@pytest.mark.parametrize("h_s", [None, 1e-300, 1e-7])
 @pytest.mark.parametrize("command", [["solve", "CFG"], ["sweep", "CFG"],
                                      ["diagnose", "--fields", "f.csv", "--config", "CFG"]])
-def test_solve_refuses_a_step_whose_counts_overflow(tmp_path, shifted_model_file, capsys,
-                                                    command):
-    """h_s = 1e-300 would split a chord into more steps than an int64 holds:
-    the workspace refuses it before any table, with exit 2, one line and no
-    warning (a RuntimeWarning would fail this test)."""
+def test_a_config_that_names_the_path_step_is_refused(tmp_path, shifted_model_file, capsys,
+                                                      command, h_s):
+    """Every ladder steps at h/2, so `h_s` is no solver option: a config that
+    names it exits 2 with one line, before any table or output directory."""
     cfg = write_config(tmp_path, shifted_model_file,
                        {"profile": "constant", "values": [1.0, 1.0, 1.0, 1.0]},
-                       {"grid_n": 8, "k_schedule": [4], "h_s": 1e-300})
+                       {"grid_n": 8, "k_schedule": [4], "h_s": h_s})
     assert main([str(cfg) if arg == "CFG" else arg for arg in command]) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: path step h_s=1e-300 splits a chord of up to 2.82843 into "
-                   "2^62 steps or more\n")
+    assert capsys.readouterr().err == "error: unknown solver options: ['h_s']\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -354,7 +348,8 @@ def test_sweep_rejects_invalid_solver_option(tmp_path, shifted_model_file, capsy
 
 
 @pytest.mark.parametrize("option, value", [
-    ("h_s", -0.1), ("max_inner", 0), ("tol_outer", float("nan")), ("k_schedule", [16.0, 4.0]),
+    ("k_schedule", "48"), ("max_inner", 0), ("tol_outer", float("nan")),
+    ("k_schedule", [16.0, 4.0]),
 ])
 def test_sweep_refuses_an_option_with_the_solver_config_message(tmp_path, shifted_model_file,
                                                                 capsys, option, value):
@@ -455,6 +450,46 @@ def test_solve_rejects_malformed_domain_or_boundary(tmp_path, shifted_model_file
     assert main(["solve", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("part, key, value", [
+    ("solver", "alpha_schedule", "53"),
+    ("solver", "alpha_schedule", [True, 0.25]),
+    ("solver", "k_schedule", "48"),
+    ("domain", "radius", "2"),
+    ("domain", "center", ["0", "1"]),
+    ("domain", "semi_axes", "12"),
+    ("domain", "exponent", "4"),
+    ("constant", "values", ["1", 1.0, 1.0, 1.0]),
+    ("constant", "values", [True, 1.0, 1.0, 1.0]),
+    ("maxwellian", "a", "0"),
+    ("maxwellian", "b", ["0.1", 0.0]),
+    ("maxwellian", "c", True),
+    ("step", "t0", "0"),
+    ("step", "t1", True),
+    ("step", "inside", [1.0, "1", 1.0, 1.0]),
+    ("csv", "period", "6"),
+])
+def test_a_number_in_a_config_must_be_a_json_number(tmp_path, shifted_model_file, capsys,
+                                                    part, key, value):
+    """A string or a boolean where the config takes a number is refused with
+    exit 2 and one line naming the key, never read through float()."""
+    boundaries = {"constant": {"profile": "constant", "values": [1.0] * 4},
+                  "maxwellian": {"profile": "maxwellian", "a": 0.0, "b": [0.1, -0.2], "c": 0.5},
+                  "step": {"profile": "step", "t0": 1.0, "t1": 4.0},
+                  "csv": write_csv_boundary(tmp_path, [1.0] * 4)}
+    domains = {"exponent": {"kind": "superellipse", "semi_axes": [1.0, 1.0], "exponent": 4.0},
+               "semi_axes": {"kind": "ellipse", "semi_axes": [1.0, 0.5]}}
+    boundary = {**boundaries.get(part, {"profile": "zero"})}
+    domain = {**domains.get(key, {"kind": "disk", "radius": 1.0})}
+    solver = {**SMALL_SOLVER}
+    {"solver": solver, "domain": domain}.get(part, boundary)[key] = value
+    cfg = write_config(tmp_path, shifted_model_file, boundary, solver)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "domain": domain}))
+    assert main(["solve", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
     assert not (tmp_path / "out").exists()
 
 
