@@ -221,13 +221,11 @@ def measure_sweep_ms(src: str) -> dict:
 
 
 def measure_balance(src: str, sizes) -> dict:
-    """Per size, BALANCE_CALLS `characteristic_balance` calls after one untimed
-    first call, on a workspace where the function takes one: shifted
-    Broadwell on the unit disk, the oracle Maxwellian times 1.01 and k = 16;
-    the median call time in ms and the minor page faults of the calls
-    after the first."""
+    """Per size, BALANCE_CALLS `characteristic_balance` calls on one workspace
+    after one untimed first call: shifted Broadwell on the unit disk, the
+    oracle Maxwellian times 1.01 and k = 16; the median call time in ms and
+    the minor page faults of the calls after the first."""
     sys.path.insert(0, src)
-    import inspect
     import numpy as np
     import dvmbvp as dv
     from dvmbvp.diagnostics import characteristic_balance, collision_grids
@@ -237,23 +235,21 @@ def measure_balance(src: str, sizes) -> dict:
     boundary = dv.BoundaryData.maxwellian(model, *MAXWELLIAN)
     a, b, c = MAXWELLIAN
     eq = np.exp(a + model.v @ np.array(b) + c * model.speeds_sq)
-    takes_ws = "workspace" in inspect.signature(characteristic_balance).parameters
     for n in sizes:
         grid = dv.Grid(disk, n)
         ws = dv.SolverWorkspace(disk, model, grid, dv.SolverConfig(grid_n=n))
         field = dv.Field.constant(grid, 1.01 * eq)
         nu, gain = collision_grids(model, field, k=16.0)
-        kwargs = {"workspace": ws} if takes_ws else {}
-        characteristic_balance(disk, model, field, boundary, 0.0, nu, gain, **kwargs)
+        characteristic_balance(disk, model, field, boundary, 0.0, nu, gain, workspace=ws)
         times, faults = [], 0
         for _ in range(BALANCE_CALLS):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
-            characteristic_balance(disk, model, field, boundary, 0.0, nu, gain, **kwargs)
+            characteristic_balance(disk, model, field, boundary, 0.0, nu, gain, workspace=ws)
             times.append(time.perf_counter() - t0)
             faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         out[f"{n}^2"] = {"call_ms": 1e3 * statistics.median(times),
-                         "minor_faults_after_first": faults, "on_workspace": takes_ws}
+                         "minor_faults_after_first": faults}
     return out
 
 

@@ -12,6 +12,7 @@ import json
 import math
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +183,9 @@ def parse_boundary(bspec, model: VelocityModel) -> BoundaryData:
         if path is None:
             raise StructuralError("csv boundary needs a path")
         try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():     # a file without rows is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
             raise StructuralError(f"cannot read csv boundary {path}: {exc}") from exc
         if rows.shape[1] != 3:
@@ -366,7 +369,7 @@ def cmd_solve(args) -> int:
             field, trace = outer_fixed_point(domain, model, boundary, config, workspace=ws)
         else:
             sweep = k_sweep(domain, model, boundary, config, workspace=ws)
-    except FieldError as exc:       # a mollifier kernel above the build budget
+    except FieldError as exc:       # a mollifier kernel or inflow sampling above the budget
         return _fail_input(str(exc))
 
     if args.single_stage:

@@ -90,15 +90,14 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
     One chord starts at each of 256 inflow-arc nodes and runs to its exit
     point on a node ladder with steps of at most h/2.  The chords are the
     workspace's `rays`, built once per workspace and velocity; without a
-    workspace, the call builds each velocity's rays for itself and drops
-    them after use.  A call on stored rays only rebuilds the bilinear
-    weights from their compact stencils and reads the frequency and the
-    gain at the nodes.  Every chord is advanced with piecewise-constant
-    frequency and gain per step and the exact single-interval solution, and
-    the interval mass is recovered from the same update; zero-length padding
-    steps add exactly 0.  The per-component damped balance then telescopes
-    identically, making the report a quadrature-consistency check as well
-    as a physical measurement.
+    workspace, the call's own workspace holds them until it returns.  A call
+    on stored rays only rebuilds the bilinear weights from their compact
+    stencils and reads the frequency and the gain at the nodes.  Every chord
+    is advanced with piecewise-constant frequency and gain per step and the
+    exact single-interval solution, and the interval mass is recovered from
+    the same update; zero-length padding steps add exactly 0.  The
+    per-component damped balance then telescopes identically, making the
+    report a quadrature-consistency check as well as a physical measurement.
     """
     grid = field_.grid
     ws = _workspace_on(domain, model, grid, SolverConfig(), workspace)
@@ -108,7 +107,7 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
     coll = np.zeros(model.p)
     resid = np.zeros(model.p)
     for i in range(model.p):
-        rays = ws.rays(i, keep=workspace is not None)
+        rays = ws.rays(i)
         w, steps = rays.flux_w, rays.dt
         b = np.asarray(boundary.eval(i, rays.t_params), dtype=float)
         W = grid.weights(rays.fx, rays.fy)
@@ -174,16 +173,11 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
 def _frame_angle(model: VelocityModel) -> float:
     """Rotation angle whose axes stay away from every velocity direction."""
     vth = np.mod(np.arctan2(model.v[:, 1], model.v[:, 0]), np.pi)
-    best, best_score = 0.0, -1.0
-    for ang in np.linspace(0.0, np.pi, 180, endpoint=False):
-        score = np.inf
-        for axis in (ang % np.pi, (ang + 0.5 * np.pi) % np.pi):
-            d = np.abs(vth - axis)
-            d = np.minimum(d, np.pi - d)
-            score = min(score, float(np.min(d)))
-        if score > best_score:
-            best, best_score = float(ang), score
-    return best
+    angs = np.linspace(0.0, np.pi, 180, endpoint=False)
+    axes = np.mod([angs, angs + 0.5 * np.pi], np.pi)           # (2, 180)
+    d = np.abs(vth[:, None, None] - axes)
+    score = np.minimum(d, np.pi - d).min(axis=(0, 1))
+    return float(angs[np.argmax(score)])
 
 
 @dataclass
@@ -227,24 +221,23 @@ def slab_energy_rows(domain: ConvexDomain, model: VelocityModel, field_: Field,
     cells_proj = np.einsum("yxc,c->yx", grid.centers, ex)
     area = grid.cell_area
 
+    # all nine chords at once: (cut, node) points, (component, cut) integrals,
+    # and their weighted sums added component by component
+    bases = center + (positions - c_proj)[:, None] * ex
+    ts = np.linspace(-domain.exit_times(bases, -ey), domain.exit_times(bases, ey), 256, axis=-1)
+    reads, W = grid.interp_weights(bases[:, None, :] + ts[..., None] * ey)
+    vals = field_.values.reshape(model.p, -1).take(reads, axis=1)
+    chord = np.trapezoid(np.multiply(vals, W, out=vals).sum(axis=1), ts, axis=-1)
+
     rows = []
-    for a in positions:
-        base = center + (a - c_proj) * ex
-        t_plus = float(domain.exit_times(base[None, :], ey)[0])
-        t_minus = float(domain.exit_times(base[None, :], -ey)[0])
-        ts = np.linspace(-t_minus, t_plus, 256)
-        at_chord = grid.interp_weights(base[None, :] + ts[:, None] * ey)
-        lhs = 0.0
-        for i in range(model.p):
-            vals = grid.sample(field_.values[i], *at_chord)
-            lhs += xi[i] ** 2 * float(np.trapezoid(vals, ts))
+    for a, lhs in zip(positions, sum(xi[:, None] ** 2 * chord)):
         bmask = bproj <= a
         boundary_term = float(np.sum(
             xi[:, None] * vdotn[:, bmask] * F_bnd[:, bmask] * dsig[None, bmask]))
         inmask = grid.mask & (cells_proj <= a)
         alpha_term = alpha * float(np.sum(
             xi[:, None, None] * field_.values * inmask[None, :, :]) * area)
-        rows.append(SlabRow(lhs, boundary_term, alpha_term))
+        rows.append(SlabRow(float(lhs), boundary_term, alpha_term))
     return rows
 
 

@@ -454,8 +454,8 @@ def truncate_and_mollify_boundary(bd: BoundaryData, k: float,
     """Cap each trace at k/2, then smooth along the boundary.
 
     The smoothing kernel is a bump supported on 1/k of the total arclength.
-    A trace is sampled at n = max(2048, ceil(16 k)) equally spaced points,
-    so the kernel reaches several samples either side (n / (2k) >= 8).
+    A trace is sampled at n = max(2048, ceil(16 k)) <= KERNEL_BUDGET equally
+    spaced points, so the kernel reaches several samples either side (n / (2k) >= 8).
     Constant traces are closed under both steps and pass through exactly.
     """
     if not k > 1:
@@ -470,6 +470,9 @@ def truncate_and_mollify_boundary(bd: BoundaryData, k: float,
         if isinstance(tr, ConstantTrace):
             traces.append(ConstantTrace(min(tr.value, cap)))
             continue
+        if n_samples > KERNEL_BUDGET:
+            raise FieldError(f"truncation level k = {k:g} needs {n_samples:.3g} samples "
+                             f"per inflow trace, more than {KERNEL_BUDGET}")
         ts = np.arange(n_samples) * (L / n_samples)
         vals = np.minimum(np.asarray(tr.eval(ts), dtype=float), cap)
         half = support / 2.0

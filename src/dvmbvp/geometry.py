@@ -127,6 +127,7 @@ class ConvexDomain:
         a, b = self.semi_axes
         return (cx - a, cx + a, cy - b, cy + b)
 
+    @np.errstate(over="ignore")     # +inf too far out, in semi-axes, for a float
     def phi(self, points):
         """Implicit function: negative inside, zero on the boundary."""
         p = np.asarray(points, dtype=float)
@@ -342,6 +343,7 @@ class BoundaryArc:
     dsigma: np.ndarray       # (n,) arclength weights
     vdotn: np.ndarray        # (n,) signed v . n(Z)
 
+    @np.errstate(over="ignore", invalid="ignore")     # not finite where it overflows
     def integrate_flux(self, values) -> float:
         """Integral of values * |v.n| dsigma over the arc."""
         return float(np.sum(np.asarray(values) * np.abs(self.vdotn) * self.dsigma))

@@ -126,7 +126,7 @@ class SolverConfig:
     tol_outer: float = 1e-8
     max_inner: int = 400
     max_outer: int = 120
-    alpha_schedule: tuple = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
+    alpha_schedule: tuple = (0.03125, 0.015625)
     k_schedule: tuple = (4.0, 16.0, 64.0, 256.0)
 
     def check(self) -> None:
@@ -461,13 +461,11 @@ class SolverWorkspace:
             self._tables[i] = tab
         return tab
 
-    def rays(self, i: int, keep: bool = True) -> _Rays:
+    def rays(self, i: int) -> _Rays:
         """Velocity i's inflow rays for `characteristic_balance`, one from each
         of 256 midpoint nodes of its inflow arc (`boundary_quadrature`) to its
         exit point, on a node ladder with steps of at most `h_s`.
-        Built on first use and kept for later calls, unless `keep` is False:
-        a workspace made for a single balance then holds one velocity's rays
-        at a time."""
+        Built on first use and kept for later calls."""
         rays = self._rays.get(i)
         if rays is None:
             v = self.model.v[i]
@@ -478,8 +476,7 @@ class SolverWorkspace:
                          *self.grid.stencil(pts))
             for a in rays:
                 a.setflags(write=False)
-            if keep:
-                self._rays[i] = rays
+            self._rays[i] = rays
         return rays
 
     @cached_property
@@ -760,6 +757,7 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     return Field(ws.grid, F), trace
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflowing stage is "not_finite"
 def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
                       boundary: BoundaryData, config: SolverConfig,
                       workspace: SolverWorkspace | None = None,
@@ -980,6 +978,7 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     ws = _workspace_on(domain, model, None, config, workspace)
     for a in config.alpha_schedule[-2:]:
         kernel_reach(a, ws.grid.h)             # checked on the run grid, before the coarse one
+    bds = [truncate_and_mollify_boundary(boundary, k, domain) for k in ks]   # and each inflow
     from . import diagnostics as diag   # deferred: diagnostics imports solver
 
     coarse = (ws.coarse if len(ks) > 1 else None) or ws
@@ -987,11 +986,10 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
                          tol_inner=max(config.tol_inner, INNER_FORCING * COARSE_TOL_OUTER))
     stages = []
     prev_field = None
-    for j, k in enumerate(ks):
+    for j, (k, bd_k) in enumerate(zip(ks, bds)):
         stage_ws = ws if j == len(ks) - 1 else coarse
         if prev_field is not None and prev_field.grid is not stage_ws.grid:
             prev_field = _prolong(prev_field, stage_ws.grid)
-        bd_k = truncate_and_mollify_boundary(boundary, k, domain)
         cfg = replace(config if stage_ws is ws else coarse_cfg, k=k,
                       alpha_schedule=config.alpha_schedule[-2:])
         cont = alpha_continuation(domain, model, bd_k, cfg, workspace=stage_ws,
@@ -1028,6 +1026,7 @@ class MildResidual:
     max_cell: float
 
 
+@np.errstate(over="ignore")     # an overflowing defect is inf
 def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
                   field_: Field, k: float | None = None, alpha: float = 0.0,
                   smoothed: Field | None = None,
@@ -1054,8 +1053,7 @@ def residual_mild(domain: ConvexDomain, model: VelocityModel, boundary: Boundary
         r = np.abs(actual - predicted)
         l1[i] = float(np.sum(r) * area)
         worst = max(worst, float(np.max(r)))
-    with np.errstate(over="ignore"):     # an infinite total stays inf
-        total = float(np.sum(l1) / max(field_.mass(), 1e-300))
+    total = float(np.sum(l1) / max(field_.mass(), 1e-300))
     return MildResidual(total, worst)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import dvmbvp as dv
 from dvmbvp.collision import eval_truncated
-from dvmbvp.diagnostics import (characteristic_balance, collision_grids,
+from dvmbvp.diagnostics import (_frame_angle, characteristic_balance, collision_grids,
                                 entropy_bound_check, entropy_dissipation,
                                 exceptional_sets, integrated_collision_frequency,
                                 mass_energy_flux, slab_energy_rows, stage_diagnostics,
@@ -159,14 +159,14 @@ def test_second_stage_diagnostics_on_a_workspace_traces_no_ray(monkeypatch, disk
 
 def test_balance_without_a_workspace_keeps_no_workspace_alive(monkeypatch, disk, broadwell,
                                                              smooth_field):
-    """The rays of a call without a workspace go with the workspace it built,
-    which nothing holds once the call returns."""
+    """The rays of a call without a workspace are stored on the workspace it
+    built, which nothing holds once the call returns."""
     built = []
     rays = SolverWorkspace.rays
 
-    def spy(self, i, keep=True):
+    def spy(self, i):
         built.append(weakref.ref(self))
-        return rays(self, i, keep)
+        return rays(self, i)
     monkeypatch.setattr(SolverWorkspace, "rays", spy)
     nu, gain = collision_grids(broadwell, smooth_field, k=8.0)
     characteristic_balance(disk, broadwell, smooth_field, BoundaryData.constant([1.0] * 4),
@@ -242,6 +242,78 @@ def test_slab_rows_constant_maxwellian(disk, broadwell, maxwellian_values):
     rows = slab_energy_rows(disk, broadwell, F, alpha=0.0)
     scale = max(abs(r.lhs) for r in rows)
     assert all(r.defect <= 2e-3 * scale for r in rows)
+
+
+def frame_angle_by_angle(model):
+    """The frame angle, one sampled angle at a time: the first best."""
+    vth = np.mod(np.arctan2(model.v[:, 1], model.v[:, 0]), np.pi)
+    best, best_score = 0.0, -1.0
+    for ang in np.linspace(0.0, np.pi, 180, endpoint=False):
+        score = np.inf
+        for axis in (ang % np.pi, (ang + 0.5 * np.pi) % np.pi):
+            d = np.abs(vth - axis)
+            d = np.minimum(d, np.pi - d)
+            score = min(score, float(np.min(d)))
+        if score > best_score:
+            best, best_score = float(ang), score
+    return best
+
+
+def slab_lhs_by_cut(domain, model, F):
+    """The slab rows' weighted chord integrals, one cut and one component at
+    a time."""
+    ang = frame_angle_by_angle(model)
+    ex = np.array([math.cos(ang), math.sin(ang)])
+    ey = np.array([-math.sin(ang), math.cos(ang)])
+    xi = model.v @ ex
+    grid = F.grid
+    center = np.asarray(domain.center)
+    c_proj = float(center @ ex)
+    reach_plus = float(domain.exit_times(center[None, :], ex)[0])
+    reach_minus = float(domain.exit_times(center[None, :], -ex)[0])
+    lhs_rows = []
+    for a in c_proj + np.linspace(-reach_minus, reach_plus, 9 + 2)[1:-1]:
+        base = center + (a - c_proj) * ex
+        t_plus = float(domain.exit_times(base[None, :], ey)[0])
+        t_minus = float(domain.exit_times(base[None, :], -ey)[0])
+        ts = np.linspace(-t_minus, t_plus, 256)
+        at_chord = grid.interp_weights(base[None, :] + ts[:, None] * ey)
+        lhs = 0.0
+        for i in range(model.p):
+            vals = grid.sample(F.values[i], *at_chord)
+            lhs += xi[i] ** 2 * float(np.trapezoid(vals, ts))
+        lhs_rows.append(lhs)
+    return lhs_rows
+
+
+OFF_LATTICE = dv.VelocityModel.create([(1.0, math.sqrt(2.0)), (-0.3, 0.7), (0.2, -1.1)], [])
+
+
+def test_frame_angle_is_the_first_best_sampled_angle(broadwell, three_circle_model):
+    rng = np.random.default_rng(7)
+    models = [broadwell, dv.classical_broadwell(), three_circle_model, OFF_LATTICE]
+    models += [dv.VelocityModel.create([tuple(v) for v in rng.normal(size=(p, 2))], [])
+               for p in (1, 2, 5, 9)]
+    models.append(dv.VelocityModel.create([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0)], []))
+    for model in models:
+        assert _frame_angle(model) == frame_angle_by_angle(model)
+
+
+@pytest.mark.parametrize("domain", [
+    dv.ConvexDomain.disk(),
+    dv.ConvexDomain.ellipse(1.5, 0.8, center=(0.1, -0.2)),
+    dv.ConvexDomain.superellipse(1.0, 0.7, 4.0, center=(0.2, 0.1)),
+], ids=["disk", "ellipse", "superellipse"])
+@pytest.mark.parametrize("n", [12, 21, 40])
+def test_slab_rows_trace_every_cut_at_once_bitwise(broadwell, domain, n):
+    """All nine chords traced together give each cut's chord integral bitwise,
+    on shifted Broadwell, classical Broadwell and a model off the lattice."""
+    grid = dv.Grid(domain, n)
+    for model in (broadwell, dv.classical_broadwell(), OFF_LATTICE):
+        F = Field.from_function(grid, [lambda x, y, j=j: 1.0 + 0.3 * np.sin(x + j * y)
+                                       for j in range(model.p)])
+        rows = slab_energy_rows(domain, model, F, alpha=0.25)
+        assert [r.lhs for r in rows] == slab_lhs_by_cut(domain, model, F)
 
 
 # -- entropy dissipation --------------------------------------------------------------

@@ -1309,15 +1309,18 @@ def warm_up_sweep(domain, model, boundary, config):
 @pytest.mark.parametrize("inflow", ["maxwellian", "step"])
 def test_k_sweep_without_the_alpha_warm_up_keeps_the_final_field(disk, broadwell,
                                                                  maxwellian_params, inflow):
-    """The default 32^2 sweep, which runs only the Richardson pair at its
-    first level too, ends bitwise at the field of the sweep with the six-stage
-    warm-up."""
+    """The 32^2 sweep with the six-stage schedule, which runs only its
+    Richardson pair at the first level too, ends bitwise at the field of the
+    sweep with the six-stage warm-up, and at the default sweep's field."""
     bd = stage_inflow(disk, broadwell, maxwellian_params, inflow)
-    cfg = SolverConfig(grid_n=32)
-    assert len(cfg.alpha_schedule) == 6
+    cfg = SolverConfig(grid_n=32,
+                       alpha_schedule=(0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625))
+    assert cfg.alpha_schedule[-2:] == SolverConfig().alpha_schedule
     sweep = dv.k_sweep(disk, broadwell, bd, cfg)
     assert sweep.converged
     assert np.array_equal(sweep.field.values, warm_up_sweep(disk, broadwell, bd, cfg).values)
+    assert np.array_equal(sweep.field.values,
+                          dv.k_sweep(disk, broadwell, bd, SolverConfig(grid_n=32)).field.values)
 
 
 def test_k_sweep_stops_coarse_levels_at_the_coarse_tolerance(disk, broadwell,
