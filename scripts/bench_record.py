@@ -29,6 +29,8 @@ JSON line, against the `dvmbvp` package under SRC:
         BALANCE_CALLS `characteristic_balance` calls per size
     --faults WORKLOAD CHECKOUT
         minor page faults per operation of one `bench/run.py` run of CHECKOUT
+    --mirror SRC [--sizes N ...]
+        the x <-> y mirror gap of one stage solve per size (see MIRROR_WINDOWS)
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ SWEEP_MS_CALLS = 40
 SWEEP_MS_PROCESSES = 3
 BALANCE_SIZES = (32, 64, 128)
 BALANCE_CALLS = 50
+# Per component of shifted Broadwell, the arclength window (mod L) on which
+# the mirror test's inflow is 2.0; it is 0.25 elsewhere.
+MIRROR_WINDOWS = ((0.1, 2.0), (1.0, 3.5), (2.5, 5.0), (4.0, 0.5))
+MIRROR_SIZES = (32, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +256,57 @@ def measure_balance(src: str, sizes) -> dict:
             faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         out[f"{n}^2"] = {"call_ms": 1e3 * statistics.median(times),
                          "minor_faults_after_first": faults}
+    return out
+
+
+def measure_mirror(src: str, sizes) -> dict:
+    """Per size, how far one stage solve is from mirror-symmetric: shifted
+    Broadwell on the unit disk, alpha = 0.125, k = 16, the MIRROR_WINDOWS
+    inflow, raw and smoothed by `truncate_and_mollify_boundary(., 16)`.  The
+    mirror (x, y) -> (y, x) swaps components 1 <-> 3 and 2 <-> 4 and maps the
+    arclength t to L/4 - t; the mirrored problem's solve, transposed and
+    swapped back, is compared with the first solve by relative L1.  Also the
+    exterior cells whose nearest-interior continuation is not the mirror of
+    their mirror cell's."""
+    sys.path.insert(0, src)
+    import numpy as np
+    import dvmbvp as dv
+    from dvmbvp.fields import truncate_and_mollify_boundary
+
+    disk, model = dv.ConvexDomain.disk(), dv.shifted_broadwell()
+    swap = [2, 3, 0, 1]
+    assert np.array_equal(model.v[swap], model.v[:, ::-1])
+    length = dv.geometry.boundary_param(disk).total_length
+
+    def window(a, b, t):
+        return np.where(np.mod(t - a, length) < np.mod(b - a, length), 2.0, 0.25)
+    raw = dv.BoundaryData(tuple(dv.fields.CallableTrace(lambda t, w=w: window(*w, t))
+                                for w in MIRROR_WINDOWS))
+    mirrored = dv.BoundaryData(tuple(
+        dv.fields.CallableTrace(lambda t, w=MIRROR_WINDOWS[j]: window(*w, 0.25 * length - t))
+        for j in swap))
+    out = {}
+    for n in sizes:
+        grid = dv.Grid(disk, n)
+        assert grid.nx == grid.ny
+        ws = dv.SolverWorkspace(disk, model, grid, dv.SolverConfig(grid_n=n))
+        config = dv.SolverConfig(grid_n=n, alpha=0.125, k=16.0)
+        gaps = {}
+        for name, smooth in (("raw", False), ("smoothed", True)):
+            F, G = (dv.outer_fixed_point(disk, model, truncate_and_mollify_boundary(
+                        bd, 16.0, disk) if smooth else bd, config, workspace=ws)[0].values
+                    for bd in (raw, mirrored))
+            back = G[swap].transpose(0, 2, 1)
+            gaps[name] = float(np.abs(F - back).sum() / np.abs(F).sum())
+        pad = grid.pad_flat.reshape(n, n)
+        src_y, src_x = np.divmod(pad, n)
+        # the source of the mirror cell, mirrored back
+        back_src = src_x.T * n + src_y.T
+        exterior = ~grid.mask
+        out[f"{n}^2"] = {"rel_l1_gap": gaps,
+                         "exterior_cells": int(exterior.sum()),
+                         "exterior_cells_not_equivariant":
+                             int(np.count_nonzero((pad != back_src) & exterior))}
     return out
 
 
@@ -560,9 +617,20 @@ def balance_calls(parent: Path, tmp: str, args) -> dict:
     return runs
 
 
+def mirror(parent: Path, tmp: str, args) -> dict:
+    """One `--mirror` process on the change at MIRROR_SIZES: per size, the
+    relative L1 mirror gap of a stage solve on the raw and the smoothed
+    inflow, and the exterior cells whose continuation is not mirror-equivariant."""
+    out = measure("--mirror", ROOT / "src", "--sizes", *MIRROR_SIZES)
+    for size, r in out.items():
+        log(f"mirror {size}: gap {r['rel_l1_gap']}, {r['exterior_cells_not_equivariant']} "
+            f"of {r['exterior_cells']} exterior cells not equivariant")
+    return out
+
+
 SECTIONS = {f.__name__: f for f in (bench_pairs, sweeps, earlier_levels, page_faults, calls,
                                      small_disks, margin_scan, mollify_share, sweep_ms,
-                                     balance_calls)}
+                                     balance_calls, mirror)}
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +658,7 @@ def main(argv=None) -> int:
     ap.add_argument("--sweep-ms", metavar="SRC")
     ap.add_argument("--faults", nargs=2, metavar=("WORKLOAD", "CHECKOUT"))
     ap.add_argument("--balance", metavar="SRC")
+    ap.add_argument("--mirror", metavar="SRC")
     args = ap.parse_args(argv)
     if args.one:
         inflow, n, src = args.one
@@ -601,6 +670,8 @@ def main(argv=None) -> int:
         result = measure_sweep_ms(args.sweep_ms)
     elif args.balance:
         result = measure_balance(args.balance, args.sizes)
+    elif args.mirror:
+        result = measure_mirror(args.mirror, args.sizes)
     elif args.faults:
         result = measure_faults(args.faults[0], Path(args.faults[1]).resolve())
     else:

@@ -112,11 +112,11 @@ def load_run_config(path):
         raise StructuralError(f"unknown solver options: {sorted(unknown)}")
     try:
         for key in ("alpha_schedule", "k_schedule"):
-            # anything but a list of numbers stays as it is, for check() to refuse
+            # anything but a list of numbers stays as it is, for SolverConfig to refuse
             if isinstance(sspec.get(key), list) and all(map(is_real, sspec[key])):
                 sspec[key] = tuple(float(x) for x in sspec[key])
         config = SolverConfig(**sspec)
-        config.check()
+        config.damping()             # the one rule a solve, not the config, checks
     except (TypeError, ValueError) as exc:
         raise StructuralError(f"bad solver options: {exc}") from exc
     except SolverError as exc:

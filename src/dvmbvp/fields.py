@@ -214,12 +214,12 @@ class Field:
         """Rows x, y, component, value for every interior cell."""
         g = self.grid
         ys, xs = np.nonzero(g.mask)
+        cells = [f"{x!r},{y!r}," for x, y in zip(g.xs[xs].tolist(), g.ys[ys].tolist())]
         with open(path, "w") as fh:
             fh.write("x,y,component,value\n")
             for i in range(self.p):
-                vals = self.values[i, ys, xs]
-                for x, y, v in zip(g.xs[xs], g.ys[ys], vals):
-                    fh.write(f"{float(x)!r},{float(y)!r},{i + 1},{float(v)!r}\n")
+                fh.write("".join(f"{cell}{i + 1},{v!r}\n" for cell, v in
+                                 zip(cells, self.values[i, ys, xs].tolist())))
 
     @staticmethod
     def load_csv(path, grid: Grid, p: int) -> "Field":

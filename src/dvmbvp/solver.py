@@ -116,7 +116,9 @@ class SolverConfig:
     """Numerical parameters for one stage and for the continuation loops.
 
     The partner factor is mollified with radius alpha and the inflow trace
-    is smoothed over 1/k of the boundary arclength.  `check()` states each field's rule.
+    is smoothed over 1/k of the boundary arclength.  A config that breaks a
+    field's rule cannot be made, by the constructor or by `replace`, except
+    for `alpha`, whose rule every solve checks first (`damping()`).
     """
 
     alpha: float = 0.5
@@ -129,16 +131,13 @@ class SolverConfig:
     alpha_schedule: tuple = (0.03125, 0.015625)
     k_schedule: tuple = (4.0, 16.0, 64.0, 256.0)
 
-    def check(self) -> None:
-        """Raise SolverError, naming the option, on a value the solver cannot run:
-        `outer_fixed_point`, `alpha_continuation` and `k_sweep` call it first."""
+    def __post_init__(self) -> None:
         def count(x):
             return isinstance(x, int) and not isinstance(x, bool)
 
         c = self
         alphas, ks = c.alpha_schedule, c.k_schedule
-        rules = [
-            ("alpha", is_real(c.alpha) and c.alpha > 0, "a positive number"),
+        c._refuse([
             ("k", is_real(c.k) and c.k > 1, "a number above 1"),
             ("grid_n", count(c.grid_n) and c.grid_n >= 4, "an integer of at least 4"),
             ("tol_inner", is_real(c.tol_inner) and c.tol_inner > 0, "a positive number"),
@@ -151,11 +150,19 @@ class SolverConfig:
             ("k_schedule", len(ks) > 0 and all(map(is_real, ks))
              and all(k2 > k1 for k1, k2 in zip(ks, ks[1:])) and ks[0] > 1,
              "a nonempty, strictly increasing list of numbers above 1"),
-        ]
+        ])
+
+    def damping(self) -> float:
+        """`alpha`, refused unless it is a positive number."""
+        self._refuse([("alpha", is_real(self.alpha) and self.alpha > 0, "a positive number")])
+        return self.alpha
+
+    def _refuse(self, rules) -> None:
+        """SolverError, in the CLI's words, naming the first option whose rule fails."""
         for name, ok, want in rules:
             if not ok:
                 raise SolverError(f"bad solver option {name}: expected {want}, "
-                                  f"got {getattr(c, name)!r}")
+                                  f"got {getattr(self, name)!r}")
 
 
 def compute_mass_cap(domain: ConvexDomain, model: VelocityModel,
@@ -678,7 +685,7 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     ws = _workspace_on(domain, model, frozen.grid, config, workspace)
     if start is not None:
         _workspace_on(domain, model, start.grid, config, ws)
-    alpha, k = config.alpha, config.k
+    alpha, k = config.damping(), config.k
     smoothed = mollify_field(frozen, alpha)
     if entry_vals is None:
         entry_vals = ws.entry_values(boundary)
@@ -690,7 +697,7 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
 
     trace = SolveTrace(mass_cap=mass_cap, tolerance=config.tol_inner, start="zero")
     F = np.zeros((model.p, ws.grid.ny, ws.grid.nx))
-    if start is not None and config.max_inner > 0:
+    if start is not None:
         trace.start = "certified"        # until its first pass says otherwise
         F[:, ws.grid.mask] = start.values[:, ws.grid.mask]
     tr_F = truncated_factor(F, k)        # truncated factors of F, refreshed per component
@@ -783,9 +790,8 @@ def outer_fixed_point(domain: ConvexDomain, model: VelocityModel,
     ladder that meets tol_outer is followed by one more outer iteration at
     tol_inner.
     """
-    config.check()
     ws = _workspace_on(domain, model, None if start is None else start.grid, config, workspace)
-    kernel_reach(config.alpha, ws.grid.h)      # an unaffordable kernel fails before any table
+    kernel_reach(config.damping(), ws.grid.h)  # an unaffordable kernel fails before any table
     entry_vals = ws.entry_values(boundary)
     mass_cap = compute_mass_cap(domain, model, boundary, config.alpha)
     f = start.copy() if start is not None else Field.zeros(ws.grid, model.p)
@@ -874,7 +880,7 @@ def alpha_continuation(domain: ConvexDomain, model: VelocityModel,
     Richardson extrapolation of the last two stages (clipped at zero to
     preserve positivity).  `k_sweep` passes only those two.
     """
-    config.check()
+    config.damping()
     schedule = list(config.alpha_schedule)
     ws = _workspace_on(domain, model, None if start is None else start.grid, config, workspace)
     for a in schedule:
@@ -973,7 +979,7 @@ def k_sweep(domain: ConvexDomain, model: VelocityModel, boundary: BoundaryData,
     no interior cell at coarse_n, run every level on the run grid at
     tol_outer.
     """
-    config.check()
+    config.damping()
     ks = list(config.k_schedule)
     ws = _workspace_on(domain, model, None, config, workspace)
     for a in config.alpha_schedule[-2:]:

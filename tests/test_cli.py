@@ -353,13 +353,30 @@ def test_sweep_rejects_invalid_solver_option(tmp_path, shifted_model_file, capsy
 ])
 def test_sweep_refuses_an_option_with_the_solver_config_message(tmp_path, shifted_model_file,
                                                                 capsys, option, value):
-    """The CLI's exit-2 line is `SolverConfig.check()`'s message, which the
-    solver calls raise too."""
+    """The CLI's exit-2 line is the message with which `SolverConfig`
+    refuses to be made."""
     cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"},
                        {**SMALL_SOLVER, option: value})
     assert main(["sweep", str(cfg)]) == 2
     with pytest.raises(SolverError) as want:
-        SolverConfig(**{option: tuple(value) if isinstance(value, list) else value}).check()
+        SolverConfig(**{option: tuple(value) if isinstance(value, list) else value})
+    assert capsys.readouterr().err == f"error: {want.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [0.0, -0.5, "0.5"])
+@pytest.mark.parametrize("command", [["solve", "CFG"], ["sweep", "CFG"],
+                                     ["diagnose", "--fields", "f.csv", "--config", "CFG"]])
+def test_every_command_refuses_a_bad_alpha_with_the_solver_config_message(
+        tmp_path, shifted_model_file, capsys, command, value):
+    """A bad alpha is refused for every command, also one that runs only
+    alpha_schedule, with exit 2 and the message of `SolverConfig.damping()`,
+    before any output directory."""
+    cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"},
+                       {**SMALL_SOLVER, "alpha": value})
+    assert main([str(cfg) if arg == "CFG" else arg for arg in command]) == 2
+    with pytest.raises(SolverError) as want:
+        SolverConfig(alpha=value).damping()
     assert capsys.readouterr().err == f"error: {want.value}\n"
     assert not (tmp_path / "out").exists()
 

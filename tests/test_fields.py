@@ -397,6 +397,34 @@ def test_field_csv_roundtrip(tmp_path, grid24):
     assert abs(f.mass() - g.mass()) == 0.0
 
 
+def save_csv_per_row(field_, path):
+    """The per-row writer `Field.save_csv` replaced, kept as its oracle."""
+    g = field_.grid
+    ys, xs = np.nonzero(g.mask)
+    with open(path, "w") as fh:
+        fh.write("x,y,component,value\n")
+        for i in range(field_.p):
+            for x, y, v in zip(g.xs[xs], g.ys[ys], field_.values[i, ys, xs]):
+                fh.write(f"{float(x)!r},{float(y)!r},{i + 1},{float(v)!r}\n")
+
+
+@pytest.mark.parametrize("domain", [ConvexDomain.disk(), ConvexDomain.ellipse(1.5, 0.8)],
+                         ids=["disk", "ellipse"])
+@pytest.mark.parametrize("n", [24, 61])
+def test_field_csv_is_bytewise_the_per_row_writer(tmp_path, domain, n):
+    """Random values on a 4-component field, with 0, 5e-324, 1e-300 and
+    1e300 at interior cells of every component."""
+    grid = Grid(domain, n)
+    values = np.random.default_rng(n).uniform(0.0, 5.0, (4, grid.ny, grid.nx)) * grid.mask
+    ys, xs = np.nonzero(grid.mask)
+    for i in range(4):
+        values[i, ys[i::4][:4], xs[i::4][:4]] = [0.0, 5e-324, 1e-300, 1e300]
+    f = Field(grid, values)
+    f.save_csv(tmp_path / "field.csv")
+    save_csv_per_row(f, tmp_path / "oracle.csv")
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
 @pytest.mark.parametrize("row, match", [
     ("0,0,0,1.0", "component"),          # component 0 would wrap to index -1
     ("0,0,4,1.0", "component"),          # one past p = 3

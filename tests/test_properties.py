@@ -75,7 +75,8 @@ def test_ladder_from_a_certified_start_monotone_and_mass_capped(disk, broadwell,
     bd = inflow(disk, values)
     frozen = Field.constant(ws16.grid, levels)
     step_q, _ = inner_monotone_solve(disk, broadwell, bd, frozen,
-                                     replace(cfg, max_inner=q, tol_inner=0.0), workspace=ws16)
+                                     replace(cfg, max_inner=q, tol_inner=5e-324),
+                                     workspace=ws16)
     S = scale * step_q.values
     F, tr = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws16,
                                  start=Field(ws16.grid, S))
@@ -118,11 +119,11 @@ def test_gauss_seidel_dominates_jacobi(disk, broadwell, ws16, values, levels, al
         J = ws16.apply_exponential(
             entry, source / (1.0 + J / cfg.k),
             gain_truncated(broadwell, truncated_factor(J, cfg.k), tr_sm), cfg.alpha)
-        # tol_inner = 0: the ladder runs all q steps unless a pass changes
-        # nothing, so G is Gauss-Seidel step q, as J is Jacobi step q
+        # at the least tol_inner the ladder runs all q steps unless a pass
+        # changes nothing, so G is Gauss-Seidel step q, as J is Jacobi step q
         G, tr = inner_monotone_solve(disk, broadwell, bd, frozen,
                                      SolverConfig(grid_n=N, alpha=cfg.alpha, k=cfg.k,
-                                                  max_inner=q, tol_inner=0.0),
+                                                  max_inner=q, tol_inner=5e-324),
                                      workspace=ws16)
         assert len(tr.increments) == q or tr.increments[-1] == 0.0
         assert np.all(G.values >= J)

@@ -66,6 +66,16 @@ def test_balance_calls():
     assert out["16^2"]["call_ms"] > 0
 
 
+def test_mirror_gap():
+    """The mirror measurement reaches the stage solve, the boundary smoothing
+    and the grid's continuation map by name: a small, positive gap on both
+    inflows, and a count of exterior cells within their number."""
+    [out] = measure("--mirror", ROOT / "src", "--sizes", 16).values()
+    assert all(0.0 < gap < 0.1 for gap in out["rel_l1_gap"].values())
+    assert set(out["rel_l1_gap"]) == {"raw", "smoothed"}
+    assert 0 <= out["exterior_cells_not_equivariant"] <= out["exterior_cells"]
+
+
 def test_record_against_itself(tmp_path, monkeypatch):
     """A whole record, the repository as its own parent, on the smallest sweep
     case: strict JSON with the header, and a final field bitwise its own."""

@@ -7,6 +7,7 @@ the ladder are the primary oracles.
 import math
 import re
 from dataclasses import fields as dataclass_fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -903,15 +904,16 @@ BAD_OPTIONS = [
 
 def test_every_option_has_one_rule():
     """Every field of SolverConfig has a rule with one wording (each bad value
-    below gets exactly its field's OPTION_RULES text), and the least values
-    each rule admits pass."""
+    below gets exactly its field's OPTION_RULES text), and a config of the
+    least values each rule admits can be made, by the constructor and by
+    `replace`."""
     names = [f.name for f in dataclass_fields(SolverConfig)]
     assert sorted(OPTION_RULES) == sorted(names)
     assert {name for name, _ in BAD_OPTIONS} == set(names)
-    SolverConfig().check()
-    SolverConfig(alpha=5e-324, k=1.0 + 2.0 ** -52, grid_n=4, tol_inner=5e-324,
+    least = dict(alpha=5e-324, k=1.0 + 2.0 ** -52, grid_n=4, tol_inner=5e-324,
                  tol_outer=5e-324, max_inner=1, max_outer=1, alpha_schedule=(5e-324,),
-                 k_schedule=(1.0 + 2.0 ** -52,)).check()
+                 k_schedule=(1.0 + 2.0 ** -52,))
+    assert replace(SolverConfig(), **least) == SolverConfig(**least)
 
 
 def test_readme_lists_exactly_the_solver_options():
@@ -924,16 +926,47 @@ def test_readme_lists_exactly_the_solver_options():
 
 @pytest.mark.parametrize("name, value", BAD_OPTIONS)
 def test_bad_option_is_refused_before_any_table(disk, broadwell, name, value):
-    """k_sweep, alpha_continuation and outer_fixed_point refuse a bad value of
-    any option with the CLI's message before they build a characteristic table."""
-    cfg = replace(SolverConfig(grid_n=8), **{name: value})
+    """A config with a bad value of any option but alpha cannot be made, by
+    the constructor or by `replace`: it raises the CLI's message, so no solve
+    and no table ever sees it.  A bad alpha is refused with that message by
+    k_sweep, alpha_continuation and both stage solves before any table."""
     want = f"bad solver option {name}: expected {OPTION_RULES[name]}, got {value!r}"
+    if name != "alpha":
+        for make in (lambda: SolverConfig(**{name: value}),
+                     lambda: replace(SolverConfig(grid_n=8), **{name: value})):
+            with pytest.raises(SolverError) as err:
+                make()
+            assert str(err.value) == want
+        return
+    cfg = replace(SolverConfig(grid_n=8), alpha=value)
     ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 8), SolverConfig(grid_n=8))
-    for run in (dv.k_sweep, dv.alpha_continuation, outer_fixed_point):
+    bd = BoundaryData.constant([1.0] * 4)
+    frozen = Field.constant(ws.grid, [1.0] * 4)
+    for run in (partial(dv.k_sweep, disk, broadwell, bd, cfg),
+                partial(dv.alpha_continuation, disk, broadwell, bd, cfg),
+                partial(outer_fixed_point, disk, broadwell, bd, cfg),
+                partial(inner_monotone_solve, disk, broadwell, bd, frozen, cfg)):
         with pytest.raises(SolverError) as err:
-            run(disk, broadwell, BoundaryData.constant([1.0] * 4), cfg, workspace=ws)
+            run(workspace=ws)
         assert str(err.value) == want
         assert ws._tables == {}
+
+
+@pytest.mark.parametrize("name, value", [("k", 1.0), ("k", 0.5), ("k", -3.0),
+                                         ("tol_inner", -1.0)])
+def test_a_bad_config_cannot_reach_a_single_ladder(disk, broadwell, name, value):
+    """inner_monotone_solve does not check k or tol_inner itself: with
+    constant inflow 1 and frozen state 1 at 16^2, a config forced past the
+    rules gives a "converged" ladder at k = 1.0 and 0.5, a "quadrature
+    defect" at k = -3 and 400 passes at tol_inner = -1.  Such a config cannot
+    be made, so the call fails with the option's message before the ladder
+    starts."""
+    ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), SolverConfig(grid_n=16))
+    frozen = Field.constant(ws.grid, [1.0] * 4)
+    with pytest.raises(SolverError, match=f"^bad solver option {name}: "):
+        inner_monotone_solve(disk, broadwell, BoundaryData.constant([1.0] * 4), frozen,
+                             replace(SolverConfig(grid_n=16), **{name: value}), workspace=ws)
+    assert ws._tables == {}
 
 
 def test_unaffordable_kernel_is_refused_before_any_table(broadwell):
@@ -974,12 +1007,13 @@ def test_outer_constant_inflow(disk, broadwell, ws32):
 
 def test_outer_no_false_convergence_without_inner_steps(disk, broadwell):
     """An inner ladder that never ran would leave the iterate at zero: no
-    change, but no fixed point either.  A stage refuses max_inner = 0 before
-    it runs; `test_outer_max_inner_never_converges` covers ladders cut short."""
-    cfg = SolverConfig(grid_n=8, max_inner=0)
+    change, but no fixed point either.  A config with max_inner = 0 cannot be
+    made, so no stage runs one; `test_outer_max_inner_never_converges` covers
+    ladders cut short."""
     with pytest.raises(SolverError, match="bad solver option max_inner: expected a positive "
                                           "integer, got 0"):
-        outer_fixed_point(disk, broadwell, BoundaryData.constant([1.0] * 4), cfg)
+        outer_fixed_point(disk, broadwell, BoundaryData.constant([1.0] * 4),
+                          SolverConfig(grid_n=8, max_inner=0))
 
 
 def test_outer_inner_ladders_are_inexact(disk, broadwell, ws24):
@@ -1098,9 +1132,9 @@ def test_continuation_runs_every_stage_at_tol_outer(disk, broadwell, ws24):
 
 
 def test_continuation_schedule_validated(disk, broadwell, ws24):
-    cfg = SolverConfig(grid_n=24, alpha_schedule=(0.25, 0.5))
     with pytest.raises(SolverError, match="bad solver option alpha_schedule"):
-        dv.alpha_continuation(disk, broadwell, BoundaryData.zero(4), cfg,
+        dv.alpha_continuation(disk, broadwell, BoundaryData.zero(4),
+                              SolverConfig(grid_n=24, alpha_schedule=(0.25, 0.5)),
                               workspace=ws24)
 
 
