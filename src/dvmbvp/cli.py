@@ -1,7 +1,8 @@
 """Command-line interface: model tools, solve/sweep driver, diagnostics.
 
 Exit codes are a stable contract: 0 success, 1 physics violation,
-2 unreadable or invalid input, 3 solver non-convergence.
+2 unreadable or invalid input, 3 solver non-convergence.  Commands raise on
+bad input; `main` alone turns an exception into exit 2 or 1.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ EXIT_OK = 0
 EXIT_PHYSICS = 1
 EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
-
-
-def _fail_input(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_INPUT
 
 
 def _json(obj, **kwargs) -> str:
@@ -110,15 +106,13 @@ def load_run_config(path):
     unknown = set(sspec) - allowed
     if unknown:
         raise StructuralError(f"unknown solver options: {sorted(unknown)}")
+    for key in ("alpha_schedule", "k_schedule"):
+        # anything but a list of numbers stays as it is, for SolverConfig to refuse
+        if isinstance(sspec.get(key), list) and all(map(is_real, sspec[key])):
+            sspec[key] = tuple(float(x) for x in sspec[key])
     try:
-        for key in ("alpha_schedule", "k_schedule"):
-            # anything but a list of numbers stays as it is, for SolverConfig to refuse
-            if isinstance(sspec.get(key), list) and all(map(is_real, sspec[key])):
-                sspec[key] = tuple(float(x) for x in sspec[key])
         config = SolverConfig(**sspec)
         config.damping()             # the one rule a solve, not the config, checks
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"bad solver options: {exc}") from exc
     except SolverError as exc:
         raise StructuralError(str(exc)) from exc
 
@@ -225,10 +219,7 @@ def run_hash(model: VelocityModel, raw_config: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_model_check(args) -> int:
-    try:
-        model = load_model(args.path)
-    except (OSError, StructuralError) as exc:
-        return _fail_input(str(exc))
+    model = load_model(args.path)
     cert = certify_model(model)
     report = {
         "p": model.p,
@@ -262,34 +253,28 @@ def cmd_model_check(args) -> int:
 
 
 def cmd_model_gen_shifted(args) -> int:
+    if args.base == "broadwell":
+        gamma = 1.0 if args.gamma is None else args.gamma
+        if not is_real(gamma):
+            raise StructuralError(f"--gamma must be a finite number, got {gamma}")
+        base_model = classical_broadwell(gamma)
+    else:
+        if args.gamma is not None:
+            raise StructuralError("--gamma applies only to the broadwell base; "
+                                  "a model file keeps its own rule gammas")
+        base_model = load_model(args.base)
+    base = [(w.vx, w.vy) for w in base_model.velocities]
+    rules = [(r.i, r.j, r.l, r.m, r.gamma) for r in base_model.rules]
     try:
-        if args.base == "broadwell":
-            gamma = 1.0 if args.gamma is None else args.gamma
-            if not is_real(gamma):
-                raise StructuralError(f"--gamma must be a finite number, got {gamma}")
-            base_model = classical_broadwell(gamma)
-        else:
-            if args.gamma is not None:
-                raise StructuralError("--gamma applies only to the broadwell base; "
-                                      "a model file keeps its own rule gammas")
-            base_model = load_model(args.base)
-        base = [(w.vx, w.vy) for w in base_model.velocities]
-        rules = [(r.i, r.j, r.l, r.m, r.gamma) for r in base_model.rules]
-        try:
-            n0 = np.array([float(x) for x in args.n0.split(",")])
-        except ValueError:
-            n0 = np.zeros(0)
-        if n0.shape != (2,) or not np.all(np.isfinite(n0)) or not np.any(n0):
-            raise StructuralError(f"--n0 must be two finite numbers x,y, not both zero; "
-                                  f"got {args.n0!r}")
-        if not math.isfinite(args.c0):
-            raise StructuralError(f"--c0 must be a finite number, got {args.c0}")
-        model = generate_shifted_model(base, rules, args.c0, n0 / np.hypot(n0[0], n0[1]))
-    except (OSError, StructuralError) as exc:
-        return _fail_input(str(exc))
-    except ModelError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
+        n0 = np.array([float(x) for x in args.n0.split(",")])
+    except ValueError:
+        n0 = np.zeros(0)
+    if n0.shape != (2,) or not np.all(np.isfinite(n0)) or not np.any(n0):
+        raise StructuralError(f"--n0 must be two finite numbers x,y, not both zero; "
+                              f"got {args.n0!r}")
+    if not math.isfinite(args.c0):
+        raise StructuralError(f"--c0 must be a finite number, got {args.c0}")
+    model = generate_shifted_model(base, rules, args.c0, n0 / np.hypot(n0[0], n0[1]))
     save_model(model, args.output)
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -297,27 +282,23 @@ def cmd_model_gen_shifted(args) -> int:
 
 def cmd_model_gen_circle(args) -> int:
     def parse_point(s):
-        x, y = s.split(",")
-        return (float(x), float(y))
+        try:
+            x, y = s.split(",")
+            return (float(x), float(y))
+        except ValueError as exc:
+            raise StructuralError(str(exc)) from exc
 
     quads = []
-    try:
-        for spec in args.quad:
-            pts = [parse_point(p) for p in spec.split(";")]
-            if len(pts) != 4:
-                raise StructuralError(f"quadruple {spec!r} must have 4 points")
-            if not all(is_real(c) for pt in pts for c in pt):
-                raise StructuralError(f"quadruple {spec!r} must have finite coordinates")
-            quads.append(pts)
-        if not is_real(args.gamma):
-            raise StructuralError(f"--gamma must be a finite number, got {args.gamma}")
-    except (ValueError, StructuralError) as exc:
-        return _fail_input(str(exc))
-    try:
-        model = generate_circle_model(quads, args.gamma)
-    except ModelError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
+    for spec in args.quad:
+        pts = [parse_point(p) for p in spec.split(";")]
+        if len(pts) != 4:
+            raise StructuralError(f"quadruple {spec!r} must have 4 points")
+        if not all(is_real(c) for pt in pts for c in pt):
+            raise StructuralError(f"quadruple {spec!r} must have finite coordinates")
+        quads.append(pts)
+    if not is_real(args.gamma):
+        raise StructuralError(f"--gamma must be a finite number, got {args.gamma}")
+    model = generate_circle_model(quads, args.gamma)
     save_model(model, args.output)
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -332,29 +313,24 @@ def _write_field(field: Field, path: Path, meta: dict) -> None:
     _write_meta(path, meta)
 
 
-def _make_output_dir(outdir: Path) -> str | None:
-    """Create `outdir`; None on success, else the reason in one line."""
+def _make_output_dir(outdir: Path) -> None:
+    """Create `outdir`, or raise StructuralError with the reason in one line."""
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return f"cannot create output_dir {str(outdir)!r}: {exc.strerror or exc}"
-    return None
+        raise StructuralError(f"cannot create output_dir {str(outdir)!r}: "
+                              f"{exc.strerror or exc}") from exc
 
 
 def cmd_solve(args) -> int:
-    try:
-        model, domain, boundary, config, outdir, raw = load_run_config(args.config)
-        grid = Grid(domain, config.grid_n)
-        ws = SolverWorkspace(domain, model, grid, config)     # builds no table yet
-    except (OSError, StructuralError, FieldError) as exc:
-        return _fail_input(str(exc))
+    model, domain, boundary, config, outdir, raw = load_run_config(args.config)
+    grid = Grid(domain, config.grid_n)
+    ws = SolverWorkspace(domain, model, grid, config)     # builds no table yet
     cert = certify_model(model)
     if not cert.certified:
         print("model failed certification; run `dvmbvp model check`", file=sys.stderr)
         return EXIT_PHYSICS
-    err = _make_output_dir(outdir)
-    if err:
-        return _fail_input(err)
+    _make_output_dir(outdir)
     rhash = run_hash(model, raw)
     meta_base = {
         "hash": rhash,
@@ -364,15 +340,8 @@ def cmd_solve(args) -> int:
         "p": model.p,
     }
 
-    try:
-        if args.single_stage:
-            field, trace = outer_fixed_point(domain, model, boundary, config, workspace=ws)
-        else:
-            sweep = k_sweep(domain, model, boundary, config, workspace=ws)
-    except FieldError as exc:       # a mollifier kernel or inflow sampling above the budget
-        return _fail_input(str(exc))
-
     if args.single_stage:
+        field, trace = outer_fixed_point(domain, model, boundary, config, workspace=ws)
         _write_field(field, outdir / "field_single.csv", meta_base)
         summary = {
             "hash": rhash, "mode": "single", "alpha": config.alpha, "k": config.k,
@@ -385,6 +354,7 @@ def cmd_solve(args) -> int:
         print(text)
         return EXIT_OK if trace.converged else EXIT_CONVERGENCE
 
+    sweep = k_sweep(domain, model, boundary, config, workspace=ws)
     for stage in sweep.stages:
         tag = f"k{stage.k:g}"
         starts = [ch.start for t in stage.continuation.traces for ch in t.children]
@@ -430,39 +400,35 @@ def cmd_solve(args) -> int:
     return EXIT_OK if converged else EXIT_CONVERGENCE
 
 
+@np.errstate(over="ignore", invalid="ignore")      # an overflowing measure is inf or nan
 def cmd_diagnose(args) -> int:
-    try:
-        model, domain, boundary, config, outdir, raw = load_run_config(args.config)
-        grid = Grid(domain, config.grid_n)
-        ws = SolverWorkspace(domain, model, grid, config)     # builds no table yet
-    except (OSError, StructuralError, FieldError) as exc:
-        return _fail_input(str(exc))
+    model, domain, boundary, config, outdir, raw = load_run_config(args.config)
+    grid = Grid(domain, config.grid_n)
+    ws = SolverWorkspace(domain, model, grid, config)     # builds no table yet
     field_path = Path(args.fields)
     meta_path = field_path.with_suffix(".meta.json")
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
     except OSError as exc:
-        return _fail_input(f"missing metadata sidecar: {exc}")
+        raise StructuralError(f"missing metadata sidecar: {exc}") from exc
     except ValueError as exc:
-        return _fail_input(f"metadata sidecar {meta_path} is not JSON: {exc}")
+        raise StructuralError(f"metadata sidecar {meta_path} is not JSON: {exc}") from exc
     if not isinstance(meta, dict):
-        return _fail_input(f"metadata sidecar {meta_path} must hold a JSON object")
+        raise StructuralError(f"metadata sidecar {meta_path} must hold a JSON object")
     rhash = run_hash(model, raw)
     if meta.get("hash") != rhash:
-        return _fail_input(f"field artifact hash {meta.get('hash')} does not match "
-                           f"config hash {rhash}")
+        raise StructuralError(f"field artifact hash {meta.get('hash')} does not match "
+                              f"config hash {rhash}")
     k = meta.get("k", config.k)
     if not (is_real(k) and k > 1):
-        return _fail_input(f"metadata sidecar k must be a finite number above 1, got {k!r}")
+        raise StructuralError(f"metadata sidecar k must be a finite number above 1, got {k!r}")
     k = float(k)
     try:
         field = Field.load_csv(field_path, grid, model.p)
     except Exception as exc:
-        return _fail_input(f"cannot read field CSV: {exc}")
-    err = _make_output_dir(outdir)
-    if err:
-        return _fail_input(err)
+        raise StructuralError(f"cannot read field CSV: {exc}") from exc
+    _make_output_dir(outdir)
 
     rep = diag.mass_energy_flux(domain, model, field, boundary, alpha=0.0, k=k)
     diss = diag.entropy_dissipation(model, field, k)
@@ -553,8 +519,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that maps an exception to an exit code:
+    bad input or a resource limit exits 2, a model the physics refuses 1."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, MemoryError, StructuralError, FieldError, GeometryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_INPUT
+    except ModelError as exc:           # after StructuralError, its subclass
+        print(f"rejected: {exc}", file=sys.stderr)
+        return EXIT_PHYSICS
 
 
 if __name__ == "__main__":

@@ -135,6 +135,9 @@ class SolverConfig:
         def count(x):
             return isinstance(x, int) and not isinstance(x, bool)
 
+        def listed(x):
+            return isinstance(x, (tuple, list)) and len(x) > 0 and all(map(is_real, x))
+
         c = self
         alphas, ks = c.alpha_schedule, c.k_schedule
         c._refuse([
@@ -144,10 +147,10 @@ class SolverConfig:
             ("tol_outer", is_real(c.tol_outer) and c.tol_outer > 0, "a positive number"),
             ("max_inner", count(c.max_inner) and c.max_inner >= 1, "a positive integer"),
             ("max_outer", count(c.max_outer) and c.max_outer >= 1, "a positive integer"),
-            ("alpha_schedule", len(alphas) > 0 and all(map(is_real, alphas))
+            ("alpha_schedule", listed(alphas)
              and all(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])) and alphas[-1] > 0,
              "a nonempty, strictly decreasing list of positive numbers"),
-            ("k_schedule", len(ks) > 0 and all(map(is_real, ks))
+            ("k_schedule", listed(ks)
              and all(k2 > k1 for k1, k2 in zip(ks, ks[1:])) and ks[0] > 1,
              "a nonempty, strictly increasing list of numbers above 1"),
         ])

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,6 +491,8 @@ def test_solve_rejects_malformed_domain_or_boundary(tmp_path, shifted_model_file
     ("step", "t1", True),
     ("step", "inside", [1.0, "1", 1.0, 1.0]),
     ("csv", "period", "6"),
+    ("solver", "k_schedule", 53),
+    ("solver", "alpha_schedule", None),
 ])
 def test_a_number_in_a_config_must_be_a_json_number(tmp_path, shifted_model_file, capsys,
                                                     part, key, value):
@@ -508,6 +514,84 @@ def test_a_number_in_a_config_must_be_a_json_number(tmp_path, shifted_model_file
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, change, want", [
+    ("solve", "{oops", "error: cannot parse config "),
+    ("solve", "[1, 2]", "error: config must be a JSON object\n"),
+    ("solve", {"model": 5}, "error: config.model must be a file path or an inline model\n"),
+    ("solve", {"domain": [1.0]}, "error: config.domain must be an object\n"),
+    ("solve", {"solver": [16]}, "error: config.solver must be an object\n"),
+    ("solve", {"boundary": "zero"}, "error: config.boundary must be an object\n"),
+    ("solve", {"boundary": {"profile": "maxwellian", "a": 0.0}},
+     "error: maxwellian boundary needs a, b, c\n"),
+    ("solve", {"boundary": {"profile": "csv"}}, "error: csv boundary needs a path\n"),
+    ("solve", {"rows": ["1,x,1.0"]}, "error: cannot read csv boundary "),
+    ("solve", {"rows": ["1,1.0,1.0", "2,1.0,1.0", "3,1.0,1.0"]},
+     "error: csv boundary misses component 4\n"),
+    ("solve", {"boundary": {"profile": "sawtooth"}},
+     "error: unknown boundary profile 'sawtooth'\n"),
+    ("diagnose", None, "error: missing metadata sidecar: "),
+    ("diagnose", "x,y,value", "error: cannot read field CSV: unexpected field CSV header: "
+                              "'x,y,value\\n'\n"),
+], ids=["config not JSON", "config not an object", "bad model", "domain not an object",
+        "solver not an object", "boundary not an object", "maxwellian without b, c",
+        "csv without path", "unreadable csv", "csv without component 4", "unknown profile",
+        "no sidecar", "field CSV header"])
+def test_every_refusal_of_a_run_config_is_one_line(tmp_path, shifted_model_file, capsys,
+                                                    command, change, want):
+    """Each refusal exits 2 with one stderr line that starts with `want`
+    (is `want`, when it ends the line), and leaves no artifact."""
+    cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"}, {"grid_n": 8})
+    if command == "diagnose":
+        argv = ["diagnose", "--fields", str(tmp_path / "f.csv"), "--config", str(cfg)]
+        if change is not None:
+            from dvmbvp.cli import load_run_config, run_hash
+            model, domain, boundary, config, outdir, raw = load_run_config(cfg)
+            (tmp_path / "f.csv").write_text(change + "\n")
+            (tmp_path / "f.meta.json").write_text(json.dumps({"hash": run_hash(model, raw)}))
+    else:
+        argv = ["solve", str(cfg)]
+        if isinstance(change, str):
+            cfg.write_text(change)
+        else:
+            if "rows" in change:
+                path = tmp_path / "inflow.csv"
+                path.write_text("\n".join(["component,t,value", *change["rows"]]) + "\n")
+                change = {"boundary": {"profile": "csv", "path": str(path)}}
+            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **change}))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(want) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_at_a_memory_limit_exits_2_with_one_line(tmp_path, shifted_model_file):
+    """Under a 2 GiB address-space limit set on its own process, a solve at
+    grid_n 20000 cannot allocate its grid: it exits 2 with one line naming
+    the allocation, not a traceback, within 5 s."""
+    cfg = write_config(tmp_path, shifted_model_file, {"profile": "zero"}, {"grid_n": 20000})
+    limited = ("import resource, sys; "
+               "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31)); "
+               "from dvmbvp.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = Path(dv.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+               [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]),
+           "OPENBLAS_NUM_THREADS": "1"}      # the address space BLAS reserves per core
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", limited, "solve", str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 <= 5.0
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+
+
+def test_a_memory_error_without_a_message_is_named(tmp_path, capsys, monkeypatch):
+    def exhausted(path):
+        raise MemoryError()
+    monkeypatch.setattr("dvmbvp.cli.load_model", exhausted)
+    assert main(["model", "check", str(tmp_path / "model.json")]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 @pytest.mark.parametrize("boundary, domain", [
@@ -687,6 +771,22 @@ def test_diagnose_rejects_output_dir_that_is_a_file(tmp_path, shifted_model_file
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot create output_dir") and err.count("\n") == 1
+
+
+def test_diagnose_refuses_a_model_with_a_zero_velocity(tmp_path, capsys):
+    """`diagnose` does not certify its model: a zero velocity, along which
+    no characteristic reaches the boundary, exits 2 with one line."""
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps({"velocities": [[0.0, 0.0], [1.0, 0.0]], "rules": []}))
+    cfg = write_config(tmp_path, model_file, {"profile": "zero"}, {"grid_n": 8})
+    from dvmbvp.cli import load_run_config, run_hash
+    model, domain, boundary, config, outdir, raw = load_run_config(cfg)
+    outdir.mkdir(parents=True)
+    Field.constant(Grid(domain, config.grid_n), [1.0, 1.0]).save_csv(outdir / "f.csv")
+    (outdir / "f.meta.json").write_text(json.dumps({"hash": run_hash(model, raw)}))
+    assert main(["diagnose", "--fields", str(outdir / "f.csv"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: velocity (0.0, 0.0) must be finite and nonzero\n"
+    assert not (outdir / "diagnostics.json").exists()
 
 
 @pytest.mark.parametrize("sidecar", [

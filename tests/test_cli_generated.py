@@ -2,7 +2,8 @@
 
 Each example writes a model file, an inflow CSV where the profile asks for
 one, and a run config, then runs `dvmbvp solve` (or `sweep`, or `solve
---single-stage`) in-process at grid_n <= 12.  Domains span sizes from
+--single-stage`) in-process at grid_n <= 12, and `dvmbvp diagnose` on the
+field that the run wrote, if any.  Domains span sizes from
 1e-300 to 1e300, every inflow profile and solver option takes edge values,
 and the models include velocities off the lattice.  Iteration counts stay at
 most 3 whenever a tolerance is below what a solve can reach, so that every
@@ -127,9 +128,9 @@ SOLVER_VALUES = {       # (valid, invalid) values of every solver option
     "max_inner": ([1, 2, 3], [0, -1, 1.5, True, "3"]),
     "max_outer": ([1, 2, 3], [0, -1, 1.5, True, None]),
     "alpha_schedule": ([[0.5, 0.25], [0.03125, 0.015625], [5e-324], [1e-300, 5e-324]],
-                       [[1e300], [0.25, 0.5], [], "53", [0.5, True]]),
+                       [[1e300], [0.25, 0.5], [], "53", [0.5, True], 53, None]),
     "k_schedule": ([[4.0], [1.0000000000000002, 1e300], [4, 16], [1e300]],
-                   [[], [0.5], [16, 4], [4.0, math.nan]]),
+                   [[], [0.5], [16, 4], [4.0, math.nan], 53, None]),
     "h_s": ([], [0.1]),
 }
 
@@ -167,11 +168,24 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def invoke(argv):
+    """(exit code, stderr lines) of the CLI run in-process on `argv`.  Every
+    warning counts as a stderr line, as it does in a process of its own, and
+    a RuntimeWarning fails the run."""
+    err = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
 def run_cli(command, run):
     """Write `run`'s files to a fresh directory and run the CLI on them:
-    (exit code, stderr lines, summary.json text or None).  Every warning
-    counts as a stderr line, as it does in a process of its own, and a
-    RuntimeWarning fails the run."""
+    (exit code, stderr lines, summary.json text or None), then `diagnose` on
+    the field the run wrote: its (exit code, stderr lines), or None when the
+    run wrote no field."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "model.json").write_text(json.dumps(run["model"]))
@@ -184,15 +198,14 @@ def run_cli(command, run):
         config = {"model": "model.json", "domain": run["domain"], "boundary": boundary,
                   "solver": run["solver"], "output_dir": str(tmp / "out")}
         (tmp / "config.json").write_text(json.dumps(config))
-        err = io.StringIO()
-        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
-              warnings.catch_warnings(record=True) as caught):
-            warnings.simplefilter("always")
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main([*command, str(tmp / "config.json")])
+        code, err = invoke([*command, str(tmp / "config.json")])
         summary = tmp / "out" / "summary.json"
-        return (code, err.getvalue().splitlines() + [str(w.message) for w in caught],
-                summary.read_text() if summary.exists() else None)
+        summary = summary.read_text() if summary.exists() else None
+        fields = [tmp / "out" / name for name in ("field_final.csv", "field_single.csv")]
+        diagnosed = next((invoke(["diagnose", "--fields", str(path),
+                                  "--config", str(tmp / "config.json")])
+                          for path in fields if path.exists()), None)
+        return code, err, summary, diagnosed
 
 
 BROADWELL = model_to_dict(dv.shifted_broadwell())
@@ -228,7 +241,7 @@ def found(domain, boundary, solver):
     {"kind": "disk", "radius": 1.0}, {"profile": "maxwellian", "a": 700.0, "b": [0.1, 0.1],
                                       "c": 0.05}, {"alpha": 3.0}))
 def test_generated_configs_keep_the_exit_code_contract(command, run):
-    code, err, summary = run_cli(command, run)
+    code, err, summary, diagnosed = run_cli(command, run)
     assert code in (0, 1, 2, 3)
     if code == 2:
         assert len(err) == 1, err
@@ -236,3 +249,7 @@ def test_generated_configs_keep_the_exit_code_contract(command, run):
         assert summary is not None
     if summary is not None:
         assert strict_json(summary)["converged"] is (code == 0)
+    if diagnosed is not None:
+        code, err = diagnosed
+        assert code in (0, 2)
+        assert len(err) == (code == 2), err

@@ -899,6 +899,8 @@ BAD_OPTIONS = [
     ("alpha_schedule", (INF, 0.5)),
     ("k_schedule", ()), ("k_schedule", (16.0, 4.0)), ("k_schedule", (1.0, 4.0)),
     ("k_schedule", (4.0, INF)), ("k_schedule", (NAN,)),
+    ("alpha_schedule", 53), ("alpha_schedule", None), ("alpha_schedule", True),
+    ("k_schedule", 53), ("k_schedule", None), ("k_schedule", True),
 ]
 
 
