@@ -27,6 +27,8 @@ JSON line, against the `dvmbvp` package under SRC:
         one `apply_exponential` call per size of SWEEP_MS_SIZES
     --balance SRC [--sizes N ...]
         BALANCE_CALLS `characteristic_balance` calls per size
+    --layers SRC [--sizes N ...]
+        per size, the median time of the calls in LAYER_CALLS
     --faults WORKLOAD CHECKOUT
         minor page faults per operation of one `bench/run.py` run of CHECKOUT
     --mirror SRC [--sizes N ...]
@@ -72,6 +74,15 @@ SWEEP_MS_CALLS = 40
 SWEEP_MS_PROCESSES = 3
 BALANCE_SIZES = (32, 64, 128)
 BALANCE_CALLS = 50
+LAYER_SIZES = (32, 64, 128)
+LAYER_SECONDS = 0.5           # each call repeats for about this long, 5 times at least
+LAYER_PROCESSES = 3
+LAYER_CALLS = {
+    "translation_modulus_ms": "4 velocities x 4 shifts of `translation_modulus` on the "
+                              "integrated frequency, as `diagnose128` calls it",
+    "rays_ms": "one velocity's `SolverWorkspace.rays` on a new workspace",
+    "tables_ms": "the four velocities' `SolverWorkspace.table` on a new workspace",
+}
 # Per component of shifted Broadwell, the arclength window (mod L) on which
 # the mirror test's inflow is 2.0; it is 0.25 elsewhere.
 MIRROR_WINDOWS = ((0.1, 2.0), (1.0, 3.5), (2.5, 5.0), (4.0, 0.5))
@@ -256,6 +267,46 @@ def measure_balance(src: str, sizes) -> dict:
             faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         out[f"{n}^2"] = {"call_ms": 1e3 * statistics.median(times),
                          "minor_faults_after_first": faults}
+    return out
+
+
+def measure_layers(src: str, sizes) -> dict:
+    """Per size, the median time in ms of each call of LAYER_CALLS: shifted
+    Broadwell on the unit disk, the field of `diagnose128` (seed 0, first
+    level, k = 4) and shifts of diameter / (64, 32, 16, 8); every call runs
+    once untimed first."""
+    sys.path[:0] = [src, str(Path(src).parent / "bench")]
+    import dvmbvp as dv
+    import workloads
+    from dvmbvp.diagnostics import integrated_collision_frequency, translation_modulus
+
+    wl = workloads.WORKLOADS["diagnose128"]()
+    disk, model, inputs = wl.domain, wl.model, wl.inputs(0)
+    shifts = [disk.diameter / d for d in (64, 32, 16, 8)]
+
+    def median_ms(call):
+        call()
+        times = []
+        while sum(times) < LAYER_SECONDS or len(times) < 5:
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+        return 1e3 * statistics.median(times)
+
+    def workspace(grid):
+        return dv.SolverWorkspace(disk, model, grid, dv.SolverConfig(grid_n=grid.n))
+
+    out = {}
+    for n in sizes:
+        grid = dv.Grid(disk, n)
+        intnu = integrated_collision_frequency(disk, model, wl.field(grid, inputs, 0),
+                                               workloads.K_LEVELS[0], workspace=workspace(grid))
+        out[f"{n}^2"] = {
+            "translation_modulus_ms": median_ms(lambda: [
+                translation_modulus(intnu, grid, v, shifts) for v in model.v]),
+            "rays_ms": median_ms(lambda: workspace(grid).rays(0)),
+            "tables_ms": median_ms(lambda: [workspace(grid).table(i) for i in range(model.p)]),
+        }
     return out
 
 
@@ -617,6 +668,22 @@ def balance_calls(parent: Path, tmp: str, args) -> dict:
     return runs
 
 
+def layer_calls(parent: Path, tmp: str, args) -> dict:
+    """LAYER_PROCESSES alternating `--layers` processes per side at
+    LAYER_SIZES, and per size and call of LAYER_CALLS the median over them
+    of each process's median call time, in ms."""
+    runs = {side: [] for side in SIDES}
+    for order in alternating(LAYER_PROCESSES):
+        for side in order:
+            runs[side].append(measure("--layers", checkout(side, parent) / "src",
+                                      "--sizes", *LAYER_SIZES))
+            log(f"layers {side}: {runs[side][-1]}")
+    median_ms = {side: {size: {call: statistics.median(r[size][call] for r in runs[side])
+                               for call in LAYER_CALLS} for size in runs[side][0]}
+                 for side in SIDES}
+    return {"calls": LAYER_CALLS, "median_ms": median_ms, "runs": runs}
+
+
 def mirror(parent: Path, tmp: str, args) -> dict:
     """One `--mirror` process on the change at MIRROR_SIZES: per size, the
     relative L1 mirror gap of a stage solve on the raw and the smoothed
@@ -630,7 +697,7 @@ def mirror(parent: Path, tmp: str, args) -> dict:
 
 SECTIONS = {f.__name__: f for f in (bench_pairs, sweeps, earlier_levels, page_faults, calls,
                                      small_disks, margin_scan, mollify_share, sweep_ms,
-                                     balance_calls, mirror)}
+                                     balance_calls, layer_calls, mirror)}
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +726,7 @@ def main(argv=None) -> int:
     ap.add_argument("--faults", nargs=2, metavar=("WORKLOAD", "CHECKOUT"))
     ap.add_argument("--balance", metavar="SRC")
     ap.add_argument("--mirror", metavar="SRC")
+    ap.add_argument("--layers", metavar="SRC")
     args = ap.parse_args(argv)
     if args.one:
         inflow, n, src = args.one
@@ -672,6 +740,8 @@ def main(argv=None) -> int:
         result = measure_balance(args.balance, args.sizes)
     elif args.mirror:
         result = measure_mirror(args.mirror, args.sizes)
+    elif args.layers:
+        result = measure_layers(args.layers, args.sizes)
     elif args.faults:
         result = measure_faults(args.faults[0], Path(args.faults[1]).resolve())
     else:

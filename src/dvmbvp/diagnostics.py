@@ -393,7 +393,7 @@ def exceptional_sets(domain: ConvexDomain, model: VelocityModel, field_: Field,
     meas_strip = np.zeros(p)
     meas_strip_b = np.zeros(p)
     violations = 0
-    cells = grid.centers[grid.mask]
+    cells = grid.interior_centers
     bound = threshold * math.exp(threshold)
     for i in range(p):
         v = model.v[i]
@@ -455,18 +455,18 @@ def translation_modulus(values, grid: Grid, direction, h_list) -> np.ndarray:
     d = d / float(np.hypot(d[0], d[1]))
     shifts = np.asarray(list(h_list), dtype=float)
     area = grid.cell_area
-    cells = grid.centers[grid.mask]
+    cells = grid.interior_centers
+    base = vals.reshape(len(vals), -1).take(grid.interior_flat, axis=1)
+    den = [float(np.sum(np.abs(b))) * area for b in base]
     out = np.zeros((vals.shape[0], len(shifts)))
     for si, h in enumerate(shifts):
         pts = cells + h * d
-        valid = grid.domain.contains(pts)
-        at_pts = grid.interp_weights(pts[valid])
+        valid = np.flatnonzero(grid.domain.contains(pts))
+        at_pts = grid.interp_weights(pts.take(valid, axis=0))
         for c in range(vals.shape[0]):
-            base = vals[c][grid.mask]
             shifted = grid.sample(vals[c], *at_pts)
-            num = float(np.sum(np.abs(shifted - base[valid]))) * area
-            den = float(np.sum(np.abs(base))) * area
-            out[c, si] = num / max(den, 1e-300)
+            num = float(np.sum(np.abs(shifted - base[c].take(valid)))) * area
+            out[c, si] = num / max(den[c], 1e-300)
     return out
 
 
@@ -476,8 +476,13 @@ def integrated_collision_frequency(domain: ConvexDomain, model: VelocityModel,
     """Cell grids of the entry->cell integral of the truncated frequency."""
     ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
     nu, _ = collision_grids(model, field_, k)
-    out = np.zeros_like(field_.values)
-    for i in range(model.p):
+    return _integrated(ws, nu)
+
+
+def _integrated(ws: SolverWorkspace, nu: np.ndarray) -> np.ndarray:
+    """Cell grids of the entry->cell integral of each component of `nu`."""
+    out = np.zeros_like(nu)
+    for i in range(len(nu)):
         out[i] = ws.scatter(i, ws.path_integral(i, nu[i]))
     return out
 
@@ -519,13 +524,13 @@ def stage_diagnostics(domain: ConvexDomain, model: VelocityModel, field_: Field,
     and the characteristic tables come from `workspace`, so a sweep traces
     them once, on its first level.
     """
+    ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
     nu, gain = collision_grids(model, field_, k=k)
-    bal = characteristic_balance(domain, model, field_, boundary, 0.0, nu, gain,
-                                 workspace=workspace)
+    bal = characteristic_balance(domain, model, field_, boundary, 0.0, nu, gain, workspace=ws)
     diss = entropy_dissipation(model, field_, k)
     ent = entropy_bound_check(domain, model, field_, k)
     shift = domain.diameter / 32.0
-    intnu = integrated_collision_frequency(domain, model, field_, k, workspace=workspace)
+    intnu = _integrated(ws, nu)     # the frequency of the balance, integrated on the lines
     moduli = [float(np.max(translation_modulus(intnu, field_.grid, model.v[i], [shift])))
               for i in range(model.p)]
     return {

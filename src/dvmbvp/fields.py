@@ -63,7 +63,10 @@ class Grid:
         # whose corners are clamped only to stay in range
         corners = np.arange(ny * nx) + np.array([[0], [1], [nx], [nx + 1]])
         self._corner_reads = self.pad_flat[np.minimum(corners, ny * nx - 1)]
-        self.n_interior = int(np.sum(self.mask))
+        # flat index and centre of every interior cell, in raster order
+        self.interior_flat = np.flatnonzero(self.mask)
+        self.interior_centers = self.centers.reshape(-1, 2).take(self.interior_flat, axis=0)
+        self.n_interior = len(self.interior_flat)
 
     def _nearest_interior_map(self) -> np.ndarray:
         """Flat index of the nearest interior cell for every lattice cell.

@@ -206,8 +206,10 @@ _GEMM_BLOCK = 1 << 18
 
 def _matmul(W: np.ndarray, P: np.ndarray) -> np.ndarray:
     """W @ P in column blocks of at most _GEMM_BLOCK multiply-adds each."""
-    out = np.empty((W.shape[0], P.shape[1]))
     width = max(1, _GEMM_BLOCK // W.size)
+    if P.shape[1] <= width:
+        return np.matmul(W, P)
+    out = np.empty((W.shape[0], P.shape[1]))
     for c in range(0, P.shape[1], width):
         np.matmul(W, P[:, c:c + width], out=out[:, c:c + width])
     return out
@@ -233,9 +235,14 @@ def _ladder_nodes(start: np.ndarray, t_end: np.ndarray, v, h_s: float,
     steps = _n_steps(t_end * float(np.hypot(v[0], v[1])), h_s)
     m = np.arange(int(steps.max(initial=0)) + 1)[:, None]
     t = np.where(m < steps, m * (t_end / steps), t_end)
-    pts = start[None, :, :] + t[..., None] * v
-    if end_pts is not None:
-        pts = np.where((m >= steps)[..., None], end_pts, pts)
+    # one coordinate plane at a time: a broadcast over the trailing axis of
+    # length 2 runs numpy's inner loop two elements at a time
+    pts = np.empty(t.shape + (2,))
+    for c in (0, 1):
+        plane = np.multiply(t, v[c], out=pts[..., c])
+        plane += start[:, c]
+        if end_pts is not None:
+            np.copyto(plane, end_pts[:, c], where=m >= steps)
     return np.diff(t, axis=0), pts
 
 
@@ -257,33 +264,35 @@ class _Rays(NamedTuple):
 
 
 def _transport(lad: _Ladder, inflow: np.ndarray, nu_s, gain_s: np.ndarray,
-               alpha: float) -> np.ndarray:
+               alpha: float, steps=None, out: np.ndarray | None = None) -> np.ndarray:
     """Exponential-form trapezoid recursion along every ray of a ladder.
 
     F_0 = inflow and F_{m+1} = F_m E_m + (dt_m / 2)(g_m E_m + g_{m+1}) with
     E_m = exp(-(alpha + (nu_m + nu_{m+1}) / 2) dt_m), from the node samples
     nu_s and gain_s (nu_s None is a zero frequency); returns F at the end of
-    every ray.  Padding steps have E_m = 1 and add exactly 0.
+    every ray, written into `out` when given.  Padding steps have E_m = 1 and
+    add exactly 0.  `steps` is the ladder's (-dt, dt / 2) when the caller
+    keeps them (`_CharTable.entry_steps`); negation and halving are exact, so
+    the products are the same either way.
 
     E and the sources are built in place: a sweep then holds few
     ladder-sized temporaries, so the C heap does not grow and shrink
     (and page-fault) on every component.
     """
-    dt = lad.dt
+    neg_dt, half_dt = (-lad.dt, 0.5 * lad.dt) if steps is None else steps
     if nu_s is None:
-        E = np.full_like(dt, -alpha)
+        E = np.multiply(neg_dt, alpha)
     else:
         E = np.add(nu_s[:-1], nu_s[1:])
         E *= 0.5
         E += alpha
-        np.negative(E, out=E)
-    E *= dt
+        E *= neg_dt
     np.exp(E, out=E)
     C = np.multiply(gain_s[:-1], E)
     C += gain_s[1:]
-    C *= dt
-    C *= 0.5
-    F = np.array(inflow, dtype=float)
+    C *= half_dt
+    F = np.empty(E.shape[1:]) if out is None else out
+    F[...] = inflow
     for m in range(len(E)):
         F *= E[m]
         F += C[m]
@@ -337,8 +346,7 @@ class _CharTable:
     def __init__(self, domain: ConvexDomain, grid: Grid, v, h_s: float):
         v = np.asarray(v, dtype=float)
         speed = float(np.hypot(v[0], v[1]))
-        interior = np.flatnonzero(grid.mask.ravel())
-        zs = grid.centers[grid.mask]
+        interior, zs = grid.interior_flat, grid.interior_centers
 
         # Lines: a jump in the sorted normal offsets beyond rounding starts a
         # new line.  Cells are ordered by integer line id, never by the raw
@@ -353,12 +361,12 @@ class _CharTable:
         line = np.argsort(np.argsort(-np.bincount(line), kind="stable"))[line]  # longest first
         proj = (zs @ v) / (speed * speed)
         order = np.lexsort((proj, line))
-        line, proj, zs = line[order], proj[order], zs[order]
+        line, proj, zs = line[order], proj[order], zs.take(order, axis=0)
         head = np.flatnonzero(np.diff(line, prepend=-1) != 0)
         last = np.append(head[1:], len(line)) - 1
 
         # One trace per line, through its most upstream cell.
-        z_head = zs[head]
+        z_head = zs.take(head, axis=0)
         s_head = domain.exit_times(z_head, -v)
         tau = s_head + domain.exit_times(z_head, v)       # chord time per line
         s = s_head[line] + (proj - proj[head][line])
@@ -378,6 +386,7 @@ class _CharTable:
         gap_reads = self._interior_gaps(grid, interior[order], up, v, speed, h_s)
         self.reads = np.concatenate([e.reads.ravel(), gap_reads.ravel()])
         self.entry = e._replace(reads=None)
+        self.entry_steps = (-e.dt, 0.5 * e.dt)    # the step constants of `_transport`
 
         self.v, self.speed = v, speed
         self.cells_flat = interior[order]
@@ -423,7 +432,7 @@ class _CharTable:
         """Node ladder of every line's exit gap, from its last cell to its exit
         point.  Only full chords read it, so it is built when they ask: a
         one-cell line then stores a single ladder."""
-        start = grid.centers.reshape(-1, 2)[self.cells_flat[self.last]]
+        start = grid.centers.reshape(-1, 2).take(self.cells_flat[self.last], axis=0)
         return _ladder(grid, start, self.exit_t, self.v, h_s, self.exit_pts)
 
     @property
@@ -522,7 +531,7 @@ class SolverWorkspace:
         gain_e, gain_p = tab.read(gain2d)
         nu_e, nu_p = (None, None) if nu2d is None else tab.read(nu2d)
         F = np.empty(len(tab.slot))
-        F[:tab.n_lines] = _transport(tab.entry, inflow, nu_e, gain_e, alpha)
+        _transport(tab.entry, inflow, nu_e, gain_e, alpha, tab.entry_steps, F[:tab.n_lines])
         if not tab.chain:
             return F[tab.slot]
         if nu2d is None:
@@ -535,8 +544,8 @@ class SolverWorkspace:
         loc = loc.sum(axis=0)
         R0 = np.broadcast_to(R[0], loc.shape) if nu2d is None else R[0]
         for a, b, g, n in tab.chain:
-            np.multiply(F[a:a + n], R0[g:g + n], out=F[b:b + n])
-            F[b:b + n] += loc[g:g + n]
+            row = np.multiply(F[a:a + n], R0[g:g + n], out=F[b:b + n])
+            row += loc[g:g + n]
         return F[tab.slot]
 
     def apply_exponential(self, entry_vals, nu, gain, alpha: float,
@@ -549,7 +558,10 @@ class SolverWorkspace:
         i is transported, when components 0..i-1 of `out` hold this sweep's
         values and i..p-1 the previous ones; with callables that read `out`,
         the sweep is a Gauss-Seidel pass (inner_monotone_solve relies on this
-        order to refresh one truncated factor per gain call).  The interior
+        order to refresh one truncated factor per gain call).  `nu` may be an
+        array made before the pass when frequency i reads only component i of
+        `out`, which the pass has not yet written when it transports i: that
+        is the same pass, and the gain callables keep their order.  The interior
         cells of `out` (a new zero array by default; C-contiguous, as it is
         written through views) are overwritten.
         """
@@ -706,13 +718,8 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     tr_F = truncated_factor(F, k)        # truncated factors of F, refreshed per component
     # Per-ladder buffers: a pass writes nu, the gain and its bookkeeping in place.
     rows = row_entries(model)
-    nu, gain = np.empty(F.shape[1:]), np.empty(F.shape[1:])
+    nu, gain = np.empty_like(F), np.empty(F.shape[1:])
     prev, diff, fell = np.empty_like(F), np.empty_like(F), np.empty(F.shape, dtype=bool)
-
-    def nu_of(i):
-        np.divide(F[i], k, out=nu)
-        np.add(nu, 1.0, out=nu)
-        return np.divide(source[i], nu, out=nu)
 
     def gain_of(i):
         # component i - 1 was written last (for i = 0: the last component, by
@@ -727,7 +734,12 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for q in range(config.max_inner):
             np.copyto(prev, F)
-            ws.apply_exponential(entry_vals, nu_of, gain_of, alpha, out=F)
+            # frequency i reads only component i, which the pass has not yet
+            # written when it transports i, so all are formed before the pass
+            np.divide(F, k, out=nu)
+            nu += 1.0
+            np.divide(source, nu, out=nu)
+            ws.apply_exponential(entry_vals, nu, gain_of, alpha, out=F)
             if q == 0 and trace.start == "certified" and not np.all(F >= prev):
                 # T(S) >= S fails somewhere: run from zero.  The discarded pass
                 # spends one step of max_inner, and its time goes to the next step.
@@ -743,7 +755,10 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
                     raise SolverError(
                         f"monotone ladder decreased by {worst:.3e} at iteration {q}; "
                         "this indicates a quadrature defect")
-            inc = float(np.abs(np.subtract(F, prev, out=diff), out=diff).sum() * area)
+            np.subtract(F, prev, out=diff)
+            if viol:                         # otherwise every difference is >= 0
+                np.abs(diff, out=diff)
+            inc = float(diff.sum() * area)
             mass = float(F.sum() * area)
             trace.increments.append(inc)
             trace.masses.append(mass)
@@ -1106,12 +1121,14 @@ def residual_renormalized(domain: ConvexDomain, model: VelocityModel,
     exact solution.
     """
     ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
-    ratio = _collision(model, field_, k).net / (1.0 + field_.values)
     grid = ws.grid
-    X = grid.centers[..., 0]
-    Y = grid.centers[..., 1]
+    # the volume terms read interior cells only: the test functions are
+    # evaluated there and the fields read there once
+    ratio = _collision(model, field_, k).net / (1.0 + field_.values)
+    ratio = ratio.reshape(model.p, -1).take(grid.interior_flat, axis=1)
+    X, Y = grid.interior_centers[:, 0], grid.interior_centers[:, 1]
     area = grid.cell_area
-    lnF = np.log1p(field_.values)[:, grid.mask]
+    lnF = np.log1p(field_.values).reshape(model.p, -1).take(grid.interior_flat, axis=1)
     # The traces on both arcs do not depend on the test function.
     arcs = []
     for i in range(model.p):
@@ -1130,9 +1147,8 @@ def residual_renormalized(domain: ConvexDomain, model: VelocityModel,
             out_term = arc_out.integrate_flux(phi_out * ln_out)
             phi_in = np.asarray(tf.fn(arc_in.points[:, 0], arc_in.points[:, 1]))
             in_term = arc_in.integrate_flux(phi_in * ln_in)
-            adv = float(np.sum(lnF[i] * (v[0] * np.asarray(gx) + v[1] * np.asarray(gy))[grid.mask])
-                        * area)
-            vol = float(np.sum((phi * ratio[i])[grid.mask]) * area)
+            adv = float(np.sum(lnF[i] * (v[0] * np.asarray(gx) + v[1] * np.asarray(gy))) * area)
+            vol = float(np.sum(phi * ratio[i]) * area)
             per_comp[i] = out_term - in_term - adv - vol
         out.append(RenormalizedDefect(tf.name, float(np.sum(per_comp)), per_comp))
     return out

@@ -561,6 +561,65 @@ def test_modulus_decreases_with_shift(disk, broadwell, grid24, smooth_field):
     assert np.all(moduli[:, 2] <= moduli[:, 1] + 1e-12)
 
 
+def reference_translation_modulus(values, grid, direction, h_list):
+    """`translation_modulus` as a loop over shifts, each masking every
+    component again and picking its valid points with a boolean index."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 2:
+        vals = vals[None, :, :]
+    d = np.asarray(direction, dtype=float)
+    d = d / float(np.hypot(d[0], d[1]))
+    shifts = np.asarray(list(h_list), dtype=float)
+    area = grid.cell_area
+    cells = grid.centers[grid.mask]
+    out = np.zeros((vals.shape[0], len(shifts)))
+    for si, h in enumerate(shifts):
+        pts = cells + h * d
+        valid = grid.domain.contains(pts)
+        at_pts = grid.interp_weights(pts[valid])
+        for c in range(vals.shape[0]):
+            base = vals[c][grid.mask]
+            shifted = grid.sample(vals[c], *at_pts)
+            num = float(np.sum(np.abs(shifted - base[valid]))) * area
+            den = float(np.sum(np.abs(base))) * area
+            out[c, si] = num / max(den, 1e-300)
+    return out
+
+
+@pytest.mark.parametrize("domain", [
+    dv.ConvexDomain.disk(),
+    dv.ConvexDomain.ellipse(1.5, 0.8, center=(0.1, -0.2)),
+    dv.ConvexDomain.superellipse(1.0, 0.9, 4.0),
+], ids=["disk", "shifted ellipse", "superellipse"])
+def test_translation_modulus_matches_the_per_shift_loop_bitwise(domain):
+    """Interior values and norms taken once and valid points taken by index
+    give the loop's bits, for one and four components, with shifts that move
+    some cells, most cells and every cell out of the domain."""
+    grid = dv.Grid(domain, 40)
+    vals = np.random.default_rng(5).uniform(0.0, 2.0, (4, grid.ny, grid.nx)) * grid.mask
+    shifts = [grid.h, 0.1 * domain.diameter, 0.6 * domain.diameter, 1.1 * domain.diameter]
+    for direction in ((1.0, 0.0), (0.6, -0.8), (-1.0, 2.0)):
+        for values in (vals, vals[2]):
+            got = translation_modulus(values, grid, direction, shifts)
+            want = reference_translation_modulus(values, grid, direction, shifts)
+            assert got.shape == (len(values) if values.ndim == 3 else 1, len(shifts))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.all(got[:, 1] > 0.0) and np.all(got[:, -1] == 0.0)
+
+
+def test_stage_moduli_are_those_of_the_integrated_frequency(disk, broadwell, grid24,
+                                                             smooth_field):
+    """The level report integrates the frequency of its balance: its moduli
+    are those of `integrated_collision_frequency`, bitwise."""
+    ws = SolverWorkspace(disk, broadwell, grid24, SolverConfig(grid_n=24))
+    bd = BoundaryData.constant([1.0, 0.5, 2.0, 0.25])
+    info = stage_diagnostics(disk, broadwell, smooth_field, bd, 8.0, workspace=ws)
+    intnu = integrated_collision_frequency(disk, broadwell, smooth_field, 8.0)
+    assert info["moduli_integrated_frequency"] == [
+        float(np.max(translation_modulus(intnu, grid24, v, [disk.diameter / 32.0])))
+        for v in broadwell.v]
+
+
 def test_integrated_frequency_modulus_stable_for_constants(disk, broadwell, grid24):
     F = Field.constant(grid24, [1.0] * 4)
     intnu = integrated_collision_frequency(disk, broadwell, F, 8.0)

@@ -27,6 +27,21 @@ def test_pad_is_identity_inside(grid24):
     assert np.array_equal(padded[grid24.mask], vals[grid24.mask])
 
 
+@pytest.mark.parametrize("domain", [ConvexDomain.disk(), ConvexDomain.ellipse(1.5, 0.8, (0.1, -0.2)),
+                                    ConvexDomain.superellipse(1.0, 0.9, 4.0)],
+                         ids=["disk", "shifted ellipse", "superellipse"])
+def test_interior_cells_are_the_masked_cells_in_raster_order(domain):
+    """The grid's interior indices and centres, built with `take`, are the
+    boolean-masked ones, bitwise."""
+    for n in (5, 24, 33):
+        grid = Grid(domain, n)
+        assert np.array_equal(grid.interior_flat, np.flatnonzero(grid.mask.ravel()))
+        want = grid.centers[grid.mask]
+        assert grid.interior_centers.shape == want.shape
+        assert np.array_equal(grid.interior_centers.view(np.int64), want.view(np.int64))
+        assert grid.n_interior == int(np.sum(grid.mask))
+
+
 @pytest.mark.parametrize("domain", [
     ConvexDomain.disk(),
     ConvexDomain.ellipse(2.0, 1.0, center=(0.3, -0.2)),

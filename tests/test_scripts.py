@@ -66,6 +66,15 @@ def test_balance_calls():
     assert out["16^2"]["call_ms"] > 0
 
 
+def test_layer_calls():
+    """The per-layer timing reaches the diagnose workload, the translation
+    moduli, the rays and the tables by name: every call of LAYER_CALLS timed."""
+    out = measure("--layers", ROOT / "src", "--sizes", 16)
+    assert set(out) == {"16^2"}
+    assert set(out["16^2"]) == {"translation_modulus_ms", "rays_ms", "tables_ms"}
+    assert all(ms > 0 for ms in out["16^2"].values())
+
+
 def test_mirror_gap():
     """The mirror measurement reaches the stage solve, the boundary smoothing
     and the grid's continuation map by name: a small, positive gap on both

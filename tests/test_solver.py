@@ -629,6 +629,65 @@ def test_apply_exponential_callables_match_arrays(disk, broadwell, ws24):
     assert np.array_equal(got, want)
 
 
+def test_a_frequency_array_made_before_the_pass_is_the_callable_pass(disk, broadwell, ws24):
+    """Frequency i reads only component i, which a pass has not yet written
+    when it transports i.  Over a ladder of passes whose gain callables read
+    `out`, the four frequencies formed before each pass give the bits of one
+    frequency callable per component, and of the pass built component by
+    component with every gain from the components already updated."""
+    cfg = SolverConfig(alpha=0.25, k=8.0, grid_n=24)
+    frozen = Field.constant(ws24.grid, [1.0, 0.8, 1.2, 0.9])
+    source, tr_sm = stage_rates(broadwell, frozen, cfg)
+    entry = ws24.entry_values(BoundaryData.constant([1.0, 0.5, 2.0, 1.5]))
+    k, shape = cfg.k, (broadwell.p, ws24.grid.ny, ws24.grid.nx)
+
+    def ladder(frequencies):
+        F = np.zeros(shape)
+        gains = []
+
+        def gain_of(i):
+            gains.append(gain_truncated(broadwell, truncated_factor(F, k), tr_sm, component=i))
+            return gains[-1]
+        for _ in range(4):
+            ws24.apply_exponential(entry, frequencies(F), gain_of, cfg.alpha, out=F)
+        return F, gains
+
+    got, got_gains = ladder(lambda F: source / (1.0 + F / k))
+    want, want_gains = ladder(lambda F: lambda i: source[i] / (1.0 + F[i] / k))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert all(np.array_equal(a, b) for a, b in zip(got_gains, want_gains))
+    G = np.zeros(shape)
+    for _ in range(4):
+        nu = source / (1.0 + G / k)
+        for i in range(broadwell.p):
+            gain = gain_truncated(broadwell, truncated_factor(G, k), tr_sm)
+            G[i] = ws24.apply_exponential(entry, nu, gain, cfg.alpha)[i]
+    assert np.array_equal(got.view(np.int64), G.view(np.int64))
+
+
+@pytest.mark.parametrize("v", [(1.0, 0.0), (-1.0, 2.0), (1.0, math.sqrt(2.0))])
+def test_ladder_nodes_match_the_broadcast_points(disk, v):
+    """Nodes written one coordinate plane at a time are the broadcast
+    start + t v, bitwise, and with `end_pts` every padding node is the ray's
+    given end point."""
+    grid = dv.Grid(disk, 32)
+    arc = boundary_quadrature(disk, v, +1, 64)
+    t_end = disk.exit_times(arc.points, v)
+    end_pts = arc.points + t_end[:, None] * np.asarray(v) + 1e-3
+    for ends in (None, end_pts):
+        dt, pts = solver._ladder_nodes(arc.points, t_end, v, 0.5 * grid.h, ends)
+        steps = _n_steps(t_end * float(np.hypot(*v)), 0.5 * grid.h)
+        m = np.arange(len(pts))[:, None]
+        t = np.where(m < steps, m * (t_end / steps), t_end)
+        want = arc.points[None, :, :] + t[..., None] * np.asarray(v)
+        if ends is not None:
+            want = np.where((m >= steps)[..., None], ends, want)
+            assert np.array_equal(pts[-1], ends)
+        assert pts.shape == (int(steps.max()) + 1, len(t_end), 2)
+        assert np.array_equal(pts.view(np.int64), want.view(np.int64))
+        assert np.array_equal(dt, np.diff(t, axis=0))
+
+
 def test_inner_pass_is_gauss_seidel(disk, broadwell, ws24):
     """Each inner step transports component i with the frequency of its own
     previous value and the gain of the components already updated."""
