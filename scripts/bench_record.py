@@ -14,21 +14,15 @@ in `SECTIONS`; each one's docstring says what it measures.
 The per-process measurements the sections are built from, each printing one
 JSON line, against the `dvmbvp` package under SRC:
 
-    --one INFLOW N SRC [--save PATH] [--margin C] [--all-fine] [--profile]
+    --one INFLOW N SRC [--save PATH] [--all-fine]
         one default `k_sweep` (shifted Broadwell, unit disk) at N^2, INFLOW
         `maxwellian` (the acceptance oracle), `step` or `dense` (the
         Maxwellian with a = 2.5); `--save` stacks every level's estimate, the
-        last one being the final field; `--margin` sets the ladder start
-        margin, `--all-fine` runs every level on the run grid and `--profile`
-        times `mollify_field`
-    --calls SRC [--sizes N ...] [--save PATH]
-        one `mollify_field` call per (n, alpha); `--save` keeps the outputs
-    --sweep-ms SRC
-        one `apply_exponential` call per size of SWEEP_MS_SIZES
-    --balance SRC [--sizes N ...]
-        BALANCE_CALLS `characteristic_balance` calls per size
+        last one being the final field; `--all-fine` runs every level on the
+        run grid
     --layers SRC [--sizes N ...]
-        per size, the median time of the calls in LAYER_CALLS
+        per size and call of LAYER_CALLS, the median and first call times and
+        the median minor page faults per call
     --faults WORKLOAD CHECKOUT
         minor page faults per operation of one `bench/run.py` run of CHECKOUT
     --mirror SRC [--sizes N ...]
@@ -61,27 +55,24 @@ SWEEP_CASES = ([("maxwellian", n) for n in (32, 64, 128, 256)]
 SWEEP_PAIRS = 3
 LEVEL_CASES = [(inflow, n) for inflow in ("maxwellian", "step") for n in (32, 64, 128)]
 FAULT_SECONDS = 8.0
-CALL_SIZES = (32, 64, 128, 256)
 CALL_ALPHAS = (0.0625, 0.125, 0.25, 0.5)
-CALL_SECONDS = 0.3            # each (n, alpha) repeats its call for about this long
 SMALL_RADII = (0.01, 1e-4)
 SMALL_TIMEOUT = 30.0
-MARGINS = (10.0, 30.0, 100.0, 300.0)
-MARGIN_SIZES = (32, 64)
-PROFILED = (128, 256)
-SWEEP_MS_SIZES = (32, 64, 128)
-SWEEP_MS_CALLS = 40
-SWEEP_MS_PROCESSES = 3
-BALANCE_SIZES = (32, 64, 128)
-BALANCE_CALLS = 50
 LAYER_SIZES = (32, 64, 128)
-LAYER_SECONDS = 0.5           # each call repeats for about this long, 5 times at least
+LAYER_SECONDS = 0.5           # each call repeats this long after its first, 5 times at least
 LAYER_PROCESSES = 3
 LAYER_CALLS = {
-    "translation_modulus_ms": "4 velocities x 4 shifts of `translation_modulus` on the "
-                              "integrated frequency, as `diagnose128` calls it",
-    "rays_ms": "one velocity's `SolverWorkspace.rays` on a new workspace",
-    "tables_ms": "the four velocities' `SolverWorkspace.table` on a new workspace",
+    "apply_exponential": "one transport pass: frequency uniform on [0, 3] and gain on "
+                         "[0, 2] (seed = grid size), alpha = 0.25, constant entry values",
+    "characteristic_balance": "one balance on the oracle Maxwellian times 1.01 with the "
+                              "frequency and gain of k = 16",
+    **{f"mollify_field_{alpha}": f"`mollify_field` at alpha = {alpha} on 4 components "
+                                 "uniform on [0, 2] (seed = grid size)"
+       for alpha in CALL_ALPHAS},
+    "translation_modulus": "4 velocities x 4 shifts of `translation_modulus` on the "
+                           "integrated frequency, as `diagnose128` calls it",
+    "rays": "one velocity's `SolverWorkspace.rays` on a new workspace",
+    "tables": "the four velocities' `SolverWorkspace.table` on a new workspace",
 }
 # Per component of shifted Broadwell, the arclength window (mod L) on which
 # the mirror test's inflow is 2.0; it is 0.25 elsewhere.
@@ -108,27 +99,12 @@ def inflow_boundary(dv, model, domain, inflow: str):
 
 
 def measure_sweep(inflow: str, n: int, src: str, save: str | None = None,
-                  margin: float | None = None, all_fine: bool = False,
-                  profile: bool = False) -> dict:
+                  all_fine: bool = False) -> dict:
     """One default k sweep in this process, set-up included in its wall time."""
     sys.path.insert(0, src)
     import numpy as np
     import dvmbvp as dv
-    from dvmbvp import solver
 
-    if margin is not None:
-        solver.LADDER_START_MARGIN = margin
-    mollify_s = [0.0]
-    if profile:
-        inner = solver.mollify_field
-
-        def timed(*args, **kwargs):
-            t0 = time.perf_counter()
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                mollify_s[0] += time.perf_counter() - t0
-        solver.mollify_field = timed
     model, domain = dv.shifted_broadwell(), dv.ConvexDomain.disk()
     boundary = inflow_boundary(dv, model, domain, inflow)
     config = dv.SolverConfig(grid_n=n)
@@ -148,7 +124,7 @@ def measure_sweep(inflow: str, n: int, src: str, save: str | None = None,
             for ch in tr.children:
                 starts[ch.start] += 1
     out = {
-        "inflow": inflow, "grid_n": n, "margin": margin, "all_fine": all_fine,
+        "inflow": inflow, "grid_n": n, "all_fine": all_fine,
         "wall_s": wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "converged": sweep.converged,
@@ -169,129 +145,48 @@ def measure_sweep(inflow: str, n: int, src: str, save: str | None = None,
         exact = dv.Field.constant(sweep.field.grid,
                                   np.exp(a + model.v @ np.array(b) + c * model.speeds_sq))
         out["oracle_rel_l1"] = sweep.field.l1_distance(exact) / exact.mass()
-    if profile:
-        out["mollify_field_s"] = mollify_s[0]
-        out["mollify_field_share"] = mollify_s[0] / wall
     if save:
         np.save(save, np.stack([st.continuation.estimate.values for st in sweep.stages]))
     return out
 
 
-def measure_calls(src: str, sizes, save: str | None) -> dict:
-    """Median wall time of one `mollify_field` call on a 4-component random
-    field on the unit disk, per (n, alpha); the first call builds the kernel
-    and is not timed."""
-    sys.path.insert(0, src)
-    import numpy as np
-    import dvmbvp as dv
-    from dvmbvp.fields import mollify_field
-
-    out, outputs = [], {}
-    for n in sizes:
-        grid = dv.Grid(dv.ConvexDomain.disk(), n)
-        values = np.random.default_rng(n).uniform(0.0, 2.0, (4, grid.ny, grid.nx)) * grid.mask
-        field = dv.Field(grid, values)
-        for alpha in CALL_ALPHAS:
-            t0 = time.perf_counter()
-            result = mollify_field(field, alpha).values
-            first = time.perf_counter() - t0
-            times = []
-            while sum(times) + first < CALL_SECONDS and len(times) < 200:
-                t0 = time.perf_counter()
-                mollify_field(field, alpha)
-                times.append(time.perf_counter() - t0)
-            out.append({"grid_n": n, "alpha": alpha, "reach": int(alpha / grid.h),
-                        "call_ms": 1e3 * statistics.median(times or [first]),
-                        "first_call_ms": 1e3 * first, "calls": max(1, len(times))})
-            outputs[f"{n}_{alpha}"] = result
-    if save:
-        np.savez(save, **outputs)
-    return {"calls": out}
-
-
-def measure_sweep_ms(src: str) -> dict:
-    """Median wall time, in ms, of SWEEP_MS_CALLS `apply_exponential` calls
-    per size: shifted Broadwell on the unit disk, frequency uniform on [0, 3]
-    and gain on [0, 2] (seed = grid size), alpha = 0.25, tables built by one
-    untimed call."""
-    sys.path.insert(0, src)
-    import numpy as np
-    import dvmbvp as dv
-
-    out = {}
-    for n in SWEEP_MS_SIZES:
-        disk, model = dv.ConvexDomain.disk(), dv.shifted_broadwell()
-        grid = dv.Grid(disk, n)
-        ws = dv.SolverWorkspace(disk, model, grid, dv.SolverConfig(grid_n=n))
-        rng = np.random.default_rng(n)
-        nu = rng.uniform(0.0, 3.0, (model.p, grid.ny, grid.nx))
-        gain = rng.uniform(0.0, 2.0, (model.p, grid.ny, grid.nx))
-        entry = ws.entry_values(dv.BoundaryData.constant([0.5, 1.0, 1.5, 2.0]))
-        ws.apply_exponential(entry, nu, gain, 0.25)
-        times = []
-        for _ in range(SWEEP_MS_CALLS):
-            t0 = time.perf_counter()
-            ws.apply_exponential(entry, nu, gain, 0.25)
-            times.append(time.perf_counter() - t0)
-        out[f"{n}^2"] = 1e3 * statistics.median(times)
-    return out
-
-
-def measure_balance(src: str, sizes) -> dict:
-    """Per size, BALANCE_CALLS `characteristic_balance` calls on one workspace
-    after one untimed first call: shifted Broadwell on the unit disk, the
-    oracle Maxwellian times 1.01 and k = 16; the median call time in ms and
-    the minor page faults of the calls after the first."""
-    sys.path.insert(0, src)
-    import numpy as np
-    import dvmbvp as dv
-    from dvmbvp.diagnostics import characteristic_balance, collision_grids
-
-    out = {}
-    disk, model = dv.ConvexDomain.disk(), dv.shifted_broadwell()
-    boundary = dv.BoundaryData.maxwellian(model, *MAXWELLIAN)
-    a, b, c = MAXWELLIAN
-    eq = np.exp(a + model.v @ np.array(b) + c * model.speeds_sq)
-    for n in sizes:
-        grid = dv.Grid(disk, n)
-        ws = dv.SolverWorkspace(disk, model, grid, dv.SolverConfig(grid_n=n))
-        field = dv.Field.constant(grid, 1.01 * eq)
-        nu, gain = collision_grids(model, field, k=16.0)
-        characteristic_balance(disk, model, field, boundary, 0.0, nu, gain, workspace=ws)
-        times, faults = [], 0
-        for _ in range(BALANCE_CALLS):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            t0 = time.perf_counter()
-            characteristic_balance(disk, model, field, boundary, 0.0, nu, gain, workspace=ws)
-            times.append(time.perf_counter() - t0)
-            faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        out[f"{n}^2"] = {"call_ms": 1e3 * statistics.median(times),
-                         "minor_faults_after_first": faults}
-    return out
+def per_call(call) -> dict:
+    """Times `call`: one first call, then repeats until LAYER_SECONDS have
+    passed since it and 5 calls at least.  The median and the first call
+    time in ms, and the median minor page faults of a repeated call."""
+    t0 = time.perf_counter()
+    call()
+    start = time.perf_counter()
+    times, faults = [], []
+    while len(times) < 5 or time.perf_counter() - start < LAYER_SECONDS:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t1 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t1)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return {"ms": 1e3 * statistics.median(times), "first_ms": 1e3 * (start - t0),
+            "minor_faults": statistics.median(faults)}
 
 
 def measure_layers(src: str, sizes) -> dict:
-    """Per size, the median time in ms of each call of LAYER_CALLS: shifted
-    Broadwell on the unit disk, the field of `diagnose128` (seed 0, first
-    level, k = 4) and shifts of diameter / (64, 32, 16, 8); every call runs
-    once untimed first."""
+    """Per size, `per_call` of each call of LAYER_CALLS: shifted Broadwell on
+    the unit disk; the transport and the balance share one workspace, whose
+    tables are built before the first transport pass and whose rays by the
+    first balance call; the translation moduli read the field of
+    `diagnose128` (seed 0, first level, k = 4) at shifts of
+    diameter / (64, 32, 16, 8)."""
     sys.path[:0] = [src, str(Path(src).parent / "bench")]
+    import numpy as np
     import dvmbvp as dv
     import workloads
-    from dvmbvp.diagnostics import integrated_collision_frequency, translation_modulus
+    from dvmbvp.diagnostics import (characteristic_balance, collision_grids,
+                                    integrated_collision_frequency, translation_modulus)
+    from dvmbvp.fields import mollify_field
 
     wl = workloads.WORKLOADS["diagnose128"]()
     disk, model, inputs = wl.domain, wl.model, wl.inputs(0)
     shifts = [disk.diameter / d for d in (64, 32, 16, 8)]
-
-    def median_ms(call):
-        call()
-        times = []
-        while sum(times) < LAYER_SECONDS or len(times) < 5:
-            t0 = time.perf_counter()
-            call()
-            times.append(time.perf_counter() - t0)
-        return 1e3 * statistics.median(times)
+    boundary = dv.BoundaryData.maxwellian(model, *MAXWELLIAN)
 
     def workspace(grid):
         return dv.SolverWorkspace(disk, model, grid, dv.SolverConfig(grid_n=grid.n))
@@ -299,14 +194,29 @@ def measure_layers(src: str, sizes) -> dict:
     out = {}
     for n in sizes:
         grid = dv.Grid(disk, n)
+        ws = workspace(grid)
+        rng = np.random.default_rng(n)
+        nu_t = rng.uniform(0.0, 3.0, (model.p, grid.ny, grid.nx))
+        gain_t = rng.uniform(0.0, 2.0, (model.p, grid.ny, grid.nx))
+        entry = ws.entry_values(dv.BoundaryData.constant([0.5, 1.0, 1.5, 2.0]))
+        near_eq = dv.Field.constant(grid, 1.01 * workloads.equilibrium(model, MAXWELLIAN))
+        nu, gain = collision_grids(model, near_eq, k=16.0)
+        noise = dv.Field(grid, np.random.default_rng(n).uniform(
+            0.0, 2.0, (4, grid.ny, grid.nx)) * grid.mask)
         intnu = integrated_collision_frequency(disk, model, wl.field(grid, inputs, 0),
-                                               workloads.K_LEVELS[0], workspace=workspace(grid))
-        out[f"{n}^2"] = {
-            "translation_modulus_ms": median_ms(lambda: [
-                translation_modulus(intnu, grid, v, shifts) for v in model.v]),
-            "rays_ms": median_ms(lambda: workspace(grid).rays(0)),
-            "tables_ms": median_ms(lambda: [workspace(grid).table(i) for i in range(model.p)]),
+                                               workloads.K_LEVELS[0], workspace=ws)
+        calls = {
+            "apply_exponential": lambda: ws.apply_exponential(entry, nu_t, gain_t, 0.25),
+            "characteristic_balance": lambda: characteristic_balance(
+                disk, model, near_eq, boundary, 0.0, nu, gain, workspace=ws),
+            **{f"mollify_field_{alpha}": lambda alpha=alpha: mollify_field(noise, alpha)
+               for alpha in CALL_ALPHAS},
+            "translation_modulus": lambda: [translation_modulus(intnu, grid, v, shifts)
+                                            for v in model.v],
+            "rays": lambda: workspace(grid).rays(0),
+            "tables": lambda: [workspace(grid).table(i) for i in range(model.p)],
         }
+        out[f"{n}^2"] = {name: per_call(calls[name]) for name in LAYER_CALLS}
     return out
 
 
@@ -555,26 +465,6 @@ def page_faults(parent: Path, tmp: str, args) -> dict:
     return out
 
 
-def calls(parent: Path, tmp: str, args) -> list:
-    """One `--calls` run per side: per (n, alpha) of CALL_SIZES x CALL_ALPHAS,
-    the median call time of each side, and the largest difference of the
-    change's output from the parent's, relative to the parent's largest value."""
-    import numpy as np
-    runs = {side: measure("--calls", checkout(side, parent) / "src",
-                          "--save", f"{tmp}/{side}_calls.npz")["calls"] for side in SIDES}
-    want, got = (np.load(f"{tmp}/{side}_calls.npz") for side in SIDES)
-    out = []
-    for p, c in zip(runs["parent"], runs["change"]):
-        key = f"{p['grid_n']}_{p['alpha']}"
-        out.append({"grid_n": p["grid_n"], "alpha": p["alpha"], "reach": p["reach"],
-                    "call_ms": {"parent": p["call_ms"], "change": c["call_ms"]},
-                    "speedup": p["call_ms"] / c["call_ms"],
-                    "max_rel_diff": float(np.abs(got[key] - want[key]).max()
-                                          / np.abs(want[key]).max()),
-                    "change_min": float(got[key].min())})
-    return out
-
-
 def small_disks(parent: Path, tmp: str, args) -> list:
     """`dvmbvp solve` on disks of each radius of SMALL_RADII at grid_n 8
     (constant inflow 1, alpha_schedule [0.5, 0.25], k_schedule [4]), per side:
@@ -611,77 +501,27 @@ def small_disks(parent: Path, tmp: str, args) -> list:
     return out
 
 
-def margin_scan(parent: Path, tmp: str, args) -> list:
-    """The change's `--one` on the Maxwellian and the step inflow at each of
-    MARGIN_SIZES, with the ladder start margin at infinity (every ladder from
-    zero) and at each of MARGINS: each run's counts, starts, violations,
-    oracle error and residuals, and its final field's relative L1 distance
-    from the zero-start sweep's."""
-    import numpy as np
-    out = []
-    for inflow in ("maxwellian", "step"):
-        for n in MARGIN_SIZES:
-            zero = measure("--one", inflow, n, ROOT / "src", "--save", f"{tmp}/zero.npy",
-                           "--margin", "inf")
-            zero["margin"] = "inf"
-            runs = [zero]
-            for c in MARGINS:
-                runs.append(measure("--one", inflow, n, ROOT / "src", "--save",
-                                    f"{tmp}/margin.npy", "--margin", repr(c)))
-                runs[-1]["rel_l1_from_zero_start"] = rel_l1(np.load(f"{tmp}/margin.npy")[-1],
-                                                             np.load(f"{tmp}/zero.npy")[-1])
-            for r in runs:
-                log(f"margin {inflow} {n} c={r['margin']}: {r['transport_sweeps']} sweeps, "
-                    f"starts {r['ladder_starts']}")
-            out.extend(runs)
-    return out
-
-
-def mollify_share(parent: Path, tmp: str, args) -> list:
-    """The change's `--one --profile` on the Maxwellian at each of PROFILED:
-    the share of the sweep's wall time spent in `mollify_field`."""
-    return [measure("--one", "maxwellian", n, ROOT / "src", "--profile") for n in PROFILED]
-
-
-def sweep_ms(parent: Path, tmp: str, args) -> dict:
-    """SWEEP_MS_PROCESSES alternating `--sweep-ms` processes per side, and the
-    median over them of each size's call time, in ms."""
-    runs = {side: [] for side in SIDES}
-    for order in alternating(SWEEP_MS_PROCESSES):
-        for side in order:
-            runs[side].append(measure("--sweep-ms", checkout(side, parent) / "src"))
-            log(f"sweep ms {side}: {runs[side][-1]}")
-    return {"median_ms": {side: {size: statistics.median(r[size] for r in runs[side])
-                                 for size in runs[side][0]} for side in SIDES},
-            "runs": runs}
-
-
-def balance_calls(parent: Path, tmp: str, args) -> dict:
-    """One `--balance` process per side at BALANCE_SIZES: per size, the median
-    `characteristic_balance` call time and the minor page faults of
-    BALANCE_CALLS calls after the first."""
-    runs = {side: measure("--balance", checkout(side, parent) / "src",
-                          "--sizes", *BALANCE_SIZES) for side in SIDES}
-    for size in runs["parent"]:
-        log(f"balance {size}: {runs['parent'][size]['call_ms']:.2f} -> "
-            f"{runs['change'][size]['call_ms']:.2f} ms")
-    return runs
-
-
 def layer_calls(parent: Path, tmp: str, args) -> dict:
     """LAYER_PROCESSES alternating `--layers` processes per side at
-    LAYER_SIZES, and per size and call of LAYER_CALLS the median over them
-    of each process's median call time, in ms."""
+    LAYER_SIZES: per side, size and call of LAYER_CALLS, the median over the
+    processes of each process's median call time, first call time and
+    median minor page faults per call."""
     runs = {side: [] for side in SIDES}
     for order in alternating(LAYER_PROCESSES):
         for side in order:
             runs[side].append(measure("--layers", checkout(side, parent) / "src",
                                       "--sizes", *LAYER_SIZES))
-            log(f"layers {side}: {runs[side][-1]}")
-    median_ms = {side: {size: {call: statistics.median(r[size][call] for r in runs[side])
-                               for call in LAYER_CALLS} for size in runs[side][0]}
-                 for side in SIDES}
-    return {"calls": LAYER_CALLS, "median_ms": median_ms, "runs": runs}
+            log(f"layers {side}: " + ", ".join(
+                f"{size} {call} {r['ms']:.3g} ms" for size, by_call in runs[side][-1].items()
+                for call, r in by_call.items()))
+
+    def median(key):
+        return {side: {size: {call: statistics.median(r[size][call][key] for r in runs[side])
+                              for call in LAYER_CALLS} for size in runs[side][0]}
+                for side in SIDES}
+    return {"calls": LAYER_CALLS, "median_ms": median("ms"),
+            "median_first_ms": median("first_ms"),
+            "median_minor_faults": median("minor_faults"), "runs": runs}
 
 
 def mirror(parent: Path, tmp: str, args) -> dict:
@@ -695,9 +535,8 @@ def mirror(parent: Path, tmp: str, args) -> dict:
     return out
 
 
-SECTIONS = {f.__name__: f for f in (bench_pairs, sweeps, earlier_levels, page_faults, calls,
-                                     small_disks, margin_scan, mollify_share, sweep_ms,
-                                     balance_calls, layer_calls, mirror)}
+SECTIONS = {f.__name__: f for f in (bench_pairs, sweeps, earlier_levels, page_faults,
+                                     small_disks, layer_calls, mirror)}
 
 
 # ---------------------------------------------------------------------------
@@ -717,27 +556,15 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--one", nargs=3, metavar=("INFLOW", "N", "SRC"))
     ap.add_argument("--save")
-    ap.add_argument("--margin", type=float)
     ap.add_argument("--all-fine", action="store_true")
-    ap.add_argument("--profile", action="store_true")
-    ap.add_argument("--calls", metavar="SRC")
-    ap.add_argument("--sizes", type=int, nargs="+", default=list(CALL_SIZES))
-    ap.add_argument("--sweep-ms", metavar="SRC")
+    ap.add_argument("--sizes", type=int, nargs="+", default=list(LAYER_SIZES))
     ap.add_argument("--faults", nargs=2, metavar=("WORKLOAD", "CHECKOUT"))
-    ap.add_argument("--balance", metavar="SRC")
     ap.add_argument("--mirror", metavar="SRC")
     ap.add_argument("--layers", metavar="SRC")
     args = ap.parse_args(argv)
     if args.one:
         inflow, n, src = args.one
-        result = measure_sweep(inflow, int(n), src, args.save, args.margin, args.all_fine,
-                               args.profile)
-    elif args.calls:
-        result = measure_calls(args.calls, args.sizes, args.save)
-    elif args.sweep_ms:
-        result = measure_sweep_ms(args.sweep_ms)
-    elif args.balance:
-        result = measure_balance(args.balance, args.sizes)
+        result = measure_sweep(inflow, int(n), src, args.save, args.all_fine)
     elif args.mirror:
         result = measure_mirror(args.mirror, args.sizes)
     elif args.layers:

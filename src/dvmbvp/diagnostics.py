@@ -334,7 +334,7 @@ def entropy_bound_check(domain: ConvexDomain, model: VelocityModel, field_: Fiel
                                        "the capped entropy bound does not apply")
     g = field_.grid
     area = g.cell_area
-    vals = field_.values[:, g.mask]
+    vals = field_.values.reshape(field_.p, -1).take(g.interior_flat, axis=1)
     out = np.zeros(model.p)
     for i in range(model.p):
         f = vals[i]

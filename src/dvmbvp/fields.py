@@ -180,7 +180,7 @@ class Field:
     def constant(grid: Grid, vals) -> "Field":
         vals = np.atleast_1d(np.asarray(vals, dtype=float))
         data = np.zeros((len(vals), grid.ny, grid.nx))
-        data[:, grid.mask] = vals[:, None]
+        np.copyto(data, vals[:, None, None], where=grid.mask)
         return Field(grid, data)
 
     @staticmethod
@@ -211,7 +211,7 @@ class Field:
         return float(np.abs(self.values - other.values).sum() * self.grid.cell_area)
 
     def min_value(self) -> float:
-        return float(self.values[:, self.grid.mask].min())
+        return float(self.values.reshape(self.p, -1).take(self.grid.interior_flat, axis=1).min())
 
     def save_csv(self, path) -> None:
         """Rows x, y, component, value for every interior cell."""
@@ -248,7 +248,7 @@ class Field:
                     raise FieldError(f"density {v!r} is not finite and nonnegative")
                 data[c - 1, iy, ix] = v
                 seen[c - 1, iy, ix] += 1
-        seen = seen[:, grid.mask]
+        seen = seen.reshape(p, -1).take(grid.interior_flat, axis=1)
         repeated, missing = int(np.sum(seen > 1)), int(np.sum(seen == 0))
         if repeated or missing:
             raise FieldError(f"the rows repeat {repeated} and miss {missing} of the "

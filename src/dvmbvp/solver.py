@@ -714,7 +714,7 @@ def inner_monotone_solve(domain: ConvexDomain, model: VelocityModel,
     F = np.zeros((model.p, ws.grid.ny, ws.grid.nx))
     if start is not None:
         trace.start = "certified"        # until its first pass says otherwise
-        F[:, ws.grid.mask] = start.values[:, ws.grid.mask]
+        np.copyto(F, start.values, where=ws.grid.mask)
     tr_F = truncated_factor(F, k)        # truncated factors of F, refreshed per component
     # Per-ladder buffers: a pass writes nu, the gain and its bookkeeping in place.
     rows = row_entries(model)

@@ -46,33 +46,67 @@ def test_coarse_tolerance_levels(tmp_path):
     assert len(out["final_residuals"]) == 4 and len(out["k_distances"]) == 3
 
 
-def test_mollifier_calls(tmp_path):
-    """The per-call timing reaches `mollify_field` by name: one entry per
-    (n, alpha), and the saved outputs are nonnegative."""
-    import numpy as np
-    out = measure("--calls", ROOT / "src", "--sizes", 16, 32,
-                  "--save", tmp_path / "calls.npz")["calls"]
-    assert [(c["grid_n"], c["alpha"]) for c in out] == [
-        (n, a) for n in (16, 32) for a in (0.0625, 0.125, 0.25, 0.5)]
-    assert all(c["call_ms"] > 0 for c in out)
-    saved = np.load(tmp_path / "calls.npz")
-    assert len(saved.files) == 8 and all(saved[k].min() >= 0.0 for k in saved.files)
+@pytest.fixture
+def harness(monkeypatch):
+    """The harness as a module in this process, with `sys.path` restored after."""
+    spec = importlib.util.spec_from_file_location("bench_record", HARNESS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    return module
 
 
-def test_balance_calls():
-    """The balance timing reaches `characteristic_balance` and its workspace
+def test_mollifier_calls(harness, monkeypatch):
+    """The per-call timer reaches `mollify_field` by name: one entry per
+    (n, alpha), each timed, and every output it timed is nonnegative."""
+    import dvmbvp.fields
+    seen = []
+
+    def recorded(field, alpha):
+        out = mollify_field(field, alpha)
+        seen.append((field.grid.n, alpha, float(out.values.min())))
+        return out
+
+    mollify_field = dvmbvp.fields.mollify_field
+    monkeypatch.setattr(dvmbvp.fields, "mollify_field", recorded)
+    monkeypatch.setattr(harness, "LAYER_SECONDS", 0)
+    out = harness.measure_layers(str(ROOT / "src"), [16, 32])
+    names = [f"mollify_field_{a}" for a in (0.0625, 0.125, 0.25, 0.5)]
+    for size in ("16^2", "32^2"):
+        assert [k for k in out[size] if k.startswith("mollify_field")] == names
+        assert all(out[size][k]["ms"] > 0 for k in names)
+    assert {(n, a) for n, a, _ in seen} == {
+        (n, a) for n in (16, 32) for a in (0.0625, 0.125, 0.25, 0.5)}
+    assert all(m >= 0.0 for _, _, m in seen)
+
+
+def test_balance_calls(harness, monkeypatch):
+    """The per-call timer reaches `characteristic_balance` and its workspace
     keyword by name."""
-    out = measure("--balance", ROOT / "src", "--sizes", 16)
-    assert out["16^2"]["call_ms"] > 0
+    import dvmbvp.diagnostics
+    workspaces = []
+
+    def recorded(*args, workspace=None, **kwargs):
+        workspaces.append(workspace)
+        return balance(*args, workspace=workspace, **kwargs)
+
+    balance = dvmbvp.diagnostics.characteristic_balance
+    monkeypatch.setattr(dvmbvp.diagnostics, "characteristic_balance", recorded)
+    monkeypatch.setattr(harness, "LAYER_SECONDS", 0)
+    out = harness.measure_layers(str(ROOT / "src"), [16])
+    assert out["16^2"]["characteristic_balance"]["ms"] > 0
+    assert len(workspaces) >= 6 and all(w is not None for w in workspaces)
 
 
-def test_layer_calls():
-    """The per-layer timing reaches the diagnose workload, the translation
-    moduli, the rays and the tables by name: every call of LAYER_CALLS timed."""
-    out = measure("--layers", ROOT / "src", "--sizes", 16)
-    assert set(out) == {"16^2"}
-    assert set(out["16^2"]) == {"translation_modulus_ms", "rays_ms", "tables_ms"}
-    assert all(ms > 0 for ms in out["16^2"].values())
+def test_layer_calls(harness, monkeypatch):
+    """The one per-call timer reaches every call of LAYER_CALLS by name: the
+    transport pass, the balance and its workspace keyword, the mollifier, the
+    diagnose workload, the translation moduli, the rays and the tables."""
+    monkeypatch.setattr(harness, "LAYER_SECONDS", 0)
+    out = harness.measure_layers(str(ROOT / "src"), [16])
+    assert list(out) == ["16^2"] and list(out["16^2"]) == list(harness.LAYER_CALLS)
+    for r in out["16^2"].values():
+        assert r["ms"] > 0 and r["first_ms"] > 0 and r["minor_faults"] >= 0
 
 
 def test_mirror_gap():
@@ -85,12 +119,9 @@ def test_mirror_gap():
     assert 0 <= out["exterior_cells_not_equivariant"] <= out["exterior_cells"]
 
 
-def test_record_against_itself(tmp_path, monkeypatch):
+def test_record_against_itself(harness, tmp_path, monkeypatch):
     """A whole record, the repository as its own parent, on the smallest sweep
     case: strict JSON with the header, and a final field bitwise its own."""
-    spec = importlib.util.spec_from_file_location("bench_record", HARNESS)
-    harness = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(harness)
     monkeypatch.setattr(harness, "SWEEP_CASES", harness.SWEEP_CASES[:1])
     monkeypatch.setattr(harness, "SWEEP_PAIRS", 1)
     out = tmp_path / "BENCH_self.json"

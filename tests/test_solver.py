@@ -17,7 +17,7 @@ import dvmbvp as dv
 from dvmbvp.collision import (CollisionDomainError, eval_convolved_truncated, eval_truncated,
                               eval_untruncated, frequency_source,
                               gain_truncated, truncated_factor)
-from dvmbvp.diagnostics import exceptional_sets
+from dvmbvp.diagnostics import entropy_bound_check, exceptional_sets
 from dvmbvp.fields import (BoundaryData, CallableTrace, Field, FieldError, mollify_field,
                            truncate_and_mollify_boundary)
 from dvmbvp.geometry import boundary_param, boundary_quadrature
@@ -929,6 +929,92 @@ def test_guards_refuse_nan(disk, broadwell, call, error, message):
     field_ = Field.constant(dv.Grid(disk, 8), [1.0] * 4)
     with pytest.raises(error, match=message):
         call(disk, broadwell, field_)
+
+
+@pytest.mark.parametrize("rel", [1e-14, 1e-6])
+def test_ladder_decrease_counted_within_the_bound_refused_beyond(disk, broadwell, rel):
+    """The third pass is lowered at the cell of the largest previous value,
+    by `rel` of that value.  Within the 1e-12 bound the ladder counts one
+    violation and that pass's increment is sum |dF| x area; beyond it the
+    solve raises."""
+    cfg = SolverConfig(alpha=0.5, k=8.0, grid_n=16, max_inner=5)
+    ws = SolverWorkspace(disk, broadwell, dv.Grid(disk, 16), cfg)
+    bd = BoundaryData.constant([1.0, 0.5, 2.0, 1.5])
+    frozen = Field.constant(ws.grid, [1.0, 0.8, 1.2, 0.9])
+    passes, transport_pass = [], ws.apply_exponential
+
+    def lowered(*args, out):
+        before = out.copy()
+        transport_pass(*args, out=out)
+        if len(passes) == 2:
+            cell = np.unravel_index(np.argmax(before), before.shape)
+            out[cell] = before[cell] * (1.0 - rel)
+        passes.append((before, out.copy()))
+        return out
+    ws.apply_exponential = lowered
+    if rel > 1e-12:
+        with pytest.raises(SolverError, match="monotone ladder decreased by .* at iteration 2"):
+            inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws)
+        return
+    _, tr = inner_monotone_solve(disk, broadwell, bd, frozen, cfg, workspace=ws)
+    before, after = passes[2]
+    assert tr.monotone_violations == 1 and np.count_nonzero(after < before) == 1
+    assert tr.increments[2] == float(np.abs(after - before).sum() * ws.grid.cell_area)
+
+
+# The disk, a mask off the grid's centre and one outside the ellipse family.
+MASK_DOMAINS = {
+    "disk": dv.ConvexDomain.disk(),
+    "shifted ellipse": dv.ConvexDomain.ellipse(1.5, 0.8, center=(0.1, -0.2)),
+    "superellipse": dv.ConvexDomain.superellipse(1.0, 0.7, 4.0, center=(0.2, 0.1)),
+}
+
+
+@pytest.mark.parametrize("name", MASK_DOMAINS)
+def test_interior_sites_match_the_boolean_mask(broadwell, tmp_path, name):
+    """Each site that reads the interior through `Grid.interior_flat` or
+    writes it with `copyto(..., where=mask)` gives bitwise what a boolean
+    mask over the trailing axes gives, with values off the mask that no
+    site may read: `Field.constant`, `Field.min_value`, the seen-count of
+    `Field.load_csv`, `entropy_bound_check` and the start of the ladder."""
+    domain = MASK_DOMAINS[name]
+    grid = dv.Grid(domain, 20)
+    mask, area, k = grid.mask, grid.cell_area, 8.0
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(0.5, 2.0, 4)
+    want = np.zeros((4, grid.ny, grid.nx))
+    want[:, mask] = vals[:, None]
+    assert np.array_equal(Field.constant(grid, vals).values, want)
+
+    noisy = rng.uniform(0.0, 2.0 * k, (4, grid.ny, grid.nx))
+    inside = noisy[:, mask]
+    field = Field(grid, np.where(mask, noisy, -1.0))
+    assert field.min_value() == inside.min()
+    report = entropy_bound_check(domain, broadwell, field, k)
+    for got, f in zip(report.per_component, inside):
+        fb = f[f < k]
+        assert got == (float(np.sum(fb * np.log(fb))) * area
+                       + math.log(k / 2.0) * float(np.sum(f[f >= k])) * area)
+
+    path = tmp_path / "field.csv"
+    Field(grid, noisy * mask).save_csv(path)
+    assert np.array_equal(Field.load_csv(path, grid, 4).values, noisy * mask)
+    rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(rows[:-1] + rows[1:2]))      # the last row dropped, the first twice
+    with pytest.raises(FieldError, match=f"repeat 1 and miss 1 of the {inside.size} "):
+        Field.load_csv(path, grid, 4)
+
+    cfg = SolverConfig(alpha=0.25, k=k, grid_n=20)
+    ws = SolverWorkspace(domain, broadwell, grid, cfg)
+    bd = BoundaryData.constant([1.0, 0.5, 2.0, 1.5])
+    frozen = Field.constant(grid, [1.0, 0.8, 1.2, 0.9])
+    step, _ = inner_monotone_solve(domain, broadwell, bd, frozen,
+                                   replace(cfg, max_inner=2, tol_inner=5e-324), workspace=ws)
+    start = Field(grid, np.where(mask, step.values, 5.0))
+    F, tr = inner_monotone_solve(domain, broadwell, bd, frozen, cfg, workspace=ws, start=start)
+    want, incs, kind = allocating_ladder(ws, broadwell, bd, frozen, cfg, start)
+    assert tr.start == kind == "certified" and tr.increments == incs
+    assert np.array_equal(F.values.view(np.int64), want.view(np.int64))
 
 
 # -- solver options ---------------------------------------------------------------
