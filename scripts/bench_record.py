@@ -73,6 +73,9 @@ LAYER_CALLS = {
                            "integrated frequency, as `diagnose128` calls it",
     "rays": "one velocity's `SolverWorkspace.rays` on a new workspace",
     "tables": "the four velocities' `SolverWorkspace.table` on a new workspace",
+    **{name: f"`{name}` without a workspace while the transport's is alive, as "
+             "`diagnose128` calls it on its field"
+       for name in ("mass_energy_flux", "exceptional_sets")},
 }
 # Per component of shifted Broadwell, the arclength window (mod L) on which
 # the mirror test's inflow is 2.0; it is 0.25 elsewhere.
@@ -172,15 +175,16 @@ def measure_layers(src: str, sizes) -> dict:
     """Per size, `per_call` of each call of LAYER_CALLS: shifted Broadwell on
     the unit disk; the transport and the balance share one workspace, whose
     tables are built before the first transport pass and whose rays by the
-    first balance call; the translation moduli read the field of
-    `diagnose128` (seed 0, first level, k = 4) at shifts of
-    diameter / (64, 32, 16, 8)."""
+    first balance call; the translation moduli, `mass_energy_flux` and
+    `exceptional_sets` read the field of `diagnose128` (seed 0, first level,
+    k = 4), the moduli at shifts of diameter / (64, 32, 16, 8)."""
     sys.path[:0] = [src, str(Path(src).parent / "bench")]
     import numpy as np
     import dvmbvp as dv
     import workloads
     from dvmbvp.diagnostics import (characteristic_balance, collision_grids,
-                                    integrated_collision_frequency, translation_modulus)
+                                    exceptional_sets, integrated_collision_frequency,
+                                    mass_energy_flux, translation_modulus)
     from dvmbvp.fields import mollify_field
 
     wl = workloads.WORKLOADS["diagnose128"]()
@@ -203,8 +207,8 @@ def measure_layers(src: str, sizes) -> dict:
         nu, gain = collision_grids(model, near_eq, k=16.0)
         noise = dv.Field(grid, np.random.default_rng(n).uniform(
             0.0, 2.0, (4, grid.ny, grid.nx)) * grid.mask)
-        intnu = integrated_collision_frequency(disk, model, wl.field(grid, inputs, 0),
-                                               workloads.K_LEVELS[0], workspace=ws)
+        smooth, k = wl.field(grid, inputs, 0), workloads.K_LEVELS[0]
+        intnu = integrated_collision_frequency(disk, model, smooth, k, workspace=ws)
         calls = {
             "apply_exponential": lambda: ws.apply_exponential(entry, nu_t, gain_t, 0.25),
             "characteristic_balance": lambda: characteristic_balance(
@@ -215,6 +219,9 @@ def measure_layers(src: str, sizes) -> dict:
                                             for v in model.v],
             "rays": lambda: workspace(grid).rays(0),
             "tables": lambda: [workspace(grid).table(i) for i in range(model.p)],
+            "mass_energy_flux": lambda: mass_energy_flux(disk, model, smooth, inputs[0],
+                                                         alpha=0.0, k=k),
+            "exceptional_sets": lambda: exceptional_sets(disk, model, smooth, k, epsilon=0.1),
         }
         out[f"{n}^2"] = {name: per_call(calls[name]) for name in LAYER_CALLS}
     return out
@@ -583,6 +590,8 @@ def write_record(ap, args) -> int:
     unknown = [name for name in args.sections if name not in SECTIONS]
     if unknown:
         ap.error(f"unknown section {unknown[0]!r}; choose from {', '.join(SECTIONS)}")
+    if args.pairs < 2:
+        ap.error(f"--pairs must be at least 2 for the quartiles, got {args.pairs}")
     import numpy
     command = ["python3", "scripts/bench_record.py", *args.sections,
                "--parent", f"<checkout of {args.label}>", "--label", args.label,

@@ -430,7 +430,7 @@ def cmd_diagnose(args) -> int:
         raise StructuralError(f"cannot read field CSV: {exc}") from exc
     _make_output_dir(outdir)
 
-    rep = diag.mass_energy_flux(domain, model, field, boundary, alpha=0.0, k=k)
+    rep = diag.mass_energy_flux(domain, model, field, boundary, alpha=0.0, k=k, workspace=ws)
     diss = diag.entropy_dissipation(model, field, k)
     ent = diag.entropy_bound_check(domain, model, field, k)
     exc_sets = diag.exceptional_sets(domain, model, field, k, epsilon=0.1, workspace=ws)

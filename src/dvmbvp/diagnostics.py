@@ -87,17 +87,18 @@ def characteristic_balance(domain: ConvexDomain, model: VelocityModel, field_: F
                            workspace: SolverWorkspace | None = None) -> BalanceReport:
     """Integrate the stage dynamics along full inflow->outflow chords.
 
-    One chord starts at each of 256 inflow-arc nodes and runs to its exit
-    point on a node ladder with steps of at most h/2.  The chords are the
-    workspace's `rays`, built once per workspace and velocity; without a
-    workspace, the call's own workspace holds them until it returns.  A call
-    on stored rays only rebuilds the bilinear weights from their compact
-    stencils and reads the frequency and the gain at the nodes.  Every chord
-    is advanced with piecewise-constant frequency and gain per step and the
-    exact single-interval solution, and the interval mass is recovered from
-    the same update; zero-length padding steps add exactly 0.  The
-    per-component damped balance then telescopes identically, making the
-    report a quadrature-consistency check as well as a physical measurement.
+    One chord starts at each of 256 inflow-arc nodes and runs to its exit point
+    on a node ladder with steps of at most h/2.  The chords are the workspace's
+    `rays`, built once per workspace and velocity; a call without one stores
+    them on the live workspace of the field's grid, which would build them on
+    first use anyway (8.4 MB at 128^2), or else on one of its own.  A call on
+    stored rays only rebuilds the bilinear weights from their compact stencils
+    and reads the frequency and the gain at the nodes.  Every chord is advanced
+    with piecewise-constant frequency and gain per step and the exact
+    single-interval solution, and the interval mass is recovered from the same
+    update; zero-length padding steps add exactly 0.  The per-component damped
+    balance then telescopes identically, making the report a
+    quadrature-consistency check as well as a physical measurement.
     """
     grid = field_.grid
     ws = _workspace_on(domain, model, grid, SolverConfig(), workspace)
@@ -250,11 +251,12 @@ class MassEnergyReport:
 
 
 def mass_energy_flux(domain: ConvexDomain, model: VelocityModel, field_: Field,
-                     boundary: BoundaryData, alpha: float,
-                     k: float | None = None) -> MassEnergyReport:
+                     boundary: BoundaryData, alpha: float, k: float | None = None,
+                     workspace: SolverWorkspace | None = None) -> MassEnergyReport:
     """Mass, energy, per-component fluxes, damped balance, slab identity."""
+    ws = _workspace_on(domain, model, field_.grid, SolverConfig(), workspace)
     nu, gain = collision_grids(model, field_, k=k)
-    bal = characteristic_balance(domain, model, field_, boundary, alpha, nu, gain)
+    bal = characteristic_balance(domain, model, field_, boundary, alpha, nu, gain, workspace=ws)
     energy = float(np.sum(model.speeds_sq * bal.mass_cells))
     rows = slab_energy_rows(domain, model, field_, alpha)
     return MassEnergyReport(balance=bal, energy=energy,

@@ -71,6 +71,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+import weakref
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -450,6 +451,16 @@ class _CharTable:
         return at_nodes, vals[W.size:].reshape(len(self.taps), -1)
 
 
+# A weak reference to the first of each grid's workspaces still alive, which a
+# call without a workspace uses; an entry goes with its grid.
+_LIVE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _live_workspace(grid: Grid) -> SolverWorkspace | None:
+    ref = _LIVE.get(grid)
+    return None if ref is None else ref()
+
+
 class SolverWorkspace:
     """Shared per-(domain, model, grid) precomputation for solver passes and
     diagnostics, each part built on first use: per velocity, the
@@ -458,7 +469,8 @@ class SolverWorkspace:
     Stored rays stay for the life of the workspace: a compact stencil of 3
     values per ladder node and the step times, 256 x 65 nodes per velocity
     at 32^2, so 2.1 MB for 4 velocities (1.6 MB of it stencils), growing as
-    n (8.4 MB at 128^2).
+    n (8.4 MB at 128^2).  The first live workspace on a grid also serves the
+    calls on it that pass none (`_workspace_on`) and keeps what they build.
     """
 
     def __init__(self, domain: ConvexDomain, model: VelocityModel, grid: Grid,
@@ -472,6 +484,8 @@ class SolverWorkspace:
         self.h_s = 0.5 * grid.h           # the path quadrature step of every ladder
         self._tables: dict[int, _CharTable] = {}
         self._rays: dict[int, _Rays] = {}
+        if _live_workspace(grid) is None:     # a later workspace never replaces a live one
+            _LIVE[grid] = weakref.ref(self)
 
     def table(self, i: int) -> _CharTable:
         tab = self._tables.get(i)
@@ -611,16 +625,20 @@ class SolverWorkspace:
 
 def _workspace_on(domain: ConvexDomain, model: VelocityModel, grid: Grid | None,
                   config: SolverConfig, workspace: SolverWorkspace | None) -> SolverWorkspace:
-    """`workspace`, or a new one on `grid` (on config.grid_n when `grid` is None).
+    """`workspace`; without one, the live workspace on this `grid` object if
+    it was built for an equal domain and model, else a new one on `grid` (on
+    config.grid_n when `grid` is None).
 
     A field on `grid` is read through the workspace's tables, which trace the
-    workspace's domain and velocities, so a workspace on another grid
+    workspace's domain and velocities, so a workspace passed on another grid
     (another domain or resolution), for another domain or for another model
     is a SolverError.
     """
     if workspace is None:
         grid = grid if grid is not None else Grid(domain, config.grid_n)
-        return SolverWorkspace(domain, model, grid, config)
+        live = _live_workspace(grid)
+        same = live is not None and (live.domain, live.model) == (domain, model)
+        return live if same else SolverWorkspace(domain, model, grid, config)
     have = workspace.grid
     if grid is not None and (grid.domain, grid.n) != (have.domain, have.n):
         raise SolverError(f"field grid (n={grid.n} on {grid.domain}) does not match the "

@@ -4,6 +4,7 @@ translation moduli."""
 import dataclasses
 import gc
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from dvmbvp.diagnostics import (_frame_angle, characteristic_balance, collision_
                                 exceptional_sets, integrated_collision_frequency,
                                 mass_energy_flux, slab_energy_rows, stage_diagnostics,
                                 sweep_soft_checks, translation_modulus)
+from dvmbvp import solver
 from dvmbvp.fields import BoundaryData, Field
 from dvmbvp.solver import SolverConfig, SolverError, SolverWorkspace, residual_renormalized
 
@@ -117,7 +119,9 @@ def test_balance_on_a_workspace_is_bitwise_the_balance_without_one(disk, broadwe
                                                                     smooth_field):
     """The rays a workspace keeps give the report of the rays a call builds for
     itself, on its first call and on a later one: on the disk, on a 2:1
-    ellipse and on the ellipse whose rays have unequal step counts."""
+    ellipse and on the ellipse whose rays have unequal step counts.  The
+    calls without a workspace run before the grid has one, so they build
+    their own."""
     ellipse = dv.ConvexDomain.ellipse(1.0, 0.5)
     uneven = dv.ConvexDomain.ellipse(1.5, 0.8, center=(0.1, -0.2))
     one = dv.VelocityModel.create([(1.0, math.sqrt(2.0))], [])
@@ -129,9 +133,10 @@ def test_balance_on_a_workspace_is_bitwise_the_balance_without_one(disk, broadwe
              (ellipse, broadwell, E, bd, *collision_grids(broadwell, E, k=8.0)),
              (uneven, one, G, BoundaryData.constant([0.7]), 0.5 + 0.2 * G.values, 0.3 * G.values)]
     for domain, model, F, boundary, nu, gain in cases:
+        wants = [characteristic_balance(domain, model, F, boundary, alpha, nu, gain)
+                 for alpha in (0.0, 0.25)]
         ws = SolverWorkspace(domain, model, F.grid, SolverConfig(grid_n=F.grid.n))
-        for alpha in (0.0, 0.25):
-            want = characteristic_balance(domain, model, F, boundary, alpha, nu, gain)
+        for alpha, want in zip((0.0, 0.25), wants):
             for _ in range(2):
                 got = characteristic_balance(domain, model, F, boundary, alpha, nu, gain,
                                              workspace=ws)
@@ -173,6 +178,79 @@ def test_balance_without_a_workspace_keeps_no_workspace_alive(monkeypatch, disk,
                            0.0, nu, gain)
     gc.collect()
     assert len(built) == broadwell.p and all(ref() is None for ref in built)
+
+
+# -- the live workspace of a grid ----------------------------------------------------
+
+def count_builds(monkeypatch):
+    """Two lists that grow by one per characteristic table and per velocity's
+    balance rays built."""
+    tables, rays = [], []
+    table, ray_set = solver._CharTable, solver._Rays
+    monkeypatch.setattr(solver, "_CharTable", lambda *a: tables.append(a) or table(*a))
+    monkeypatch.setattr(solver, "_Rays", lambda *a: rays.append(a) or ray_set(*a))
+    return tables, rays
+
+
+def test_calls_without_a_workspace_use_the_live_one_on_their_grid(monkeypatch, disk, broadwell,
+                                                                  maxwellian_values):
+    """While a workspace on the field's grid is alive, `exceptional_sets` and
+    `mass_energy_flux` called without one read its tables and rays: they build
+    no table and trace no ray, and their reports hold the bits of the calls
+    that pass it."""
+    grid = dv.Grid(disk, 16)
+    ws = SolverWorkspace(disk, broadwell, grid, SolverConfig(grid_n=16))
+    F = Field.constant(grid, 1.01 * maxwellian_values)
+    bd = BoundaryData.constant(list(maxwellian_values))
+    want = (exceptional_sets(disk, broadwell, F, 16.0, epsilon=0.1, workspace=ws),
+            mass_energy_flux(disk, broadwell, F, bd, 0.0, k=16.0, workspace=ws))
+    tables, rays = count_builds(monkeypatch)
+    got = (exceptional_sets(disk, broadwell, F, 16.0, epsilon=0.1),
+           mass_energy_flux(disk, broadwell, F, bd, 0.0, k=16.0))
+    assert tables == [] and rays == []
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+def test_a_later_workspace_on_the_grid_does_not_replace_the_live_one(disk, broadwell,
+                                                                     maxwellian_values):
+    grid = dv.Grid(disk, 16)
+    first, second = (SolverWorkspace(disk, broadwell, grid, SolverConfig(grid_n=16))
+                     for _ in range(2))
+    exceptional_sets(disk, broadwell, Field.constant(grid, maxwellian_values), 16.0,
+                     epsilon=0.1)
+    assert sorted(first._tables) == list(range(broadwell.p)) and second._tables == {}
+
+
+def test_a_gone_workspace_is_not_kept_for_later_calls(monkeypatch, disk, broadwell,
+                                                      maxwellian_values):
+    """The grid's entry holds its workspace weakly: once the workspace goes,
+    the next call without one builds its own tables."""
+    grid = dv.Grid(disk, 16)
+    ws = SolverWorkspace(disk, broadwell, grid, SolverConfig(grid_n=16))
+    F = Field.constant(grid, maxwellian_values)
+    exceptional_sets(disk, broadwell, F, 16.0, epsilon=0.1, workspace=ws)
+    tables, _ = count_builds(monkeypatch)
+    exceptional_sets(disk, broadwell, F, 16.0, epsilon=0.1)
+    assert tables == []
+    gone = weakref.ref(ws)
+    del ws
+    gc.collect()
+    assert gone() is None
+    exceptional_sets(disk, broadwell, F, 16.0, epsilon=0.1)
+    assert len(tables) == broadwell.p
+
+
+def test_another_model_on_the_grid_gets_its_own_workspace(disk, broadwell, maxwellian_values):
+    """A call for another model on a grid with a live workspace is not refused
+    and leaves that workspace alone, which still serves its own model."""
+    one = dv.VelocityModel.create([(1.0, math.sqrt(2.0))], [])
+    grid = dv.Grid(disk, 16)
+    ws = SolverWorkspace(disk, broadwell, grid, SolverConfig(grid_n=16))
+    rep = exceptional_sets(disk, one, Field.constant(grid, [1.0]), 16.0, epsilon=0.1)
+    assert rep.measure.shape == (1,) and ws._tables == {}
+    exceptional_sets(disk, broadwell, Field.constant(grid, maxwellian_values), 16.0,
+                     epsilon=0.1)
+    assert sorted(ws._tables) == list(range(broadwell.p))
 
 
 def test_balance_refuses_a_workspace_on_another_grid(disk, broadwell, smooth_field):
@@ -488,10 +566,12 @@ def test_chords_agree_with_per_cell_ladders_to_second_order(disk, broadwell, n):
 
 def test_exceptional_workspace_matches_default_bitwise(disk, broadwell, grid24,
                                                        smooth_field):
-    ws = SolverWorkspace(disk, broadwell, grid24, SolverConfig(grid_n=24))
+    """The calls without a workspace run before the grid has one, so they
+    build their own tables."""
     F = Field(grid24, 3.0 * smooth_field.values)
-    for eps in (0.1, 0.8):
-        a = exceptional_sets(disk, broadwell, F, 8.0, epsilon=eps)
+    defaults = [exceptional_sets(disk, broadwell, F, 8.0, epsilon=eps) for eps in (0.1, 0.8)]
+    ws = SolverWorkspace(disk, broadwell, grid24, SolverConfig(grid_n=24))
+    for eps, a in zip((0.1, 0.8), defaults):
         b = exceptional_sets(disk, broadwell, F, 8.0, epsilon=eps, workspace=ws)
         for name in ("measure", "measure_exit", "measure_nu", "measure_strips",
                      "measure_strips_boundary", "chi"):

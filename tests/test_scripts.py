@@ -101,12 +101,26 @@ def test_balance_calls(harness, monkeypatch):
 def test_layer_calls(harness, monkeypatch):
     """The one per-call timer reaches every call of LAYER_CALLS by name: the
     transport pass, the balance and its workspace keyword, the mollifier, the
-    diagnose workload, the translation moduli, the rays and the tables."""
+    diagnose workload, the translation moduli, the rays, the tables, and
+    `mass_energy_flux` and `exceptional_sets` without a workspace."""
     monkeypatch.setattr(harness, "LAYER_SECONDS", 0)
     out = harness.measure_layers(str(ROOT / "src"), [16])
     assert list(out) == ["16^2"] and list(out["16^2"]) == list(harness.LAYER_CALLS)
     for r in out["16^2"].values():
         assert r["ms"] > 0 and r["first_ms"] > 0 and r["minor_faults"] >= 0
+
+
+def test_one_pair_is_refused_before_any_run(harness, monkeypatch, tmp_path, capsys):
+    """`--pairs 1` leaves one run per side for the quartiles: the record is
+    refused with exit code 2 when its options are read, before any run."""
+    started = []
+    monkeypatch.setattr(harness.subprocess, "run", lambda *a, **kw: started.append(a))
+    out = tmp_path / "BENCH_one_pair.json"
+    with pytest.raises(SystemExit) as refused:
+        harness.main(["bench_pairs", "--parent", str(ROOT), "--what", "one pair",
+                      "--out", str(out), "--pairs", "1"])
+    assert refused.value.code == 2 and started == [] and not out.exists()
+    assert "--pairs must be at least 2" in capsys.readouterr().err
 
 
 def test_mirror_gap():
