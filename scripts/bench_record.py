@@ -14,12 +14,11 @@ in `SECTIONS`; each one's docstring says what it measures.
 The per-process measurements the sections are built from, each printing one
 JSON line, against the `dvmbvp` package under SRC:
 
-    --one INFLOW N SRC [--save PATH] [--all-fine]
+    --one INFLOW N SRC [--save PATH]
         one default `k_sweep` (shifted Broadwell, unit disk) at N^2, INFLOW
         `maxwellian` (the acceptance oracle), `step` or `dense` (the
         Maxwellian with a = 2.5); `--save` stacks every level's estimate, the
-        last one being the final field; `--all-fine` runs every level on the
-        run grid
+        last one being the final field
     --layers SRC [--sizes N ...]
         per size and call of LAYER_CALLS, the median and first call times and
         the median minor page faults per call
@@ -53,11 +52,8 @@ DENSE = (2.5, (0.1, -0.2), 0.05)             # the same Maxwellian, density x12
 SWEEP_CASES = ([("maxwellian", n) for n in (32, 64, 128, 256)]
                + [("step", n) for n in (32, 64, 128)] + [("dense", 32)])
 SWEEP_PAIRS = 3
-LEVEL_CASES = [(inflow, n) for inflow in ("maxwellian", "step") for n in (32, 64, 128)]
 FAULT_SECONDS = 8.0
 CALL_ALPHAS = (0.0625, 0.125, 0.25, 0.5)
-SMALL_RADII = (0.01, 1e-4)
-SMALL_TIMEOUT = 30.0
 LAYER_SIZES = (32, 64, 128)
 LAYER_SECONDS = 0.5           # each call repeats this long after its first, 5 times at least
 LAYER_PROCESSES = 3
@@ -101,8 +97,7 @@ def inflow_boundary(dv, model, domain, inflow: str):
         for i in range(model.p)))
 
 
-def measure_sweep(inflow: str, n: int, src: str, save: str | None = None,
-                  all_fine: bool = False) -> dict:
+def measure_sweep(inflow: str, n: int, src: str, save: str | None = None) -> dict:
     """One default k sweep in this process, set-up included in its wall time."""
     sys.path.insert(0, src)
     import numpy as np
@@ -112,10 +107,7 @@ def measure_sweep(inflow: str, n: int, src: str, save: str | None = None,
     boundary = inflow_boundary(dv, model, domain, inflow)
     config = dv.SolverConfig(grid_n=n)
     t0 = time.perf_counter()
-    ws = dv.SolverWorkspace(domain, model, dv.Grid(domain, n), config)
-    if all_fine:
-        ws.coarse = None
-    sweep = dv.k_sweep(domain, model, boundary, config, workspace=ws)
+    sweep = dv.k_sweep(domain, model, boundary, config)
     wall = time.perf_counter() - t0
     sweeps, outer = {}, {}
     starts = dict.fromkeys(("zero", "certified", "fallback"), 0)
@@ -127,8 +119,7 @@ def measure_sweep(inflow: str, n: int, src: str, save: str | None = None,
             for ch in tr.children:
                 starts[ch.start] += 1
     out = {
-        "inflow": inflow, "grid_n": n, "all_fine": all_fine,
-        "wall_s": wall,
+        "inflow": inflow, "grid_n": n, "wall_s": wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "converged": sweep.converged,
         "alpha_stages": sum(len(st.continuation.traces) for st in sweep.stages),
@@ -425,42 +416,6 @@ def sweeps(parent: Path, tmp: str, args) -> list:
     return out
 
 
-def earlier_levels(parent: Path, tmp: str, args) -> list:
-    """Per case of LEVEL_CASES and per level but the last, the relative L1
-    distance of the change's estimate from the parent's, against the gap
-    between the parent's estimate and the change's all-fine sweep (every
-    level on the run grid); also how far each level's final residual and
-    each k distance move."""
-    import numpy as np
-    out = []
-    for inflow, n in LEVEL_CASES:
-        res = {}
-        for side, root, extra in (("parent", parent, ()), ("change", ROOT, ()),
-                                  ("all_fine", ROOT, ("--all-fine",))):
-            res[side] = measure("--one", inflow, n, root / "src", "--save", f"{tmp}/{side}.npy",
-                                *extra)
-        est = {side: np.load(f"{tmp}/{side}.npy") for side in res}
-        levels = []
-        for j in range(len(est["parent"]) - 1):
-            moved = rel_l1(est["change"][j], est["parent"][j])
-            gap = rel_l1(est["parent"][j], est["all_fine"][j])
-            levels.append({"level": j, "moved": moved, "nested_vs_fine_gap": gap,
-                           "moved_over_gap": moved / gap})
-        want, got = res["parent"], res["change"]
-        out.append({
-            "inflow": inflow, "grid_n": n, "levels": levels,
-            "final_field_moved": rel_l1(est["change"][-1], est["parent"][-1]),
-            "final_residual_rel_change": [abs(g / w - 1.0) for g, w in zip(
-                got["final_residuals"], want["final_residuals"])],
-            "k_distance_rel_change": [abs(g / w - 1.0) for g, w in zip(
-                got["k_distances"], want["k_distances"])],
-            "runs": res,
-        })
-        log(f"levels {inflow} {n}: earlier levels moved <= "
-            f"{max(lv['moved_over_gap'] for lv in levels):.2e} of their gap")
-    return out
-
-
 def page_faults(parent: Path, tmp: str, args) -> dict:
     """Per workload of WORKLOADS, one `--faults` measurement per side: minor
     page faults per operation (median, first, mean after the first) and op_s."""
@@ -469,42 +424,6 @@ def page_faults(parent: Path, tmp: str, args) -> dict:
         out[w] = {side: measure("--faults", w, checkout(side, parent)) for side in SIDES}
         log(f"faults {w}: {out[w]['parent']['minor_faults_per_op_median']} -> "
             f"{out[w]['change']['minor_faults_per_op_median']} per op")
-    return out
-
-
-def small_disks(parent: Path, tmp: str, args) -> list:
-    """`dvmbvp solve` on disks of each radius of SMALL_RADII at grid_n 8
-    (constant inflow 1, alpha_schedule [0.5, 0.25], k_schedule [4]), per side:
-    exit code, process wall time and the last stderr line; a run still going
-    after SMALL_TIMEOUT seconds is stopped and marked so."""
-    sys.path.insert(0, str(ROOT / "src"))
-    import dvmbvp as dv          # the change's package, only to write the model file
-    model_file = Path(tmp) / "model.json"
-    dv.save_model(dv.shifted_broadwell(), model_file)
-    out = []
-    for radius in SMALL_RADII:
-        runs = {}
-        for side in SIDES:
-            cfg = Path(tmp) / f"small_{side}.json"
-            cfg.write_text(json.dumps({
-                "model": str(model_file), "domain": {"kind": "disk", "radius": radius},
-                "boundary": {"profile": "constant", "values": [1.0, 1.0, 1.0, 1.0]},
-                "solver": {"grid_n": 8, "alpha_schedule": [0.5, 0.25], "k_schedule": [4.0]},
-                "output_dir": str(Path(tmp) / f"small_{side}_out")}))
-            env = {**os.environ, "PYTHONPATH": str(checkout(side, parent) / "src")}
-            t0 = time.perf_counter()
-            try:
-                proc = subprocess.run([sys.executable, "-m", "dvmbvp.cli", "solve", str(cfg)],
-                                      capture_output=True, text=True, env=env,
-                                      timeout=SMALL_TIMEOUT)
-                runs[side] = {"exit_code": proc.returncode,
-                              "stderr_last_line": (proc.stderr.strip().splitlines()
-                                                   or [""])[-1]}
-            except subprocess.TimeoutExpired:
-                runs[side] = {"exit_code": None, "timed_out_after_s": SMALL_TIMEOUT}
-            runs[side]["wall_s"] = time.perf_counter() - t0
-            log(f"disk {radius} {side}: {runs[side]}")
-        out.append({"radius": radius, "grid_n": 8, "runs": runs})
     return out
 
 
@@ -542,8 +461,7 @@ def mirror(parent: Path, tmp: str, args) -> dict:
     return out
 
 
-SECTIONS = {f.__name__: f for f in (bench_pairs, sweeps, earlier_levels, page_faults,
-                                     small_disks, layer_calls, mirror)}
+SECTIONS = {f.__name__: f for f in (bench_pairs, sweeps, page_faults, layer_calls, mirror)}
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +481,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--one", nargs=3, metavar=("INFLOW", "N", "SRC"))
     ap.add_argument("--save")
-    ap.add_argument("--all-fine", action="store_true")
     ap.add_argument("--sizes", type=int, nargs="+", default=list(LAYER_SIZES))
     ap.add_argument("--faults", nargs=2, metavar=("WORKLOAD", "CHECKOUT"))
     ap.add_argument("--mirror", metavar="SRC")
@@ -571,7 +488,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.one:
         inflow, n, src = args.one
-        result = measure_sweep(inflow, int(n), src, args.save, args.all_fine)
+        result = measure_sweep(inflow, int(n), src, args.save)
     elif args.mirror:
         result = measure_mirror(args.mirror, args.sizes)
     elif args.layers:

@@ -76,8 +76,7 @@ def load_run_config(path):
 
     mspec = raw.get("model")
     if isinstance(mspec, str):
-        model = load_model(Path(path).parent / mspec if not Path(mspec).is_absolute()
-                           else mspec)
+        model = load_model(Path(path).parent / mspec)
     elif isinstance(mspec, dict) and "velocities" in mspec:
         model = model_from_dict(mspec)
     else:
@@ -97,7 +96,7 @@ def load_run_config(path):
     except (GeometryError, KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"bad domain: {exc}") from exc
 
-    boundary = parse_boundary(raw.get("boundary"), model)
+    boundary = parse_boundary(raw.get("boundary"), model, Path(path).parent)
 
     sspec = raw.get("solver", {})
     if not isinstance(sspec, dict):
@@ -138,9 +137,10 @@ def _levels(values, what: str, p: int) -> np.ndarray:
     return levels
 
 
-def parse_boundary(bspec, model: VelocityModel) -> BoundaryData:
-    """Inflow traces of a config; every profile's values are checked to be
-    finite and nonnegative before any solver runs."""
+def parse_boundary(bspec, model: VelocityModel, directory: Path) -> BoundaryData:
+    """Inflow traces of a config in `directory`, which a relative csv path is
+    read from; every profile's values are checked to be finite and
+    nonnegative before any solver runs."""
     if not isinstance(bspec, dict):
         raise StructuralError("config.boundary must be an object")
     profile = bspec.get("profile")
@@ -176,6 +176,9 @@ def parse_boundary(bspec, model: VelocityModel) -> BoundaryData:
         path = bspec.get("path")
         if path is None:
             raise StructuralError("csv boundary needs a path")
+        if not isinstance(path, str) or not path:
+            raise StructuralError(f"csv boundary path must be a nonempty string, got {path!r}")
+        path = directory / path
         try:
             with warnings.catch_warnings():     # a file without rows is refused below
                 warnings.simplefilter("ignore", UserWarning)

@@ -526,6 +526,12 @@ def test_a_number_in_a_config_must_be_a_json_number(tmp_path, shifted_model_file
     ("solve", {"boundary": {"profile": "maxwellian", "a": 0.0}},
      "error: maxwellian boundary needs a, b, c\n"),
     ("solve", {"boundary": {"profile": "csv"}}, "error: csv boundary needs a path\n"),
+    ("solve", {"boundary": {"profile": "csv", "path": 5}},
+     "error: csv boundary path must be a nonempty string, got 5\n"),
+    ("solve", {"boundary": {"profile": "csv", "path": ["component,t,value", "1,0.0,1.0"]}},
+     "error: csv boundary path must be a nonempty string, got ['component,t,value', "),
+    ("solve", {"boundary": {"profile": "csv", "path": ""}},
+     "error: csv boundary path must be a nonempty string, got ''\n"),
     ("solve", {"rows": ["1,x,1.0"]}, "error: cannot read csv boundary "),
     ("solve", {"rows": ["1,1.0,1.0", "2,1.0,1.0", "3,1.0,1.0"]},
      "error: csv boundary misses component 4\n"),
@@ -536,7 +542,8 @@ def test_a_number_in_a_config_must_be_a_json_number(tmp_path, shifted_model_file
                               "'x,y,value\\n'\n"),
 ], ids=["config not JSON", "config not an object", "bad model", "domain not an object",
         "solver not an object", "boundary not an object", "maxwellian without b, c",
-        "csv without path", "unreadable csv", "csv without component 4", "unknown profile",
+        "csv without path", "csv path a number", "csv path a list", "csv path empty",
+        "unreadable csv", "csv without component 4", "unknown profile",
         "no sidecar", "field CSV header"])
 def test_every_refusal_of_a_run_config_is_one_line(tmp_path, shifted_model_file, capsys,
                                                     command, change, want):
@@ -596,13 +603,21 @@ def test_a_memory_error_without_a_message_is_named(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("boundary, domain", [
     ("csv", None),
+    ("relative csv", None),
     ({"profile": "maxwellian", "a": 0.0, "b": [0.1, -0.2], "c": 0.5}, None),
     ({"profile": "step", "t0": 1.0, "t1": 4.0, "inside": [1.0, 0.5, 2.0, 0.0]}, None),
     ({"profile": "constant", "values": [1.0, 0.5, 2.0, 0.0]},
      {"kind": "superellipse", "center": [0.1, -0.2], "semi_axes": [1.2, 0.9], "exponent": 4.0}),
-], ids=["csv", "maxwellian", "step", "superellipse"])
-def test_solve_accepts_inflow_profile(tmp_path, shifted_model_file, boundary, domain):
-    if boundary == "csv":
+], ids=["csv", "relative csv", "maxwellian", "step", "superellipse"])
+def test_solve_accepts_inflow_profile(tmp_path, shifted_model_file, monkeypatch, boundary,
+                                      domain):
+    """Every profile solves; a relative csv path is read next to the config,
+    whatever the working directory."""
+    if boundary == "relative csv":
+        boundary = {**write_csv_boundary(tmp_path, [1.0, 0.5, 2.0, 0.0]), "path": "inflow.csv"}
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+    elif boundary == "csv":
         boundary = write_csv_boundary(tmp_path, [1.0, 0.5, 2.0, 0.0])
     cfg = write_config(tmp_path, shifted_model_file, boundary,
                        {"grid_n": 16, "alpha": 0.5, "k": 8.0})

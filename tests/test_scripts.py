@@ -2,13 +2,16 @@
 whole record comes out as strict JSON, and every checked-in record keeps the
 header the harness writes.
 
-`scripts/bench_record.py` reaches solver internals by name (trace fields,
-module constants), so a rename in `src/` can break it without failing any
-other test.
+`scripts/bench_record.py` reaches the program by name: the fields of the
+sweep's trace tree, the workspace's transport pass, rays and tables, the
+diagnostics functions and the mollifier, the grid's continuation map, and
+the benchmark's workloads and `run.measure`.  A rename in `src/` or `bench/`
+can break it without failing any other test.
 """
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,8 +43,9 @@ def test_nested_grids_one_sweep(inflow):
 
 
 def test_coarse_tolerance_levels(tmp_path):
-    """The sweep measurement reaches the coarse workspace and each stage's
-    estimate by name: four k levels, three distances between them."""
+    """The sweep measurement reaches each stage's final residual and estimate
+    and the sweep's k distances by name: four k levels, three distances
+    between them."""
     out = measure("--one", "maxwellian", 32, ROOT / "src", "--save", tmp_path / "levels.npy")
     assert len(out["final_residuals"]) == 4 and len(out["k_distances"]) == 3
 
@@ -121,6 +125,49 @@ def test_one_pair_is_refused_before_any_run(harness, monkeypatch, tmp_path, caps
                       "--out", str(out), "--pairs", "1"])
     assert refused.value.code == 2 and started == [] and not out.exists()
     assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_page_faults_of_one_run(harness, monkeypatch):
+    """The fault count wraps a workload's `op` and runs `run.measure` by name:
+    at least one counted operation and a positive op time."""
+    monkeypatch.setattr(harness, "FAULT_SECONDS", 0)
+    out = harness.measure_faults("stage64_step", ROOT)
+    assert out["ops"] >= 1 and out["op_s"] > 0
+    assert all(out[key] >= 0 for key in ("minor_faults_per_op_median", "minor_faults_first_op",
+                                         "minor_faults_per_op_after_first"))
+
+
+def test_bench_pair_statistics(harness, monkeypatch, tmp_path):
+    """On canned runs, even pairs run the parent first and odd pairs the
+    change first; the wins, the median ratio, the gap over the parent's IQR
+    and the metric medians are those of the canned numbers."""
+    op_s = {"parent": [1.0, 1.2, 1.1, 1.3], "change": [0.9, 1.25, 1.0, 1.1]}
+    order = []
+
+    def canned(root, workload, seed, seconds):
+        side = "parent" if root == tmp_path else "change"
+        order.append(side)
+        op = op_s[side][order.count(side) - 1]
+        return {"setup_s": op / 10, "op_s": op, "peak_rss_mb": 100.0, "mild_residual": 1e-3}
+
+    monkeypatch.setattr(harness, "bench_run", canned)
+    out = harness.bench_pair_stats(tmp_path, "stage64_step", 0, 4, 1.0)
+    assert order == ["parent", "change", "change", "parent"] * 2
+    assert [r["op_s"] for r in out["runs"]["change"]] == op_s["change"]
+    assert out["change_wins"] == 3
+    assert out["op_s"]["parent"] == pytest.approx(
+        {"median": 1.15, "q1": 1.075, "q3": 1.225, "iqr": 0.15})
+    assert out["median_ratio"] == pytest.approx(1.05 / 1.15)
+    assert out["median_gap_over_parent_iqr"] == pytest.approx(0.1 / 0.15)
+    assert out["metric_medians"]["change"] == pytest.approx(
+        {"setup_s": 0.105, "op_s": 1.05, "peak_rss_mb": 100.0, "mild_residual": 1e-3})
+
+
+def test_readme_lists_exactly_the_sections(harness):
+    """README's sentence "The sections are ..." names SECTIONS, in order."""
+    readme = (ROOT / "README.md").read_text()
+    sentence = readme.split("The sections are ")[1].split(".")[0]
+    assert re.findall(r"`(\w+)`", sentence) == list(harness.SECTIONS)
 
 
 def test_mirror_gap():
